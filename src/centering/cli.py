@@ -2,8 +2,8 @@
 
 Subcommands: analyze (per-utterance trace), stats (distribution tables plus
 chi-square), resolve (zero-to-antecedent listing), validate (format check),
-eval (gold comparison). Exit codes: 0 success, 1 format/validation problem,
-2 internal fault.
+eval (gold comparison). Exit codes: 0 success, 1 format, validation or usage
+problem, 2 internal fault.
 """
 
 from __future__ import annotations
@@ -12,15 +12,34 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from . import analysis, corpus as corpus_io
 from .engine import EngineConfig, run_corpus
 from .model import Discourse, validate_discourse
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like every other input problem; 2 is kept for
+    internal faults."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _beam_width(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="centering",
         description="Centering-based discourse coherence and zero resolution.",
     )
@@ -35,7 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
             help="output format (default: text)",
         )
         if engine:
-            p.add_argument("--beam", type=int, default=4, help="hypothesis beam width")
+            p.add_argument(
+                "--beam", type=_beam_width, default=4, help="hypothesis beam width (>= 1)"
+            )
             p.add_argument(
                 "--no-zta",
                 action="store_true",

@@ -248,16 +248,21 @@ class DiscourseState:
     config: EngineConfig
     hypotheses: tuple[CenteringHypothesis, ...] = ()
     history: CbHistory = field(default_factory=CbHistory)
-    steps: tuple["StepTrace", ...] = ()
+    last_step: Optional["StepTrace"] = None
 
 
 @dataclass(frozen=True)
 class StepTrace:
-    """Raw per-utterance trace kept until end-of-discourse finalization."""
+    """Raw per-utterance trace kept until end-of-discourse finalization.
+
+    Traces form an append-only list through `prev` (newest first), so a step
+    adds its trace in O(1) and earlier states stay valid.
+    """
 
     utterance: Utterance
     hypotheses: tuple[CenteringHypothesis, ...]
     retrievals: tuple[Retrieval, ...]
+    prev: Optional["StepTrace"] = None
 
 
 def _view(h: CenteringHypothesis) -> HypothesisView:
@@ -372,10 +377,10 @@ def coherence_step(state: DiscourseState, u: Utterance) -> DiscourseState:
         hist = state.history
         if seed.cb is not None:
             hist = push_cb(hist, seed.cb, u.index, u.tense is Tense.PAST)
-        trace = StepTrace(utterance=u, hypotheses=(seed,), retrievals=())
-        return replace(
-            state, hypotheses=(seed,), history=hist, steps=state.steps + (trace,)
+        trace = StepTrace(
+            utterance=u, hypotheses=(seed,), retrievals=(), prev=state.last_step
         )
+        return replace(state, hypotheses=(seed,), history=hist, last_step=trace)
 
     outcomes = [_resolve_locally(parent, u, entities) for parent in state.hypotheses]
     children = expand_hypotheses(
@@ -440,12 +445,13 @@ def coherence_step(state: DiscourseState, u: Utterance) -> DiscourseState:
         utterance=u,
         hypotheses=tuple(survivors),
         retrievals=tuple(all_retrievals),
+        prev=state.last_step,
     )
     return replace(
         state,
         hypotheses=tuple(survivors),
         history=hist,
-        steps=state.steps + (trace,),
+        last_step=trace,
     )
 
 
@@ -456,7 +462,7 @@ def _accepted(survivors: Sequence[CenteringHypothesis]) -> Optional[CenteringHyp
         return None
     best_key = rank_key(survivors[0])[:2]
     tied = [h for h in survivors if rank_key(h)[:2] == best_key]
-    return min(tied, key=lambda h: (h.zta_count(), rank_key(h)))
+    return min(tied, key=lambda h: (h.zta_count, rank_key(h)))
 
 
 def run_discourse(
@@ -479,7 +485,7 @@ def finalize(state: DiscourseState) -> DiscourseReport:
     their zero resolutions differ are flagged ambiguous.
     """
     discourse = state.discourse
-    if not state.steps:
+    if state.last_step is None:
         return DiscourseReport(discourse.id, (), False, ())
 
     final_live = list(state.hypotheses)
@@ -493,7 +499,7 @@ def finalize(state: DiscourseState) -> DiscourseReport:
         if id(h) in tied_ids
         or (h.ambiguity_keys & best.ambiguity_keys and not h.anomalous)
     ]
-    stats_path = min(readings, key=lambda h: (h.zta_count(), rank_key(h)))
+    stats_path = min(readings, key=lambda h: (h.zta_count, rank_key(h)))
 
     by_index: dict[int, CenteringHypothesis] = {
         h.utterance_index: h for h in stats_path.ancestry()
@@ -511,8 +517,14 @@ def finalize(state: DiscourseState) -> DiscourseReport:
             if len(values) > 1:
                 ambiguous_at.add(idx)
 
+    steps: list[StepTrace] = []
+    node: Optional[StepTrace] = state.last_step
+    while node is not None:
+        steps.append(node)
+        node = node.prev
+
     reports: list[UtteranceReport] = []
-    for step in state.steps:
+    for step in reversed(steps):
         u = step.utterance
         chosen = by_index.get(u.index)
         if chosen is None:

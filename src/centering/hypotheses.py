@@ -132,9 +132,13 @@ def expand_hypotheses(
     lowest-ZTA ancestry. Result is sorted best-first.
     """
     outcomes = _per_parent(resolutions, len(prev_set))
+    # (eff_pref, parent_rank) orders prev_set by full chain preference
+    parent_keys = sorted({(p.eff_pref, p.parent_rank) for p in prev_set})
+    dense_rank = {key: rank for rank, key in enumerate(parent_keys)}
     children: list[CenteringHypothesis] = []
 
     for parent, outcome in zip(prev_set, outcomes):
+        parent_rank = dense_rank[(parent.eff_pref, parent.parent_rank)]
         res_map = outcome.mapping
         res_items = tuple(sorted(res_map.items()))
         realized = realized_entities(u, res_map)
@@ -167,6 +171,7 @@ def expand_hypotheses(
                 parent=parent,
                 ambiguity_keys=keys,
                 eff_pref=plain_pref,
+                parent_rank=parent_rank,
             )
         )
         if topic is not None:
@@ -186,6 +191,7 @@ def expand_hypotheses(
                     ambiguity_keys=keys,
                     # a dampened promotion ties with its plain sibling
                     eff_pref=plain_pref if dampened else transition_preference(zta_label),
+                    parent_rank=parent_rank,
                 )
             )
 
@@ -206,7 +212,7 @@ def _dedupe(children: list[CenteringHypothesis]) -> list[CenteringHypothesis]:
             continue
         better = min(
             (cur, child),
-            key=lambda h: (h.zta_count(), h.chain_preference()),
+            key=lambda h: (h.zta_count, h.eff_pref, h.parent_rank),
         )
         merged_keys = cur.ambiguity_keys | child.ambiguity_keys
         if merged_keys != better.ambiguity_keys:
@@ -217,9 +223,14 @@ def _dedupe(children: list[CenteringHypothesis]) -> list[CenteringHypothesis]:
 
 def rank_key(h: CenteringHypothesis) -> tuple:
     """Beam/display order: compatible before anomalous, then preference of the
-    current label and up the parent chain; within a tie the promoted reading
-    is listed first."""
-    return (1 if h.anomalous else 0, h.chain_preference(), 0 if h.zta_applied else 1)
+    current label and up the parent chain (as the parent's rank among its live
+    set); within a tie the promoted reading is listed first. Only hypotheses
+    expanded from the same live set are comparable."""
+    return (
+        1 if h.anomalous else 0,
+        (h.eff_pref, h.parent_rank),
+        0 if h.zta_applied else 1,
+    )
 
 
 def prune_hypotheses(

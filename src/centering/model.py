@@ -7,7 +7,7 @@ types, so instances are safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import Iterator, Mapping, Optional, Union
 
@@ -249,6 +249,13 @@ class CenteringHypothesis:
     transition's preference rank, but a dampened zero-topic child takes its
     plain sibling's rank so the two tie. `ambiguity_keys` tag dampened branch
     points; preference never separates hypotheses sharing a key.
+
+    Ranking never walks the chain. `parent_rank` is the dense rank of the
+    parent's chain preference among the live set the parent belonged to, so
+    `(eff_pref, parent_rank)` orders the children of one live set exactly as
+    their full preference chains (current utterance first) would.
+    `zta_count` is the number of promotions on the chain, inherited from the
+    parent and recomputed whenever the hypothesis is rebuilt.
     """
 
     utterance_index: int
@@ -265,10 +272,14 @@ class CenteringHypothesis:
     parent: Optional["CenteringHypothesis"] = None
     ambiguity_keys: frozenset[str] = frozenset()
     eff_pref: Optional[int] = None
+    parent_rank: int = 0
+    zta_count: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         if self.eff_pref is None:
             object.__setattr__(self, "eff_pref", _PREFERENCE[self.transition])
+        inherited = self.parent.zta_count if self.parent is not None else 0
+        object.__setattr__(self, "zta_count", inherited + int(self.zta_applied))
 
     @property
     def cp(self) -> Optional[str]:
@@ -288,13 +299,6 @@ class CenteringHypothesis:
         while node is not None:
             yield node
             node = node.parent
-
-    def chain_preference(self) -> tuple[int, ...]:
-        """Preference key, current utterance first, then up the parent chain."""
-        return tuple(h.eff_pref for h in self.ancestry())
-
-    def zta_count(self) -> int:
-        return sum(1 for h in self.ancestry() if h.zta_applied)
 
     def identity_key(self) -> tuple:
         """Key for collapsing duplicate readings spawned by different parents."""

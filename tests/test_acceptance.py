@@ -30,9 +30,9 @@ from centering import (
 )
 from centering.corpus import fixture_text
 from centering.model import TransitionLabel
+from centering.synth import random_discourse
 
 from conftest import entity, labels_of, utterance, zero
-from test_engine import _random_discourse
 from test_hypotheses import PREV, ASK_GA, ASK_WA
 
 
@@ -247,7 +247,7 @@ class TestCriterion5Properties:
         rng = random.Random(424242)
         exercised = 0
         for k in range(1000):
-            d = _random_discourse(rng, f"acc-{k}")
+            d = random_discourse(rng, f"acc-{k}")
             rep = run_discourse(d)
             former: set[str] = set()
             for u in rep.utterances:
@@ -282,7 +282,7 @@ class TestCriterion5Properties:
         rng = random.Random(777)
         fired = 0
         for k in range(400):
-            d = _random_discourse(rng, f"zta-acc-{k}")
+            d = random_discourse(rng, f"zta-acc-{k}")
             entities = d.entity_map
             rep = run_discourse(d)
             # replay each utterance against the reported previous reading
@@ -312,7 +312,7 @@ class TestCriterion5Properties:
     def test_generator_discourses_stay_well_formed(self):
         rng = random.Random(31337)
         for k in range(50):
-            assert validate_discourse(_random_discourse(rng, f"wf-{k}")) == []
+            assert validate_discourse(random_discourse(rng, f"wf-{k}")) == []
 
 
 class TestCriterion6Dampening:

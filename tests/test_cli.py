@@ -156,6 +156,16 @@ class TestValidateAndErrors:
         code, _, err = run_cli(capsys, "analyze", "/nonexistent/corpus.json")
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["analyze", "stats", "resolve", "eval"])
+    @pytest.mark.parametrize("beam", ["0", "-3"])
+    def test_beam_below_one_is_a_usage_error(self, command, beam, corpus_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--beam", beam, corpus_file("classroom_exam")])
+        err = capsys.readouterr().err
+        assert exc.value.code == 1
+        assert "--beam" in err and ">= 1" in err
+        assert "internal error" not in err
+
     def test_internal_fault_exit_two(self, corpus_file, capsys, monkeypatch):
         import centering.cli as cli_mod
 

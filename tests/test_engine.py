@@ -9,20 +9,15 @@ from hypothesis import strategies as st
 from centering import (
     CbHistory,
     CbHistoryEntry,
-    Discourse,
-    DiscourseEntity,
     EngineConfig,
-    Form,
     GrammaticalRole,
-    ReferringExpression,
-    ResolutionConstraints,
     Tense,
-    Utterance,
     global_retrieve,
     push_cb,
     run_discourse,
     validate_discourse,
 )
+from centering.synth import random_discourse
 
 from conftest import discourse, entity, overt, utterance, zero
 
@@ -231,81 +226,11 @@ class TestEngineMechanics:
 
 # -- randomized synthetic discourses ----------------------------------------
 
-TYPE_POOL = ("organization", "person", "device", "abstract")
-
-
-def _random_discourse(rng: random.Random, ident: str) -> Discourse:
-    n_entities = rng.randint(3, 6)
-    entities = []
-    for i in range(n_entities):
-        types = frozenset(rng.sample(TYPE_POOL, rng.randint(1, 2)))
-        entities.append(DiscourseEntity(f"e{i}", types, 1))
-    ids = [e.id for e in entities]
-
-    utterances = []
-    n_utts = rng.randint(3, 8)
-    for idx in range(n_utts):
-        exprs = []
-        pos = 0
-        roles = rng.sample(
-            [
-                GrammaticalRole.TOPIC,
-                GrammaticalRole.SUBJECT,
-                GrammaticalRole.OBJECT2,
-                GrammaticalRole.OBJECT,
-                GrammaticalRole.OTHERS,
-            ],
-            rng.randint(1, 3),
-        )
-        used = set()
-        for role in sorted(roles, key=lambda r: r.rank):
-            make_zero = idx > 0 and rng.random() < 0.35
-            if make_zero:
-                types = (
-                    frozenset(rng.sample(TYPE_POOL, rng.randint(1, 2)))
-                    if rng.random() < 0.6
-                    else frozenset()
-                )
-                exprs.append(
-                    ReferringExpression(
-                        entity_ref=None,
-                        form=Form.ZERO,
-                        role=role,
-                        surface_position=pos,
-                        wa_marked=role is GrammaticalRole.TOPIC,
-                        constraints=ResolutionConstraints(compatible_types=types),
-                    )
-                )
-            else:
-                choices = [i for i in ids if i not in used]
-                if not choices:
-                    continue
-                eid = rng.choice(choices)
-                used.add(eid)
-                exprs.append(
-                    ReferringExpression(
-                        entity_ref=eid,
-                        form=Form.OVERT_NP,
-                        role=role,
-                        surface_position=pos,
-                        wa_marked=role is GrammaticalRole.TOPIC,
-                    )
-                )
-            pos += 1
-        utterances.append(
-            Utterance(
-                index=idx,
-                expressions=tuple(exprs),
-                tense=rng.choice([Tense.PAST, Tense.NONPAST]),
-            )
-        )
-    return Discourse(id=ident, entities=tuple(entities), utterances=tuple(utterances))
-
 
 def test_randomized_discourses_generator_is_well_formed():
     rng = random.Random(20240901)
     for k in range(100):
-        assert validate_discourse(_random_discourse(rng, f"rand-{k}")) == []
+        assert validate_discourse(random_discourse(rng, f"rand-{k}")) == []
 
 
 def test_randomized_global_retrieval_only_returns_former_cbs():
@@ -313,7 +238,7 @@ def test_randomized_global_retrieval_only_returns_former_cbs():
     rng = random.Random(13)
     checked = 0
     for k in range(1000):
-        d = _random_discourse(rng, f"rand-{k}")
+        d = random_discourse(rng, f"rand-{k}")
         rep = run_discourse(d)
         former_cbs: set[str] = set()
         pushed = dict(rep.history)
@@ -341,7 +266,7 @@ def test_randomized_zta_never_mislabels_its_head():
     rng = random.Random(99)
     fired = 0
     for k in range(400):
-        d = _random_discourse(rng, f"zta-{k}")
+        d = random_discourse(rng, f"zta-{k}")
         rep = run_discourse(d)
         for ur in rep.utterances:
             for h in ur.hypotheses:
@@ -356,7 +281,7 @@ def test_randomized_zta_never_mislabels_its_head():
 def test_history_length_bounded_by_distinct_cbs():
     rng = random.Random(5)
     for k in range(200):
-        d = _random_discourse(rng, f"hist-{k}")
+        d = random_discourse(rng, f"hist-{k}")
         rep = run_discourse(d)
         distinct = {u.cb for u in rep.utterances if u.cb is not None}
         assert len(rep.history) <= len(distinct) if distinct else len(rep.history) == 0

@@ -155,7 +155,7 @@ class TestExpandHypotheses:
         assert len(children) == 2  # promoted + plain, not four
 
 
-def hyp(label, index=3, anomalous=False, zta=False, parent=None):
+def hyp(label, index=3, anomalous=False, zta=False):
     return CenteringHypothesis(
         utterance_index=index,
         cb="x",
@@ -163,7 +163,6 @@ def hyp(label, index=3, anomalous=False, zta=False, parent=None):
         transition=label,
         zta_applied=zta,
         anomalous=anomalous,
-        parent=parent,
     )
 
 
@@ -191,13 +190,38 @@ class TestPruneHypotheses:
         assert kept[0].anomalous
 
     def test_beam_cut_by_chain_preference(self):
-        parents = [hyp(TransitionLabel.CONTINUE, index=2), hyp(TransitionLabel.RETAIN, index=2)]
+        # children come from expand_hypotheses, so each carries its parent's
+        # rank in the live set; the parents are listed worst-first and the
+        # children handed to pruning in reverse, so only that rank can put the
+        # continue-parent's child ahead of the retain-parent's
+        cont_parent = hyp(TransitionLabel.CONTINUE, index=2)
+        retain_parent = hyp(TransitionLabel.RETAIN, index=2)
+        shift_parent = CenteringHypothesis(
+            utterance_index=2,
+            cb="y",
+            cf=(("y", EffectiveRole.SUBJECT), ("x", EffectiveRole.OBJECT)),
+            transition=TransitionLabel.CONTINUE,
+        )
+        u = utterance(
+            3,
+            overt("x", GrammaticalRole.SUBJECT, 0, ga=True),
+            zero(GrammaticalRole.OBJECT, 1),
+        )
+        expanded = expand_hypotheses(
+            [retain_parent, shift_parent, cont_parent], u, [{1: "b"}, {1: "c"}, {1: "a"}]
+        )
+        by_parent = {id(c.parent): c for c in expanded}
         children = [
-            hyp(TransitionLabel.CONTINUE, parent=parents[0]),
-            hyp(TransitionLabel.CONTINUE, parent=parents[1]),
-            hyp(TransitionLabel.SMOOTH_SHIFT, parent=parents[0]),
+            by_parent[id(cont_parent)],
+            by_parent[id(retain_parent)],
+            by_parent[id(shift_parent)],
         ]
-        kept = prune_hypotheses(children, beam=2)
+        assert [c.transition for c in children] == [
+            TransitionLabel.CONTINUE,
+            TransitionLabel.CONTINUE,
+            TransitionLabel.SMOOTH_SHIFT,
+        ]
+        kept = prune_hypotheses(children[::-1], beam=2)
         assert kept == [children[0], children[1]]
 
     def test_infinite_beam_no_evidence_loses_nothing(self):
