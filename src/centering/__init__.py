@@ -14,7 +14,7 @@ from .analysis import (
     tabulate_disambiguation,
     tabulate_transitions,
 )
-from .core import classify_transition, compute_cb, rank_cf, transition_preference
+from .core import classify_transition, compute_cb, rank_cf
 from .corpus import (
     CorpusFormatError,
     FIXTURE_NAMES,
@@ -65,7 +65,7 @@ from .resolution import (
     Verdict,
     check_compatibility,
     form_set_candidates,
-    resolve_zero_local,
+    local_resolution,
 )
 
 __version__ = "0.1.0"
@@ -108,19 +108,18 @@ __all__ = [
     "global_retrieve",
     "load_all_fixtures",
     "load_fixture",
+    "local_resolution",
     "parse_corpus",
     "prune_hypotheses",
     "push_cb",
     "rank_cf",
     "read_reports",
-    "resolve_zero_local",
     "run_corpus",
     "run_discourse",
     "serialize_corpus",
     "serialize_reports",
     "tabulate_disambiguation",
     "tabulate_transitions",
-    "transition_preference",
     "validate_discourse",
     "zta_candidate",
 ]

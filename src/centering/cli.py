@@ -107,31 +107,19 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
         for u in rep.utterances:
             for pos, value in u.resolutions:
                 if args.format == "machine":
-                    lines.append(
-                        json.dumps(
-                            {
-                                "discourse": rep.discourse_id,
-                                "utterance": u.index,
-                                "pos": pos,
-                                "antecedent": value
-                                if value is None or isinstance(value, str)
-                                else sorted(value),
-                                "cues": list(u.cues),
-                            },
-                            sort_keys=True,
-                        )
-                    )
+                    record = {
+                        "discourse": rep.discourse_id,
+                        "utterance": u.index,
+                        "pos": pos,
+                        "antecedent": corpus_io._res_value(value),
+                        "cues": list(u.cues),
+                    }
+                    lines.append(json.dumps(record, sort_keys=True))
                 else:
-                    shown = (
-                        "UNRESOLVED"
-                        if value is None
-                        else value
-                        if isinstance(value, str)
-                        else "{" + "+".join(sorted(value)) + "}"
-                    )
                     cue = f"  cue={'+'.join(u.cues)}" if u.cues else ""
                     lines.append(
-                        f"{rep.discourse_id} u{u.index} zero@{pos} -> {shown}{cue}"
+                        f"{rep.discourse_id} u{u.index} zero@{pos} -> "
+                        f"{corpus_io._fmt_resolution(value)}{cue}"
                     )
     sys.stdout.write("\n".join(lines) + ("\n" if lines else ""))
     return 0

@@ -102,8 +102,3 @@ def classify_transition(
     if cb_is_cp:
         return TransitionLabel.SMOOTH_SHIFT
     return TransitionLabel.ROUGH_SHIFT
-
-
-def transition_preference(t: TransitionLabel) -> int:
-    """Coherence preference rank; lower is preferred, ZTA ties with CONTINUE."""
-    return t.preference_rank

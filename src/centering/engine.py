@@ -65,16 +65,18 @@ def push_cb(history: CbHistory, cb: str, index: int, past_tense: bool = False) -
 
 
 @dataclass(frozen=True)
-class RetrievalResult:
-    """Outcome of one global retrieval for one zero.
+class Retrieval:
+    """Outcome of one global retrieval at one zero slot.
 
-    For set-valued antecedents `member_order` preserves the recency order the
-    set was built in (the value itself is an unordered frozenset).
+    `value` is None when the history held no antecedent. For set-valued
+    antecedents `member_order` preserves the recency order the set was built
+    in (the value itself is an unordered frozenset).
     """
 
+    position: int
     value: Resolution
-    cues: tuple[str, ...] = ()
-    candidates: tuple[str, ...] = ()
+    cues: tuple[str, ...]
+    candidates: tuple[str, ...]
     member_order: tuple[str, ...] = ()
 
 
@@ -85,7 +87,7 @@ def global_retrieve(
     entities: Mapping[str, DiscourseEntity],
     cf_prev: Sequence[str] = (),
     prev_tense: Optional[Tense] = None,
-) -> RetrievalResult:
+) -> Retrieval:
     """Search the former-Cb list for an antecedent of a locally unresolved
     zero.
 
@@ -119,9 +121,8 @@ def global_retrieve(
         candidates = kept
 
     candidates = _tense_reorder(candidates, u, prev_tense, cues)
-    if not candidates:
-        return RetrievalResult(None, tuple(cues), considered)
-    return RetrievalResult(candidates[0].entity_id, tuple(cues), considered)
+    value = candidates[0].entity_id if candidates else None
+    return Retrieval(zero.surface_position, value, tuple(cues), considered)
 
 
 def _tense_reorder(
@@ -150,7 +151,7 @@ def _retrieve_set(
     entities: Mapping[str, DiscourseEntity],
     cf_prev: Sequence[str],
     prev_tense: Optional[Tense],
-) -> RetrievalResult:
+) -> Retrieval:
     required = zero.required_cardinality
     assert required is not None
     cues = [CUE_AGREEMENT]
@@ -158,15 +159,15 @@ def _retrieve_set(
     considered = tuple("+".join(s) for s in sets)
     kept = []
     for members in sets:
-        verdict = check_compatibility(zero, [entities[m] for m in members], u)
+        verdict = check_compatibility(zero, [entities[m] for m in members])
         if verdict is Verdict.COMPATIBLE:
             kept.append(members)
     if len(kept) < len(sets):
         cues.append(CUE_LEXICAL)
     if not kept:
-        return RetrievalResult(None, tuple(cues), considered)
-    return RetrievalResult(
-        frozenset(kept[0]), tuple(cues), considered, member_order=kept[0]
+        return Retrieval(zero.surface_position, None, tuple(cues), considered)
+    return Retrieval(
+        zero.surface_position, frozenset(kept[0]), tuple(cues), considered, kept[0]
     )
 
 
@@ -181,17 +182,6 @@ class EngineConfig:
     beam: int = DEFAULT_BEAM
     zta_enabled: bool = True
     global_enabled: bool = True
-
-
-@dataclass(frozen=True)
-class Retrieval:
-    """Trace record of one global retrieval at one zero slot."""
-
-    position: int
-    value: Resolution
-    cues: tuple[str, ...]
-    candidates: tuple[str, ...]
-    member_order: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -256,13 +246,15 @@ class StepTrace:
     """Raw per-utterance trace kept until end-of-discourse finalization.
 
     Traces form an append-only list through `prev` (newest first), so a step
-    adds its trace in O(1) and earlier states stay valid.
+    adds its trace in O(1) and earlier states stay valid. `prev` is left out
+    of repr, equality and hashing, which would otherwise recurse down the
+    whole list.
     """
 
     utterance: Utterance
     hypotheses: tuple[CenteringHypothesis, ...]
     retrievals: tuple[Retrieval, ...]
-    prev: Optional["StepTrace"] = None
+    prev: Optional["StepTrace"] = field(default=None, repr=False, compare=False)
 
 
 def _view(h: CenteringHypothesis) -> HypothesisView:
@@ -301,10 +293,6 @@ def _resolve_locally(
     )
 
 
-def _seed_state(discourse: Discourse, config: EngineConfig) -> DiscourseState:
-    return DiscourseState(discourse=discourse, config=config)
-
-
 def _seed_hypothesis(u: Utterance) -> CenteringHypothesis:
     cf = rank_cf(u)
     return CenteringHypothesis(
@@ -320,12 +308,10 @@ def _seed_hypothesis(u: Utterance) -> CenteringHypothesis:
 def _apply_retrieval(
     child: CenteringHypothesis, u: Utterance, retrievals: list[Retrieval]
 ) -> CenteringHypothesis:
-    """Fold successful retrievals into a hypothesis: fill the resolutions,
-    re-rank the retrieved antecedent to Cf head (it becomes the new Cp), and
-    record the cues. Cb and transition label keep their pre-retrieval values."""
-    retrievals = [r for r in retrievals if r.value is not None]
-    if not retrievals:
-        return child
+    """Fold successful retrievals (at least one) into a hypothesis: fill the
+    resolutions, re-rank the retrieved antecedent to Cf head (it becomes the
+    new Cp), and record the cues. Cb and transition label keep their
+    pre-retrieval values."""
     res = dict(child.resolution_map)
     cues = list(child.cues)
     by_pos = {z.surface_position: z for z in u.zeros()}
@@ -400,9 +386,8 @@ def coherence_step(state: DiscourseState, u: Utterance) -> DiscourseState:
 
     all_retrievals: list[Retrieval] = []
     if needs_global and config.global_enabled:
-        prev_tense = (
-            state.discourse.utterances[u.index - 1].tense if u.index > 0 else None
-        )
+        # the previous utterance by position: indices may have gaps
+        prev_tense = state.last_step.utterance.tense
         updated = []
         for child in children:
             unresolved = [
@@ -414,23 +399,12 @@ def coherence_step(state: DiscourseState, u: Utterance) -> DiscourseState:
                 updated.append(child)
                 continue
             cf_prev = child.parent.cf_ids if child.parent is not None else ()
-            retrievals = []
+            got = []
             for zero in unresolved:
-                result = global_retrieve(
-                    state.history, zero, u, entities, cf_prev, prev_tense
-                )
-                retrievals.append(
-                    Retrieval(
-                        position=zero.surface_position,
-                        value=result.value,
-                        cues=result.cues,
-                        candidates=result.candidates,
-                        member_order=result.member_order,
-                    )
-                )
-            got = [r for r in retrievals if r.value is not None]
-            new_child = _apply_retrieval(child, u, retrievals) if got else child
-            updated.append(new_child)
+                r = global_retrieve(state.history, zero, u, entities, cf_prev, prev_tense)
+                if r.value is not None:
+                    got.append(r)
+            updated.append(_apply_retrieval(child, u, got) if got else child)
             all_retrievals.extend(got)
         children = updated
 
@@ -470,7 +444,7 @@ def run_discourse(
 ) -> DiscourseReport:
     """Process a whole discourse and return its finalized report."""
     config = config or EngineConfig()
-    state = _seed_state(discourse, config)
+    state = DiscourseState(discourse=discourse, config=config)
     for u in discourse.utterances:
         state = coherence_step(state, u)
     return finalize(state)
@@ -488,51 +462,38 @@ def finalize(state: DiscourseState) -> DiscourseReport:
     if state.last_step is None:
         return DiscourseReport(discourse.id, (), False, ())
 
-    final_live = list(state.hypotheses)
-    ordered = sorted(final_live, key=rank_key)
+    ordered = sorted(state.hypotheses, key=rank_key)
     best = ordered[0]
     best_key = rank_key(best)[:2]
-    tied_ids = {id(h) for h in ordered if rank_key(h)[:2] == best_key}
     readings = [
         h
         for h in ordered
-        if id(h) in tied_ids
+        if rank_key(h)[:2] == best_key
         or (h.ambiguity_keys & best.ambiguity_keys and not h.anomalous)
     ]
     stats_path = min(readings, key=lambda h: (h.zta_count, rank_key(h)))
 
-    by_index: dict[int, CenteringHypothesis] = {
-        h.utterance_index: h for h in stats_path.ancestry()
-    }
-    reading_chains = [
-        {h.utterance_index: h for h in r.ancestry()} for r in readings
-    ]
-
-    ambiguous_at: set[int] = set()
-    if len(readings) > 1:
-        for idx in by_index:
-            values = {
-                chain[idx].resolutions for chain in reading_chains if idx in chain
-            }
-            if len(values) > 1:
-                ambiguous_at.add(idx)
-
+    # steps, the stats path and every reading's ancestry all run newest
+    # first, one entry per utterance
     steps: list[StepTrace] = []
     node: Optional[StepTrace] = state.last_step
     while node is not None:
         steps.append(node)
         node = node.prev
+    if len(readings) > 1:
+        ambiguous = [
+            len({h.resolutions for h in nodes}) > 1
+            for nodes in zip(*(r.ancestry() for r in readings), strict=True)
+        ]
+    else:
+        ambiguous = [False] * len(steps)
 
     reports: list[UtteranceReport] = []
-    for step in reversed(steps):
+    for step, chosen, flag in zip(
+        steps, stats_path.ancestry(), ambiguous, strict=True
+    ):
         u = step.utterance
-        chosen = by_index.get(u.index)
-        if chosen is None:
-            # stats path got pruned mid-way (possible under tiny beams);
-            # fall back to the best hypothesis recorded at that step
-            chosen = step.hypotheses[0]
         retrieval_map = {r.position: r for r in step.retrievals}
-        cues = tuple(chosen.cues)
         reports.append(
             UtteranceReport(
                 discourse_id=discourse.id,
@@ -545,20 +506,18 @@ def finalize(state: DiscourseState) -> DiscourseReport:
                 cb=chosen.cb,
                 cf=tuple((eid, role.display) for eid, role in chosen.cf),
                 resolutions=chosen.resolutions,
-                cues=cues,
-                retrievals=tuple(
-                    retrieval_map[p]
-                    for p in sorted(retrieval_map)
-                ),
+                cues=chosen.cues,
+                retrievals=tuple(retrieval_map[p] for p in sorted(retrieval_map)),
                 hypotheses=tuple(_view(h) for h in step.hypotheses),
-                ambiguous=u.index in ambiguous_at,
+                ambiguous=flag,
             )
         )
+    reports.reverse()
 
     return DiscourseReport(
         discourse_id=discourse.id,
         utterances=tuple(reports),
-        unresolved_ambiguity=bool(ambiguous_at),
+        unresolved_ambiguity=any(ambiguous),
         history=tuple((e.entity_id, e.index) for e in state.history.entries),
     )
 

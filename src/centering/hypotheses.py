@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
-from .core import classify_transition, rank_cf, compute_cb, transition_preference
+from .core import classify_transition, rank_cf, compute_cb
 from .model import (
     ARGUMENT_ROLES,
     CenteringHypothesis,
@@ -33,29 +33,6 @@ class ResolutionOutcome:
     @property
     def mapping(self) -> Mapping[int, Resolution]:
         return dict(self.assignments)
-
-
-ResolutionsArg = Union[
-    Mapping[int, Resolution],
-    ResolutionOutcome,
-    Sequence[Union[Mapping[int, Resolution], ResolutionOutcome]],
-]
-
-
-def _as_outcome(value: Union[Mapping[int, Resolution], ResolutionOutcome]) -> ResolutionOutcome:
-    if isinstance(value, ResolutionOutcome):
-        return value
-    return ResolutionOutcome(assignments=tuple(sorted(value.items())))
-
-
-def _per_parent(resolutions: ResolutionsArg, n: int) -> list[ResolutionOutcome]:
-    if isinstance(resolutions, (ResolutionOutcome, Mapping)):
-        one = _as_outcome(resolutions)
-        return [one] * n
-    outcomes = [_as_outcome(v) for v in resolutions]
-    if len(outcomes) != n:
-        raise ValueError(f"expected {n} resolution maps, got {len(outcomes)}")
-    return outcomes
 
 
 def realized_entities(u: Utterance, resolutions: Mapping[int, Resolution]) -> frozenset[str]:
@@ -120,10 +97,11 @@ def _has_wa_competitor(u: Utterance) -> bool:
 def expand_hypotheses(
     prev_set: Sequence[CenteringHypothesis],
     u: Utterance,
-    resolutions: ResolutionsArg,
+    outcomes: Sequence[ResolutionOutcome],
     zta_enabled: bool = True,
 ) -> list[CenteringHypothesis]:
-    """Spawn the children of every live hypothesis for utterance `u`.
+    """Spawn the children of every live hypothesis for utterance `u`, given
+    each parent's local resolution outcome (one per parent, in order).
 
     Each parent yields its plain reading and, when the zero-topic rule fires,
     the promoted reading as well. Children of a dampened branch point (the
@@ -131,13 +109,12 @@ def expand_hypotheses(
     ambiguity key. Duplicated readings from different parents collapse to the
     lowest-ZTA ancestry. Result is sorted best-first.
     """
-    outcomes = _per_parent(resolutions, len(prev_set))
     # (eff_pref, parent_rank) orders prev_set by full chain preference
     parent_keys = sorted({(p.eff_pref, p.parent_rank) for p in prev_set})
     dense_rank = {key: rank for rank, key in enumerate(parent_keys)}
     children: list[CenteringHypothesis] = []
 
-    for parent, outcome in zip(prev_set, outcomes):
+    for parent, outcome in zip(prev_set, outcomes, strict=True):
         parent_rank = dense_rank[(parent.eff_pref, parent.parent_rank)]
         res_map = outcome.mapping
         res_items = tuple(sorted(res_map.items()))
@@ -150,7 +127,7 @@ def expand_hypotheses(
             plain_label = classify_transition(parent.cb, cb, plain_cf[0][0], False)
         else:
             plain_label = TransitionLabel.ROUGH_SHIFT
-        plain_pref = transition_preference(plain_label)
+        plain_pref = plain_label.preference_rank
 
         topic = zta_candidate(parent, u, res_map) if zta_enabled else None
         dampened = topic is not None and _has_wa_competitor(u)
@@ -190,7 +167,7 @@ def expand_hypotheses(
                     parent=parent,
                     ambiguity_keys=keys,
                     # a dampened promotion ties with its plain sibling
-                    eff_pref=plain_pref if dampened else transition_preference(zta_label),
+                    eff_pref=plain_pref if dampened else zta_label.preference_rank,
                     parent_rank=parent_rank,
                 )
             )
@@ -234,34 +211,19 @@ def rank_key(h: CenteringHypothesis) -> tuple:
 
 
 def prune_hypotheses(
-    hypotheses: Sequence[CenteringHypothesis],
-    beam: int = DEFAULT_BEAM,
-    evidence: Optional[Callable[[CenteringHypothesis], bool]] = None,
+    hypotheses: Sequence[CenteringHypothesis], beam: int = DEFAULT_BEAM
 ) -> list[CenteringHypothesis]:
     """Keep the beam-best hypotheses.
 
-    `evidence`, when given, marks readings semantically anomalous (the veto:
-    an anomalous reading never outranks a compatible one). Readings already
-    stamped anomalous count as vetoed. Never prunes to empty: if everything
-    is vetoed, the least-bad reading survives, still flagged.
+    Readings stamped anomalous are vetoed: an anomalous reading never
+    outranks a compatible one. Never prunes to empty: if everything is
+    vetoed, the least-bad reading survives, still flagged.
     """
     if beam < 1:
         raise ValueError("beam must be >= 1")
     if not hypotheses:
         return []
-
-    def vetoed(h: CenteringHypothesis) -> bool:
-        if h.anomalous:
-            return True
-        return evidence(h) if evidence is not None else False
-
-    marked = []
-    for h in hypotheses:
-        if vetoed(h) and not h.anomalous:
-            h = replace(h, anomalous=True)
-        marked.append(h)
-
-    ordered = sorted(marked, key=rank_key)
+    ordered = sorted(hypotheses, key=rank_key)
     compatible = [h for h in ordered if not h.anomalous]
     if compatible:
         return compatible[:beam]

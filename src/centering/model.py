@@ -255,7 +255,9 @@ class CenteringHypothesis:
     `(eff_pref, parent_rank)` orders the children of one live set exactly as
     their full preference chains (current utterance first) would.
     `zta_count` is the number of promotions on the chain, inherited from the
-    parent and recomputed whenever the hypothesis is rebuilt.
+    parent and recomputed whenever the hypothesis is rebuilt. `parent` is
+    left out of repr, equality and hashing, which would otherwise recurse
+    down the whole chain.
     """
 
     utterance_index: int
@@ -269,7 +271,9 @@ class CenteringHypothesis:
     resolutions: tuple[tuple[int, Resolution], ...] = ()
     cues: tuple[str, ...] = ()
     retrieval_candidates: tuple[tuple[int, tuple[str, ...]], ...] = ()
-    parent: Optional["CenteringHypothesis"] = None
+    parent: Optional["CenteringHypothesis"] = field(
+        default=None, repr=False, compare=False
+    )
     ambiguity_keys: frozenset[str] = frozenset()
     eff_pref: Optional[int] = None
     parent_rank: int = 0
@@ -280,10 +284,6 @@ class CenteringHypothesis:
             object.__setattr__(self, "eff_pref", _PREFERENCE[self.transition])
         inherited = self.parent.zta_count if self.parent is not None else 0
         object.__setattr__(self, "zta_count", inherited + int(self.zta_applied))
-
-    @property
-    def cp(self) -> Optional[str]:
-        return self.cf[0][0] if self.cf else None
 
     @property
     def cf_ids(self) -> tuple[str, ...]:

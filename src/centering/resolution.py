@@ -22,11 +22,7 @@ class Verdict(Enum):
 Candidate = Union[DiscourseEntity, Iterable[DiscourseEntity]]
 
 
-def check_compatibility(
-    zero: ReferringExpression,
-    candidate: Candidate,
-    u: Optional[Utterance] = None,
-) -> Verdict:
+def check_compatibility(zero: ReferringExpression, candidate: Candidate) -> Verdict:
     """Check a candidate antecedent (entity or entity set) against a zero's
     cue annotations.
 
@@ -68,24 +64,6 @@ class LocalResolution:
     exhausted: bool
 
 
-def resolve_zero_local(
-    zero: ReferringExpression,
-    cf_prev: Sequence[str],
-    u: Utterance,
-    entities: Mapping[str, DiscourseEntity],
-    exclude: frozenset[str] = frozenset(),
-) -> Optional[str]:
-    """Resolve a zero to the highest-ranked compatible member of the
-    predecessor Cf, or None when none qualifies (the caller then goes
-    global).
-
-    Entities overtly realized in `u`, and any in `exclude` (antecedents
-    already claimed by other zeros of the same utterance), are not
-    candidates.
-    """
-    return local_resolution(zero, cf_prev, u, entities, exclude).entity_id
-
-
 def local_resolution(
     zero: ReferringExpression,
     cf_prev: Sequence[str],
@@ -93,7 +71,14 @@ def local_resolution(
     entities: Mapping[str, DiscourseEntity],
     exclude: frozenset[str] = frozenset(),
 ) -> LocalResolution:
-    """Like resolve_zero_local but also reports veto exhaustion."""
+    """Resolve a zero to the highest-ranked compatible member of the
+    predecessor Cf; `entity_id` is None when none qualifies (the caller then
+    goes global).
+
+    Entities overtly realized in `u`, and any in `exclude` (antecedents
+    already claimed by other zeros of the same utterance), are not
+    candidates.
+    """
     blocked = exclude | u.overt_entities()
     had_candidate = False
     for entity_id in cf_prev:
@@ -103,7 +88,7 @@ def local_resolution(
         if entity is None:
             continue
         had_candidate = True
-        if check_compatibility(zero, entity, u) is Verdict.COMPATIBLE:
+        if check_compatibility(zero, entity) is Verdict.COMPATIBLE:
             return LocalResolution(entity_id, exhausted=False)
     return LocalResolution(None, exhausted=had_candidate)
 
@@ -113,7 +98,7 @@ def form_set_candidates(
     cf_prev: Sequence[str],
     required_cardinality: int,
     entities: Mapping[str, DiscourseEntity],
-    current_index: Optional[int] = None,
+    current_index: int,
 ) -> list[tuple[str, ...]]:
     """Enumerate candidate antecedent sets for a plural-constrained zero.
 
@@ -130,7 +115,7 @@ def form_set_candidates(
     recency: dict[str, int] = {}
     for entry in history.entries:
         rec = entry.index
-        if current_index is not None and entry.entity_id in cf_members:
+        if entry.entity_id in cf_members:
             rec = max(rec, current_index - 1)
         recency[entry.entity_id] = rec
 

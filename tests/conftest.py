@@ -11,6 +11,7 @@ from centering import (
     load_fixture,
     run_discourse,
 )
+from centering.hypotheses import ResolutionOutcome
 
 FIXTURES = [
     "classroom_exam",
@@ -63,6 +64,11 @@ def utterance(index, *expressions, tense=Tense.NONPAST, text=None):
 
 def discourse(did, entities, utterances):
     return Discourse(id=did, entities=tuple(entities), utterances=tuple(utterances))
+
+
+def outcomes(*maps):
+    """One local resolution outcome per parent, from position -> antecedent maps."""
+    return [ResolutionOutcome(assignments=tuple(sorted(m.items()))) for m in maps]
 
 
 @pytest.fixture(scope="session")

@@ -32,7 +32,7 @@ from centering.corpus import fixture_text
 from centering.model import TransitionLabel
 from centering.synth import random_discourse
 
-from conftest import entity, labels_of, utterance, zero
+from conftest import entity, labels_of, outcomes, utterance, zero
 from test_hypotheses import PREV, ASK_GA, ASK_WA
 
 
@@ -296,16 +296,16 @@ class TestCriterion5Properties:
                     assert h.cf[0][1] == "zero-top"
         # op-level: promotion requires a promotable zero of the previous cb
         # and no plain continue
-        children = expand_hypotheses([PREV], ASK_GA, {1: "hanako"})
+        children = expand_hypotheses([PREV], ASK_GA, outcomes({1: "hanako"}))
         assert any(c.zta_applied for c in children)
-        children = expand_hypotheses([PREV], ASK_GA, {1: "mitiko"})
+        children = expand_hypotheses([PREV], ASK_GA, outcomes({1: "mitiko"}))
         assert not any(c.zta_applied for c in children)
         u_continue = utterance(
             2,
             zero(GrammaticalRole.SUBJECT, 0, types=("person",)),
             ASK_GA.expressions[2],
         )
-        children = expand_hypotheses([PREV], u_continue, {0: "hanako"})
+        children = expand_hypotheses([PREV], u_continue, outcomes({0: "hanako"}))
         assert not any(c.zta_applied for c in children)
         assert fired > 0
 
@@ -318,7 +318,7 @@ class TestCriterion5Properties:
 class TestCriterion6Dampening:
     def test_topicized_branch_carries_equal_preference(self, fixture_reports):
         rep = fixture_reports["classroom_exam_topic"]
-        children = expand_hypotheses([PREV], ASK_WA, {1: "hanako"})
+        children = expand_hypotheses([PREV], ASK_WA, outcomes({1: "hanako"}))
         assert children[0].eff_pref == children[1].eff_pref
         assert all(h.dampened for h in rep.utterances[2].hypotheses)
 
@@ -332,7 +332,7 @@ class TestCriterion6Dampening:
         assert not rep.unresolved_ambiguity
         assert not any(u.ambiguous for u in rep.utterances)
         # argmax-set difference: strict preference with ga, tie with wa
-        ga_children = expand_hypotheses([PREV], ASK_GA, {1: "hanako"})
-        wa_children = expand_hypotheses([PREV], ASK_WA, {1: "hanako"})
+        ga_children = expand_hypotheses([PREV], ASK_GA, outcomes({1: "hanako"}))
+        wa_children = expand_hypotheses([PREV], ASK_WA, outcomes({1: "hanako"}))
         assert ga_children[0].eff_pref < ga_children[1].eff_pref
         assert wa_children[0].eff_pref == wa_children[1].eff_pref

@@ -115,6 +115,16 @@ class TestResolve:
         assert final[0]["antecedent"] == "t-electron"
         assert final[0]["cues"] == ["LEXICAL"]
 
+    def test_machine_listing_set_antecedent(self, corpus_file, capsys):
+        code, out, _ = run_cli(
+            capsys, "resolve", "--format", "machine", corpus_file("device_lineup")
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            '{"antecedent": ["cvd-devices", "etching-devices"], "cues": ["AGREEMENT"], '
+            '"discourse": "device-lineup", "pos": 0, "utterance": 5}'
+        )
+
 
 class TestValidateAndErrors:
     def test_valid_corpus_exit_zero(self, corpus_file, capsys):

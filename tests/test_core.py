@@ -13,7 +13,6 @@ from centering import (
     classify_transition,
     compute_cb,
     rank_cf,
-    transition_preference,
 )
 
 from conftest import overt, utterance, zero
@@ -153,11 +152,3 @@ class TestClassifyTransition:
         for cb_prev in [None, "x", "y"]:
             label = classify_transition(cb_prev, "x", "x")
             assert label not in (TransitionLabel.RETAIN, TransitionLabel.ROUGH_SHIFT)
-
-
-def test_transition_preference_values():
-    assert transition_preference(TransitionLabel.CONTINUE) == 1
-    assert transition_preference(TransitionLabel.ZTA_CONTINUE) == 1
-    assert transition_preference(TransitionLabel.RETAIN) == 2
-    assert transition_preference(TransitionLabel.SMOOTH_SHIFT) == 3
-    assert transition_preference(TransitionLabel.ROUGH_SHIFT) == 4

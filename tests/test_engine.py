@@ -17,6 +17,7 @@ from centering import (
     run_discourse,
     validate_discourse,
 )
+from centering.engine import CUE_TENSE, DiscourseState, coherence_step
 from centering.synth import random_discourse
 
 from conftest import discourse, entity, overt, utterance, zero
@@ -222,6 +223,66 @@ class TestEngineMechanics:
         assert last.label == "continue"
         assert last.resolution_map[0] == "a"
         assert last.retrievals == ()
+
+    def test_previous_tense_taken_by_position(self):
+        # indices 0, 5, 7: the tense cue reads the previous utterance in the
+        # discourse (u5, nonpast), not utterances[index - 1]
+        d = discourse(
+            "gaps",
+            [
+                entity("a", "person"),
+                entity("b", "person"),
+                entity("c", "organization"),
+                entity("dev", "device"),
+            ],
+            [
+                utterance(
+                    0,
+                    overt("a", GrammaticalRole.SUBJECT, 0, ga=True),
+                    overt("b", GrammaticalRole.OBJECT, 1),
+                    tense=Tense.PAST,
+                ),
+                utterance(
+                    5,
+                    overt("b", GrammaticalRole.SUBJECT, 0, ga=True),
+                    overt("dev", GrammaticalRole.OBJECT, 1),
+                ),
+                utterance(
+                    7,
+                    overt("c", GrammaticalRole.SUBJECT, 0, ga=True),
+                    overt("b", GrammaticalRole.OTHERS, 1),
+                    zero(GrammaticalRole.OBJECT, 2, types=("person",)),
+                    tense=Tense.PAST,
+                ),
+            ],
+        )
+        rep = run_discourse(d)
+        last = rep.utterances[2]
+        assert last.label == "retain"
+        assert last.resolution_map[2] == "a"
+        assert [r.value for r in last.retrievals] == ["a"]
+        assert CUE_TENSE in last.cues
+
+
+def test_long_chain_hypothesis_and_trace_support_repr_hash_eq():
+    # parent and prev links are left out of the dataclass methods, which
+    # would otherwise recurse 1500 deep
+    def final_state():
+        d = random_discourse(random.Random(5), "deep", n_utts=1500)
+        state = DiscourseState(discourse=d, config=EngineConfig())
+        for u in d.utterances:
+            state = coherence_step(state, u)
+        return state
+
+    one, two = final_state(), final_state()
+    for a, b in [(one.hypotheses[0], two.hypotheses[0]), (one.last_step, two.last_step)]:
+        assert a is not b
+        assert repr(a) == repr(b)
+        assert a == b
+        assert hash(a) == hash(b)
+    assert one.hypotheses[0].parent is not None
+    assert one.last_step.prev is not None
+    assert "parent=" not in repr(one.hypotheses[0])
 
 
 # -- randomized synthetic discourses ----------------------------------------

@@ -13,7 +13,7 @@ from centering import (
 )
 from centering.hypotheses import rank_key
 
-from conftest import overt, utterance, zero
+from conftest import outcomes, overt, utterance, zero
 
 
 def seed(cb, cf_ids, index=0):
@@ -99,7 +99,7 @@ class TestZtaCandidate:
 
 class TestExpandHypotheses:
     def test_plain_plus_promoted_with_ga_competitor(self):
-        children = expand_hypotheses([PREV], ASK_GA, {1: "hanako"})
+        children = expand_hypotheses([PREV], ASK_GA, outcomes({1: "hanako"}))
         assert [c.transition for c in children] == [
             TransitionLabel.ZTA_CONTINUE,
             TransitionLabel.RETAIN,
@@ -112,7 +112,7 @@ class TestExpandHypotheses:
         assert promoted.eff_pref < plain.eff_pref
 
     def test_wa_competitor_dampens_to_equal_preference(self):
-        children = expand_hypotheses([PREV], ASK_WA, {1: "hanako"})
+        children = expand_hypotheses([PREV], ASK_WA, outcomes({1: "hanako"}))
         assert [c.transition for c in children] == [
             TransitionLabel.ZTA_CONTINUE,
             TransitionLabel.RETAIN,
@@ -128,7 +128,7 @@ class TestExpandHypotheses:
             overt("mitiko", GrammaticalRole.SUBJECT, 0, ga=True),
             overt("result", GrammaticalRole.OBJECT, 1),
         )
-        children = expand_hypotheses([PREV], u, {})
+        children = expand_hypotheses([PREV], u, outcomes({}))
         assert len(children) == 1
         assert not children[0].zta_applied
 
@@ -138,12 +138,12 @@ class TestExpandHypotheses:
             best = min(c.eff_pref for c in children)
             return [c for c in children if c.eff_pref == best]
 
-        assert len(argmax(expand_hypotheses([PREV], ASK_GA, {1: "hanako"}))) == 1
-        assert len(argmax(expand_hypotheses([PREV], ASK_WA, {1: "hanako"}))) == 2
+        assert len(argmax(expand_hypotheses([PREV], ASK_GA, outcomes({1: "hanako"})))) == 1
+        assert len(argmax(expand_hypotheses([PREV], ASK_WA, outcomes({1: "hanako"})))) == 2
 
     def test_promoted_head_is_parent_cb_and_zero_realized(self):
         for u in (ASK_GA, ASK_WA):
-            for child in expand_hypotheses([PREV], u, {1: "hanako"}):
+            for child in expand_hypotheses([PREV], u, outcomes({1: "hanako"})):
                 if child.zta_applied:
                     assert child.cf[0][0] == PREV.cb
                     assert child.cf[0][1] is EffectiveRole.ZERO_TOP
@@ -151,7 +151,9 @@ class TestExpandHypotheses:
 
     def test_duplicate_readings_collapse(self):
         # two identical parents produce one child each, deduped to one
-        children = expand_hypotheses([PREV, PREV], ASK_GA, {1: "hanako"})
+        children = expand_hypotheses(
+            [PREV, PREV], ASK_GA, outcomes({1: "hanako"}, {1: "hanako"})
+        )
         assert len(children) == 2  # promoted + plain, not four
 
 
@@ -208,7 +210,9 @@ class TestPruneHypotheses:
             zero(GrammaticalRole.OBJECT, 1),
         )
         expanded = expand_hypotheses(
-            [retain_parent, shift_parent, cont_parent], u, [{1: "b"}, {1: "c"}, {1: "a"}]
+            [retain_parent, shift_parent, cont_parent],
+            u,
+            outcomes({1: "b"}, {1: "c"}, {1: "a"}),
         )
         by_parent = {id(c.parent): c for c in expanded}
         children = [
@@ -225,19 +229,9 @@ class TestPruneHypotheses:
         assert kept == [children[0], children[1]]
 
     def test_infinite_beam_no_evidence_loses_nothing(self):
-        children = expand_hypotheses([PREV], ASK_WA, {1: "hanako"})
+        children = expand_hypotheses([PREV], ASK_WA, outcomes({1: "hanako"}))
         kept = prune_hypotheses(children, beam=10**6)
         assert sorted(kept, key=rank_key) == sorted(children, key=rank_key)
-
-    def test_explicit_evidence_callable(self):
-        good = hyp(TransitionLabel.ROUGH_SHIFT)
-        soon_bad = hyp(TransitionLabel.CONTINUE)
-        kept = prune_hypotheses(
-            [good, soon_bad],
-            beam=4,
-            evidence=lambda h: h.transition is TransitionLabel.CONTINUE,
-        )
-        assert kept == [good]
 
     def test_beam_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -10,9 +10,8 @@ from centering import (
     Verdict,
     check_compatibility,
     form_set_candidates,
-    resolve_zero_local,
+    local_resolution,
 )
-from centering.resolution import local_resolution
 
 from conftest import entity, overt, utterance, zero
 
@@ -74,26 +73,26 @@ class TestResolveZeroLocal:
 
     def test_highest_compatible_wins(self):
         u = utterance(1, zero(GrammaticalRole.SUBJECT, 0, types=("person",)))
-        got = resolve_zero_local(
+        got = local_resolution(
             u.expressions[0], ["hanako", "exam"], u, self.ENTITIES
-        )
+        ).entity_id
         assert got == "hanako"
 
     def test_non_agentive_slot_takes_device(self):
         u = utterance(3, zero(GrammaticalRole.SUBJECT, 0, types=("device",)))
-        got = resolve_zero_local(
+        got = local_resolution(
             u.expressions[0], ["cvd-device", "system"], u, self.ENTITIES
-        )
+        ).entity_id
         assert got == "cvd-device"
 
     def test_empty_prev_cf_unresolved(self):
         u = utterance(0, zero(GrammaticalRole.SUBJECT, 0))
-        assert resolve_zero_local(u.expressions[0], [], u, self.ENTITIES) is None
+        assert local_resolution(u.expressions[0], [], u, self.ENTITIES).entity_id is None
 
     def test_result_always_in_prev_cf_and_compatible(self):
         u = utterance(1, zero(GrammaticalRole.SUBJECT, 0, types=("person",)))
         cf_prev = ["exam", "mitiko", "hanako"]
-        got = resolve_zero_local(u.expressions[0], cf_prev, u, self.ENTITIES)
+        got = local_resolution(u.expressions[0], cf_prev, u, self.ENTITIES).entity_id
         assert got in cf_prev
         assert (
             check_compatibility(u.expressions[0], self.ENTITIES[got]) is Verdict.COMPATIBLE
@@ -105,9 +104,9 @@ class TestResolveZeroLocal:
             overt("hanako", GrammaticalRole.SUBJECT, 0),
             zero(GrammaticalRole.OBJECT2, 1, types=("person",)),
         )
-        got = resolve_zero_local(
+        got = local_resolution(
             u.expressions[1], ["hanako", "mitiko"], u, self.ENTITIES
-        )
+        ).entity_id
         assert got == "mitiko"
 
     def test_exhausted_flag_set_when_all_vetoed(self):
