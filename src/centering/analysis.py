@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .engine import CUE_AGREEMENT, CUE_LEXICAL, CUE_TENSE, DiscourseReport
-from .model import Discourse, TransitionLabel
+from .model import Discourse, TransitionLabel, decode_resolution
 
 #: Column order of the distribution table; the zero-topic continue counts in
 #: the CONTINUE column.
@@ -135,12 +135,6 @@ class GoldSummary:
         return self.scored > 0
 
 
-def _norm(value: object) -> object:
-    if value is None or isinstance(value, str):
-        return value
-    return frozenset(value)
-
-
 def evaluate_gold(
     reports: Sequence[DiscourseReport], corpus: Sequence[Discourse]
 ) -> GoldSummary:
@@ -167,8 +161,8 @@ def evaluate_gold(
             predicted = ur.resolution_map
             for zero in utt.zeros():
                 cons = zero.constraints
-                gold = _norm(cons.gold_antecedent) if cons is not None else None
-                value = _norm(predicted.get(zero.surface_position))
+                gold = cons.gold_antecedent if cons is not None else None
+                value = decode_resolution(predicted.get(zero.surface_position))
                 if gold is None:
                     ungolded += 1
                     status = "ungolded"

@@ -16,7 +16,7 @@ from typing import NoReturn, Optional, Sequence
 
 from . import analysis, corpus as corpus_io
 from .engine import EngineConfig, run_corpus
-from .model import Discourse, validate_discourse
+from .model import Discourse, encode_resolution, validate_discourse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,7 +111,7 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
                         "discourse": rep.discourse_id,
                         "utterance": u.index,
                         "pos": pos,
-                        "antecedent": corpus_io._res_value(value),
+                        "antecedent": encode_resolution(value),
                         "cues": list(u.cues),
                     }
                     lines.append(json.dumps(record, sort_keys=True))

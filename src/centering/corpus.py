@@ -8,10 +8,10 @@ See the README for the schema and `centering/fixtures/` for worked examples.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass
 from importlib import resources
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .engine import DiscourseReport, HypothesisView, Retrieval, UtteranceReport
 from .model import (
@@ -23,25 +23,17 @@ from .model import (
     ResolutionConstraints,
     Tense,
     Utterance,
+    Violation,
+    decode_resolution,
+    encode_resolution,
 )
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    """One parse problem, with the exact location it was found at."""
-
-    kind: str
-    location: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.location}: {self.message} [{self.kind}]"
-
-
 class CorpusFormatError(ValueError):
-    """Raised when a corpus document is malformed; parsing is atomic."""
+    """Raised when a corpus document or a machine report is malformed;
+    `diagnostics` holds a located Violation per problem. Parsing is atomic."""
 
-    def __init__(self, diagnostics: Sequence[Diagnostic]):
+    def __init__(self, diagnostics: Sequence[Violation]):
         self.diagnostics = list(diagnostics)
         head = str(self.diagnostics[0]) if self.diagnostics else "invalid corpus"
         extra = len(self.diagnostics) - 1
@@ -51,6 +43,33 @@ class CorpusFormatError(ValueError):
 _ROLES = {role.name.lower(): role for role in GrammaticalRole}
 _FORMS = {"overt": Form.OVERT_NP, "overt_np": Form.OVERT_NP, "zero": Form.ZERO}
 _TENSES = {"past": Tense.PAST, "nonpast": Tense.NONPAST}
+
+
+def _strings(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+_KINDS: dict[str, Callable[[Any], bool]] = {
+    "a boolean": lambda v: isinstance(v, bool),
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "an object": lambda v: isinstance(v, dict),
+    "a list": lambda v: isinstance(v, list),
+    "a list of strings": _strings,
+    "an id or a list of ids": lambda v: isinstance(v, str) or _strings(v),
+}
+
+
+def _get(obj: dict, key: str, kind: str, default: Any, loc: str, diags: list[Violation]) -> Any:
+    """`obj[key]` when it is of `kind`; `default` when it is absent or null,
+    or, with a diagnostic at `loc.key`, when it is of another kind."""
+    value = obj.get(key)
+    if value is None:
+        return default
+    if _KINDS[kind](value):
+        return value
+    diags.append(Violation("malformed-structure", f"{loc}.{key}", f"'{key}' must be {kind}"))
+    return default
 
 
 def parse_corpus(text: str) -> list[Discourse]:
@@ -67,7 +86,7 @@ def parse_corpus(text: str) -> list[Discourse]:
     except json.JSONDecodeError as exc:
         raise CorpusFormatError(
             [
-                Diagnostic(
+                Violation(
                     "malformed-json",
                     f"line {exc.lineno}, column {exc.colno}",
                     exc.msg,
@@ -75,18 +94,18 @@ def parse_corpus(text: str) -> list[Discourse]:
             ]
         ) from exc
 
-    diags: list[Diagnostic] = []
+    diags: list[Violation] = []
     if isinstance(data, dict):
         items = data.get("discourses")
         if not isinstance(items, list):
             raise CorpusFormatError(
-                [Diagnostic("malformed-structure", "$", "expected a 'discourses' list")]
+                [Violation("malformed-structure", "$", "expected a 'discourses' list")]
             )
     elif isinstance(data, list):
         items = data
     else:
         raise CorpusFormatError(
-            [Diagnostic("malformed-structure", "$", "expected an object or a list")]
+            [Violation("malformed-structure", "$", "expected an object or a list")]
         )
 
     discourses = []
@@ -96,7 +115,7 @@ def parse_corpus(text: str) -> list[Discourse]:
         if d is not None:
             if d.id in seen_ids:
                 diags.append(
-                    Diagnostic(
+                    Violation(
                         "duplicate-discourse-id",
                         f"discourses[{i}]",
                         f"discourse id '{d.id}' repeated",
@@ -109,60 +128,56 @@ def parse_corpus(text: str) -> list[Discourse]:
     return discourses
 
 
-def _parse_discourse(item: Any, loc: str, diags: list[Diagnostic]) -> Optional[Discourse]:
+def _parse_discourse(item: Any, loc: str, diags: list[Violation]) -> Optional[Discourse]:
     if not isinstance(item, dict):
-        diags.append(Diagnostic("malformed-structure", loc, "discourse must be an object"))
+        diags.append(Violation("malformed-structure", loc, "discourse must be an object"))
         return None
     did = item.get("id")
     if not isinstance(did, str) or not did:
-        diags.append(Diagnostic("malformed-structure", f"{loc}.id", "missing discourse id"))
+        diags.append(Violation("malformed-structure", f"{loc}.id", "missing discourse id"))
         did = f"<anonymous {loc}>"
 
     entities: list[DiscourseEntity] = []
     known: set[str] = set()
-    for j, ent in enumerate(item.get("entities", [])):
+    for j, ent in enumerate(_get(item, "entities", "a list", [], loc, diags)):
         eloc = f"{loc}.entities[{j}]"
         if not isinstance(ent, dict) or not isinstance(ent.get("id"), str):
-            diags.append(Diagnostic("malformed-structure", eloc, "entity needs an 'id'"))
+            diags.append(Violation("malformed-structure", eloc, "entity needs an 'id'"))
             continue
-        types = ent.get("types", [])
-        if not isinstance(types, list) or not all(isinstance(t, str) for t in types):
-            diags.append(Diagnostic("malformed-structure", eloc, "'types' must be strings"))
-            types = []
-        card = ent.get("cardinality", 1)
-        if not isinstance(card, int):
-            diags.append(Diagnostic("malformed-structure", eloc, "'cardinality' must be an integer"))
-            card = 1
+        types = _get(ent, "types", "a list of strings", [], eloc, diags)
+        card = _get(ent, "cardinality", "an integer", 1, eloc, diags)
         entities.append(DiscourseEntity(ent["id"], frozenset(types), card))
         known.add(ent["id"])
 
     utterances: list[Utterance] = []
     seen_index: set[int] = set()
-    for j, utt in enumerate(item.get("utterances", [])):
+    last_index: Optional[int] = None
+    for j, utt in enumerate(_get(item, "utterances", "a list", [], loc, diags)):
         uloc = f"{loc}.utterances[{j}]"
         if not isinstance(utt, dict):
-            diags.append(Diagnostic("malformed-structure", uloc, "utterance must be an object"))
+            diags.append(Violation("malformed-structure", uloc, "utterance must be an object"))
             continue
-        index = utt.get("index", j)
-        if not isinstance(index, int):
-            diags.append(Diagnostic("malformed-structure", f"{uloc}.index", "index must be an integer"))
-            index = j
+        index = _get(utt, "index", "an integer", j, uloc, diags)
         if index in seen_index:
             diags.append(
-                Diagnostic(
+                Violation(
                     "duplicate-utterance-index", f"{uloc}.index", f"utterance index {index} repeated"
                 )
             )
+        elif last_index is not None and index < last_index:
+            message = f"utterance index {index} after {last_index}"
+            diags.append(Violation("index-out-of-order", f"{uloc}.index", message))
         seen_index.add(index)
+        last_index = index if last_index is None else max(last_index, index)
         tense_raw = utt.get("tense", "nonpast")
         tense = _TENSES.get(str(tense_raw).lower())
         if tense is None:
             diags.append(
-                Diagnostic("unknown-tense", f"{uloc}.tense", f"unknown tense '{tense_raw}'")
+                Violation("unknown-tense", f"{uloc}.tense", f"unknown tense '{tense_raw}'")
             )
             tense = Tense.NONPAST
         expressions = []
-        for k, expr in enumerate(utt.get("expressions", [])):
+        for k, expr in enumerate(_get(utt, "expressions", "a list", [], uloc, diags)):
             parsed = _parse_expression(expr, f"{uloc}.expressions[{k}]", known, diags)
             if parsed is not None:
                 expressions.append(parsed)
@@ -171,85 +186,57 @@ def _parse_discourse(item: Any, loc: str, diags: list[Diagnostic]) -> Optional[D
                 index=index,
                 expressions=tuple(expressions),
                 tense=tense,
-                text=utt.get("text"),
+                text=_get(utt, "text", "a string", None, uloc, diags),
             )
         )
     return Discourse(id=did, entities=tuple(entities), utterances=tuple(utterances))
 
 
 def _parse_expression(
-    expr: Any, loc: str, known: set[str], diags: list[Diagnostic]
+    expr: Any, loc: str, known: set[str], diags: list[Violation]
 ) -> Optional[ReferringExpression]:
     if not isinstance(expr, dict):
-        diags.append(Diagnostic("malformed-structure", loc, "expression must be an object"))
+        diags.append(Violation("malformed-structure", loc, "expression must be an object"))
         return None
     role_raw = str(expr.get("role", "")).lower()
     role = _ROLES.get(role_raw)
     if role is None:
-        diags.append(Diagnostic("unknown-role", f"{loc}.role", f"unknown role tag '{role_raw}'"))
+        diags.append(Violation("unknown-role", f"{loc}.role", f"unknown role tag '{role_raw}'"))
         return None
     form_raw = str(expr.get("form", "overt")).lower()
     form = _FORMS.get(form_raw)
     if form is None:
-        diags.append(Diagnostic("unknown-form", f"{loc}.form", f"unknown form '{form_raw}'"))
+        diags.append(Violation("unknown-form", f"{loc}.form", f"unknown form '{form_raw}'"))
         return None
 
-    entity = expr.get("entity")
-    entity_ref: Optional[str]
-    if entity in (None, "?"):
-        entity_ref = None
-    elif isinstance(entity, str):
-        entity_ref = entity
-        if entity not in known:
-            diags.append(
-                Diagnostic("unknown-entity", f"{loc}.entity", f"unknown entity id '{entity}'")
-            )
-    else:
-        diags.append(Diagnostic("malformed-structure", f"{loc}.entity", "entity must be a string"))
-        entity_ref = None
+    entity = _get(expr, "entity", "a string", "?", loc, diags)
+    entity_ref = None if entity == "?" else entity
+    if entity_ref is not None and entity_ref not in known:
+        diags.append(Violation("unknown-entity", f"{loc}.entity", f"unknown entity id '{entity}'"))
 
     constraints = None
-    raw_cons = expr.get("constraints")
+    raw_cons = _get(expr, "constraints", "an object", None, loc, diags)
     if raw_cons is not None:
-        if not isinstance(raw_cons, dict):
-            diags.append(
-                Diagnostic("malformed-structure", f"{loc}.constraints", "constraints must be an object")
-            )
-        else:
-            gold = raw_cons.get("gold")
-            gold_value: Any = None
-            if isinstance(gold, str):
-                gold_value = gold
-                if gold not in known:
-                    diags.append(
-                        Diagnostic(
-                            "unknown-entity", f"{loc}.constraints.gold", f"unknown entity id '{gold}'"
-                        )
-                    )
-            elif isinstance(gold, list):
-                for g in gold:
-                    if g not in known:
-                        diags.append(
-                            Diagnostic(
-                                "unknown-entity",
-                                f"{loc}.constraints.gold",
-                                f"unknown entity id '{g}'",
-                            )
-                        )
-                gold_value = frozenset(gold)
-            constraints = ResolutionConstraints(
-                compatible_types=frozenset(raw_cons.get("types", [])),
-                required_cardinality=raw_cons.get("cardinality"),
-                gold_antecedent=gold_value,
-            )
+        cloc = f"{loc}.constraints"
+        gold = _get(raw_cons, "gold", "an id or a list of ids", None, cloc, diags)
+        for g in [gold] if isinstance(gold, str) else gold or []:
+            if g not in known:
+                diags.append(
+                    Violation("unknown-entity", f"{cloc}.gold", f"unknown entity id '{g}'")
+                )
+        constraints = ResolutionConstraints(
+            compatible_types=_get(raw_cons, "types", "a list of strings", [], cloc, diags),
+            required_cardinality=_get(raw_cons, "cardinality", "an integer", None, cloc, diags),
+            gold_antecedent=gold,
+        )
 
     return ReferringExpression(
         entity_ref=entity_ref,
         form=form,
         role=role,
-        surface_position=int(expr.get("pos", 0)),
-        wa_marked=bool(expr.get("wa", False)),
-        ga_marked=bool(expr.get("ga", False)),
+        surface_position=_get(expr, "pos", "an integer", 0, loc, diags),
+        wa_marked=_get(expr, "wa", "a boolean", False, loc, diags),
+        ga_marked=_get(expr, "ga", "a boolean", False, loc, diags),
         constraints=constraints,
     )
 
@@ -302,7 +289,7 @@ def _dump_expression(e: ReferringExpression) -> dict:
             cons["cardinality"] = e.constraints.required_cardinality
         gold = e.constraints.gold_antecedent
         if gold is not None:
-            cons["gold"] = gold if isinstance(gold, str) else sorted(gold)
+            cons["gold"] = encode_resolution(gold)
         out["constraints"] = cons
     return out
 
@@ -323,144 +310,121 @@ def serialize_reports(reports: Sequence[DiscourseReport], format: str = "text") 
     raise ValueError(f"unknown report format '{format}'")
 
 
-def _res_value(value: Any) -> Any:
-    if value is None or isinstance(value, str):
-        return value
-    return sorted(value)
+#: Machine-report keys that differ from the field names they carry.
+_KEYS = {
+    "discourse_id": "discourse",
+    "position": "pos",
+    "member_order": "order",
+    "zta_applied": "zta",
+}
+
+#: The one field table of the machine report: (field name, JSON key) per
+#: record class. A discourse record leaves out its utterances, which are
+#: records of their own lines.
+_FIELDS = {
+    cls: tuple(
+        (f.name, _KEYS.get(f.name, f.name))
+        for f in dataclasses.fields(cls)
+        if f.name != "utterances"
+    )
+    for cls in (UtteranceReport, DiscourseReport, Retrieval, HypothesisView)
+}
+
+
+def _encode(obj: Any) -> Any:
+    """json.dumps hook: report records become objects through the field
+    table, resolution sets become sorted lists."""
+    if isinstance(obj, frozenset):
+        return encode_resolution(obj)
+    fields = _FIELDS.get(type(obj))
+    if fields is None:
+        raise TypeError(f"{type(obj).__name__} is not a report record")
+    return {key: getattr(obj, name) for name, key in fields}
+
+
+def _record(kind: str, obj: Any) -> str:
+    return json.dumps({"record": kind, **_encode(obj)}, default=_encode, sort_keys=True)
 
 
 def _reports_machine(reports: Sequence[DiscourseReport]) -> str:
     lines = []
     for rep in reports:
-        for u in rep.utterances:
-            lines.append(
-                json.dumps(
-                    {
-                        "record": "utterance",
-                        "discourse": u.discourse_id,
-                        "index": u.index,
-                        "tense": u.tense,
-                        "text": u.text,
-                        "seed": u.seed,
-                        "has_zero": u.has_zero,
-                        "label": u.label,
-                        "cb": u.cb,
-                        "cf": [list(pair) for pair in u.cf],
-                        "resolutions": [[p, _res_value(v)] for p, v in u.resolutions],
-                        "cues": list(u.cues),
-                        "retrievals": [
-                            {
-                                "pos": r.position,
-                                "value": _res_value(r.value),
-                                "cues": list(r.cues),
-                                "candidates": list(r.candidates),
-                                "order": list(r.member_order),
-                            }
-                            for r in u.retrievals
-                        ],
-                        "hypotheses": [
-                            {
-                                "cb": h.cb,
-                                "cf": [list(pair) for pair in h.cf],
-                                "transition": h.transition,
-                                "zta": h.zta_applied,
-                                "dampened": h.dampened,
-                                "anomalous": h.anomalous,
-                            }
-                            for h in u.hypotheses
-                        ],
-                        "ambiguous": u.ambiguous,
-                    },
-                    sort_keys=True,
-                )
-            )
-        lines.append(
-            json.dumps(
-                {
-                    "record": "discourse",
-                    "discourse": rep.discourse_id,
-                    "unresolved_ambiguity": rep.unresolved_ambiguity,
-                    "history": [list(pair) for pair in rep.history],
-                },
-                sort_keys=True,
-            )
-        )
+        lines.extend(_record("utterance", u) for u in rep.utterances)
+        lines.append(_record("discourse", rep))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _object(value: Any) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, found {type(value).__name__}")
+    return value
+
+
+def _list(value: Any) -> tuple:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, found {type(value).__name__}")
+    return tuple(value)
+
+
+def _pairs(value: Any) -> tuple:
+    return tuple((a, b) for a, b in map(_list, _list(value)))
+
+
+#: Converters for the keys whose JSON shape differs from the field's value;
+#: every other value is taken as it is.
+_DECODE: dict[str, Callable[[Any], Any]] = {
+    "cf": _pairs,
+    "history": _pairs,
+    "resolutions": lambda v: tuple((p, decode_resolution(r)) for p, r in _pairs(v)),
+    "value": decode_resolution,
+    "cues": _list,
+    "candidates": _list,
+    "order": _list,
+    "retrievals": lambda v: tuple(_decode(Retrieval, r) for r in _list(v)),
+    "hypotheses": lambda v: tuple(_decode(HypothesisView, h) for h in _list(v)),
+}
+
+
+def _decode(cls: type, data: Any, **given: Any) -> Any:
+    """Build a report record from its JSON object through the field table;
+    `given` supplies the fields a line does not carry."""
+    _object(data)
+    for name, key in _FIELDS[cls]:
+        if key not in data:
+            raise ValueError(f"missing key '{key}'")
+        convert = _DECODE.get(key)
+        given[name] = data[key] if convert is None else convert(data[key])
+    return cls(**given)
+
+
 def read_reports(text: str) -> list[DiscourseReport]:
-    """Parse machine-format report output back into report objects."""
+    """Parse machine-format report output back into report objects.
+
+    Lines of another record kind are skipped. A line that is not JSON, not
+    an object, lacks a key the writer writes, or holds a value of the wrong
+    shape raises CorpusFormatError located at its line number.
+    """
     pending: dict[str, list[UtteranceReport]] = {}
     out: list[DiscourseReport] = []
     for n, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            data = json.loads(line)
+            data = _object(json.loads(line))
+            kind = data.get("record")
+            if kind == "utterance":
+                u = _decode(UtteranceReport, data)
+                pending.setdefault(u.discourse_id, []).append(u)
+            elif kind == "discourse":
+                rep = _decode(DiscourseReport, data, utterances=())
+                utts = tuple(pending.pop(rep.discourse_id, ()))
+                out.append(dataclasses.replace(rep, utterances=utts))
         except json.JSONDecodeError as exc:
+            raise CorpusFormatError([Violation("malformed-json", f"line {n}", exc.msg)]) from exc
+        except (TypeError, ValueError) as exc:
             raise CorpusFormatError(
-                [Diagnostic("malformed-json", f"line {n}", exc.msg)]
+                [Violation("malformed-record", f"line {n}", str(exc))]
             ) from exc
-        if data.get("record") == "utterance":
-            res = tuple(
-                (
-                    int(p),
-                    v if v is None or isinstance(v, str) else frozenset(v),
-                )
-                for p, v in data.get("resolutions", [])
-            )
-            retrievals = tuple(
-                Retrieval(
-                    position=int(r["pos"]),
-                    value=(
-                        r["value"]
-                        if r["value"] is None or isinstance(r["value"], str)
-                        else frozenset(r["value"])
-                    ),
-                    cues=tuple(r.get("cues", [])),
-                    candidates=tuple(r.get("candidates", [])),
-                    member_order=tuple(r.get("order", [])),
-                )
-                for r in data.get("retrievals", [])
-            )
-            hyps = tuple(
-                HypothesisView(
-                    cb=h.get("cb"),
-                    cf=tuple((a, b) for a, b in h.get("cf", [])),
-                    transition=h["transition"],
-                    zta_applied=bool(h.get("zta")),
-                    dampened=bool(h.get("dampened")),
-                    anomalous=bool(h.get("anomalous")),
-                )
-                for h in data.get("hypotheses", [])
-            )
-            rep = UtteranceReport(
-                discourse_id=data["discourse"],
-                index=int(data["index"]),
-                tense=data["tense"],
-                text=data.get("text"),
-                seed=bool(data["seed"]),
-                has_zero=bool(data["has_zero"]),
-                label=data["label"],
-                cb=data.get("cb"),
-                cf=tuple((a, b) for a, b in data.get("cf", [])),
-                resolutions=res,
-                cues=tuple(data.get("cues", [])),
-                retrievals=retrievals,
-                hypotheses=hyps,
-                ambiguous=bool(data.get("ambiguous")),
-            )
-            pending.setdefault(data["discourse"], []).append(rep)
-        elif data.get("record") == "discourse":
-            did = data["discourse"]
-            out.append(
-                DiscourseReport(
-                    discourse_id=did,
-                    utterances=tuple(pending.pop(did, [])),
-                    unresolved_ambiguity=bool(data.get("unresolved_ambiguity")),
-                    history=tuple((a, int(b)) for a, b in data.get("history", [])),
-                )
-            )
     for did, utts in pending.items():
         out.append(DiscourseReport(did, tuple(utts), False, ()))
     return out

@@ -343,7 +343,6 @@ def _apply_retrieval(
         cues=tuple(cues),
         cf=cf,
         anomalous=False if all_resolved else child.anomalous,
-        retrieval_candidates=tuple((r.position, r.candidates) for r in retrievals),
     )
 
 

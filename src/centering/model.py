@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 
 class GrammaticalRole(IntEnum):
@@ -149,9 +149,7 @@ class ResolutionConstraints:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "compatible_types", frozenset(self.compatible_types))
-        gold = self.gold_antecedent
-        if gold is not None and not isinstance(gold, str):
-            object.__setattr__(self, "gold_antecedent", frozenset(gold))
+        object.__setattr__(self, "gold_antecedent", decode_resolution(self.gold_antecedent))
 
 
 @dataclass(frozen=True)
@@ -239,6 +237,16 @@ CfList = tuple[tuple[str, EffectiveRole], ...]
 Resolution = Union[str, frozenset[str], None]
 
 
+def encode_resolution(value: Resolution) -> Union[str, list[str], None]:
+    """JSON form of a resolution: a set of ids becomes a sorted list."""
+    return value if value is None or isinstance(value, str) else sorted(value)
+
+
+def decode_resolution(value: Union[str, Iterable[str], None]) -> Resolution:
+    """Inverse of encode_resolution: any collection of ids becomes a frozenset."""
+    return value if value is None or isinstance(value, str) else frozenset(value)
+
+
 @dataclass(frozen=True)
 class CenteringHypothesis:
     """One (Cb, Cf, transition) reading of an utterance.
@@ -270,7 +278,6 @@ class CenteringHypothesis:
     anomalous: bool = False
     resolutions: tuple[tuple[int, Resolution], ...] = ()
     cues: tuple[str, ...] = ()
-    retrieval_candidates: tuple[tuple[int, tuple[str, ...]], ...] = ()
     parent: Optional["CenteringHypothesis"] = field(
         default=None, repr=False, compare=False
     )

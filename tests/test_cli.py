@@ -162,6 +162,77 @@ class TestValidateAndErrors:
         assert code == 1
         assert "error:" in err
 
+    def test_out_of_order_indices_exit_one(self, tmp_path, capsys):
+        corpus = {
+            "discourses": [
+                {
+                    "id": "d",
+                    "entities": [],
+                    "utterances": [
+                        {"index": 3, "expressions": []},
+                        {"index": 1, "expressions": []},
+                    ],
+                }
+            ]
+        }
+        path = tmp_path / "order.centering.json"
+        path.write_text(json.dumps(corpus), encoding="utf-8")
+        code, _, err = run_cli(capsys, "analyze", str(path))
+        assert code == 1
+        assert "discourses[0].utterances[1].index" in err
+        assert "index-out-of-order" in err
+        assert "internal error" not in err
+
+    @pytest.mark.parametrize(
+        "mutate,path",
+        [
+            (lambda d, e: e[0].update(pos="x"), "utterances[0].expressions[0].pos"),
+            (
+                lambda d, e: e[1]["constraints"].update(cardinality="2"),
+                "utterances[0].expressions[1].constraints.cardinality",
+            ),
+            (
+                lambda d, e: e[1]["constraints"].update(gold=[[1]]),
+                "utterances[0].expressions[1].constraints.gold",
+            ),
+            (lambda d, e: d.update(entities=5), "entities"),
+            (lambda d, e: d.update(utterances=5), "utterances"),
+            (lambda d, e: d["utterances"][0].update(expressions=5), "utterances[0].expressions"),
+            (
+                lambda d, e: e[1]["constraints"].update(types="person"),
+                "utterances[0].expressions[1].constraints.types",
+            ),
+        ],
+        ids=["pos", "cardinality", "gold", "entities", "utterances", "expressions", "types"],
+    )
+    def test_mistyped_field_is_a_located_format_error(self, mutate, path, tmp_path, capsys):
+        discourse = {
+            "id": "d",
+            "entities": [{"id": "a", "types": ["person"]}],
+            "utterances": [
+                {
+                    "index": 0,
+                    "expressions": [
+                        {"entity": "a", "form": "overt", "role": "subject", "pos": 0},
+                        {
+                            "entity": "?",
+                            "form": "zero",
+                            "role": "object",
+                            "pos": 1,
+                            "constraints": {"types": ["person"]},
+                        },
+                    ],
+                }
+            ],
+        }
+        mutate(discourse, discourse["utterances"][0]["expressions"])
+        file = tmp_path / "probe.centering.json"
+        file.write_text(json.dumps({"discourses": [discourse]}), encoding="utf-8")
+        code, _, err = run_cli(capsys, "analyze", str(file))
+        assert code == 1
+        assert f"discourses[0].{path}: " in err
+        assert "internal error" not in err
+
     def test_missing_file_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "/nonexistent/corpus.json")
         assert code == 1

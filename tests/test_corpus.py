@@ -6,6 +6,7 @@ import pytest
 
 from centering import (
     CorpusFormatError,
+    EngineConfig,
     load_fixture,
     parse_corpus,
     read_reports,
@@ -16,6 +17,7 @@ from centering import (
 from centering.corpus import FIXTURE_NAMES, fixture_text
 
 from conftest import FIXTURES
+from test_golden import synth_corpus
 
 
 class TestParseCorpus:
@@ -57,7 +59,7 @@ class TestParseCorpus:
             parse_corpus(text)
         diags = err.value.diagnostics
         assert any(
-            d.kind == "unknown-entity"
+            d.code == "unknown-entity"
             and "ghost" in d.message
             and "utterances[0].expressions[0]" in d.location
             for d in diags
@@ -84,7 +86,7 @@ class TestParseCorpus:
         )
         with pytest.raises(CorpusFormatError) as err:
             parse_corpus(text)
-        assert any(d.kind == "unknown-role" for d in err.value.diagnostics)
+        assert any(d.code == "unknown-role" for d in err.value.diagnostics)
 
     def test_duplicate_utterance_index(self):
         text = json.dumps(
@@ -103,13 +105,13 @@ class TestParseCorpus:
         )
         with pytest.raises(CorpusFormatError) as err:
             parse_corpus(text)
-        assert any(d.kind == "duplicate-utterance-index" for d in err.value.diagnostics)
+        assert any(d.code == "duplicate-utterance-index" for d in err.value.diagnostics)
 
     def test_malformed_json_carries_line_and_column(self):
         with pytest.raises(CorpusFormatError) as err:
             parse_corpus('{"discourses": [}')
         diag = err.value.diagnostics[0]
-        assert diag.kind == "malformed-json"
+        assert diag.code == "malformed-json"
         assert "line 1" in diag.location
 
     def test_atomic_failure_collects_all_diagnostics(self):
@@ -134,7 +136,7 @@ class TestParseCorpus:
         )
         with pytest.raises(CorpusFormatError) as err:
             parse_corpus(text)
-        kinds = {d.kind for d in err.value.diagnostics}
+        kinds = {d.code for d in err.value.diagnostics}
         assert kinds == {"unknown-entity", "unknown-role"}
 
 
@@ -148,11 +150,39 @@ class TestRoundTrips:
         # canonical rendering is a fixed point
         assert serialize_corpus(once) == serialize_corpus(again)
 
-    @pytest.mark.parametrize("name", FIXTURES)
+    @pytest.mark.parametrize("name", [*FIXTURES, "golden-synth-beam2"])
     def test_report_machine_round_trip(self, name):
-        reports = run_corpus(parse_corpus(fixture_text(name)))
+        if name == "golden-synth-beam2":
+            reports = run_corpus(synth_corpus(), EngineConfig(beam=2))
+        else:
+            reports = run_corpus(parse_corpus(fixture_text(name)))
         text = serialize_reports(reports, "machine")
         assert read_reports(text) == reports
+
+    @pytest.mark.parametrize(
+        "case,message",
+        [
+            ("missing-key", "missing key 'cb'"),
+            ("not-an-object", "expected an object"),
+            ("history-not-a-list", "expected a list"),
+        ],
+    )
+    def test_bad_report_line_is_a_located_format_error(self, case, message):
+        reports = run_corpus([load_fixture("classroom_exam")])
+        lines = serialize_reports(reports, "machine").splitlines()
+        utterance, discourse = json.loads(lines[1]), json.loads(lines[-1])
+        del utterance["cb"]
+        discourse["history"] = 5
+        lines[1] = {
+            "missing-key": json.dumps(utterance),
+            "not-an-object": "[1, 2]",
+            "history-not-a-list": json.dumps(discourse),
+        }[case]
+        with pytest.raises(CorpusFormatError) as err:
+            read_reports("\n".join(lines))
+        diag = err.value.diagnostics[0]
+        assert diag.location == "line 2"
+        assert message in diag.message
 
     def test_empty_reports_serialize(self):
         assert serialize_reports([], "machine") == ""
