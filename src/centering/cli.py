@@ -1,9 +1,10 @@
 """Batch command line for corpus analysis.
 
 Subcommands: analyze (per-utterance trace), stats (distribution tables plus
-chi-square), resolve (zero-to-antecedent listing), validate (format check),
-eval (gold comparison). Exit codes: 0 success, 1 format, validation or usage
-problem, 2 internal fault.
+chi-square), resolve (zero-to-antecedent listing), validate (list every
+diagnostic on stdout), eval (gold comparison). Every command parses, and so
+validates, its input first. Exit codes: 0 success, 1 format, validation or
+usage problem, 2 internal fault.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import NoReturn, Optional, Sequence
 
 from . import analysis, corpus as corpus_io
 from .engine import EngineConfig, run_corpus
-from .model import Discourse, encode_resolution, validate_discourse
+from .model import Discourse, Violation, encode_resolution
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,10 +78,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(paths: Sequence[str]) -> list[Discourse]:
+    """Parse every file; one CorpusFormatError carries the diagnostics of
+    all of them, each location prefixed with its file's path."""
     discourses: list[Discourse] = []
+    diags: list[Violation] = []
     for path in paths:
         text = Path(path).read_text(encoding="utf-8")
-        discourses.extend(corpus_io.parse_corpus(text))
+        try:
+            discourses.extend(corpus_io.parse_corpus(text))
+        except corpus_io.CorpusFormatError as exc:
+            for v in exc.diagnostics:
+                diags.append(Violation(v.code, f"{path}: {v.location}", v.message))
+    if diags:
+        raise corpus_io.CorpusFormatError(diags)
     return discourses
 
 
@@ -174,25 +184,17 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    discourses = _load(args.files)
-    violations = []
-    for d in discourses:
-        violations.extend(validate_discourse(d))
-    if args.format == "machine":
-        for v in violations:
-            sys.stdout.write(
-                json.dumps(
-                    {"code": v.code, "location": v.location, "message": v.message},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-    else:
-        for v in violations:
-            sys.stdout.write(str(v) + "\n")
-        sys.stdout.write(
-            f"{len(discourses)} discourse(s), {len(violations)} violation(s)\n"
-        )
+    violations: list[Violation] = []
+    try:
+        summary = f"{len(_load(args.files))} discourse(s), 0 violation(s)"
+    except corpus_io.CorpusFormatError as exc:
+        violations = exc.diagnostics
+        summary = f"{len(violations)} violation(s)"
+    for v in violations:
+        line = json.dumps(vars(v), sort_keys=True) if args.format == "machine" else str(v)
+        sys.stdout.write(line + "\n")
+    if args.format == "text":
+        sys.stdout.write(summary + "\n")
     return 1 if violations else 0
 
 
@@ -255,11 +257,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (corpus_io.CorpusFormatError, FileNotFoundError, OSError) as exc:
+    except corpus_io.CorpusFormatError as exc:
+        for diag in exc.diagnostics:
+            print(f"error: {diag}", file=sys.stderr)
+        return 1
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, corpus_io.CorpusFormatError):
-            for diag in exc.diagnostics:
-                print(f"  {diag}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal fault
         print(f"internal error: {exc!r}", file=sys.stderr)

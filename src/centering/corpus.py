@@ -26,6 +26,7 @@ from .model import (
     Violation,
     decode_resolution,
     encode_resolution,
+    validate_discourse,
 )
 
 
@@ -75,9 +76,10 @@ def _get(obj: dict, key: str, kind: str, default: Any, loc: str, diags: list[Vio
 def parse_corpus(text: str) -> list[Discourse]:
     """Parse a corpus document into discourse structures.
 
-    Fails atomically: any problem raises CorpusFormatError carrying every
-    diagnostic found, each naming its exact location. Whitespace-only input
-    is an empty corpus.
+    Every discourse is checked by `validate_discourse`, so a parsed corpus
+    is well-formed. Fails atomically: any problem raises CorpusFormatError
+    carrying every diagnostic found, each naming its exact location.
+    Whitespace-only input is an empty corpus.
     """
     if not text.strip():
         return []
@@ -129,6 +131,10 @@ def parse_corpus(text: str) -> list[Discourse]:
 
 
 def _parse_discourse(item: Any, loc: str, diags: list[Violation]) -> Optional[Discourse]:
+    """Build one discourse, adding its diagnostics and, under `loc`, its
+    `validate_discourse` violations. A bad field or tag takes a placeholder
+    so the rest is still checked; an element that is not an object is
+    dropped, and then validation is skipped, as positions would not match."""
     if not isinstance(item, dict):
         diags.append(Violation("malformed-structure", loc, "discourse must be an object"))
         return None
@@ -136,39 +142,26 @@ def _parse_discourse(item: Any, loc: str, diags: list[Violation]) -> Optional[Di
     if not isinstance(did, str) or not did:
         diags.append(Violation("malformed-structure", f"{loc}.id", "missing discourse id"))
         did = f"<anonymous {loc}>"
+    complete = True
 
     entities: list[DiscourseEntity] = []
-    known: set[str] = set()
     for j, ent in enumerate(_get(item, "entities", "a list", [], loc, diags)):
         eloc = f"{loc}.entities[{j}]"
         if not isinstance(ent, dict) or not isinstance(ent.get("id"), str):
             diags.append(Violation("malformed-structure", eloc, "entity needs an 'id'"))
+            complete = False
             continue
         types = _get(ent, "types", "a list of strings", [], eloc, diags)
         card = _get(ent, "cardinality", "an integer", 1, eloc, diags)
         entities.append(DiscourseEntity(ent["id"], frozenset(types), card))
-        known.add(ent["id"])
 
     utterances: list[Utterance] = []
-    seen_index: set[int] = set()
-    last_index: Optional[int] = None
     for j, utt in enumerate(_get(item, "utterances", "a list", [], loc, diags)):
         uloc = f"{loc}.utterances[{j}]"
         if not isinstance(utt, dict):
             diags.append(Violation("malformed-structure", uloc, "utterance must be an object"))
+            complete = False
             continue
-        index = _get(utt, "index", "an integer", j, uloc, diags)
-        if index in seen_index:
-            diags.append(
-                Violation(
-                    "duplicate-utterance-index", f"{uloc}.index", f"utterance index {index} repeated"
-                )
-            )
-        elif last_index is not None and index < last_index:
-            message = f"utterance index {index} after {last_index}"
-            diags.append(Violation("index-out-of-order", f"{uloc}.index", message))
-        seen_index.add(index)
-        last_index = index if last_index is None else max(last_index, index)
         tense_raw = utt.get("tense", "nonpast")
         tense = _TENSES.get(str(tense_raw).lower())
         if tense is None:
@@ -178,22 +171,30 @@ def _parse_discourse(item: Any, loc: str, diags: list[Violation]) -> Optional[Di
             tense = Tense.NONPAST
         expressions = []
         for k, expr in enumerate(_get(utt, "expressions", "a list", [], uloc, diags)):
-            parsed = _parse_expression(expr, f"{uloc}.expressions[{k}]", known, diags)
-            if parsed is not None:
+            parsed = _parse_expression(expr, f"{uloc}.expressions[{k}]", diags)
+            if parsed is None:
+                complete = False
+            else:
                 expressions.append(parsed)
         utterances.append(
             Utterance(
-                index=index,
+                index=_get(utt, "index", "an integer", j, uloc, diags),
                 expressions=tuple(expressions),
                 tense=tense,
                 text=_get(utt, "text", "a string", None, uloc, diags),
             )
         )
-    return Discourse(id=did, entities=tuple(entities), utterances=tuple(utterances))
+    discourse = Discourse(id=did, entities=tuple(entities), utterances=tuple(utterances))
+    if complete:
+        diags.extend(
+            Violation(v.code, f"{loc}.{v.location}", v.message)
+            for v in validate_discourse(discourse)
+        )
+    return discourse
 
 
 def _parse_expression(
-    expr: Any, loc: str, known: set[str], diags: list[Violation]
+    expr: Any, loc: str, diags: list[Violation]
 ) -> Optional[ReferringExpression]:
     if not isinstance(expr, dict):
         diags.append(Violation("malformed-structure", loc, "expression must be an object"))
@@ -202,36 +203,27 @@ def _parse_expression(
     role = _ROLES.get(role_raw)
     if role is None:
         diags.append(Violation("unknown-role", f"{loc}.role", f"unknown role tag '{role_raw}'"))
-        return None
+        role = GrammaticalRole.OTHERS
     form_raw = str(expr.get("form", "overt")).lower()
     form = _FORMS.get(form_raw)
     if form is None:
+        # A zero draws none of the follow-on violations of an overt NP.
         diags.append(Violation("unknown-form", f"{loc}.form", f"unknown form '{form_raw}'"))
-        return None
+        form = Form.ZERO
 
     entity = _get(expr, "entity", "a string", "?", loc, diags)
-    entity_ref = None if entity == "?" else entity
-    if entity_ref is not None and entity_ref not in known:
-        diags.append(Violation("unknown-entity", f"{loc}.entity", f"unknown entity id '{entity}'"))
-
     constraints = None
     raw_cons = _get(expr, "constraints", "an object", None, loc, diags)
     if raw_cons is not None:
         cloc = f"{loc}.constraints"
-        gold = _get(raw_cons, "gold", "an id or a list of ids", None, cloc, diags)
-        for g in [gold] if isinstance(gold, str) else gold or []:
-            if g not in known:
-                diags.append(
-                    Violation("unknown-entity", f"{cloc}.gold", f"unknown entity id '{g}'")
-                )
         constraints = ResolutionConstraints(
             compatible_types=_get(raw_cons, "types", "a list of strings", [], cloc, diags),
             required_cardinality=_get(raw_cons, "cardinality", "an integer", None, cloc, diags),
-            gold_antecedent=gold,
+            gold_antecedent=_get(raw_cons, "gold", "an id or a list of ids", None, cloc, diags),
         )
 
     return ReferringExpression(
-        entity_ref=entity_ref,
+        entity_ref=None if entity == "?" else entity,
         form=form,
         role=role,
         surface_position=_get(expr, "pos", "an integer", 0, loc, diags),

@@ -31,9 +31,9 @@ class GrammaticalRole(IntEnum):
     def rank(self) -> int:
         return int(self)
 
-    @property
-    def display(self) -> str:
-        return self.name.lower()
+    def __init__(self, value: int) -> None:
+        #: Lower-case tag of the corpus format and the reports, built once.
+        self.display = self.name.lower()
 
 
 #: Roles that can host a promotable zero. Adjunct/possessor zeros (OTHERS)
@@ -69,9 +69,9 @@ class EffectiveRole(IntEnum):
     def from_role(cls, role: GrammaticalRole) -> "EffectiveRole":
         return cls(int(role))
 
-    @property
-    def display(self) -> str:
-        return self.name.lower().replace("_", "-")
+    def __init__(self, value: int) -> None:
+        #: Lower-case, hyphenated tag of the reports, built once.
+        self.display = self.name.lower().replace("_", "-")
 
 
 class Form(Enum):
@@ -355,7 +355,7 @@ class CbHistory:
 
 @dataclass(frozen=True)
 class Violation:
-    """One well-formedness violation found by validate_discourse."""
+    """One located problem: a format diagnostic or a violated invariant."""
 
     code: str
     location: str
@@ -365,94 +365,75 @@ class Violation:
         return f"{self.location}: {self.message} [{self.code}]"
 
 
+def _at(j: int, k: int, key: str = "") -> str:
+    return f"utterances[{j}].expressions[{k}]{key}"
+
+
 def validate_discourse(discourse: Discourse) -> list[Violation]:
     """Check every structural invariant of an annotated discourse.
 
     Violations are data, not faults: the list is empty iff the discourse is
-    well-formed.
+    well-formed. Locations are document paths relative to the discourse,
+    such as `utterances[1].expressions[0].entity`, built only when reported.
     """
     out: list[Violation] = []
-    where = f"discourse '{discourse.id}'"
 
-    seen_ids: set[str] = set()
-    for ent in discourse.entities:
-        loc = f"{where}, entity '{ent.id}'"
-        if ent.id in seen_ids:
-            out.append(Violation("duplicate-entity-id", loc, "entity id declared twice"))
-        seen_ids.add(ent.id)
+    known: set[str] = set()
+    for j, ent in enumerate(discourse.entities):
+        if ent.id in known:
+            message = "entity id declared twice"
+            out.append(Violation("duplicate-entity-id", f"entities[{j}].id", message))
+        known.add(ent.id)
         if not ent.semantic_types:
-            out.append(Violation("empty-semantic-types", loc, "semantic_types must be non-empty"))
+            message = "semantic_types must be non-empty"
+            out.append(Violation("empty-semantic-types", f"entities[{j}].types", message))
         if ent.cardinality < 1:
-            out.append(Violation("bad-cardinality", loc, f"cardinality {ent.cardinality} < 1"))
+            message = f"cardinality {ent.cardinality} < 1"
+            out.append(Violation("bad-cardinality", f"entities[{j}].cardinality", message))
 
-    known = {e.id for e in discourse.entities}
-    seen_indices: set[int] = set()
-    for pos, utt in enumerate(discourse.utterances):
-        uloc = f"{where}, utterance {utt.index}"
-        if utt.index in seen_indices:
-            out.append(Violation("duplicate-utterance-index", uloc, "utterance index repeated"))
-        seen_indices.add(utt.index)
-        if utt.index != pos:
-            out.append(
-                Violation("index-out-of-order", uloc, f"expected index {pos}, found {utt.index}")
-            )
+    last_index: Optional[int] = None
+    for j, utt in enumerate(discourse.utterances):
+        # Indices strictly increase; gaps are allowed.
+        if last_index is not None and utt.index <= last_index:
+            code = "duplicate-utterance-index" if utt.index == last_index else "index-out-of-order"
+            message = f"utterance index {utt.index} after {last_index}"
+            out.append(Violation(code, f"utterances[{j}].index", message))
+        last_index = utt.index
 
-        topics = [e for e in utt.expressions if e.role is GrammaticalRole.TOPIC]
-        if len(topics) > 1:
-            out.append(Violation("double-topic", uloc, f"{len(topics)} TOPIC expressions"))
+        topics = sum(e.role is GrammaticalRole.TOPIC for e in utt.expressions)
+        if topics > 1:
+            out.append(Violation("double-topic", f"utterances[{j}]", f"{topics} TOPIC expressions"))
 
         last_pos: Optional[int] = None
-        for expr in utt.expressions:
-            eloc = f"{uloc}, expression at position {expr.surface_position}"
+        for k, expr in enumerate(utt.expressions):
             if last_pos is not None and expr.surface_position <= last_pos:
-                out.append(
-                    Violation(
-                        "position-order",
-                        eloc,
-                        "surface positions must be strictly increasing",
-                    )
-                )
+                message = "surface positions must be strictly increasing"
+                out.append(Violation("position-order", _at(j, k, ".pos"), message))
             last_pos = expr.surface_position
             if expr.wa_marked and expr.ga_marked:
-                out.append(Violation("wa-ga-conflict", eloc, "wa and ga marking both set"))
+                out.append(Violation("wa-ga-conflict", _at(j, k), "wa and ga marking both set"))
             if expr.role is GrammaticalRole.TOPIC and not expr.wa_marked:
-                out.append(
-                    Violation("topic-not-wa", eloc, "TOPIC role requires wa marking")
-                )
+                message = "TOPIC role requires wa marking"
+                out.append(Violation("topic-not-wa", _at(j, k, ".wa"), message))
             if not expr.is_zero:
                 if expr.entity_ref is None:
-                    out.append(
-                        Violation("unresolved-overt", eloc, "overt NP without entity reference")
-                    )
+                    message = "overt NP without entity reference"
+                    out.append(Violation("unresolved-overt", _at(j, k, ".entity"), message))
                 if expr.constraints is not None:
-                    out.append(
-                        Violation(
-                            "overt-constraints", eloc, "resolution constraints on an overt NP"
-                        )
-                    )
+                    message = "resolution constraints on an overt NP"
+                    out.append(Violation("overt-constraints", _at(j, k, ".constraints"), message))
             if expr.entity_ref is not None and expr.entity_ref not in known:
-                out.append(
-                    Violation("unknown-entity", eloc, f"unknown entity id '{expr.entity_ref}'")
-                )
+                message = f"unknown entity id '{expr.entity_ref}'"
+                out.append(Violation("unknown-entity", _at(j, k, ".entity"), message))
             cons = expr.constraints
             if cons is not None:
                 if cons.required_cardinality is not None and cons.required_cardinality < 1:
-                    out.append(
-                        Violation(
-                            "bad-required-cardinality",
-                            eloc,
-                            f"required_cardinality {cons.required_cardinality} < 1",
-                        )
-                    )
+                    message = f"required_cardinality {cons.required_cardinality} < 1"
+                    where = _at(j, k, ".constraints.cardinality")
+                    out.append(Violation("bad-required-cardinality", where, message))
                 gold = cons.gold_antecedent
-                gold_ids = (
-                    [gold] if isinstance(gold, str) else sorted(gold) if gold else []
-                )
-                for gid in gold_ids:
-                    if gid not in known:
-                        out.append(
-                            Violation(
-                                "unknown-gold", eloc, f"gold antecedent '{gid}' not declared"
-                            )
-                        )
+                undeclared = ({gold} if isinstance(gold, str) else set(gold or ())) - known
+                for gid in sorted(undeclared):
+                    message = f"gold antecedent '{gid}' not declared"
+                    out.append(Violation("unknown-gold", _at(j, k, ".constraints.gold"), message))
     return out

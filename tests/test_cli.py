@@ -24,6 +24,67 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def probe_file(tmp_path, mutate):
+    """A one-discourse corpus file, valid until `mutate(discourse,
+    expressions)` changes it."""
+    discourse = {
+        "id": "d",
+        "entities": [{"id": "a", "types": ["person"]}],
+        "utterances": [
+            {
+                "index": 0,
+                "expressions": [
+                    {"entity": "a", "form": "overt", "role": "subject", "pos": 0},
+                    {
+                        "entity": "?",
+                        "form": "zero",
+                        "role": "object",
+                        "pos": 1,
+                        "constraints": {"types": ["person"]},
+                    },
+                ],
+            }
+        ],
+    }
+    mutate(discourse, discourse["utterances"][0]["expressions"])
+    file = tmp_path / "probe.centering.json"
+    file.write_text(json.dumps({"discourses": [discourse]}), encoding="utf-8")
+    return str(file)
+
+
+#: Well-typed input that breaks a discourse invariant: (mutation, location
+#: under discourses[0], violation code).
+INVARIANT_PROBES = [
+    (lambda d, e: e.append(dict(e[1])), "utterances[0].expressions[2].pos", "position-order"),
+    (
+        lambda d, e: [x.update(role="topic", wa=True) for x in e],
+        "utterances[0]",
+        "double-topic",
+    ),
+    (
+        lambda d, e: e[0].update(entity="?"),
+        "utterances[0].expressions[0].entity",
+        "unresolved-overt",
+    ),
+]
+INVARIANT_IDS = ["two-zeros-one-pos", "double-topic", "overt-without-entity"]
+
+
+def index_file(tmp_path, indices):
+    corpus = {
+        "discourses": [
+            {
+                "id": "d",
+                "entities": [],
+                "utterances": [{"index": i, "expressions": []} for i in indices],
+            }
+        ]
+    }
+    path = tmp_path / "order.centering.json"
+    path.write_text(json.dumps(corpus), encoding="utf-8")
+    return str(path)
+
+
 class TestAnalyze:
     def test_text_trace(self, corpus_file, capsys):
         code, out, _ = run_cli(capsys, "analyze", corpus_file("classroom_exam"))
@@ -163,25 +224,25 @@ class TestValidateAndErrors:
         assert "error:" in err
 
     def test_out_of_order_indices_exit_one(self, tmp_path, capsys):
-        corpus = {
-            "discourses": [
-                {
-                    "id": "d",
-                    "entities": [],
-                    "utterances": [
-                        {"index": 3, "expressions": []},
-                        {"index": 1, "expressions": []},
-                    ],
-                }
-            ]
-        }
-        path = tmp_path / "order.centering.json"
-        path.write_text(json.dumps(corpus), encoding="utf-8")
-        code, _, err = run_cli(capsys, "analyze", str(path))
+        code, _, err = run_cli(capsys, "analyze", index_file(tmp_path, (3, 1)))
         assert code == 1
         assert "discourses[0].utterances[1].index" in err
         assert "index-out-of-order" in err
         assert "internal error" not in err
+
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
+    @pytest.mark.parametrize(
+        "indices,expected", [((0, 5, 7), 0), ((3, 1), 1)], ids=["gapped", "decreasing"]
+    )
+    def test_indices_increase_with_gaps_allowed(
+        self, command, indices, expected, tmp_path, capsys
+    ):
+        code, out, err = run_cli(capsys, command, index_file(tmp_path, indices))
+        assert code == expected
+        if expected:
+            shown = out if command == "validate" else err
+            assert "discourses[0].utterances[1].index: " in shown
+            assert "index-out-of-order" in shown
 
     @pytest.mark.parametrize(
         "mutate,path",
@@ -202,36 +263,54 @@ class TestValidateAndErrors:
                 lambda d, e: e[1]["constraints"].update(types="person"),
                 "utterances[0].expressions[1].constraints.types",
             ),
+            *[(mutate, path) for mutate, path, _ in INVARIANT_PROBES],
         ],
-        ids=["pos", "cardinality", "gold", "entities", "utterances", "expressions", "types"],
+        ids=[
+            "pos", "cardinality", "gold", "entities", "utterances", "expressions", "types",
+            *INVARIANT_IDS,
+        ],
     )
     def test_mistyped_field_is_a_located_format_error(self, mutate, path, tmp_path, capsys):
-        discourse = {
-            "id": "d",
-            "entities": [{"id": "a", "types": ["person"]}],
-            "utterances": [
-                {
-                    "index": 0,
-                    "expressions": [
-                        {"entity": "a", "form": "overt", "role": "subject", "pos": 0},
-                        {
-                            "entity": "?",
-                            "form": "zero",
-                            "role": "object",
-                            "pos": 1,
-                            "constraints": {"types": ["person"]},
-                        },
-                    ],
-                }
-            ],
-        }
-        mutate(discourse, discourse["utterances"][0]["expressions"])
-        file = tmp_path / "probe.centering.json"
-        file.write_text(json.dumps({"discourses": [discourse]}), encoding="utf-8")
-        code, _, err = run_cli(capsys, "analyze", str(file))
+        code, _, err = run_cli(capsys, "analyze", probe_file(tmp_path, mutate))
         assert code == 1
         assert f"discourses[0].{path}: " in err
         assert "internal error" not in err
+
+    @pytest.mark.parametrize("mutate,path,violation", INVARIANT_PROBES, ids=INVARIANT_IDS)
+    def test_engine_commands_reject_what_validate_rejects(
+        self, mutate, path, violation, tmp_path, capsys
+    ):
+        file = probe_file(tmp_path, mutate)
+        code, text, _ = run_cli(capsys, "validate", file)
+        assert code == 1
+        listed = text.splitlines()[:-1]
+        assert len(listed) == 1 and f"discourses[0].{path}: " in listed[0]
+        assert listed[0].endswith(f"[{violation}]")
+        code, machine, _ = run_cli(capsys, "validate", "--format", "machine", file)
+        assert code == 1
+        records = [json.loads(line) for line in machine.splitlines()]
+        assert [f"{r['location']}: {r['message']} [{r['code']}]" for r in records] == listed
+        for command in ("analyze", "stats", "resolve", "eval"):
+            code, out, err = run_cli(capsys, command, file)
+            assert (code, out) == (1, "")
+            assert err.splitlines() == [f"error: {line}" for line in listed]
+
+    def test_format_error_names_its_file_once(self, corpus_file, tmp_path, capsys):
+        bad = index_file(tmp_path, (3, 1))
+        code, out, err = run_cli(capsys, "analyze", corpus_file("classroom_exam"), bad)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            f"error: {bad}: discourses[0].utterances[1].index: utterance index 1 after 3 "
+            "[index-out-of-order]"
+        ]
+
+    def test_validate_lists_malformed_json_on_stdout(self, tmp_path, capsys):
+        path = tmp_path / "broken.centering.json"
+        path.write_text('{"discourses": [', encoding="utf-8")
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert (code, err) == (1, "")
+        assert out.splitlines()[0].startswith(f"{path}: line 1, column 17: ")
+        assert out.splitlines()[0].endswith("[malformed-json]")
 
     def test_missing_file_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "/nonexistent/corpus.json")

@@ -56,7 +56,7 @@ def test_double_topic_reported():
     )
     violations = validate_discourse(d)
     assert [v.code for v in violations] == ["double-topic"]
-    assert "utterance 0" in violations[0].location
+    assert violations[0].location == "utterances[0]"
 
 
 def test_wa_ga_conflict_and_position_order():
