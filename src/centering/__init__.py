@@ -42,7 +42,6 @@ from .hypotheses import (
     DEFAULT_BEAM,
     expand_hypotheses,
     prune_hypotheses,
-    zta_candidate,
 )
 from .model import (
     CbHistory,
@@ -121,5 +120,4 @@ __all__ = [
     "tabulate_disambiguation",
     "tabulate_transitions",
     "validate_discourse",
-    "zta_candidate",
 ]

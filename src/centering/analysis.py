@@ -159,7 +159,7 @@ def evaluate_gold(
             if utt is None:
                 continue
             predicted = ur.resolution_map
-            for zero in utt.zeros():
+            for zero in utt.zeros:
                 cons = zero.constraints
                 gold = cons.gold_antecedent if cons is not None else None
                 value = decode_resolution(predicted.get(zero.surface_position))

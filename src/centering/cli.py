@@ -83,9 +83,11 @@ def _load(paths: Sequence[str]) -> list[Discourse]:
     discourses: list[Discourse] = []
     diags: list[Violation] = []
     for path in paths:
-        text = Path(path).read_text(encoding="utf-8")
         try:
-            discourses.extend(corpus_io.parse_corpus(text))
+            discourses.extend(corpus_io.parse_corpus(Path(path).read_text(encoding="utf-8")))
+        except UnicodeDecodeError as exc:
+            message = f"not UTF-8: {exc.reason}"
+            diags.append(Violation("malformed-encoding", f"{path}: byte {exc.start}", message))
         except corpus_io.CorpusFormatError as exc:
             for v in exc.diagnostics:
                 diags.append(Violation(v.code, f"{path}: {v.location}", v.message))

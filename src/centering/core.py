@@ -14,29 +14,22 @@ from .model import (
 
 
 def rank_cf(
-    u: Utterance,
-    zta_topic: Optional[str] = None,
-    resolutions: Optional[Mapping[int, Resolution]] = None,
+    u: Utterance, resolutions: Optional[Mapping[int, Resolution]] = None
 ) -> CfList:
     """Order the entities realized in `u` by effective salience.
 
     `resolutions` maps zero surface positions to their antecedents; zeros
     still unresolved realize nothing and are skipped. An entity mentioned
     more than once takes its highest-ranked role; ties within a role break by
-    surface position. When `zta_topic` is given it is promoted to the
-    ZERO_TOP slot ahead of everything, including the grammatical topic.
-
-    Raises ValueError if `zta_topic` is not realized by a zero in `u`.
+    surface position. The ids of the result are exactly the entities `u`
+    realizes.
     """
     resolutions = resolutions or {}
 
     # best (role, position) seen per realized entity
     best: dict[str, tuple[int, int]] = {}
-    zero_realized: set[str] = set()
 
-    def note(entity_id: str, rank: int, position: int, via_zero: bool) -> None:
-        if via_zero:
-            zero_realized.add(entity_id)
+    def note(entity_id: str, rank: int, position: int) -> None:
         cur = best.get(entity_id)
         if cur is None or (rank, position) < cur:
             best[entity_id] = (rank, position)
@@ -48,25 +41,12 @@ def rank_cf(
                 continue
             members = [value] if isinstance(value, str) else sorted(value)
             for member in members:
-                note(member, expr.role.rank, expr.surface_position, True)
+                note(member, expr.role.rank, expr.surface_position)
         elif expr.entity_ref is not None:
-            note(expr.entity_ref, expr.role.rank, expr.surface_position, False)
-
-    if zta_topic is not None and zta_topic not in zero_realized:
-        raise ValueError(
-            f"zero-topic entity '{zta_topic}' is not realized by a zero in "
-            f"utterance {u.index}"
-        )
+            note(expr.entity_ref, expr.role.rank, expr.surface_position)
 
     ordered = sorted(best.items(), key=lambda item: item[1])
-    cf: list[tuple[str, EffectiveRole]] = []
-    if zta_topic is not None:
-        cf.append((zta_topic, EffectiveRole.ZERO_TOP))
-    for entity_id, (rank, _pos) in ordered:
-        if entity_id == zta_topic:
-            continue
-        cf.append((entity_id, EffectiveRole(rank)))
-    return tuple(cf)
+    return tuple((entity_id, EffectiveRole(rank)) for entity_id, (rank, _pos) in ordered)
 
 
 def compute_cb(cf_prev: Iterable[str], realized: Iterable[str]) -> Optional[str]:

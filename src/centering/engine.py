@@ -275,7 +275,7 @@ def _resolve_locally(
 ) -> ResolutionOutcome:
     """Resolve every zero of `u` against the parent's Cf, most salient zero
     first, each claim excluding earlier ones."""
-    zeros = sorted(u.zeros(), key=lambda z: (z.role.rank, z.surface_position))
+    zeros = sorted(u.zeros, key=lambda z: (z.role.rank, z.surface_position))
     cf_prev = [eid for eid, _ in parent.cf]
     assigned: dict[int, Resolution] = {}
     exhausted: set[int] = set()
@@ -314,7 +314,7 @@ def _apply_retrieval(
     pre-retrieval values."""
     res = dict(child.resolution_map)
     cues = list(child.cues)
-    by_pos = {z.surface_position: z for z in u.zeros()}
+    by_pos = {z.surface_position: z for z in u.zeros}
 
     new_head: list[tuple[str, EffectiveRole]] = []
     for r in retrievals:
@@ -334,9 +334,7 @@ def _apply_retrieval(
     head_ids = {eid for eid, _ in new_head}
     tail = [(eid, role) for eid, role in child.cf if eid not in head_ids]
     cf: CfList = tuple(new_head) + tuple(tail)
-    all_resolved = all(
-        res.get(z.surface_position) is not None for z in u.zeros()
-    )
+    all_resolved = all(res.get(z.surface_position) is not None for z in u.zeros)
     return replace(
         child,
         resolutions=tuple(sorted(res.items())),
@@ -389,11 +387,8 @@ def coherence_step(state: DiscourseState, u: Utterance) -> DiscourseState:
         prev_tense = state.last_step.utterance.tense
         updated = []
         for child in children:
-            unresolved = [
-                z
-                for z in u.zeros()
-                if child.resolution_map.get(z.surface_position) is None
-            ]
+            res = child.resolution_map
+            unresolved = [z for z in u.zeros if res.get(z.surface_position) is None]
             if not unresolved:
                 updated.append(child)
                 continue

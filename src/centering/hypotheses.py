@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence
+from typing import Sequence
 
 from .core import classify_transition, rank_cf, compute_cb
 from .model import (
     ARGUMENT_ROLES,
     CenteringHypothesis,
+    EffectiveRole,
     Resolution,
     TransitionLabel,
     Utterance,
@@ -22,70 +23,13 @@ class ResolutionOutcome:
     """Per-parent local resolution result for all zeros of one utterance.
 
     `assignments` maps zero surface positions to antecedents (None when
-    unresolved); `exhausted_positions` are zeros whose every local candidate
-    was vetoed, which stamps the reading anomalous unless global retrieval
-    rescues it later.
+    unresolved), sorted by position; `exhausted_positions` are zeros whose
+    every local candidate was vetoed, which stamps the reading anomalous
+    unless global retrieval rescues it later.
     """
 
     assignments: tuple[tuple[int, Resolution], ...] = ()
     exhausted_positions: frozenset[int] = frozenset()
-
-    @property
-    def mapping(self) -> Mapping[int, Resolution]:
-        return dict(self.assignments)
-
-
-def realized_entities(u: Utterance, resolutions: Mapping[int, Resolution]) -> frozenset[str]:
-    """Entities realized in `u`: overt mentions plus resolved zeros."""
-    realized: set[str] = set(u.overt_entities())
-    for expr in u.expressions:
-        if not expr.is_zero:
-            continue
-        value = resolutions.get(expr.surface_position)
-        if value is None:
-            continue
-        if isinstance(value, str):
-            realized.add(value)
-        else:
-            realized.update(value)
-    return frozenset(realized)
-
-
-def zta_candidate(
-    prev: CenteringHypothesis,
-    u: Utterance,
-    local_resolutions: Mapping[int, Resolution],
-) -> Optional[str]:
-    """Entity to promote as the zero topic of `u`, when the promotion rule
-    fires: an argument-role zero realizes the previous Cb, no plain CONTINUE
-    is available, and the promoted ranking actually yields a continue.
-    Returns None otherwise."""
-    if prev.cb is None:
-        return None
-    hosts = [
-        expr
-        for expr in u.expressions
-        if expr.is_zero
-        and expr.role in ARGUMENT_ROLES
-        and local_resolutions.get(expr.surface_position) == prev.cb
-    ]
-    if not hosts:
-        return None
-
-    realized = realized_entities(u, local_resolutions)
-    plain_cf = rank_cf(u, None, local_resolutions)
-    if not plain_cf:
-        return None
-    cb = compute_cb([eid for eid, _ in prev.cf], realized)
-    plain_label = classify_transition(prev.cb, cb, plain_cf[0][0], False)
-    if plain_label is TransitionLabel.CONTINUE:
-        return None
-
-    promoted = rank_cf(u, prev.cb, local_resolutions)
-    promoted_label = classify_transition(prev.cb, cb, promoted[0][0], True)
-    if promoted_label is not TransitionLabel.ZTA_CONTINUE:
-        return None
-    return prev.cb
 
 
 def _has_wa_competitor(u: Utterance) -> bool:
@@ -104,71 +48,68 @@ def expand_hypotheses(
     each parent's local resolution outcome (one per parent, in order).
 
     Each parent yields its plain reading and, when the zero-topic rule fires,
-    the promoted reading as well. Children of a dampened branch point (the
-    promotion competed with a wa-marked topic) tie in preference and share an
-    ambiguity key. Duplicated readings from different parents collapse to the
-    lowest-ZTA ancestry. Result is sorted best-first.
+    the promoted reading as well. The rule reads the plain reading: it fires
+    when that reading is a RETAIN and an argument-role zero of `u` realizes
+    its Cb (which is then the parent's Cb). The promoted reading puts the Cb
+    in the ZERO_TOP slot ahead of the plain Cf, which makes it a continue.
+    Children of a dampened branch point (the promotion competed with a
+    wa-marked topic) tie in preference and share an ambiguity key.
+    Duplicated readings from different parents collapse to the lowest-ZTA
+    ancestry. Result is sorted best-first.
     """
     # (eff_pref, parent_rank) orders prev_set by full chain preference
     parent_keys = sorted({(p.eff_pref, p.parent_rank) for p in prev_set})
     dense_rank = {key: rank for rank, key in enumerate(parent_keys)}
+    hosts = [z.surface_position for z in u.zeros if z.role in ARGUMENT_ROLES]
+    wa_competitor = _has_wa_competitor(u)
     children: list[CenteringHypothesis] = []
 
     for parent, outcome in zip(prev_set, outcomes, strict=True):
-        parent_rank = dense_rank[(parent.eff_pref, parent.parent_rank)]
-        res_map = outcome.mapping
-        res_items = tuple(sorted(res_map.items()))
-        realized = realized_entities(u, res_map)
-        cb = compute_cb([eid for eid, _ in parent.cf], realized)
-        anomalous = bool(outcome.exhausted_positions)
-
-        plain_cf = rank_cf(u, None, res_map)
+        resolutions = dict(outcome.assignments)
+        plain_cf = rank_cf(u, resolutions)
+        cb = compute_cb(parent.cf_ids, (eid for eid, _ in plain_cf))
         if plain_cf:
             plain_label = classify_transition(parent.cb, cb, plain_cf[0][0], False)
         else:
             plain_label = TransitionLabel.ROUGH_SHIFT
         plain_pref = plain_label.preference_rank
 
-        topic = zta_candidate(parent, u, res_map) if zta_enabled else None
-        dampened = topic is not None and _has_wa_competitor(u)
+        promote = (
+            zta_enabled
+            and plain_label is TransitionLabel.RETAIN
+            and any(resolutions.get(pos) == cb for pos in hosts)
+        )
+        dampened = promote and wa_competitor
         keys = parent.ambiguity_keys
         if dampened:
             keys = keys | {f"u{u.index}"}
 
-        children.append(
-            CenteringHypothesis(
-                utterance_index=u.index,
-                cb=cb,
-                cf=plain_cf,
-                transition=plain_label,
-                zta_applied=False,
-                dampened=dampened,
-                anomalous=anomalous,
-                resolutions=res_items,
-                parent=parent,
-                ambiguity_keys=keys,
-                eff_pref=plain_pref,
-                parent_rank=parent_rank,
-            )
+        plain = CenteringHypothesis(
+            utterance_index=u.index,
+            cb=cb,
+            cf=plain_cf,
+            transition=plain_label,
+            zta_applied=False,
+            dampened=dampened,
+            anomalous=bool(outcome.exhausted_positions),
+            resolutions=outcome.assignments,
+            parent=parent,
+            ambiguity_keys=keys,
+            eff_pref=plain_pref,
+            parent_rank=dense_rank[(parent.eff_pref, parent.parent_rank)],
         )
-        if topic is not None:
-            zta_cf = rank_cf(u, topic, res_map)
-            zta_label = classify_transition(parent.cb, cb, zta_cf[0][0], True)
+        children.append(plain)
+        if promote:
+            zta_label = TransitionLabel.ZTA_CONTINUE
             children.append(
-                CenteringHypothesis(
-                    utterance_index=u.index,
-                    cb=cb,
-                    cf=zta_cf,
+                replace(
+                    plain,
+                    cf=((cb, EffectiveRole.ZERO_TOP),)
+                    + tuple(entry for entry in plain_cf if entry[0] != cb),
                     transition=zta_label,
                     zta_applied=True,
-                    dampened=dampened,
-                    anomalous=anomalous,
-                    resolutions=res_items,
-                    parent=parent,
-                    ambiguity_keys=keys,
                     # a dampened promotion ties with its plain sibling
                     eff_pref=plain_pref if dampened else zta_label.preference_rank,
-                    parent_rank=parent_rank,
                 )
             )
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 
@@ -188,7 +190,11 @@ class ReferringExpression:
 
 @dataclass(frozen=True)
 class Utterance:
-    """One pre-segmented simplex clause."""
+    """One pre-segmented simplex clause.
+
+    `zeros` and `overt_entities` are computed on first use and kept; they are
+    not fields, so equality, hashing and repr ignore them.
+    """
 
     index: int
     expressions: tuple[ReferringExpression, ...]
@@ -198,9 +204,11 @@ class Utterance:
     def __post_init__(self) -> None:
         object.__setattr__(self, "expressions", tuple(self.expressions))
 
+    @cached_property
     def zeros(self) -> tuple[ReferringExpression, ...]:
         return tuple(e for e in self.expressions if e.is_zero)
 
+    @cached_property
     def overt_entities(self) -> frozenset[str]:
         return frozenset(
             e.entity_ref
@@ -210,7 +218,7 @@ class Utterance:
 
     @property
     def has_zero(self) -> bool:
-        return any(e.is_zero for e in self.expressions)
+        return bool(self.zeros)
 
 
 @dataclass(frozen=True)
@@ -225,9 +233,11 @@ class Discourse:
         object.__setattr__(self, "entities", tuple(self.entities))
         object.__setattr__(self, "utterances", tuple(self.utterances))
 
-    @property
+    @cached_property
     def entity_map(self) -> Mapping[str, DiscourseEntity]:
-        return {e.id: e for e in self.entities}
+        """Entities by id, built on first use and kept; read-only, since
+        every caller shares it."""
+        return MappingProxyType({e.id: e for e in self.entities})
 
 
 #: A Cf list: entities in salience order with their effective roles.

@@ -79,7 +79,7 @@ def local_resolution(
     already claimed by other zeros of the same utterance), are not
     candidates.
     """
-    blocked = exclude | u.overt_entities()
+    blocked = exclude | u.overt_entities
     had_candidate = False
     for entity_id in cf_prev:
         if entity_id in blocked:

@@ -16,24 +16,52 @@ import pytest
 from centering import (
     CbHistory,
     CbHistoryEntry,
+    EffectiveRole,
     EngineConfig,
     GrammaticalRole,
     chi_square_2x2,
     classify_transition,
+    compute_cb,
     expand_hypotheses,
     global_retrieve,
     load_fixture,
     parse_corpus,
+    rank_cf,
     run_discourse,
     serialize_corpus,
     validate_discourse,
 )
+import centering.engine as engine
 from centering.corpus import fixture_text
-from centering.model import TransitionLabel
+from centering.model import ARGUMENT_ROLES, TransitionLabel
 from centering.synth import random_discourse
 
 from conftest import entity, labels_of, outcomes, utterance, zero
 from test_hypotheses import PREV, ASK_GA, ASK_WA
+
+
+def zta_rule_fires(prev, u, res):
+    """The zero-topic rule as first stated: an argument-role zero realizes
+    the previous Cb, the plain reading is no continue, and promoting the
+    previous Cb to the Cf head yields a continue."""
+    if prev.cb is None:
+        return False
+    hosts = [
+        z
+        for z in u.zeros
+        if z.role in ARGUMENT_ROLES and res.get(z.surface_position) == prev.cb
+    ]
+    if not hosts:
+        return False
+    realized = set(u.overt_entities)
+    for value in res.values():
+        if value is not None:
+            realized.update([value] if isinstance(value, str) else value)
+    cb = compute_cb([eid for eid, _ in prev.cf], realized)
+    plain_cf = rank_cf(u, res)
+    if classify_transition(prev.cb, cb, plain_cf[0][0]) is TransitionLabel.CONTINUE:
+        return False
+    return classify_transition(prev.cb, cb, prev.cb, True) is TransitionLabel.ZTA_CONTINUE
 
 
 def cf_ids(rep, i):
@@ -278,22 +306,43 @@ class TestCriterion5Properties:
             once = parse_corpus(text)
             assert parse_corpus(serialize_corpus(once)) == once
 
-    def test_e_zta_fires_only_under_rule_conditions(self):
+    def test_e_zta_fires_only_under_rule_conditions(self, monkeypatch):
+        # record every (parent, outcome) the engine expands, then replay each
+        # parent alone against the rule as first stated
+        expanded = []
+        real_expand = engine.expand_hypotheses
+
+        def recording_expand(prev_set, u, outcomes_, *args, **kwargs):
+            expanded.extend((parent, u, outcome) for parent, outcome in zip(prev_set, outcomes_))
+            return real_expand(prev_set, u, outcomes_, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "expand_hypotheses", recording_expand)
         rng = random.Random(777)
-        fired = 0
         for k in range(400):
-            d = random_discourse(rng, f"zta-acc-{k}")
-            entities = d.entity_map
-            rep = run_discourse(d)
-            # replay each utterance against the reported previous reading
-            # and verify every promoted hypothesis satisfies the rule
+            rep = run_discourse(random_discourse(rng, f"zta-acc-{k}"))
             for u in rep.utterances:
                 for h in u.hypotheses:
-                    if not h.zta_applied:
-                        continue
-                    fired += 1
-                    # the promoted slot heads the list and is the zero topic
-                    assert h.cf[0][1] == "zero-top"
+                    if h.zta_applied:
+                        # the promoted slot heads the list and is the zero topic
+                        assert h.cf[0][1] == "zero-top"
+
+        fired = hosted_but_silent = 0
+        for parent, u, outcome in expanded:
+            res = dict(outcome.assignments)
+            children = real_expand([parent], u, [outcome])
+            (plain,) = [c for c in children if not c.zta_applied]
+            promoted = [c for c in children if c.zta_applied]
+            assert bool(promoted) == zta_rule_fires(parent, u, res)
+            if promoted:
+                fired += 1
+                assert promoted[0].transition is TransitionLabel.ZTA_CONTINUE
+                assert promoted[0].cf == ((plain.cb, EffectiveRole.ZERO_TOP),) + tuple(
+                    entry for entry in plain.cf if entry[0] != plain.cb
+                )
+            elif parent.cb is not None and parent.cb in res.values():
+                hosted_but_silent += 1
+        assert fired > 0 and hosted_but_silent > 0
+
         # op-level: promotion requires a promotable zero of the previous cb
         # and no plain continue
         children = expand_hypotheses([PREV], ASK_GA, outcomes({1: "hanako"}))
@@ -307,7 +356,6 @@ class TestCriterion5Properties:
         )
         children = expand_hypotheses([PREV], u_continue, outcomes({0: "hanako"}))
         assert not any(c.zta_applied for c in children)
-        assert fired > 0
 
     def test_generator_discourses_stay_well_formed(self):
         rng = random.Random(31337)

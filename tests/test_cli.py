@@ -312,6 +312,15 @@ class TestValidateAndErrors:
         assert out.splitlines()[0].startswith(f"{path}: line 1, column 17: ")
         assert out.splitlines()[0].endswith("[malformed-json]")
 
+    def test_non_utf8_file_is_a_located_format_error(self, tmp_path, capsys):
+        path = tmp_path / "utf16.centering.json"
+        path.write_bytes(b"\xff\xfe" + '{"discourses": []}'.encode("utf-16-le"))
+        diag = f"{path}: byte 0: not UTF-8: invalid start byte [malformed-encoding]"
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, out, err) == (1, "", f"error: {diag}\n")
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert (code, out, err) == (1, f"{diag}\n1 violation(s)\n", "")
+
     def test_missing_file_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "/nonexistent/corpus.json")
         assert code == 1

@@ -2,7 +2,6 @@
 
 import itertools
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -30,21 +29,6 @@ class TestRankCf:
             ("exam", EffectiveRole.OBJECT),
         )
 
-    def test_zero_topic_promotion_outranks_topic(self):
-        # promoted zero at object2 heads the list ahead of the topicalized subject
-        u = utterance(
-            0,
-            overt("mitiko", GrammaticalRole.TOPIC, 0, wa=True),
-            zero(GrammaticalRole.OBJECT2, 1),
-            overt("result", GrammaticalRole.OBJECT, 2),
-        )
-        cf = rank_cf(u, zta_topic="hanako", resolutions={1: "hanako"})
-        assert cf == (
-            ("hanako", EffectiveRole.ZERO_TOP),
-            ("mitiko", EffectiveRole.TOPIC),
-            ("result", EffectiveRole.OBJECT),
-        )
-
     def test_singleton(self):
         u = utterance(0, overt("only", GrammaticalRole.SUBJECT, 0))
         assert rank_cf(u) == (("only", EffectiveRole.SUBJECT),)
@@ -56,11 +40,6 @@ class TestRankCf:
             overt("x", GrammaticalRole.OBJECT, 1),
         )
         assert rank_cf(u) == (("x", EffectiveRole.OBJECT),)
-
-    def test_zta_topic_must_be_zero_realized(self):
-        u = utterance(0, overt("a", GrammaticalRole.SUBJECT, 0))
-        with pytest.raises(ValueError):
-            rank_cf(u, zta_topic="a")
 
     def test_repeat_mention_takes_highest_role(self):
         u = utterance(

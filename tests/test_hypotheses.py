@@ -9,7 +9,6 @@ from centering import (
     TransitionLabel,
     expand_hypotheses,
     prune_hypotheses,
-    zta_candidate,
 )
 from centering.hypotheses import rank_key
 
@@ -44,9 +43,18 @@ ASK_WA = utterance(
 )
 
 
+def promoted_head(prev, u, res):
+    """Cf head of the promoted child `prev` spawns for `u`, or None when the
+    zero-topic rule does not fire."""
+    for child in expand_hypotheses([prev], u, outcomes(res)):
+        if child.zta_applied:
+            return child.cf[0][0]
+    return None
+
+
 class TestZtaCandidate:
     def test_fires_when_default_is_retain(self):
-        assert zta_candidate(PREV, ASK_GA, {1: "hanako"}) == "hanako"
+        assert promoted_head(PREV, ASK_GA, {1: "hanako"}) == "hanako"
 
     def test_silent_when_default_already_continues(self):
         u = utterance(
@@ -55,18 +63,18 @@ class TestZtaCandidate:
             overt("book", GrammaticalRole.OBJECT, 1),
         )
         prev = seed("hanako", ["hanako", "exam"])
-        assert zta_candidate(prev, u, {0: "hanako"}) is None
+        assert promoted_head(prev, u, {0: "hanako"}) is None
 
     def test_silent_without_zeros(self):
         u = utterance(2, overt("mitiko", GrammaticalRole.SUBJECT, 0, ga=True))
-        assert zta_candidate(PREV, u, {}) is None
+        assert promoted_head(PREV, u, {}) is None
 
     def test_silent_when_zero_is_not_previous_cb(self):
-        assert zta_candidate(PREV, ASK_GA, {1: "mitiko"}) is None
+        assert promoted_head(PREV, ASK_GA, {1: "mitiko"}) is None
 
     def test_silent_without_previous_cb(self):
         prev = seed(None, ["book"])
-        assert zta_candidate(prev, ASK_GA, {1: "hanako"}) is None
+        assert promoted_head(prev, ASK_GA, {1: "hanako"}) is None
 
     def test_adjunct_zeros_never_promote(self):
         u = utterance(
@@ -75,7 +83,7 @@ class TestZtaCandidate:
             overt("result", GrammaticalRole.OBJECT, 1),
             zero(GrammaticalRole.OTHERS, 2, types=("person",)),
         )
-        assert zta_candidate(PREV, u, {2: "hanako"}) is None
+        assert promoted_head(PREV, u, {2: "hanako"}) is None
 
     def test_silent_when_promotion_cannot_continue(self):
         # an entity above the previous cb is also realized, so the promoted
@@ -94,7 +102,7 @@ class TestZtaCandidate:
             overt("t-company", GrammaticalRole.SUBJECT, 0, ga=True),
             zero(GrammaticalRole.OBJECT2, 1, types=("person",)),
         )
-        assert zta_candidate(prev, u, {1: "students"}) is None
+        assert promoted_head(prev, u, {1: "students"}) is None
 
 
 class TestExpandHypotheses:
@@ -121,6 +129,16 @@ class TestExpandHypotheses:
         assert promoted.dampened and plain.dampened
         assert promoted.eff_pref == plain.eff_pref
         assert promoted.ambiguity_keys == plain.ambiguity_keys != frozenset()
+
+    def test_zero_topic_promotion_outranks_topic(self):
+        # promoted zero at object2 heads the list ahead of the topicalized subject
+        children = expand_hypotheses([PREV], ASK_WA, outcomes({1: "hanako"}))
+        (promoted,) = [c for c in children if c.zta_applied]
+        assert promoted.cf == (
+            ("hanako", EffectiveRole.ZERO_TOP),
+            ("mitiko", EffectiveRole.TOPIC),
+            ("result", EffectiveRole.OBJECT),
+        )
 
     def test_no_zero_single_child(self):
         u = utterance(
