@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -37,6 +38,13 @@ class TransitionTable:
     @property
     def grand_total(self) -> int:
         return sum(self.totals)
+
+    def __add__(self, other: "TransitionTable") -> "TransitionTable":
+        """The table of two disjoint sets of reports."""
+        return TransitionTable(
+            with_zero=tuple(map(operator.add, self.with_zero, other.with_zero)),
+            without_zero=tuple(map(operator.add, self.without_zero, other.without_zero)),
+        )
 
     def continue_vs_rest(self) -> tuple[int, int, int, int]:
         """(a, b, c, d) for the CONTINUE-vs-others x zero 2x2 split."""
@@ -133,6 +141,21 @@ class GoldSummary:
     @property
     def has_gold(self) -> bool:
         return self.scored > 0
+
+    def __add__(self, other: "GoldSummary") -> "GoldSummary":
+        """The summary of two disjoint sets of discourses, `self`'s first."""
+        tallies = (self.by_transition, other.by_transition)
+        return GoldSummary(
+            correct=self.correct + other.correct,
+            incorrect=self.incorrect + other.incorrect,
+            unresolved=self.unresolved + other.unresolved,
+            ungolded=self.ungolded + other.ungolded,
+            by_transition={
+                k: tuple(map(operator.add, *(t.get(k, (0, 0, 0)) for t in tallies)))
+                for k in sorted(tallies[0].keys() | tallies[1].keys())
+            },
+            details=self.details + other.details,
+        )
 
 
 def evaluate_gold(

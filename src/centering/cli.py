@@ -5,19 +5,29 @@ chi-square), resolve (zero-to-antecedent listing), validate (list every
 diagnostic on stdout), eval (gold comparison). Every command parses, and so
 validates, its input first. Exit codes: 0 success, 1 format, validation or
 usage problem, 2 internal fault.
+
+The engine commands spread the discourses over the CPUs in the process's
+affinity mask: contiguous groups of discourses run in forked workers, and
+their results are merged in input order, so the output does not depend on
+the CPU count. A single discourse, or a single CPU, runs in process.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
-from typing import NoReturn, Optional, Sequence
+from typing import Any, Callable, NoReturn, Optional, Sequence
 
 from . import analysis, corpus as corpus_io
-from .engine import EngineConfig, run_corpus
+from .engine import DiscourseReport, EngineConfig, run_corpus
 from .model import Discourse, Violation, encode_resolution
+
+#: Groups of discourses per worker. Workers pull the next group when they
+#: finish one, so a slow group or a slow CPU holds up at most one group.
+_TASKS_PER_WORKER = 8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,18 +89,34 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(paths: Sequence[str]) -> list[Discourse]:
     """Parse every file; one CorpusFormatError carries the diagnostics of
-    all of them, each location prefixed with its file's path."""
+    all of them, each location prefixed with its file's path. A discourse id
+    may appear once across all the files, as within one."""
     discourses: list[Discourse] = []
     diags: list[Violation] = []
+    seen_ids: set[str] = set()
     for path in paths:
         try:
-            discourses.extend(corpus_io.parse_corpus(Path(path).read_text(encoding="utf-8")))
+            parsed = corpus_io.parse_corpus(Path(path).read_text(encoding="utf-8"))
         except UnicodeDecodeError as exc:
             message = f"not UTF-8: {exc.reason}"
             diags.append(Violation("malformed-encoding", f"{path}: byte {exc.start}", message))
+            continue
         except corpus_io.CorpusFormatError as exc:
             for v in exc.diagnostics:
                 diags.append(Violation(v.code, f"{path}: {v.location}", v.message))
+            continue
+        # a parsed file dropped no element, so list and file indices agree
+        for i, d in enumerate(parsed):
+            if d.id in seen_ids:
+                diags.append(
+                    Violation(
+                        "duplicate-discourse-id",
+                        f"{path}: discourses[{i}]",
+                        f"discourse id '{d.id}' repeated",
+                    )
+                )
+            seen_ids.add(d.id)
+        discourses.extend(parsed)
     if diags:
         raise corpus_io.CorpusFormatError(diags)
     return discourses
@@ -104,21 +130,92 @@ def _config(args: argparse.Namespace) -> EngineConfig:
     )
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+#: The task function of a pool worker, set in the worker by `_start_worker`.
+_worker_job: Callable[[int], Any]
+
+
+def _start_worker(job: Callable[[int], Any]) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _run_worker_task(i: int) -> Any:
+    return _worker_job(i)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _run_engine(
+    args: argparse.Namespace,
+    finish: Callable[[list[DiscourseReport], Sequence[Discourse]], Any],
+) -> list[Any]:
+    """Parse the files, run the engine over contiguous groups of their
+    discourses and return `finish(reports, discourses)` of each group, in
+    input order.
+
+    Groups run in forked workers when there is more than one group and more
+    than one CPU. Workers inherit the parsed discourses through fork and
+    pull one group at a time; only the small results of `finish` travel
+    back. An exception in a worker is raised here.
+    """
     discourses = _load(args.files)
-    reports = run_corpus(discourses, _config(args))
-    sys.stdout.write(corpus_io.serialize_reports(reports, args.format))
+    config = _config(args)
+    cpus = _cpu_count()
+    n, n_tasks = len(discourses), min(len(discourses), _TASKS_PER_WORKER * cpus)
+    tasks = [discourses[n * k // n_tasks : n * (k + 1) // n_tasks] for k in range(n_tasks)]
+
+    def job(i: int) -> Any:
+        return finish(run_corpus(tasks[i], config), tasks[i])
+
+    workers = min(cpus, n_tasks)
+    if workers <= 1:
+        return list(map(job, range(n_tasks)))
+    # Imported here, so that a run in process never pays for the import.
+    # fork, not spawn: the process has started no thread, and a forked
+    # worker shares the parsed corpus instead of receiving it pickled. An
+    # executor, not a multiprocessing.Pool: a worker that dies (say, killed
+    # for memory) raises BrokenProcessPool here, where a Pool waits forever.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        workers, multiprocessing.get_context("fork"), _start_worker, (job,)
+    )
+    try:
+        return list(pool.map(_run_worker_task, range(n_tasks)))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    # the rendering of no reports (the text header) starts every rendering
+    head = corpus_io.serialize_reports([], args.format)
+
+    def finish(reports: list[DiscourseReport], _: Sequence[Discourse]) -> str:
+        return corpus_io.serialize_reports(reports, args.format).removeprefix(head)
+
+    sys.stdout.write(head + "".join(_run_engine(args, finish)))
     return 0
 
 
 def _cmd_resolve(args: argparse.Namespace) -> int:
-    discourses = _load(args.files)
-    reports = run_corpus(discourses, _config(args))
+    parts = _run_engine(args, lambda reports, _: _resolution_lines(reports, args.format))
+    lines = [line for part in parts for line in part]
+    sys.stdout.write("\n".join(lines) + ("\n" if lines else ""))
+    return 0
+
+
+def _resolution_lines(reports: list[DiscourseReport], format: str) -> list[str]:
     lines = []
     for rep in reports:
         for u in rep.utterances:
             for pos, value in u.resolutions:
-                if args.format == "machine":
+                if format == "machine":
                     record = {
                         "discourse": rep.discourse_id,
                         "utterance": u.index,
@@ -133,8 +230,7 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
                         f"{rep.discourse_id} u{u.index} zero@{pos} -> "
                         f"{corpus_io._fmt_resolution(value)}{cue}"
                     )
-    sys.stdout.write("\n".join(lines) + ("\n" if lines else ""))
-    return 0
+    return lines
 
 
 def _fmt_row(label: str, cells: Sequence[int]) -> str:
@@ -142,10 +238,18 @@ def _fmt_row(label: str, cells: Sequence[int]) -> str:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    discourses = _load(args.files)
-    reports = run_corpus(discourses, _config(args))
-    table = analysis.tabulate_transitions(reports)
-    cues = analysis.tabulate_disambiguation(reports)
+    parts = _run_engine(
+        args,
+        lambda reports, _: (
+            analysis.tabulate_transitions(reports),
+            analysis.tabulate_disambiguation(reports),
+        ),
+    )
+    table = sum((t for t, _ in parts), analysis.tabulate_transitions(()))
+    cues = analysis.tabulate_disambiguation(())
+    for _, counts in parts:
+        for name, n in counts.items():
+            cues[name] += n
     a, b, c, d = table.continue_vs_rest()
     chi = analysis.chi_square_2x2(a, b, c, d) if table.grand_total else None
 
@@ -201,9 +305,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    discourses = _load(args.files)
-    reports = run_corpus(discourses, _config(args))
-    summary = analysis.evaluate_gold(reports, discourses)
+    parts = _run_engine(args, analysis.evaluate_gold)
+    summary = sum(parts, analysis.evaluate_gold((), ()))
     if args.format == "machine":
         sys.stdout.write(
             json.dumps(

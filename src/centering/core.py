@@ -13,6 +13,10 @@ from .model import (
 )
 
 
+#: EffectiveRole by value, read without the enum's call machinery.
+_ROLE_OF_RANK = {role.value: role for role in EffectiveRole}
+
+
 def rank_cf(
     u: Utterance, resolutions: Optional[Mapping[int, Resolution]] = None
 ) -> CfList:
@@ -46,7 +50,7 @@ def rank_cf(
             note(expr.entity_ref, expr.role.rank, expr.surface_position)
 
     ordered = sorted(best.items(), key=lambda item: item[1])
-    return tuple((entity_id, EffectiveRole(rank)) for entity_id, (rank, _pos) in ordered)
+    return tuple((entity_id, _ROLE_OF_RANK[rank]) for entity_id, (rank, _pos) in ordered)
 
 
 def compute_cb(cf_prev: Iterable[str], realized: Iterable[str]) -> Optional[str]:

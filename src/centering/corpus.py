@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import operator
+import typing
 from importlib import resources
 from typing import Any, Callable, Iterable, Optional, Sequence
 
@@ -24,7 +26,6 @@ from .model import (
     Tense,
     Utterance,
     Violation,
-    decode_resolution,
     encode_resolution,
     validate_discourse,
 )
@@ -310,15 +311,92 @@ _KEYS = {
     "zta_applied": "zta",
 }
 
-#: The one field table of the machine report: (field name, JSON key) per
-#: record class. A discourse record leaves out its utterances, which are
-#: records of their own lines.
-_FIELDS = {
-    cls: tuple(
-        (f.name, _KEYS.get(f.name, f.name))
+#: JSON value types, as named in reader errors.
+_JSON_NAMES = {
+    str: "a string",
+    int: "an integer",
+    bool: "a boolean",
+    type(None): "null",
+    list: "a list",
+    dict: "an object",
+}
+
+#: What a JSON value may be: its Python type mapped to the converter that
+#: decodes it, or to None when it is taken as it is.
+_Shape = dict[type, Optional[Callable[[Any], Any]]]
+
+
+def _misfit(shape: _Shape, value: Any) -> TypeError:
+    wanted = " or ".join(_JSON_NAMES[t] for t in shape)
+    return TypeError(f"expected {wanted}, found {type(value).__name__}")
+
+
+def _take(shape: _Shape, value: Any) -> Any:
+    """`value` decoded by `shape`; TypeError when its type does not fit."""
+    convert = shape.get(type(value), False)
+    if convert is False:
+        raise _misfit(shape, value)
+    return value if convert is None else convert(value)
+
+
+def _scalar(shape: _Shape) -> bool:
+    return all(convert is None for convert in shape.values())
+
+
+def _shape(hint: Any) -> _Shape:
+    """The JSON shape of a report field annotated `hint`: scalars as they
+    are, tuples and frozensets as lists, records as objects. Lists of
+    scalars are checked with one pass of `map` over their item types."""
+    if hint in _JSON_NAMES:
+        return {hint: None}
+    if dataclasses.is_dataclass(hint):
+        return {dict: lambda v: _decode(hint, v)}
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union:
+        return {t: c for arg in args for t, c in _shape(arg).items()}
+    if origin is frozenset or (origin is tuple and args[-1] is Ellipsis):
+        item, build = _shape(args[0]), origin
+        if _scalar(item):
+
+            def scalars(v: list) -> Any:
+                if not item.keys() >= set(map(type, v)):
+                    raise next(_misfit(item, x) for x in v if type(x) not in item)
+                return build(v)
+
+            return {list: scalars}
+        return {list: lambda v: build([_take(item, x) for x in v])}
+    if origin is tuple:
+        items = [_shape(arg) for arg in args]
+        scalar = all(map(_scalar, items))
+
+        def fixed(v: list) -> tuple:
+            if len(v) != len(items):
+                raise TypeError(f"expected {len(items)} items, found {len(v)}")
+            if not scalar:
+                return tuple([_take(s, x) for s, x in zip(items, v)])
+            if not all(map(operator.contains, items, map(type, v))):
+                raise next(_misfit(s, x) for s, x in zip(items, v) if type(x) not in s)
+            return tuple(v)
+
+        return {list: fixed}
+    raise TypeError(f"no JSON shape for {hint!r}")
+
+
+def _field_table(cls: type) -> tuple[tuple[str, str, _Shape], ...]:
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, _KEYS.get(f.name, f.name), _shape(hints[f.name]))
         for f in dataclasses.fields(cls)
         if f.name != "utterances"
     )
+
+
+#: The one field table of the machine report: (field name, JSON key, JSON
+#: shape) per record class, the shape derived from the field's annotation.
+#: A discourse record leaves out its utterances, which are records of their
+#: own lines.
+_FIELDS = {
+    cls: _field_table(cls)
     for cls in (UtteranceReport, DiscourseReport, Retrieval, HypothesisView)
 }
 
@@ -331,7 +409,7 @@ def _encode(obj: Any) -> Any:
     fields = _FIELDS.get(type(obj))
     if fields is None:
         raise TypeError(f"{type(obj).__name__} is not a report record")
-    return {key: getattr(obj, name) for name, key in fields}
+    return {key: getattr(obj, name) for name, key, _ in fields}
 
 
 def _record(kind: str, obj: Any) -> str:
@@ -346,46 +424,24 @@ def _reports_machine(reports: Sequence[DiscourseReport]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _object(value: Any) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError(f"expected an object, found {type(value).__name__}")
-    return value
-
-
-def _list(value: Any) -> tuple:
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list, found {type(value).__name__}")
-    return tuple(value)
-
-
-def _pairs(value: Any) -> tuple:
-    return tuple((a, b) for a, b in map(_list, _list(value)))
-
-
-#: Converters for the keys whose JSON shape differs from the field's value;
-#: every other value is taken as it is.
-_DECODE: dict[str, Callable[[Any], Any]] = {
-    "cf": _pairs,
-    "history": _pairs,
-    "resolutions": lambda v: tuple((p, decode_resolution(r)) for p, r in _pairs(v)),
-    "value": decode_resolution,
-    "cues": _list,
-    "candidates": _list,
-    "order": _list,
-    "retrievals": lambda v: tuple(_decode(Retrieval, r) for r in _list(v)),
-    "hypotheses": lambda v: tuple(_decode(HypothesisView, h) for h in _list(v)),
-}
+_OBJECT: _Shape = {dict: None}
 
 
 def _decode(cls: type, data: Any, **given: Any) -> Any:
     """Build a report record from its JSON object through the field table;
     `given` supplies the fields a line does not carry."""
-    _object(data)
-    for name, key in _FIELDS[cls]:
+    _take(_OBJECT, data)
+    for name, key, shape in _FIELDS[cls]:
         if key not in data:
             raise ValueError(f"missing key '{key}'")
-        convert = _DECODE.get(key)
-        given[name] = data[key] if convert is None else convert(data[key])
+        value = data[key]
+        convert = shape.get(type(value), False)
+        try:
+            if convert is False:
+                raise _misfit(shape, value)
+            given[name] = value if convert is None else convert(value)
+        except TypeError as exc:
+            raise TypeError(f"'{key}': {exc}") from None
     return cls(**given)
 
 
@@ -393,8 +449,9 @@ def read_reports(text: str) -> list[DiscourseReport]:
     """Parse machine-format report output back into report objects.
 
     Lines of another record kind are skipped. A line that is not JSON, not
-    an object, lacks a key the writer writes, or holds a value of the wrong
-    shape raises CorpusFormatError located at its line number.
+    an object, lacks a key the writer writes, or holds a value of another
+    type than the field's annotation, at any depth, raises CorpusFormatError
+    located at its line number.
     """
     pending: dict[str, list[UtteranceReport]] = {}
     out: list[DiscourseReport] = []
@@ -402,7 +459,7 @@ def read_reports(text: str) -> list[DiscourseReport]:
         if not line.strip():
             continue
         try:
-            data = _object(json.loads(line))
+            data = _take(_OBJECT, json.loads(line))
             kind = data.get("record")
             if kind == "utterance":
                 u = _decode(UtteranceReport, data)

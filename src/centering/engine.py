@@ -209,7 +209,7 @@ class UtteranceReport:
     label: str
     cb: Optional[str]
     cf: tuple[tuple[str, str], ...]
-    resolutions: tuple[tuple[int, object], ...] = ()
+    resolutions: tuple[tuple[int, Resolution], ...] = ()
     cues: tuple[str, ...] = ()
     retrievals: tuple[Retrieval, ...] = ()
     hypotheses: tuple[HypothesisView, ...] = ()
@@ -363,7 +363,7 @@ def coherence_step(state: DiscourseState, u: Utterance) -> DiscourseState:
         trace = StepTrace(
             utterance=u, hypotheses=(seed,), retrievals=(), prev=state.last_step
         )
-        return replace(state, hypotheses=(seed,), history=hist, last_step=trace)
+        return DiscourseState(state.discourse, config, (seed,), hist, trace)
 
     outcomes = [_resolve_locally(parent, u, entities) for parent in state.hypotheses]
     children = expand_hypotheses(
@@ -415,12 +415,7 @@ def coherence_step(state: DiscourseState, u: Utterance) -> DiscourseState:
         retrievals=tuple(all_retrievals),
         prev=state.last_step,
     )
-    return replace(
-        state,
-        hypotheses=tuple(survivors),
-        history=hist,
-        last_step=trace,
-    )
+    return DiscourseState(state.discourse, config, trace.hypotheses, hist, trace)
 
 
 def _accepted(survivors: Sequence[CenteringHypothesis]) -> Optional[CenteringHypothesis]:

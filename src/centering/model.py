@@ -86,6 +86,15 @@ class Tense(Enum):
     NONPAST = "nonpast"
 
 
+_PREFERENCE = {
+    "continue": 1,
+    "zta-continue": 1,
+    "retain": 2,
+    "smooth-shift": 3,
+    "rough-shift": 4,
+}
+
+
 class TransitionLabel(Enum):
     """Four-way coherence classification, plus the zero-topic continue."""
 
@@ -95,24 +104,14 @@ class TransitionLabel(Enum):
     SMOOTH_SHIFT = "smooth-shift"
     ROUGH_SHIFT = "rough-shift"
 
-    @property
-    def preference_rank(self) -> int:
-        """Coherence preference; lower is preferred. The zero-topic continue
-        ties with the plain continue."""
-        return _PREFERENCE[self]
+    def __init__(self, value: str) -> None:
+        #: Coherence preference; lower is preferred. The zero-topic continue
+        #: ties with the plain continue.
+        self.preference_rank = _PREFERENCE[value]
 
     @property
     def display(self) -> str:
         return self.value
-
-
-_PREFERENCE = {
-    TransitionLabel.CONTINUE: 1,
-    TransitionLabel.ZTA_CONTINUE: 1,
-    TransitionLabel.RETAIN: 2,
-    TransitionLabel.SMOOTH_SHIFT: 3,
-    TransitionLabel.ROUGH_SHIFT: 4,
-}
 
 
 @dataclass(frozen=True)
@@ -298,7 +297,7 @@ class CenteringHypothesis:
 
     def __post_init__(self) -> None:
         if self.eff_pref is None:
-            object.__setattr__(self, "eff_pref", _PREFERENCE[self.transition])
+            object.__setattr__(self, "eff_pref", self.transition.preference_rank)
         inherited = self.parent.zta_count if self.parent is not None else 0
         object.__setattr__(self, "zta_count", inherited + int(self.zta_applied))
 

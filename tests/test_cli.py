@@ -1,11 +1,19 @@
 """End-to-end command line behavior."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import centering
+import centering.cli as cli_mod
 from centering.cli import main
-from centering.corpus import fixture_text
+from centering.corpus import fixture_text, serialize_corpus
+
+from test_golden import synth_corpus
 
 
 @pytest.fixture()
@@ -347,6 +355,30 @@ class TestValidateAndErrors:
         assert "internal error" in err
 
 
+class TestDuplicateIdsAcrossFiles:
+    @pytest.fixture()
+    def files(self, corpus_file):
+        renamed = json.loads(fixture_text("bank_pos"))
+        renamed["discourses"][0]["id"] = "cvd-device"
+        return corpus_file("cvd_device"), corpus_file("bank_pos", json.dumps(renamed))
+
+    def test_validate_reports_the_second_file(self, files, capsys):
+        code, out, _ = run_cli(capsys, "validate", *files)
+        assert (code, out) == (
+            1,
+            f"{files[1]}: discourses[0]: discourse id 'cvd-device' repeated "
+            "[duplicate-discourse-id]\n1 violation(s)\n",
+        )
+
+    def test_eval_refuses_to_score_across_files(self, files, capsys):
+        code, out, err = run_cli(capsys, "eval", *files)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {files[1]}: discourses[0]: discourse id 'cvd-device' repeated "
+            "[duplicate-discourse-id]\n"
+        )
+
+
 class TestEval:
     def test_full_accuracy(self, corpus_file, capsys):
         code, out, _ = run_cli(capsys, "eval", corpus_file("etching_factory"))
@@ -382,3 +414,91 @@ class TestEval:
         code, out, _ = run_cli(capsys, "eval", str(path))
         assert code == 0
         assert "no gold annotations" in out
+
+
+@pytest.fixture(scope="module")
+def pool_corpus(tmp_path_factory):
+    """The golden synthetic corpus plus two fixture files: 44 discourses,
+    enough groups for every worker."""
+    root = tmp_path_factory.mktemp("pool")
+    synth = root / "synth.centering.json"
+    synth.write_text(serialize_corpus(synth_corpus()), encoding="utf-8")
+    paths = [str(synth)]
+    for name in ("etching_factory", "device_lineup"):
+        path = root / f"{name}.centering.json"
+        path.write_text(fixture_text(name), encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
+def with_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("command", ["analyze", "stats", "resolve", "eval"])
+    @pytest.mark.parametrize("format", ["text", "machine"])
+    @pytest.mark.parametrize("beam", ["1", "2", "4"])
+    def test_output_does_not_depend_on_cpu_count(
+        self, command, format, beam, pool_corpus, monkeypatch, capsys
+    ):
+        argv = [command, "--format", format, "--beam", beam, *pool_corpus]
+        outputs = []
+        for cpus in (1, 3):
+            with_cpus(monkeypatch, cpus)
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, "")
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+    def test_worker_fault_exit_two_and_prints_nothing(self, pool_corpus, monkeypatch, capsys):
+        real, parent = cli_mod.run_corpus, os.getpid()
+
+        def fail_on_last_group(discourses, config):
+            # raises only in a worker, so the groups must run in workers
+            if discourses[-1].id == "device-lineup" and os.getpid() != parent:
+                raise RuntimeError("engine fault")
+            return real(discourses, config)
+
+        monkeypatch.setattr(cli_mod, "run_corpus", fail_on_last_group)
+        with_cpus(monkeypatch, 3)
+        code, out, err = run_cli(capsys, "analyze", *pool_corpus)
+        assert (code, out) == (2, "")
+        assert "internal error" in err and "engine fault" in err
+
+    def test_dead_worker_exit_two(self, pool_corpus):
+        # in a child interpreter, so that a hang fails by timeout
+        proc = run_python(
+            "import os, sys\n"
+            "import centering.cli as cli\n"
+            "real, parent = cli.run_corpus, os.getpid()\n"
+            "def die(discourses, config):\n"
+            "    if os.getpid() != parent:\n"
+            "        os._exit(3)\n"
+            "    return real(discourses, config)\n"
+            "cli.run_corpus = die\n"
+            "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+            f"sys.exit(cli.main(['analyze', *{pool_corpus!r}]))\n"
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "internal error: BrokenProcessPool" in proc.stderr
+
+    def test_empty_corpus_never_imports_a_pool(self, tmp_path):
+        empty = tmp_path / "empty.centering.json"
+        empty.write_text('{"discourses": []}', encoding="utf-8")
+        proc = run_python(
+            "import sys\n"
+            "from centering.cli import main\n"
+            f"code = main(['analyze', {str(empty)!r}])\n"
+            "print(code, sorted({'multiprocessing', 'pickle'} & set(sys.modules)))\n"
+        )
+        assert proc.stdout.splitlines()[-1] == "0 []", proc.stderr
+
+
+def run_python(code):
+    """Run `code` in a new interpreter that imports this package."""
+    src = str(Path(centering.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )

@@ -165,18 +165,27 @@ class TestRoundTrips:
             ("missing-key", "missing key 'cb'"),
             ("not-an-object", "expected an object"),
             ("history-not-a-list", "expected a list"),
+            ("index-a-string", "'index': expected an integer, found str"),
+            ("seed-an-integer", "'seed': expected a boolean, found int"),
+            ("cf-role-a-number", "'cf': expected a string, found int"),
         ],
     )
     def test_bad_report_line_is_a_located_format_error(self, case, message):
         reports = run_corpus([load_fixture("classroom_exam")])
         lines = serialize_reports(reports, "machine").splitlines()
-        utterance, discourse = json.loads(lines[1]), json.loads(lines[-1])
-        del utterance["cb"]
-        discourse["history"] = 5
+
+        def edited(line, **changes):
+            return json.dumps({**json.loads(line), **changes})
+
+        missing = json.loads(lines[1])
+        del missing["cb"]
         lines[1] = {
-            "missing-key": json.dumps(utterance),
+            "missing-key": json.dumps(missing),
             "not-an-object": "[1, 2]",
-            "history-not-a-list": json.dumps(discourse),
+            "history-not-a-list": edited(lines[-1], history=5),
+            "index-a-string": edited(lines[1], index="x"),
+            "seed-an-integer": edited(lines[1], seed=1),
+            "cf-role-a-number": edited(lines[1], cf=[["a", 2]]),
         }[case]
         with pytest.raises(CorpusFormatError) as err:
             read_reports("\n".join(lines))
