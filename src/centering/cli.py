@@ -6,10 +6,12 @@ diagnostic on stdout), eval (gold comparison). Every command parses, and so
 validates, its input first. Exit codes: 0 success, 1 format, validation or
 usage problem, 2 internal fault.
 
-The engine commands spread the discourses over the CPUs in the process's
-affinity mask: contiguous groups of discourses run in forked workers, and
-their results are merged in input order, so the output does not depend on
-the CPU count. A single discourse, or a single CPU, runs in process.
+The engine commands spread a large corpus over the CPUs in the process's
+affinity mask: contiguous groups of discourses run in forked workers, one
+per CPU and per `_UTTERANCES_PER_WORKER` utterances, and their results are
+merged in input order, so the output does not depend on the CPU count. A
+single discourse, a corpus too small for two workers, or a single CPU runs
+in process.
 """
 
 from __future__ import annotations
@@ -28,6 +30,11 @@ from .model import Discourse, Violation, encode_resolution
 #: Groups of discourses per worker. Workers pull the next group when they
 #: finish one, so a slow group or a slow CPU holds up at most one group.
 _TASKS_PER_WORKER = 8
+
+#: Fewest utterances per worker. Starting a pool of two costs about 50 ms on
+#: a 2-vCPU machine, and two workers broke even there at about 1500 short
+#: utterances, so a corpus of fewer than 2000 runs in process.
+_UTTERANCES_PER_WORKER = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,20 +141,24 @@ def _config(args: argparse.Namespace) -> EngineConfig:
 _worker_job: Callable[[int], Any]
 
 
-def _start_worker(job: Callable[[int], Any]) -> None:
+def _start_worker(job: Callable[[int], Any], cpus: Any) -> None:
+    """Keep the task function and move to a CPU no other worker has: left
+    to the scheduler, forked workers that wait on the task queue between
+    groups were woken on one CPU and ran no faster than one process."""
     global _worker_job
     _worker_job = job
+    os.sched_setaffinity(0, {cpus.get()})
 
 
 def _run_worker_task(i: int) -> Any:
     return _worker_job(i)
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
+def _cpus() -> list[int]:
+    """The CPUs this process may run on; one where that is not known."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return 1
+        return sorted(os.sched_getaffinity(0))
+    return [0]
 
 
 def _run_engine(
@@ -158,21 +169,25 @@ def _run_engine(
     discourses and return `finish(reports, discourses)` of each group, in
     input order.
 
-    Groups run in forked workers when there is more than one group and more
-    than one CPU. Workers inherit the parsed discourses through fork and
-    pull one group at a time; only the small results of `finish` travel
-    back. An exception in a worker is raised here.
+    Groups run in forked workers, at most one per CPU and one per
+    `_UTTERANCES_PER_WORKER` utterances, `_TASKS_PER_WORKER` groups per
+    worker; a corpus that gets one worker runs in process as one group.
+    Workers inherit the parsed discourses through fork and pull one group at
+    a time; only the small results of `finish` travel back. An exception in
+    a worker is raised here.
     """
     discourses = _load(args.files)
     config = _config(args)
-    cpus = _cpu_count()
-    n, n_tasks = len(discourses), min(len(discourses), _TASKS_PER_WORKER * cpus)
+    cpus = _cpus()
+    n = len(discourses)
+    size = sum(len(d.utterances) for d in discourses)
+    workers = min(len(cpus), n, size // _UTTERANCES_PER_WORKER)
+    n_tasks = min(n, _TASKS_PER_WORKER * workers if workers > 1 else 1)
     tasks = [discourses[n * k // n_tasks : n * (k + 1) // n_tasks] for k in range(n_tasks)]
 
     def job(i: int) -> Any:
         return finish(run_corpus(tasks[i], config), tasks[i])
 
-    workers = min(cpus, n_tasks)
     if workers <= 1:
         return list(map(job, range(n_tasks)))
     # Imported here, so that a run in process never pays for the import.
@@ -183,9 +198,11 @@ def _run_engine(
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(
-        workers, multiprocessing.get_context("fork"), _start_worker, (job,)
-    )
+    context = multiprocessing.get_context("fork")
+    free_cpus = context.SimpleQueue()
+    for cpu in cpus[:workers]:
+        free_cpus.put(cpu)
+    pool = ProcessPoolExecutor(workers, context, _start_worker, (job, free_cpus))
     try:
         return list(pool.map(_run_worker_task, range(n_tasks)))
     finally:
@@ -193,13 +210,8 @@ def _run_engine(
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    # the rendering of no reports (the text header) starts every rendering
-    head = corpus_io.serialize_reports([], args.format)
-
-    def finish(reports: list[DiscourseReport], _: Sequence[Discourse]) -> str:
-        return corpus_io.serialize_reports(reports, args.format).removeprefix(head)
-
-    sys.stdout.write(head + "".join(_run_engine(args, finish)))
+    blocks = _run_engine(args, lambda reports, _: corpus_io.report_blocks(reports, args.format))
+    sys.stdout.write(corpus_io.report_head(args.format) + "".join(blocks))
     return 0
 
 

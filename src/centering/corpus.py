@@ -9,8 +9,8 @@ See the README for the schema and `centering/fixtures/` for worked examples.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
-import operator
 import typing
 from importlib import resources
 from typing import Any, Callable, Iterable, Optional, Sequence
@@ -296,10 +296,29 @@ def serialize_reports(reports: Sequence[DiscourseReport], format: str = "text") 
     "machine" is line-delimited JSON that round-trips through read_reports;
     "text" is the human trace. Both are deterministic and line-stable.
     """
+    return report_head(format) + report_blocks(reports, format)
+
+
+def report_head(format: str) -> str:
+    """The lines that open a report of `format` before its first block."""
+    return _renderer(format)[0]
+
+
+def report_blocks(reports: Sequence[DiscourseReport], format: str) -> str:
+    """The rendering of `reports` after the head: one block per report, so
+    the blocks of a list are the blocks of its slices joined in order."""
+    return "".join(map(_renderer(format)[1], reports))
+
+
+_TEXT_HEAD = "# centering trace: cb | cf | transition | zero resolutions | cues\n"
+
+
+def _renderer(format: str) -> tuple[str, Callable[[DiscourseReport], str]]:
+    """The head and the block renderer of a report format."""
     if format == "machine":
-        return _reports_machine(reports)
+        return "", _machine_block
     if format == "text":
-        return _reports_text(reports)
+        return _TEXT_HEAD, _text_block
     raise ValueError(f"unknown report format '{format}'")
 
 
@@ -326,27 +345,18 @@ _JSON_NAMES = {
 _Shape = dict[type, Optional[Callable[[Any], Any]]]
 
 
-def _misfit(shape: _Shape, value: Any) -> TypeError:
-    wanted = " or ".join(_JSON_NAMES[t] for t in shape)
-    return TypeError(f"expected {wanted}, found {type(value).__name__}")
-
-
 def _take(shape: _Shape, value: Any) -> Any:
     """`value` decoded by `shape`; TypeError when its type does not fit."""
     convert = shape.get(type(value), False)
     if convert is False:
-        raise _misfit(shape, value)
+        wanted = " or ".join(_JSON_NAMES[t] for t in shape)
+        raise TypeError(f"expected {wanted}, found {type(value).__name__}")
     return value if convert is None else convert(value)
-
-
-def _scalar(shape: _Shape) -> bool:
-    return all(convert is None for convert in shape.values())
 
 
 def _shape(hint: Any) -> _Shape:
     """The JSON shape of a report field annotated `hint`: scalars as they
-    are, tuples and frozensets as lists, records as objects. Lists of
-    scalars are checked with one pass of `map` over their item types."""
+    are, tuples and frozensets as lists, records as objects."""
     if hint in _JSON_NAMES:
         return {hint: None}
     if dataclasses.is_dataclass(hint):
@@ -356,49 +366,38 @@ def _shape(hint: Any) -> _Shape:
         return {t: c for arg in args for t, c in _shape(arg).items()}
     if origin is frozenset or (origin is tuple and args[-1] is Ellipsis):
         item, build = _shape(args[0]), origin
-        if _scalar(item):
-
-            def scalars(v: list) -> Any:
-                if not item.keys() >= set(map(type, v)):
-                    raise next(_misfit(item, x) for x in v if type(x) not in item)
-                return build(v)
-
-            return {list: scalars}
         return {list: lambda v: build([_take(item, x) for x in v])}
     if origin is tuple:
         items = [_shape(arg) for arg in args]
-        scalar = all(map(_scalar, items))
 
         def fixed(v: list) -> tuple:
             if len(v) != len(items):
                 raise TypeError(f"expected {len(items)} items, found {len(v)}")
-            if not scalar:
-                return tuple([_take(s, x) for s, x in zip(items, v)])
-            if not all(map(operator.contains, items, map(type, v))):
-                raise next(_misfit(s, x) for s, x in zip(items, v) if type(x) not in s)
-            return tuple(v)
+            return tuple(map(_take, items, v))
 
         return {list: fixed}
     raise TypeError(f"no JSON shape for {hint!r}")
 
 
-def _field_table(cls: type) -> tuple[tuple[str, str, _Shape], ...]:
-    hints = typing.get_type_hints(cls)
-    return tuple(
-        (f.name, _KEYS.get(f.name, f.name), _shape(hints[f.name]))
+#: The one field table of the machine report: (field name, JSON key) per
+#: record class. A discourse record leaves out its utterances, which are
+#: records of their own lines.
+_FIELDS = {
+    cls: tuple(
+        (f.name, _KEYS.get(f.name, f.name))
         for f in dataclasses.fields(cls)
         if f.name != "utterances"
     )
-
-
-#: The one field table of the machine report: (field name, JSON key, JSON
-#: shape) per record class, the shape derived from the field's annotation.
-#: A discourse record leaves out its utterances, which are records of their
-#: own lines.
-_FIELDS = {
-    cls: _field_table(cls)
     for cls in (UtteranceReport, DiscourseReport, Retrieval, HypothesisView)
 }
+
+
+@functools.cache
+def _shapes(cls: type) -> tuple[_Shape, ...]:
+    """The JSON shape of each field of `_FIELDS[cls]`, derived from its
+    annotation when a record of `cls` is first read."""
+    hints = typing.get_type_hints(cls)
+    return tuple(_shape(hints[name]) for name, _ in _FIELDS[cls])
 
 
 def _encode(obj: Any) -> Any:
@@ -409,19 +408,17 @@ def _encode(obj: Any) -> Any:
     fields = _FIELDS.get(type(obj))
     if fields is None:
         raise TypeError(f"{type(obj).__name__} is not a report record")
-    return {key: getattr(obj, name) for name, key, _ in fields}
+    return {key: getattr(obj, name) for name, key in fields}
 
 
 def _record(kind: str, obj: Any) -> str:
     return json.dumps({"record": kind, **_encode(obj)}, default=_encode, sort_keys=True)
 
 
-def _reports_machine(reports: Sequence[DiscourseReport]) -> str:
-    lines = []
-    for rep in reports:
-        lines.extend(_record("utterance", u) for u in rep.utterances)
-        lines.append(_record("discourse", rep))
-    return "\n".join(lines) + ("\n" if lines else "")
+def _machine_block(rep: DiscourseReport) -> str:
+    lines = [_record("utterance", u) for u in rep.utterances]
+    lines.append(_record("discourse", rep))
+    return "\n".join(lines) + "\n"
 
 
 _OBJECT: _Shape = {dict: None}
@@ -431,15 +428,11 @@ def _decode(cls: type, data: Any, **given: Any) -> Any:
     """Build a report record from its JSON object through the field table;
     `given` supplies the fields a line does not carry."""
     _take(_OBJECT, data)
-    for name, key, shape in _FIELDS[cls]:
+    for (name, key), shape in zip(_FIELDS[cls], _shapes(cls)):
         if key not in data:
             raise ValueError(f"missing key '{key}'")
-        value = data[key]
-        convert = shape.get(type(value), False)
         try:
-            if convert is False:
-                raise _misfit(shape, value)
-            given[name] = value if convert is None else convert(value)
+            given[name] = _take(shape, data[key])
         except TypeError as exc:
             raise TypeError(f"'{key}': {exc}") from None
     return cls(**given)
@@ -491,42 +484,38 @@ def _fmt_resolution(value: Any) -> str:
     return "{" + "+".join(sorted(value)) + "}"
 
 
-def _reports_text(reports: Sequence[DiscourseReport]) -> str:
-    lines: list[str] = ["# centering trace: cb | cf | transition | zero resolutions | cues"]
-    for rep in reports:
-        lines.append(f"== discourse {rep.discourse_id} ==")
-        for u in rep.utterances:
-            bits = [f"u{u.index}"]
-            if u.seed:
-                bits.append("[seed]")
-            bits.append(u.tense)
-            bits.append(f"cb={u.cb if u.cb is not None else '-'}")
-            bits.append(f"cf={_fmt_cf(u.cf)}")
-            bits.append(u.label.upper())
-            if u.resolutions:
-                shown = ", ".join(
-                    f"{p}->{_fmt_resolution(v)}" for p, v in u.resolutions
+def _text_block(rep: DiscourseReport) -> str:
+    lines = [f"== discourse {rep.discourse_id} =="]
+    for u in rep.utterances:
+        bits = [f"u{u.index}"]
+        if u.seed:
+            bits.append("[seed]")
+        bits.append(u.tense)
+        bits.append(f"cb={u.cb if u.cb is not None else '-'}")
+        bits.append(f"cf={_fmt_cf(u.cf)}")
+        bits.append(u.label.upper())
+        if u.resolutions:
+            shown = ", ".join(f"{p}->{_fmt_resolution(v)}" for p, v in u.resolutions)
+            bits.append(f"zeros: {shown}")
+        if u.cues:
+            bits.append("cue=" + "+".join(u.cues))
+        if u.ambiguous:
+            bits.append("AMBIGUOUS")
+        lines.append("  " + " | ".join(bits))
+        if len(u.hypotheses) > 1:
+            for n, h in enumerate(u.hypotheses, start=1):
+                flags = []
+                if h.dampened:
+                    flags.append("dampened")
+                if h.anomalous:
+                    flags.append("anomalous")
+                suffix = f" ({', '.join(flags)})" if flags else ""
+                lines.append(
+                    f"      Cf{n}: {h.transition.upper()} cb="
+                    f"{h.cb if h.cb is not None else '-'} cf={_fmt_cf(h.cf)}{suffix}"
                 )
-                bits.append(f"zeros: {shown}")
-            if u.cues:
-                bits.append("cue=" + "+".join(u.cues))
-            if u.ambiguous:
-                bits.append("AMBIGUOUS")
-            lines.append("  " + " | ".join(bits))
-            if len(u.hypotheses) > 1:
-                for n, h in enumerate(u.hypotheses, start=1):
-                    flags = []
-                    if h.dampened:
-                        flags.append("dampened")
-                    if h.anomalous:
-                        flags.append("anomalous")
-                    suffix = f" ({', '.join(flags)})" if flags else ""
-                    lines.append(
-                        f"      Cf{n}: {h.transition.upper()} cb="
-                        f"{h.cb if h.cb is not None else '-'} cf={_fmt_cf(h.cf)}{suffix}"
-                    )
-        amb = "yes" if rep.unresolved_ambiguity else "no"
-        lines.append(f"  summary: utterances={len(rep.utterances)} unresolved-ambiguity={amb}")
+    amb = "yes" if rep.unresolved_ambiguity else "no"
+    lines.append(f"  summary: utterances={len(rep.utterances)} unresolved-ambiguity={amb}")
     return "\n".join(lines) + "\n"
 
 

@@ -363,7 +363,7 @@ def coherence_step(state: DiscourseState, u: Utterance) -> DiscourseState:
         trace = StepTrace(
             utterance=u, hypotheses=(seed,), retrievals=(), prev=state.last_step
         )
-        return DiscourseState(state.discourse, config, (seed,), hist, trace)
+        return replace(state, hypotheses=(seed,), history=hist, last_step=trace)
 
     outcomes = [_resolve_locally(parent, u, entities) for parent in state.hypotheses]
     children = expand_hypotheses(
@@ -415,7 +415,12 @@ def coherence_step(state: DiscourseState, u: Utterance) -> DiscourseState:
         retrievals=tuple(all_retrievals),
         prev=state.last_step,
     )
-    return DiscourseState(state.discourse, config, trace.hypotheses, hist, trace)
+    return replace(
+        state,
+        hypotheses=tuple(survivors),
+        history=hist,
+        last_step=trace,
+    )
 
 
 def _accepted(survivors: Sequence[CenteringHypothesis]) -> Optional[CenteringHypothesis]:

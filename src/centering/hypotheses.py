@@ -102,21 +102,14 @@ def expand_hypotheses(
         if promote:
             zta_label = TransitionLabel.ZTA_CONTINUE
             children.append(
-                CenteringHypothesis(
-                    utterance_index=u.index,
-                    cb=cb,
+                replace(
+                    plain,
                     cf=((cb, EffectiveRole.ZERO_TOP),)
                     + tuple(entry for entry in plain_cf if entry[0] != cb),
                     transition=zta_label,
                     zta_applied=True,
-                    dampened=dampened,
-                    anomalous=plain.anomalous,
-                    resolutions=outcome.assignments,
-                    parent=parent,
-                    ambiguity_keys=keys,
                     # a dampened promotion ties with its plain sibling
                     eff_pref=plain_pref if dampened else zta_label.preference_rank,
-                    parent_rank=plain.parent_rank,
                 )
             )
 

@@ -432,7 +432,17 @@ def pool_corpus(tmp_path_factory):
 
 
 def with_cpus(monkeypatch, n):
+    """Pretend the process may run on `n` CPUs, and start a worker for
+    every utterance, so that a small corpus reaches the pool too."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
+    monkeypatch.setattr(cli_mod, "_UTTERANCES_PER_WORKER", 1)
+
+
+def engine_pids(paths):
+    """The processes that ran the engine on the groups of `paths`."""
+    args = cli_mod._build_parser().parse_args(["analyze", *paths])
+    return set(cli_mod._run_engine(args, lambda reports, _: os.getpid()))
 
 
 class TestWorkers:
@@ -477,19 +487,48 @@ class TestWorkers:
             "        os._exit(3)\n"
             "    return real(discourses, config)\n"
             "cli.run_corpus = die\n"
+            "cli._UTTERANCES_PER_WORKER = 1\n"
             "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+            "os.sched_setaffinity = lambda pid, cpus: None\n"
             f"sys.exit(cli.main(['analyze', *{pool_corpus!r}]))\n"
         )
         assert (proc.returncode, proc.stdout) == (2, "")
         assert "internal error: BrokenProcessPool" in proc.stderr
 
-    def test_empty_corpus_never_imports_a_pool(self, tmp_path):
-        empty = tmp_path / "empty.centering.json"
-        empty.write_text('{"discourses": []}', encoding="utf-8")
+    def test_a_worker_per_threshold_of_utterances(self, pool_corpus, monkeypatch):
+        size = sum(len(d.utterances) for d in cli_mod._load(pool_corpus))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
+        # two workers would need one utterance more than the corpus holds
+        monkeypatch.setattr(cli_mod, "_UTTERANCES_PER_WORKER", size // 2 + 1)
+        assert engine_pids(pool_corpus) == {os.getpid()}
+        monkeypatch.setattr(cli_mod, "_UTTERANCES_PER_WORKER", size // 2)
+        assert os.getpid() not in engine_pids(pool_corpus)
+
+    @pytest.mark.skipif(
+        len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+        reason="needs two CPUs",
+    )
+    def test_workers_run_on_cpus_of_their_own(self, pool_corpus, monkeypatch):
+        monkeypatch.setattr(cli_mod, "_UTTERANCES_PER_WORKER", 1)
+        args = cli_mod._build_parser().parse_args(["analyze", *pool_corpus])
+        masks = dict(
+            cli_mod._run_engine(args, lambda reports, _: (os.getpid(), os.sched_getaffinity(0)))
+        )
+        assert all(len(mask) == 1 for mask in masks.values())
+        assert len(set(map(frozenset, masks.values()))) == len(masks)
+
+    @pytest.mark.parametrize("fixtures", [(), ("etching_factory", "device_lineup")])
+    def test_small_corpus_never_imports_a_pool(self, fixtures, tmp_path):
+        paths = [tmp_path / "empty.centering.json"]
+        paths[0].write_text('{"discourses": []}', encoding="utf-8")
+        for name in fixtures:
+            paths.append(tmp_path / f"{name}.centering.json")
+            paths[-1].write_text(fixture_text(name), encoding="utf-8")
         proc = run_python(
             "import sys\n"
             "from centering.cli import main\n"
-            f"code = main(['analyze', {str(empty)!r}])\n"
+            f"code = main(['analyze', *{list(map(str, paths))!r}])\n"
             "print(code, sorted({'multiprocessing', 'pickle'} & set(sys.modules)))\n"
         )
         assert proc.stdout.splitlines()[-1] == "0 []", proc.stderr
