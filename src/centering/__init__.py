@@ -7,8 +7,6 @@ recency-ordered list of former centers.
 """
 
 from .analysis import (
-    GoldSummary,
-    TransitionTable,
     chi_square_2x2,
     evaluate_gold,
     tabulate_disambiguation,
@@ -17,107 +15,73 @@ from .analysis import (
 from .core import classify_transition, compute_cb, rank_cf
 from .corpus import (
     CorpusFormatError,
-    FIXTURE_NAMES,
-    load_all_fixtures,
     load_fixture,
     parse_corpus,
     read_reports,
-    serialize_corpus,
     serialize_reports,
 )
 from .engine import (
-    CUE_AGREEMENT,
-    CUE_LEXICAL,
-    CUE_TENSE,
-    DiscourseReport,
     EngineConfig,
-    UtteranceReport,
     coherence_step,
     global_retrieve,
     push_cb,
     run_corpus,
     run_discourse,
 )
-from .hypotheses import (
-    DEFAULT_BEAM,
-    expand_hypotheses,
-    prune_hypotheses,
-)
+from .hypotheses import expand_hypotheses, prune_hypotheses
 from .model import (
-    CbHistory,
-    CbHistoryEntry,
-    CenteringHypothesis,
     Discourse,
     DiscourseEntity,
-    EffectiveRole,
     Form,
     GrammaticalRole,
     ReferringExpression,
     ResolutionConstraints,
     Tense,
-    TransitionLabel,
     Utterance,
     Violation,
     validate_discourse,
 )
-from .resolution import (
-    Verdict,
-    check_compatibility,
-    form_set_candidates,
-    local_resolution,
-)
+from .resolution import check_compatibility, form_set_candidates, local_resolution
 
 __version__ = "0.1.0"
 
+# The API the README documents. Report, history and enum types, cue names
+# and the fixture list stay importable from the modules that define them.
 __all__ = [
-    "CbHistory",
-    "CbHistoryEntry",
-    "CenteringHypothesis",
+    # the pipeline
+    "parse_corpus",
+    "validate_discourse",
     "CorpusFormatError",
-    "CUE_AGREEMENT",
-    "CUE_LEXICAL",
-    "CUE_TENSE",
-    "DEFAULT_BEAM",
+    "Violation",
+    "load_fixture",
+    "run_discourse",
+    "run_corpus",
+    "EngineConfig",
+    "serialize_reports",
+    "read_reports",
+    "tabulate_transitions",
+    "tabulate_disambiguation",
+    "chi_square_2x2",
+    "evaluate_gold",
+    # lower-level pieces
+    "rank_cf",
+    "compute_cb",
+    "classify_transition",
+    "expand_hypotheses",
+    "prune_hypotheses",
+    "check_compatibility",
+    "local_resolution",
+    "form_set_candidates",
+    "push_cb",
+    "global_retrieve",
+    "coherence_step",
+    # the value types of a discourse built in code
     "Discourse",
     "DiscourseEntity",
-    "DiscourseReport",
-    "EffectiveRole",
-    "EngineConfig",
-    "FIXTURE_NAMES",
     "Form",
-    "GoldSummary",
     "GrammaticalRole",
     "ReferringExpression",
     "ResolutionConstraints",
     "Tense",
-    "TransitionLabel",
-    "TransitionTable",
     "Utterance",
-    "UtteranceReport",
-    "Verdict",
-    "Violation",
-    "chi_square_2x2",
-    "check_compatibility",
-    "classify_transition",
-    "coherence_step",
-    "compute_cb",
-    "evaluate_gold",
-    "expand_hypotheses",
-    "form_set_candidates",
-    "global_retrieve",
-    "load_all_fixtures",
-    "load_fixture",
-    "local_resolution",
-    "parse_corpus",
-    "prune_hypotheses",
-    "push_cb",
-    "rank_cf",
-    "read_reports",
-    "run_corpus",
-    "run_discourse",
-    "serialize_corpus",
-    "serialize_reports",
-    "tabulate_disambiguation",
-    "tabulate_transitions",
-    "validate_discourse",
 ]

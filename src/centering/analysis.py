@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
 
 from .engine import CUE_AGREEMENT, CUE_LEXICAL, CUE_TENSE, DiscourseReport
-from .model import Discourse, TransitionLabel, decode_resolution
+from .model import Discourse, Resolution, TransitionLabel, decode_resolution
 
 #: Column order of the distribution table; the zero-topic continue counts in
 #: the CONTINUE column.
@@ -113,24 +113,46 @@ class ZeroOutcome:
 
     discourse_id: str
     utterance_index: int
+    label: str
     position: int
-    gold: object
-    predicted: object
+    gold: Resolution
+    predicted: Resolution
     status: str  # correct | incorrect | unresolved | ungolded
+
+
+#: The statuses that count towards accuracy, in `by_transition` order.
+_SCORED = ("correct", "incorrect", "unresolved")
+
+
+def _count(status: str) -> property:
+    return property(lambda self: sum(d.status == status for d in self.details))
 
 
 @dataclass(frozen=True)
 class GoldSummary:
-    correct: int
-    incorrect: int
-    unresolved: int
-    ungolded: int
-    by_transition: Mapping[str, tuple[int, int, int]]
-    details: tuple[ZeroOutcome, ...] = field(default=(), repr=False)
+    """The outcome of every zero, in corpus order; each tally is counted
+    from them."""
+
+    details: tuple[ZeroOutcome, ...] = ()
+
+    correct = _count("correct")
+    incorrect = _count("incorrect")
+    unresolved = _count("unresolved")
+    ungolded = _count("ungolded")
+
+    @property
+    def by_transition(self) -> dict[str, tuple[int, int, int]]:
+        """(correct, incorrect, unresolved) per transition label, sorted by
+        label; a label with no scored zero is left out."""
+        tallies: dict[str, list[int]] = {}
+        for d in self.details:
+            if d.status in _SCORED:
+                tallies.setdefault(d.label, [0, 0, 0])[_SCORED.index(d.status)] += 1
+        return {k: tuple(v) for k, v in sorted(tallies.items())}
 
     @property
     def scored(self) -> int:
-        return self.correct + self.incorrect + self.unresolved
+        return len(self.details) - self.ungolded
 
     @property
     def accuracy(self) -> Optional[float]:
@@ -144,18 +166,7 @@ class GoldSummary:
 
     def __add__(self, other: "GoldSummary") -> "GoldSummary":
         """The summary of two disjoint sets of discourses, `self`'s first."""
-        tallies = (self.by_transition, other.by_transition)
-        return GoldSummary(
-            correct=self.correct + other.correct,
-            incorrect=self.incorrect + other.incorrect,
-            unresolved=self.unresolved + other.unresolved,
-            ungolded=self.ungolded + other.ungolded,
-            by_transition={
-                k: tuple(map(operator.add, *(t.get(k, (0, 0, 0)) for t in tallies)))
-                for k in sorted(tallies[0].keys() | tallies[1].keys())
-            },
-            details=self.details + other.details,
-        )
+        return GoldSummary(self.details + other.details)
 
 
 def evaluate_gold(
@@ -163,62 +174,47 @@ def evaluate_gold(
 ) -> GoldSummary:
     """Compare resolved zeros against gold annotations.
 
+    `reports[i]` is the report of `corpus[i]`, one utterance report per
+    utterance, as `run_corpus` returns them; a length, discourse id or
+    utterance index that disagrees with its partner raises ValueError.
     Zeros without a gold annotation are counted separately and never affect
     accuracy. Gold is read from the corpus only here; resolution never sees
     it.
     """
-    by_id = {d.id: d for d in corpus}
-    correct = incorrect = unresolved = ungolded = 0
-    per_label: dict[str, list[int]] = {}
     details: list[ZeroOutcome] = []
-
-    for rep in reports:
-        discourse = by_id.get(rep.discourse_id)
-        if discourse is None:
-            continue
-        utts = {u.index: u for u in discourse.utterances}
-        for ur in rep.utterances:
-            utt = utts.get(ur.index)
-            if utt is None:
-                continue
+    for rep, discourse in zip(reports, corpus, strict=True):
+        if rep.discourse_id != discourse.id:
+            raise ValueError(
+                f"report of '{rep.discourse_id}' paired with discourse '{discourse.id}'"
+            )
+        for ur, utt in zip(rep.utterances, discourse.utterances, strict=True):
+            if ur.index != utt.index:
+                raise ValueError(
+                    f"discourse '{discourse.id}': report of u{ur.index} "
+                    f"paired with u{utt.index}"
+                )
             predicted = ur.resolution_map
             for zero in utt.zeros:
                 cons = zero.constraints
                 gold = cons.gold_antecedent if cons is not None else None
                 value = decode_resolution(predicted.get(zero.surface_position))
                 if gold is None:
-                    ungolded += 1
                     status = "ungolded"
                 elif value is None:
-                    unresolved += 1
                     status = "unresolved"
                 elif value == gold:
-                    correct += 1
                     status = "correct"
                 else:
-                    incorrect += 1
                     status = "incorrect"
-                if status != "ungolded":
-                    tally = per_label.setdefault(ur.label, [0, 0, 0])
-                    tally[
-                        {"correct": 0, "incorrect": 1, "unresolved": 2}[status]
-                    ] += 1
                 details.append(
                     ZeroOutcome(
                         discourse_id=rep.discourse_id,
                         utterance_index=ur.index,
+                        label=ur.label,
                         position=zero.surface_position,
                         gold=gold,
                         predicted=value,
                         status=status,
                     )
                 )
-
-    return GoldSummary(
-        correct=correct,
-        incorrect=incorrect,
-        unresolved=unresolved,
-        ungolded=ungolded,
-        by_transition={k: tuple(v) for k, v in sorted(per_label.items())},
-        details=tuple(details),
-    )
+    return GoldSummary(tuple(details))

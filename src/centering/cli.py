@@ -25,7 +25,7 @@ from typing import Any, Callable, NoReturn, Optional, Sequence
 
 from . import analysis, corpus as corpus_io
 from .engine import DiscourseReport, EngineConfig, run_corpus
-from .model import Discourse, Violation, encode_resolution
+from .model import Discourse, Violation, encode_resolution, format_resolution
 
 #: Groups of discourses per worker. Workers pull the next group when they
 #: finish one, so a slow group or a slow CPU holds up at most one group.
@@ -240,7 +240,7 @@ def _resolution_lines(reports: list[DiscourseReport], format: str) -> list[str]:
                     cue = f"  cue={'+'.join(u.cues)}" if u.cues else ""
                     lines.append(
                         f"{rep.discourse_id} u{u.index} zero@{pos} -> "
-                        f"{corpus_io._fmt_resolution(value)}{cue}"
+                        f"{format_resolution(value)}{cue}"
                     )
     return lines
 
@@ -318,7 +318,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     parts = _run_engine(args, analysis.evaluate_gold)
-    summary = sum(parts, analysis.evaluate_gold((), ()))
+    summary = sum(parts, analysis.GoldSummary())
     if args.format == "machine":
         sys.stdout.write(
             json.dumps(
@@ -354,7 +354,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         if detail.status == "incorrect":
             lines.append(
                 f"  MISMATCH {detail.discourse_id} u{detail.utterance_index} "
-                f"zero@{detail.position}: predicted={detail.predicted} gold={detail.gold}"
+                f"zero@{detail.position}: predicted={format_resolution(detail.predicted)} "
+                f"gold={format_resolution(detail.gold)}"
             )
     sys.stdout.write("\n".join(lines) + "\n")
     return 0

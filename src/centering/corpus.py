@@ -27,6 +27,7 @@ from .model import (
     Utterance,
     Violation,
     encode_resolution,
+    format_resolution,
     validate_discourse,
 )
 
@@ -476,14 +477,6 @@ def _fmt_cf(cf: Sequence[tuple[str, str]]) -> str:
     return "[" + ", ".join(f"{eid}/{role}" for eid, role in cf) + "]"
 
 
-def _fmt_resolution(value: Any) -> str:
-    if value is None:
-        return "UNRESOLVED"
-    if isinstance(value, str):
-        return value
-    return "{" + "+".join(sorted(value)) + "}"
-
-
 def _text_block(rep: DiscourseReport) -> str:
     lines = [f"== discourse {rep.discourse_id} =="]
     for u in rep.utterances:
@@ -495,7 +488,7 @@ def _text_block(rep: DiscourseReport) -> str:
         bits.append(f"cf={_fmt_cf(u.cf)}")
         bits.append(u.label.upper())
         if u.resolutions:
-            shown = ", ".join(f"{p}->{_fmt_resolution(v)}" for p, v in u.resolutions)
+            shown = ", ".join(f"{p}->{format_resolution(v)}" for p, v in u.resolutions)
             bits.append(f"zeros: {shown}")
         if u.cues:
             bits.append("cue=" + "+".join(u.cues))
@@ -548,7 +541,3 @@ def load_fixture(name: str) -> Discourse:
     if len(discourses) != 1:
         raise ValueError(f"fixture '{name}' holds {len(discourses)} discourses")
     return discourses[0]
-
-
-def load_all_fixtures() -> list[Discourse]:
-    return [load_fixture(name) for name in FIXTURE_NAMES]

@@ -256,6 +256,16 @@ def decode_resolution(value: Union[str, Iterable[str], None]) -> Resolution:
     return value if value is None or isinstance(value, str) else frozenset(value)
 
 
+def format_resolution(value: Resolution) -> str:
+    """Text form of a resolution: a set of ids reads `{a+b}`, sorted, so the
+    text does not depend on string hashing."""
+    if value is None:
+        return "UNRESOLVED"
+    if isinstance(value, str):
+        return value
+    return "{" + "+".join(sorted(value)) + "}"
+
+
 @dataclass(frozen=True)
 class CenteringHypothesis:
     """One (Cb, Cf, transition) reading of an utterance.
@@ -351,15 +361,6 @@ class CbHistory:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(self.entries))
-
-    def ids(self) -> tuple[str, ...]:
-        return tuple(e.entity_id for e in self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[CbHistoryEntry]:
-        return iter(self.entries)
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,6 @@ import time
 import pytest
 
 from centering import (
-    CbHistory,
-    CbHistoryEntry,
-    EffectiveRole,
     EngineConfig,
     GrammaticalRole,
     chi_square_2x2,
@@ -28,12 +25,17 @@ from centering import (
     parse_corpus,
     rank_cf,
     run_discourse,
-    serialize_corpus,
     validate_discourse,
 )
 import centering.engine as engine
-from centering.corpus import fixture_text
-from centering.model import ARGUMENT_ROLES, TransitionLabel
+from centering.corpus import fixture_text, serialize_corpus
+from centering.model import (
+    ARGUMENT_ROLES,
+    CbHistory,
+    CbHistoryEntry,
+    EffectiveRole,
+    TransitionLabel,
+)
 from centering.synth import random_discourse
 
 from conftest import entity, labels_of, outcomes, utterance, zero

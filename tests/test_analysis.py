@@ -1,5 +1,6 @@
 """Distribution tables, chi-square, cue accounting, gold evaluation."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,12 @@ from hypothesis import strategies as st
 from centering import (
     chi_square_2x2,
     evaluate_gold,
-    load_all_fixtures,
+    load_fixture,
     run_corpus,
     tabulate_disambiguation,
     tabulate_transitions,
 )
+from centering.corpus import FIXTURE_NAMES
 from centering.engine import DiscourseReport, UtteranceReport
 
 
@@ -80,7 +82,7 @@ class TestTabulateTransitions:
 
     def test_fixture_suite_matches_hand_tally(self):
         # frozen from a by-hand tally of the eleven bundled discourses
-        reports = run_corpus(load_all_fixtures())
+        reports = run_corpus([load_fixture(name) for name in FIXTURE_NAMES])
         table = tabulate_transitions(reports)
         assert table.with_zero == (19, 5, 5, 5)
         assert table.without_zero == (0, 0, 1, 9)
@@ -144,7 +146,7 @@ class TestTabulateDisambiguation:
     def test_fixture_suite_cue_tally(self):
         # frozen per-fixture expectations: lexical at the two factory
         # discourses, tense at the heater factory, agreement at the lineup
-        reports = run_corpus(load_all_fixtures())
+        reports = run_corpus([load_fixture(name) for name in FIXTURE_NAMES])
         counts = tabulate_disambiguation(reports)
         assert counts == {"LEXICAL": 2, "TENSE": 1, "AGREEMENT": 1}
         retrieved_rough = sum(
@@ -158,7 +160,7 @@ class TestTabulateDisambiguation:
 
 class TestEvaluateGold:
     def test_full_suite_hits_every_gold(self):
-        corpus = load_all_fixtures()
+        corpus = [load_fixture(name) for name in FIXTURE_NAMES]
         summary = evaluate_gold(run_corpus(corpus), corpus)
         assert summary.correct == 37
         assert summary.incorrect == 0
@@ -204,3 +206,26 @@ class TestEvaluateGold:
         assert summary.correct == 3
         detail = [d for d in summary.details if d.status == "incorrect"]
         assert detail[0].utterance_index == 3 and detail[0].position == 0
+
+    def test_pairs_reports_with_discourses_by_position(self):
+        # two discourses built in code may share an id; each report is
+        # scored against the discourse at its own position
+        cvd = load_fixture("cvd_device")
+        bank = dataclasses.replace(load_fixture("bank_pos"), id=cvd.id)
+        apart = [evaluate_gold(run_corpus([d]), [d]) for d in (cvd, bank)]
+        together = evaluate_gold(run_corpus([cvd, bank]), [cvd, bank])
+        assert together == apart[0] + apart[1]
+        assert (together.correct, together.unresolved) == (5, 0)
+        assert together.accuracy == 1.0
+
+    def test_reports_out_of_step_with_the_corpus_raise(self):
+        corpus = [load_fixture("cvd_device"), load_fixture("bank_pos")]
+        reports = run_corpus(corpus)
+        shifted = dataclasses.replace(reports[0], utterances=reports[0].utterances[1:])
+        for bad_reports, bad_corpus in [
+            (reports, corpus[::-1]),
+            (reports[:1], corpus),
+            ([shifted, reports[1]], corpus),
+        ]:
+            with pytest.raises(ValueError):
+                evaluate_gold(bad_reports, bad_corpus)

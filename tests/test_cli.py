@@ -415,6 +415,17 @@ class TestEval:
         assert code == 0
         assert "no gold annotations" in out
 
+    def test_set_valued_mismatch_reads_sorted_ids(self, corpus_file, capsys):
+        data = json.loads(fixture_text("device_lineup"))
+        last = data["discourses"][0]["utterances"][5]["expressions"][0]
+        last["constraints"]["gold"] = ["marketing", "etching-devices"]
+        code, out, _ = run_cli(capsys, "eval", corpus_file("lineup", json.dumps(data)))
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            "  MISMATCH device-lineup u5 zero@0: "
+            "predicted={cvd-devices+etching-devices} gold={etching-devices+marketing}"
+        )
+
 
 @pytest.fixture(scope="module")
 def pool_corpus(tmp_path_factory):

@@ -5,14 +5,8 @@ import itertools
 from hypothesis import given
 from hypothesis import strategies as st
 
-from centering import (
-    EffectiveRole,
-    GrammaticalRole,
-    TransitionLabel,
-    classify_transition,
-    compute_cb,
-    rank_cf,
-)
+from centering import GrammaticalRole, classify_transition, compute_cb, rank_cf
+from centering.model import EffectiveRole, TransitionLabel
 
 from conftest import overt, utterance, zero
 

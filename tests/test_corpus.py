@@ -11,10 +11,9 @@ from centering import (
     parse_corpus,
     read_reports,
     run_corpus,
-    serialize_corpus,
     serialize_reports,
 )
-from centering.corpus import FIXTURE_NAMES, fixture_text
+from centering.corpus import FIXTURE_NAMES, fixture_text, serialize_corpus
 
 from conftest import FIXTURES
 from test_golden import synth_corpus

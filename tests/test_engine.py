@@ -7,8 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from centering import (
-    CbHistory,
-    CbHistoryEntry,
     EngineConfig,
     GrammaticalRole,
     Tense,
@@ -18,6 +16,7 @@ from centering import (
     validate_discourse,
 )
 from centering.engine import CUE_TENSE, DiscourseState, coherence_step
+from centering.model import CbHistory, CbHistoryEntry
 from centering.synth import random_discourse
 
 from conftest import discourse, entity, overt, utterance, zero
@@ -26,11 +25,11 @@ from conftest import discourse, entity, overt, utterance, zero
 class TestPushCb:
     def test_empty_plus_one(self):
         h = push_cb(CbHistory(), "hanako", 0)
-        assert h.ids() == ("hanako",)
+        assert tuple(e.entity_id for e in h.entries) == ("hanako",)
 
     def test_recency_order(self):
         h = push_cb(push_cb(CbHistory(), "hanako", 0), "mitiko", 2)
-        assert h.ids() == ("mitiko", "hanako")
+        assert tuple(e.entity_id for e in h.entries) == ("mitiko", "hanako")
 
     def test_collapse_to_most_recent(self):
         h = push_cb(push_cb(push_cb(CbHistory(), "hanako", 0), "mitiko", 2), "hanako", 3)
@@ -48,7 +47,7 @@ class TestPushCb:
             if name in oracle:
                 oracle.remove(name)
             oracle.insert(0, name)
-            assert list(h.ids()) == oracle
+            assert [e.entity_id for e in h.entries] == oracle
 
     def test_sticky_past_flag(self):
         h = push_cb(CbHistory(), "te", 0, past_tense=True)
@@ -68,8 +67,8 @@ class TestPushCb:
         for idx, (name,) in enumerate(pushes):
             h = push_cb(h, name, idx)
             seen.add(name)
-            assert len(h) <= len(seen)
-        assert len(h) == len(seen)
+            assert len(h.entries) <= len(seen)
+        assert len(h.entries) == len(seen)
         # strictly descending indices
         indices = [e.index for e in h.entries]
         assert indices == sorted(indices, reverse=True)

@@ -2,15 +2,9 @@
 
 import pytest
 
-from centering import (
-    CenteringHypothesis,
-    EffectiveRole,
-    GrammaticalRole,
-    TransitionLabel,
-    expand_hypotheses,
-    prune_hypotheses,
-)
+from centering import GrammaticalRole, expand_hypotheses, prune_hypotheses
 from centering.hypotheses import rank_key
+from centering.model import CenteringHypothesis, EffectiveRole, TransitionLabel
 
 from conftest import outcomes, overt, utterance, zero
 

@@ -2,12 +2,8 @@
 
 import pytest
 
-from centering import (
-    GrammaticalRole,
-    TransitionLabel,
-    load_fixture,
-    validate_discourse,
-)
+from centering import GrammaticalRole, load_fixture, validate_discourse
+from centering.model import TransitionLabel
 
 from conftest import FIXTURES, discourse, entity, overt, utterance, zero
 

@@ -4,14 +4,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from centering import (
-    CbHistory,
-    CbHistoryEntry,
     GrammaticalRole,
-    Verdict,
     check_compatibility,
     form_set_candidates,
     local_resolution,
 )
+from centering.model import CbHistory, CbHistoryEntry
+from centering.resolution import Verdict
 
 from conftest import entity, overt, utterance, zero
 
