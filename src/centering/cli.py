@@ -25,6 +25,7 @@ from typing import Any, Callable, NoReturn, Optional, Sequence
 
 from . import analysis, corpus as corpus_io
 from .engine import DiscourseReport, EngineConfig, run_corpus
+from .hypotheses import DEFAULT_BEAM
 from .model import Discourse, Violation, encode_resolution, format_resolution
 
 #: Groups of discourses per worker. Workers pull the next group when they
@@ -73,7 +74,10 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         if engine:
             p.add_argument(
-                "--beam", type=_beam_width, default=4, help="hypothesis beam width (>= 1)"
+                "--beam",
+                type=_beam_width,
+                default=DEFAULT_BEAM,
+                help="hypothesis beam width (>= 1)",
             )
             p.add_argument(
                 "--no-zta",
@@ -294,8 +298,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         + (f"{chi:.3f}" if chi is not None else "undefined"),
         "",
         "Disambiguation cues for rough-shift with zeros",
-        "  "
-        + "  ".join(f"{name}={cues[name]}" for name in ("LEXICAL", "TENSE", "AGREEMENT")),
+        "  " + "  ".join(f"{name}={n}" for name, n in cues.items()),
     ]
     sys.stdout.write("\n".join(out) + "\n")
     return 0

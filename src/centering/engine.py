@@ -50,18 +50,18 @@ def push_cb(history: CbHistory, cb: str, index: int, past_tense: bool = False) -
     Returns a new history with the entry at the front; an older entry for the
     same entity collapses into it (keeping a sticky past-tense flag).
     """
-    if history.entries and index < history.entries[0].index:
+    if history and index < history[0].index:
         raise ValueError(
-            f"history indices must be non-decreasing: {index} after {history.entries[0].index}"
+            f"history indices must be non-decreasing: {index} after {history[0].index}"
         )
     flag = past_tense
     kept = []
-    for entry in history.entries:
+    for entry in history:
         if entry.entity_id == cb:
             flag = flag or entry.past_tense
         else:
             kept.append(entry)
-    return CbHistory(entries=(CbHistoryEntry(cb, index, flag), *kept))
+    return (CbHistoryEntry(cb, index, flag), *kept)
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ def global_retrieve(
         return _retrieve_set(history, zero, u, entities, cf_prev, prev_tense)
 
     cues: list[str] = []
-    candidates = [e for e in history.entries if e.entity_id in entities]
+    candidates = [e for e in history if e.entity_id in entities]
     considered = tuple(e.entity_id for e in candidates)
 
     if required is not None:
@@ -139,7 +139,7 @@ def _tense_reorder(
     reordered = [e for e in candidates if e.past_tense] + [
         e for e in candidates if not e.past_tense
     ]
-    if reordered and candidates and reordered[0] != candidates[0]:
+    if reordered[:1] != candidates[:1]:
         cues.append(CUE_TENSE)
     return reordered
 
@@ -232,29 +232,25 @@ class DiscourseReport:
 
 @dataclass(frozen=True)
 class DiscourseState:
-    """Engine state after processing a prefix of a discourse."""
+    """Engine state after processing a prefix of a discourse, and the record
+    of its last step.
+
+    The state after an utterance holds that `utterance`, the `hypotheses`
+    that survived it, the `retrievals` made at it and the `history` of
+    former Cbs up to it; `prev` is the state before it. The initial state
+    has no utterance and no `prev`. States form an append-only list through
+    `prev` (newest first), so a step adds its record in O(1) and earlier
+    states stay valid. `prev` is left out of repr, equality and hashing,
+    which would otherwise recurse down the whole list.
+    """
 
     discourse: Discourse
     config: EngineConfig
     hypotheses: tuple[CenteringHypothesis, ...] = ()
-    history: CbHistory = field(default_factory=CbHistory)
-    last_step: Optional["StepTrace"] = None
-
-
-@dataclass(frozen=True)
-class StepTrace:
-    """Raw per-utterance trace kept until end-of-discourse finalization.
-
-    Traces form an append-only list through `prev` (newest first), so a step
-    adds its trace in O(1) and earlier states stay valid. `prev` is left out
-    of repr, equality and hashing, which would otherwise recurse down the
-    whole list.
-    """
-
-    utterance: Utterance
-    hypotheses: tuple[CenteringHypothesis, ...]
-    retrievals: tuple[Retrieval, ...]
-    prev: Optional["StepTrace"] = field(default=None, repr=False, compare=False)
+    history: CbHistory = ()
+    utterance: Optional[Utterance] = None
+    retrievals: tuple[Retrieval, ...] = ()
+    prev: Optional["DiscourseState"] = field(default=None, repr=False, compare=False)
 
 
 def _view(h: CenteringHypothesis) -> HypothesisView:
@@ -300,8 +296,7 @@ def _seed_hypothesis(u: Utterance) -> CenteringHypothesis:
         cb=cf[0][0] if cf else None,
         cf=cf,
         transition=TransitionLabel.CONTINUE,
-        seed=True,
-        eff_pref=1,
+        eff_pref=TransitionLabel.CONTINUE.preference_rank,
     )
 
 
@@ -323,10 +318,7 @@ def _apply_retrieval(
             if cue not in cues:
                 cues.append(cue)
         role = EffectiveRole.from_role(by_pos[r.position].role)
-        if isinstance(r.value, str):
-            members = [r.value]
-        else:
-            members = list(r.member_order) or sorted(r.value)
+        members = (r.value,) if isinstance(r.value, str) else r.member_order
         for m in members:
             if all(m != eid for eid, _ in new_head):
                 new_head.append((m, role))
@@ -350,84 +342,69 @@ def coherence_step(state: DiscourseState, u: Utterance) -> DiscourseState:
     Order of play: local resolution per live hypothesis; expansion (plain and
     zero-topic readings); when the best reading is RETAIN with no promoted
     continue available, or ROUGH-SHIFT, global retrieval for each unresolved
-    zero; pruning; history push of the accepted reading's Cb.
+    zero; pruning; history push of the accepted reading's Cb. The first
+    utterance of a discourse gets its single seed reading instead.
     """
     entities = state.discourse.entity_map
     config = state.config
+    retrievals: list[Retrieval] = []
 
     if not state.hypotheses:
-        seed = _seed_hypothesis(u)
-        hist = state.history
-        if seed.cb is not None:
-            hist = push_cb(hist, seed.cb, u.index, u.tense is Tense.PAST)
-        trace = StepTrace(
-            utterance=u, hypotheses=(seed,), retrievals=(), prev=state.last_step
+        survivors = [_seed_hypothesis(u)]
+    else:
+        outcomes = [_resolve_locally(parent, u, entities) for parent in state.hypotheses]
+        children = expand_hypotheses(
+            state.hypotheses, u, outcomes, zta_enabled=config.zta_enabled
         )
-        return replace(state, hypotheses=(seed,), history=hist, last_step=trace)
 
-    outcomes = [_resolve_locally(parent, u, entities) for parent in state.hypotheses]
-    children = expand_hypotheses(
-        state.hypotheses, u, outcomes, zta_enabled=config.zta_enabled
-    )
+        # Local Coherence Check: retrieval is gated on the best available reading.
+        best_label = min(
+            (c.transition for c in children), key=lambda t: t.preference_rank
+        )
+        zta_available = any(c.zta_applied for c in children)
+        needs_global = best_label is TransitionLabel.ROUGH_SHIFT or (
+            best_label is TransitionLabel.RETAIN and not zta_available
+        )
 
-    # Local Coherence Check: retrieval is gated on the best available reading.
-    best_label = min(
-        (c.transition for c in children), key=lambda t: t.preference_rank
-    )
-    zta_available = any(
-        c.transition is TransitionLabel.ZTA_CONTINUE for c in children
-    )
-    needs_global = best_label is TransitionLabel.ROUGH_SHIFT or (
-        best_label is TransitionLabel.RETAIN and not zta_available
-    )
+        if needs_global and config.global_enabled:
+            # the previous utterance by position: indices may have gaps
+            prev_tense = state.utterance.tense
+            updated = []
+            for child in children:
+                res = child.resolution_map
+                unresolved = [z for z in u.zeros if res.get(z.surface_position) is None]
+                if not unresolved:
+                    updated.append(child)
+                    continue
+                cf_prev = child.parent.cf_ids
+                got = []
+                for zero in unresolved:
+                    r = global_retrieve(state.history, zero, u, entities, cf_prev, prev_tense)
+                    if r.value is not None:
+                        got.append(r)
+                updated.append(_apply_retrieval(child, u, got) if got else child)
+                retrievals.extend(got)
+            children = updated
 
-    all_retrievals: list[Retrieval] = []
-    if needs_global and config.global_enabled:
-        # the previous utterance by position: indices may have gaps
-        prev_tense = state.last_step.utterance.tense
-        updated = []
-        for child in children:
-            res = child.resolution_map
-            unresolved = [z for z in u.zeros if res.get(z.surface_position) is None]
-            if not unresolved:
-                updated.append(child)
-                continue
-            cf_prev = child.parent.cf_ids if child.parent is not None else ()
-            got = []
-            for zero in unresolved:
-                r = global_retrieve(state.history, zero, u, entities, cf_prev, prev_tense)
-                if r.value is not None:
-                    got.append(r)
-            updated.append(_apply_retrieval(child, u, got) if got else child)
-            all_retrievals.extend(got)
-        children = updated
-
-    survivors = prune_hypotheses(children, beam=config.beam)
+        survivors = prune_hypotheses(children, beam=config.beam)
 
     accepted = _accepted(survivors)
-    hist = state.history
-    if accepted is not None and accepted.cb is not None:
-        hist = push_cb(hist, accepted.cb, u.index, u.tense is Tense.PAST)
-
-    trace = StepTrace(
-        utterance=u,
-        hypotheses=tuple(survivors),
-        retrievals=tuple(all_retrievals),
-        prev=state.last_step,
-    )
+    history = state.history
+    if accepted.cb is not None:
+        history = push_cb(history, accepted.cb, u.index, u.tense is Tense.PAST)
     return replace(
         state,
         hypotheses=tuple(survivors),
-        history=hist,
-        last_step=trace,
+        history=history,
+        utterance=u,
+        retrievals=tuple(retrievals),
+        prev=state,
     )
 
 
-def _accepted(survivors: Sequence[CenteringHypothesis]) -> Optional[CenteringHypothesis]:
+def _accepted(survivors: Sequence[CenteringHypothesis]) -> CenteringHypothesis:
     """Current best reading; preference ties resolve to the plain (fewest
     promotions) branch for bookkeeping purposes."""
-    if not survivors:
-        return None
     best_key = rank_key(survivors[0])[:2]
     tied = [h for h in survivors if rank_key(h)[:2] == best_key]
     return min(tied, key=lambda h: (h.zta_count, rank_key(h)))
@@ -445,7 +422,7 @@ def run_discourse(
 
 
 def finalize(state: DiscourseState) -> DiscourseReport:
-    """Turn raw step traces into the final report.
+    """Turn the chain of step states into the final report.
 
     Statistical labels come from the final best hypothesis's ancestry; on a
     final preference tie (a dampened ambiguity that never resolved) the
@@ -453,15 +430,15 @@ def finalize(state: DiscourseState) -> DiscourseReport:
     their zero resolutions differ are flagged ambiguous.
     """
     discourse = state.discourse
-    if state.last_step is None:
+    if state.prev is None:
         return DiscourseReport(discourse.id, (), False, ())
 
-    ordered = sorted(state.hypotheses, key=rank_key)
-    best = ordered[0]
+    # prune_hypotheses leaves the live set best-first
+    best = state.hypotheses[0]
     best_key = rank_key(best)[:2]
     readings = [
         h
-        for h in ordered
+        for h in state.hypotheses
         if rank_key(h)[:2] == best_key
         or (h.ambiguity_keys & best.ambiguity_keys and not h.anomalous)
     ]
@@ -469,9 +446,9 @@ def finalize(state: DiscourseState) -> DiscourseReport:
 
     # steps, the stats path and every reading's ancestry all run newest
     # first, one entry per utterance
-    steps: list[StepTrace] = []
-    node: Optional[StepTrace] = state.last_step
-    while node is not None:
+    steps: list[DiscourseState] = []
+    node = state
+    while node.prev is not None:
         steps.append(node)
         node = node.prev
     if len(readings) > 1:
@@ -512,7 +489,7 @@ def finalize(state: DiscourseState) -> DiscourseReport:
         discourse_id=discourse.id,
         utterances=tuple(reports),
         unresolved_ambiguity=any(ambiguous),
-        history=tuple((e.entity_id, e.index) for e in state.history.entries),
+        history=tuple((e.entity_id, e.index) for e in state.history),
     )
 
 

@@ -89,7 +89,6 @@ def expand_hypotheses(
             cb=cb,
             cf=plain_cf,
             transition=plain_label,
-            zta_applied=False,
             dampened=dampened,
             anomalous=bool(outcome.exhausted_positions),
             resolutions=outcome.assignments,
@@ -107,7 +106,6 @@ def expand_hypotheses(
                     cf=((cb, EffectiveRole.ZERO_TOP),)
                     + tuple(entry for entry in plain_cf if entry[0] != cb),
                     transition=zta_label,
-                    zta_applied=True,
                     # a dampened promotion ties with its plain sibling
                     eff_pref=plain_pref if dampened else zta_label.preference_rank,
                 )

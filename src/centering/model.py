@@ -291,9 +291,8 @@ class CenteringHypothesis:
     cb: Optional[str]
     cf: CfList
     transition: TransitionLabel
-    zta_applied: bool = False
+    eff_pref: int
     dampened: bool = False
-    seed: bool = False
     anomalous: bool = False
     resolutions: tuple[tuple[int, Resolution], ...] = ()
     cues: tuple[str, ...] = ()
@@ -301,15 +300,22 @@ class CenteringHypothesis:
         default=None, repr=False, compare=False
     )
     ambiguity_keys: frozenset[str] = frozenset()
-    eff_pref: Optional[int] = None
     parent_rank: int = 0
     zta_count: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
-        if self.eff_pref is None:
-            object.__setattr__(self, "eff_pref", self.transition.preference_rank)
         inherited = self.parent.zta_count if self.parent is not None else 0
         object.__setattr__(self, "zta_count", inherited + int(self.zta_applied))
+
+    @property
+    def seed(self) -> bool:
+        """The reading of a discourse's first utterance, which has no parent."""
+        return self.parent is None
+
+    @property
+    def zta_applied(self) -> bool:
+        """Whether this reading promoted a zero to topic."""
+        return self.transition is TransitionLabel.ZTA_CONTINUE
 
     @property
     def cf_ids(self) -> tuple[str, ...]:
@@ -333,7 +339,6 @@ class CenteringHypothesis:
             self.cb,
             self.cf,
             self.transition,
-            self.zta_applied,
             self.resolutions,
             self.anomalous,
         )
@@ -353,14 +358,8 @@ class CbHistoryEntry:
     past_tense: bool = False
 
 
-@dataclass(frozen=True)
-class CbHistory:
-    """Recency-ordered list of former Cbs, most recent first."""
-
-    entries: tuple[CbHistoryEntry, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
+#: Recency-ordered list of former Cbs, most recent first.
+CbHistory = tuple[CbHistoryEntry, ...]
 
 
 @dataclass(frozen=True)

@@ -113,7 +113,7 @@ def form_set_candidates(
 
     cf_members = set(cf_prev)
     recency: dict[str, int] = {}
-    for entry in history.entries:
+    for entry in history:
         rec = entry.index
         if entry.entity_id in cf_members:
             rec = max(rec, current_index - 1)

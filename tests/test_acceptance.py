@@ -31,7 +31,6 @@ import centering.engine as engine
 from centering.corpus import fixture_text, serialize_corpus
 from centering.model import (
     ARGUMENT_ROLES,
-    CbHistory,
     CbHistoryEntry,
     EffectiveRole,
     TransitionLabel,
@@ -297,7 +296,7 @@ class TestCriterion5Properties:
             "older": entity("older", "organization"),
         }
         for hi, lo in [(9, 4), (17, 16), (3, 1)]:
-            h = CbHistory((CbHistoryEntry("recent", hi), CbHistoryEntry("older", lo)))
+            h = (CbHistoryEntry("recent", hi), CbHistoryEntry("older", lo))
             u = utterance(hi + 1, zero(GrammaticalRole.SUBJECT, 0, types=("organization",)))
             got = global_retrieve(h, u.expressions[0], u, pool)
             assert got.value == "recent"

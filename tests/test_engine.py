@@ -1,9 +1,10 @@
 """Cb history, global retrieval, coherence stepping, randomized properties."""
 
 import random
+from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centering import (
@@ -15,8 +16,8 @@ from centering import (
     run_discourse,
     validate_discourse,
 )
-from centering.engine import CUE_TENSE, DiscourseState, coherence_step
-from centering.model import CbHistory, CbHistoryEntry
+from centering.engine import CUE_TENSE, DiscourseState, coherence_step, finalize
+from centering.model import CbHistoryEntry
 from centering.synth import random_discourse
 
 from conftest import discourse, entity, overt, utterance, zero
@@ -24,22 +25,22 @@ from conftest import discourse, entity, overt, utterance, zero
 
 class TestPushCb:
     def test_empty_plus_one(self):
-        h = push_cb(CbHistory(), "hanako", 0)
-        assert tuple(e.entity_id for e in h.entries) == ("hanako",)
+        h = push_cb((), "hanako", 0)
+        assert tuple(e.entity_id for e in h) == ("hanako",)
 
     def test_recency_order(self):
-        h = push_cb(push_cb(CbHistory(), "hanako", 0), "mitiko", 2)
-        assert tuple(e.entity_id for e in h.entries) == ("mitiko", "hanako")
+        h = push_cb(push_cb((), "hanako", 0), "mitiko", 2)
+        assert tuple(e.entity_id for e in h) == ("mitiko", "hanako")
 
     def test_collapse_to_most_recent(self):
-        h = push_cb(push_cb(push_cb(CbHistory(), "hanako", 0), "mitiko", 2), "hanako", 3)
-        assert [(e.entity_id, e.index) for e in h.entries] == [("hanako", 3), ("mitiko", 2)]
+        h = push_cb(push_cb(push_cb((), "hanako", 0), "mitiko", 2), "hanako", 3)
+        assert [(e.entity_id, e.index) for e in h] == [("hanako", 3), ("mitiko", 2)]
 
     def test_collapse_against_list_simulation_oracle(self):
         # oracle: maintain a plain list, remove-then-prepend
         rng = random.Random(7)
         names = ["a", "b", "c", "d"]
-        h = CbHistory()
+        h = ()
         oracle: list[str] = []
         for idx in range(50):
             name = rng.choice(names)
@@ -47,30 +48,30 @@ class TestPushCb:
             if name in oracle:
                 oracle.remove(name)
             oracle.insert(0, name)
-            assert [e.entity_id for e in h.entries] == oracle
+            assert [e.entity_id for e in h] == oracle
 
     def test_sticky_past_flag(self):
-        h = push_cb(CbHistory(), "te", 0, past_tense=True)
+        h = push_cb((), "te", 0, past_tense=True)
         h = push_cb(h, "te", 3, past_tense=False)
-        assert h.entries[0].past_tense is True
-        assert h.entries[0].index == 3
+        assert h[0].past_tense is True
+        assert h[0].index == 3
 
     def test_indices_must_not_decrease(self):
-        h = push_cb(CbHistory(), "a", 5)
+        h = push_cb((), "a", 5)
         with pytest.raises(ValueError):
             push_cb(h, "b", 4)
 
     @given(st.lists(st.tuples(st.sampled_from("abcde")), min_size=0, max_size=30))
     def test_history_bounded_by_distinct_cbs(self, pushes):
-        h = CbHistory()
+        h = ()
         seen = set()
         for idx, (name,) in enumerate(pushes):
             h = push_cb(h, name, idx)
             seen.add(name)
-            assert len(h.entries) <= len(seen)
-        assert len(h.entries) == len(seen)
+            assert len(h) <= len(seen)
+        assert len(h) == len(seen)
         # strictly descending indices
-        indices = [e.index for e in h.entries]
+        indices = [e.index for e in h]
         assert indices == sorted(indices, reverse=True)
 
 
@@ -85,7 +86,7 @@ ENTITIES = {
 
 
 def history(*entries):
-    return CbHistory(tuple(CbHistoryEntry(*e) for e in entries))
+    return tuple(CbHistoryEntry(*e) for e in entries)
 
 
 class TestGlobalRetrieve:
@@ -119,7 +120,7 @@ class TestGlobalRetrieve:
 
     def test_empty_history(self):
         u = utterance(3, zero(GrammaticalRole.SUBJECT, 0))
-        got = global_retrieve(CbHistory(), u.expressions[0], u, ENTITIES)
+        got = global_retrieve((), u.expressions[0], u, ENTITIES)
         assert got.value is None
 
     def test_exhausted_history(self):
@@ -146,7 +147,7 @@ class TestGlobalRetrieve:
             idx_b += 1
         first, second = ("hf", "lab") if idx_a > idx_b else ("lab", "hf")
         h = history((("hf"), idx_a), (("lab"), idx_b))
-        h = CbHistory(tuple(sorted(h.entries, key=lambda e: -e.index)))
+        h = tuple(sorted(h, key=lambda e: -e.index))
         u = utterance(60, zero(GrammaticalRole.SUBJECT, 0, types=("organization",)))
         got = global_retrieve(h, u.expressions[0], u, ENTITIES)
         assert got.value == first
@@ -274,14 +275,35 @@ def test_long_chain_hypothesis_and_trace_support_repr_hash_eq():
         return state
 
     one, two = final_state(), final_state()
-    for a, b in [(one.hypotheses[0], two.hypotheses[0]), (one.last_step, two.last_step)]:
+    for a, b in [(one.hypotheses[0], two.hypotheses[0]), (one, two)]:
         assert a is not b
         assert repr(a) == repr(b)
         assert a == b
         assert hash(a) == hash(b)
     assert one.hypotheses[0].parent is not None
-    assert one.last_step.prev is not None
+    assert one.prev is not None
     assert "parent=" not in repr(one.hypotheses[0])
+    assert "prev=" not in repr(one)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_utts=st.integers(1, 16),
+    beam=st.sampled_from([1, 2, 4]),
+)
+def test_earlier_states_finalize_to_their_prefix_runs(seed, n_utts, beam):
+    # a step links a new state to the old one and changes nothing in it, so
+    # once the whole discourse has run, the state after k utterances still
+    # finalizes to the report of a run over those k utterances alone
+    d = random_discourse(random.Random(seed), f"prefix-{seed}", n_utts=n_utts, zero_rate=0.5)
+    config = EngineConfig(beam=beam)
+    states = [DiscourseState(discourse=d, config=config)]
+    for u in d.utterances:
+        states.append(coherence_step(states[-1], u))
+    for k, state in enumerate(states):
+        prefix = replace(d, utterances=d.utterances[:k])
+        assert finalize(state) == run_discourse(prefix, config)
 
 
 # -- randomized synthetic discourses ----------------------------------------

@@ -15,7 +15,7 @@ def seed(cb, cf_ids, index=0):
         cb=cb,
         cf=tuple((eid, EffectiveRole.SUBJECT) for eid in cf_ids),
         transition=TransitionLabel.CONTINUE,
-        seed=True,
+        eff_pref=TransitionLabel.CONTINUE.preference_rank,
     )
 
 
@@ -90,6 +90,7 @@ class TestZtaCandidate:
                 ("students", EffectiveRole.OBJECT2),
             ),
             transition=TransitionLabel.RETAIN,
+            eff_pref=TransitionLabel.RETAIN.preference_rank,
         )
         u = utterance(
             2,
@@ -169,13 +170,13 @@ class TestExpandHypotheses:
         assert len(children) == 2  # promoted + plain, not four
 
 
-def hyp(label, index=3, anomalous=False, zta=False):
+def hyp(label, index=3, anomalous=False):
     return CenteringHypothesis(
         utterance_index=index,
         cb="x",
         cf=(("x", EffectiveRole.SUBJECT),),
         transition=label,
-        zta_applied=zta,
+        eff_pref=label.preference_rank,
         anomalous=anomalous,
     )
 
@@ -215,6 +216,7 @@ class TestPruneHypotheses:
             cb="y",
             cf=(("y", EffectiveRole.SUBJECT), ("x", EffectiveRole.OBJECT)),
             transition=TransitionLabel.CONTINUE,
+            eff_pref=TransitionLabel.CONTINUE.preference_rank,
         )
         u = utterance(
             3,

@@ -9,7 +9,7 @@ from centering import (
     form_set_candidates,
     local_resolution,
 )
-from centering.model import CbHistory, CbHistoryEntry
+from centering.model import CbHistoryEntry
 from centering.resolution import Verdict
 
 from conftest import entity, overt, utterance, zero
@@ -120,7 +120,7 @@ class TestResolveZeroLocal:
 
 
 def history(*pairs):
-    return CbHistory(tuple(CbHistoryEntry(eid, idx) for eid, idx in pairs))
+    return tuple(CbHistoryEntry(eid, idx) for eid, idx in pairs)
 
 
 class TestFormSetCandidates:
@@ -156,9 +156,8 @@ class TestFormSetCandidates:
         h = history(("rie", 9), ("cvd", 7), ("etching", 4), ("s-metal", 2))
         got = form_set_candidates(h, [], 2, self.ENTITIES, 10)
         oracle = set()
-        entries = list(h.entries)
-        recency = {e.entity_id: e.index for e in entries}
-        for a, b in itertools.combinations(entries, 2):
+        recency = {e.entity_id: e.index for e in h}
+        for a, b in itertools.combinations(h, 2):
             ea, eb = self.ENTITIES[a.entity_id], self.ENTITIES[b.entity_id]
             if not (ea.semantic_types & eb.semantic_types):
                 continue
