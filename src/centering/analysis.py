@@ -6,8 +6,9 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .engine import CUE_AGREEMENT, CUE_LEXICAL, CUE_TENSE, DiscourseReport
+from .engine import DiscourseReport
 from .model import Discourse, Resolution, TransitionLabel, decode_resolution
+from .resolution import CUE_AGREEMENT, CUE_LEXICAL, CUE_TENSE
 
 #: Column order of the distribution table; the zero-topic continue counts in
 #: the CONTINUE column.

@@ -33,15 +33,13 @@ from .model import (
     Utterance,
 )
 from .resolution import (
-    Verdict,
+    CUE_AGREEMENT,
+    CUE_LEXICAL,
+    CUE_TENSE,
     check_compatibility,
     form_set_candidates,
     local_resolution,
 )
-
-CUE_LEXICAL = "LEXICAL"
-CUE_TENSE = "TENSE"
-CUE_AGREEMENT = "AGREEMENT"
 
 
 def push_cb(history: CbHistory, cb: str, index: int, past_tense: bool = False) -> CbHistory:
@@ -91,84 +89,46 @@ def global_retrieve(
     """Search the former-Cb list for an antecedent of a locally unresolved
     zero.
 
-    Candidates are filtered by agreement (cardinality), then by the slot's
-    selectional restriction, then reordered by the tense cue (a shift to past
-    tense prefers centers introduced in past-tense utterances); the first
-    survivor wins. Plural-constrained zeros search candidate entity sets
-    instead. Value is None when the history is exhausted.
+    Each former Cb is a candidate; a plural-constrained zero searches the
+    candidate entity sets of `form_set_candidates` instead. Candidates that
+    `check_compatibility` rules out are dropped, and each cue that ruled one
+    out is recorded, AGREEMENT before LEXICAL (a set search always records
+    AGREEMENT). Single candidates are then reordered by the tense cue: a
+    shift to past tense moves centers introduced in past-tense utterances
+    to the front, keeping recency order within each part. The first
+    survivor wins; value is None when no candidate survives.
     """
     required = zero.required_cardinality
-    if required is not None and required >= 2:
-        return _retrieve_set(history, zero, u, entities, cf_prev, prev_tense)
-
-    cues: list[str] = []
-    candidates = [e for e in history if e.entity_id in entities]
-    considered = tuple(e.entity_id for e in candidates)
-
-    if required is not None:
-        kept = [e for e in candidates if entities[e.entity_id].cardinality == required]
-        if len(kept) < len(candidates):
-            cues.append(CUE_AGREEMENT)
-        candidates = kept
-
-    wanted = zero.compatible_types
-    if wanted:
-        kept = [
-            e for e in candidates if entities[e.entity_id].semantic_types & wanted
-        ]
-        if len(kept) < len(candidates):
-            cues.append(CUE_LEXICAL)
-        candidates = kept
-
-    candidates = _tense_reorder(candidates, u, prev_tense, cues)
-    value = candidates[0].entity_id if candidates else None
-    return Retrieval(zero.surface_position, value, tuple(cues), considered)
-
-
-def _tense_reorder(
-    candidates: list[CbHistoryEntry],
-    u: Utterance,
-    prev_tense: Optional[Tense],
-    cues: list[str],
-) -> list[CbHistoryEntry]:
-    """Stable-partition past-introduced centers to the front when the
-    discourse shifts into past tense; records the cue only when the reorder
-    changed which candidate comes first."""
-    if u.tense is not Tense.PAST or prev_tense is not Tense.NONPAST:
-        return candidates
-    reordered = [e for e in candidates if e.past_tense] + [
-        e for e in candidates if not e.past_tense
-    ]
-    if reordered[:1] != candidates[:1]:
-        cues.append(CUE_TENSE)
-    return reordered
-
-
-def _retrieve_set(
-    history: CbHistory,
-    zero: ReferringExpression,
-    u: Utterance,
-    entities: Mapping[str, DiscourseEntity],
-    cf_prev: Sequence[str],
-    prev_tense: Optional[Tense],
-) -> Retrieval:
-    required = zero.required_cardinality
-    assert required is not None
-    cues = [CUE_AGREEMENT]
-    sets = form_set_candidates(history, cf_prev, required, entities, u.index)
-    considered = tuple("+".join(s) for s in sets)
+    plural = required is not None and required >= 2
+    if plural:
+        pool = form_set_candidates(history, cf_prev, required, entities, u.index)
+    else:
+        pool = [(e.entity_id,) for e in history if e.entity_id in entities]
+    ruled_out = {CUE_AGREEMENT} if plural else set()
     kept = []
-    for members in sets:
-        verdict = check_compatibility(zero, [entities[m] for m in members])
-        if verdict is Verdict.COMPATIBLE:
+    for members in pool:
+        cue = check_compatibility(zero, [entities[m] for m in members])
+        if cue is None:
             kept.append(members)
-    if len(kept) < len(sets):
-        cues.append(CUE_LEXICAL)
+        else:
+            ruled_out.add(cue)
+    cues = [cue for cue in (CUE_AGREEMENT, CUE_LEXICAL) if cue in ruled_out]
+    if not plural and u.tense is Tense.PAST and prev_tense is Tense.NONPAST:
+        # the cue counts only when the reorder changes which candidate wins
+        past = {e.entity_id for e in history if e.past_tense}
+        reordered = sorted(kept, key=lambda members: members[0] not in past)
+        if reordered[:1] != kept[:1]:
+            cues.append(CUE_TENSE)
+        kept = reordered
+
     if not kept:
-        return Retrieval(zero.surface_position, None, tuple(cues), considered)
-    return Retrieval(
-        zero.surface_position, frozenset(kept[0]), tuple(cues), considered, kept[0]
-    )
+        value, member_order = None, ()
+    elif plural:
+        value, member_order = frozenset(kept[0]), kept[0]
+    else:
+        value, member_order = kept[0][0], ()
+    considered = tuple("+".join(members) for members in pool)
+    return Retrieval(zero.surface_position, value, tuple(cues), considered, member_order)
 
 
 @dataclass(frozen=True)
@@ -274,18 +234,16 @@ def _resolve_locally(
     zeros = sorted(u.zeros, key=lambda z: (z.role.rank, z.surface_position))
     cf_prev = [eid for eid, _ in parent.cf]
     assigned: dict[int, Resolution] = {}
-    exhausted: set[int] = set()
+    anomalous = False
     claimed: set[str] = set()
     for zero in zeros:
         res = local_resolution(zero, cf_prev, u, entities, frozenset(claimed))
         assigned[zero.surface_position] = res.entity_id
         if res.entity_id is not None:
             claimed.add(res.entity_id)
-        elif res.exhausted:
-            exhausted.add(zero.surface_position)
+        anomalous = anomalous or res.exhausted
     return ResolutionOutcome(
-        assignments=tuple(sorted(assigned.items())),
-        exhausted_positions=frozenset(exhausted),
+        assignments=tuple(sorted(assigned.items())), anomalous=anomalous
     )
 
 

@@ -23,13 +23,13 @@ class ResolutionOutcome:
     """Per-parent local resolution result for all zeros of one utterance.
 
     `assignments` maps zero surface positions to antecedents (None when
-    unresolved), sorted by position; `exhausted_positions` are zeros whose
-    every local candidate was vetoed, which stamps the reading anomalous
-    unless global retrieval rescues it later.
+    unresolved), sorted by position; `anomalous` is true when some zero had
+    every local candidate vetoed, which stamps the reading anomalous unless
+    global retrieval rescues it later.
     """
 
     assignments: tuple[tuple[int, Resolution], ...] = ()
-    exhausted_positions: frozenset[int] = frozenset()
+    anomalous: bool = False
 
 
 def _has_wa_competitor(u: Utterance) -> bool:
@@ -90,7 +90,7 @@ def expand_hypotheses(
             cf=plain_cf,
             transition=plain_label,
             dampened=dampened,
-            anomalous=bool(outcome.exhausted_positions),
+            anomalous=outcome.anomalous,
             resolutions=outcome.assignments,
             parent=parent,
             ambiguity_keys=keys,

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .model import (
     CbHistory,
@@ -13,42 +12,32 @@ from .model import (
     Utterance,
 )
 
-
-class Verdict(Enum):
-    COMPATIBLE = "compatible"
-    ANOMALOUS = "anomalous"
-
-
-Candidate = Union[DiscourseEntity, Iterable[DiscourseEntity]]
+CUE_LEXICAL = "LEXICAL"
+CUE_TENSE = "TENSE"
+CUE_AGREEMENT = "AGREEMENT"
 
 
-def check_compatibility(zero: ReferringExpression, candidate: Candidate) -> Verdict:
-    """Check a candidate antecedent (entity or entity set) against a zero's
-    cue annotations.
+def check_compatibility(
+    zero: ReferringExpression, members: Sequence[DiscourseEntity]
+) -> Optional[str]:
+    """Check a candidate antecedent, given as its member entities (`[entity]`
+    for a single one), against a zero's cue annotations.
 
-    COMPATIBLE iff every member's semantic types intersect the slot's
-    selectional restriction (an empty restriction is unconstrained) and the
-    total cardinality matches required_cardinality when one is annotated.
+    Returns None when the candidate fits, or else the cue that rules it out:
+    CUE_AGREEMENT when there is no member or the total cardinality differs
+    from an annotated required_cardinality; failing that, CUE_LEXICAL when a
+    member's semantic types miss the slot's selectional restriction (an
+    empty restriction is unconstrained).
     """
-    if isinstance(candidate, DiscourseEntity):
-        members: list[DiscourseEntity] = [candidate]
-    else:
-        members = list(candidate)
-    if not members:
-        return Verdict.ANOMALOUS
-
-    wanted = zero.compatible_types
-    if wanted:
-        for member in members:
-            if not (member.semantic_types & wanted):
-                return Verdict.ANOMALOUS
-
     required = zero.required_cardinality
-    if required is not None:
-        total = sum(member.cardinality for member in members)
-        if total != required:
-            return Verdict.ANOMALOUS
-    return Verdict.COMPATIBLE
+    if not members or (
+        required is not None and sum(m.cardinality for m in members) != required
+    ):
+        return CUE_AGREEMENT
+    wanted = zero.compatible_types
+    if wanted and not all(m.semantic_types & wanted for m in members):
+        return CUE_LEXICAL
+    return None
 
 
 @dataclass(frozen=True)
@@ -88,7 +77,7 @@ def local_resolution(
         if entity is None:
             continue
         had_candidate = True
-        if check_compatibility(zero, entity) is Verdict.COMPATIBLE:
+        if check_compatibility(zero, [entity]) is None:
             return LocalResolution(entity_id, exhausted=False)
     return LocalResolution(None, exhausted=had_candidate)
 

@@ -1,7 +1,7 @@
 """Cb history, global retrieval, coherence stepping, randomized properties."""
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +11,19 @@ from centering import (
     EngineConfig,
     GrammaticalRole,
     Tense,
+    form_set_candidates,
     global_retrieve,
     push_cb,
     run_discourse,
     validate_discourse,
 )
-from centering.engine import CUE_TENSE, DiscourseState, coherence_step, finalize
+from centering.engine import (
+    CUE_TENSE,
+    DiscourseState,
+    Retrieval,
+    coherence_step,
+    finalize,
+)
 from centering.model import CbHistoryEntry
 from centering.synth import random_discourse
 
@@ -138,6 +145,41 @@ class TestGlobalRetrieve:
         assert "AGREEMENT" in got.cues
         assert got.member_order == ("pair-a", "pair-b")
 
+    # a zero annotated singular: former Cbs of another cardinality drop out
+    SINGULAR = {
+        **ENTITIES,
+        "crew": entity("crew", "organization", cardinality=2),
+        "vans": entity("vans", "device", cardinality=2),
+    }
+
+    def test_singular_agreement_skips_recent_plural(self):
+        h = history(("crew", 5), ("te", 3))
+        u = utterance(7, zero(GrammaticalRole.SUBJECT, 0, cardinality=1))
+        got = global_retrieve(h, u.expressions[0], u, self.SINGULAR)
+        assert got.value == "te"
+        assert got.cues == ("AGREEMENT",)
+        assert got.candidates == ("crew", "te")
+
+    def test_agreement_takes_precedence_over_lexical(self):
+        # vans has the wrong cardinality and the wrong type: counted once
+        h = history(("vans", 5), ("te", 3))
+        u = utterance(
+            7, zero(GrammaticalRole.SUBJECT, 0, types=("organization",), cardinality=1)
+        )
+        got = global_retrieve(h, u.expressions[0], u, self.SINGULAR)
+        assert got.value == "te"
+        assert got.cues == ("AGREEMENT",)
+
+    def test_agreement_then_lexical(self):
+        # crew fails agreement; rie agrees but has the wrong type
+        h = history(("crew", 6), ("rie", 5), ("te", 3))
+        u = utterance(
+            7, zero(GrammaticalRole.SUBJECT, 0, types=("organization",), cardinality=1)
+        )
+        got = global_retrieve(h, u.expressions[0], u, self.SINGULAR)
+        assert got.value == "te"
+        assert got.cues == ("AGREEMENT", "LEXICAL")
+
     @given(
         idx_a=st.integers(1, 50),
         idx_b=st.integers(1, 50),
@@ -151,6 +193,97 @@ class TestGlobalRetrieve:
         u = utterance(60, zero(GrammaticalRole.SUBJECT, 0, types=("organization",)))
         got = global_retrieve(h, u.expressions[0], u, ENTITIES)
         assert got.value == first
+
+
+
+def reference_retrieve(history, zero, u, entities, cf_prev, prev_tense):
+    """Former-Cb retrieval as two bodies, one for singular and one for plural
+    zeros, each with its own agreement and lexical filters: the reference
+    that `global_retrieve` must agree with."""
+
+    def compatible(members):
+        wanted = zero.compatible_types
+        if wanted and any(not (m.semantic_types & wanted) for m in members):
+            return False
+        required = zero.required_cardinality
+        return required is None or sum(m.cardinality for m in members) == required
+
+    position = zero.surface_position
+    required = zero.required_cardinality
+    if required is not None and required >= 2:
+        cues = ["AGREEMENT"]
+        sets = form_set_candidates(history, cf_prev, required, entities, u.index)
+        considered = tuple("+".join(s) for s in sets)
+        kept = [s for s in sets if compatible([entities[m] for m in s])]
+        if len(kept) < len(sets):
+            cues.append("LEXICAL")
+        if not kept:
+            return Retrieval(position, None, tuple(cues), considered)
+        return Retrieval(position, frozenset(kept[0]), tuple(cues), considered, kept[0])
+
+    cues = []
+    candidates = [e for e in history if e.entity_id in entities]
+    considered = tuple(e.entity_id for e in candidates)
+    if required is not None:
+        kept = [e for e in candidates if entities[e.entity_id].cardinality == required]
+        if len(kept) < len(candidates):
+            cues.append("AGREEMENT")
+        candidates = kept
+    wanted = zero.compatible_types
+    if wanted:
+        kept = [e for e in candidates if entities[e.entity_id].semantic_types & wanted]
+        if len(kept) < len(candidates):
+            cues.append("LEXICAL")
+        candidates = kept
+    if u.tense is Tense.PAST and prev_tense is Tense.NONPAST:
+        reordered = [e for e in candidates if e.past_tense] + [
+            e for e in candidates if not e.past_tense
+        ]
+        if reordered[:1] != candidates[:1]:
+            cues.append("TENSE")
+        candidates = reordered
+    value = candidates[0].entity_id if candidates else None
+    return Retrieval(position, value, tuple(cues), considered)
+
+
+ZERO_TYPES = st.sets(st.sampled_from("pqr"), max_size=2)
+ENTITY_TYPES = st.sets(st.sampled_from("pqr"), min_size=1, max_size=2)
+TENSES = st.sampled_from([Tense.NONPAST, Tense.PAST])
+
+
+@st.composite
+def retrieval_inputs(draw):
+    names = "abcdef"
+    # a former Cb with no entity drops out of the pool
+    missing = draw(st.sets(st.sampled_from(names), max_size=1))
+    entities = {
+        eid: entity(eid, *draw(ENTITY_TYPES), cardinality=draw(st.integers(1, 3)))
+        for eid in names
+        if eid not in missing
+    }
+    # most recent first, one entry per entity, as push_cb builds it
+    cbs = draw(st.permutations(names))[: draw(st.integers(1, len(names)))]
+    history = tuple(
+        CbHistoryEntry(eid, len(cbs) - k, draw(st.booleans()))
+        for k, eid in enumerate(cbs)
+    )
+    cf_prev = draw(st.lists(st.sampled_from(names), unique=True, max_size=3))
+    cardinality = draw(st.sampled_from([None, 1, 2, 3]))
+    u = utterance(
+        len(cbs) + 1,
+        zero(GrammaticalRole.SUBJECT, 0, types=draw(ZERO_TYPES), cardinality=cardinality),
+        tense=draw(TENSES),
+    )
+    return history, u.expressions[0], u, entities, cf_prev, draw(TENSES)
+
+
+@settings(max_examples=400, deadline=None)
+@given(retrieval_inputs())
+def test_global_retrieve_matches_reference(args):
+    got = global_retrieve(*args)
+    want = reference_retrieve(*args)
+    for f in fields(Retrieval):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
 
 
 class TestEngineMechanics:

@@ -10,7 +10,7 @@ from centering import (
     local_resolution,
 )
 from centering.model import CbHistoryEntry
-from centering.resolution import Verdict
+from centering.resolution import CUE_AGREEMENT, CUE_LEXICAL
 
 from conftest import entity, overt, utterance, zero
 
@@ -18,32 +18,32 @@ from conftest import entity, overt, utterance, zero
 class TestCheckCompatibility:
     def test_type_overlap_is_compatible(self):
         z = zero(GrammaticalRole.SUBJECT, 0, types=("organization", "person"))
-        assert check_compatibility(z, entity("t-electron", "organization")) is Verdict.COMPATIBLE
+        assert check_compatibility(z, [entity("t-electron", "organization")]) is None
 
     def test_type_disjoint_is_anomalous(self):
         z = zero(GrammaticalRole.SUBJECT, 0, types=("organization", "person"))
-        assert check_compatibility(z, entity("rie", "device")) is Verdict.ANOMALOUS
+        assert check_compatibility(z, [entity("rie", "device")]) == CUE_LEXICAL
 
     def test_cardinality_mismatch_is_anomalous(self):
         z = zero(GrammaticalRole.SUBJECT, 0, types=("device",), cardinality=2)
-        assert check_compatibility(z, entity("s-metal", "organization")) is Verdict.ANOMALOUS
-        assert check_compatibility(z, entity("one-device", "device")) is Verdict.ANOMALOUS
+        assert check_compatibility(z, [entity("s-metal", "organization")]) == CUE_AGREEMENT
+        assert check_compatibility(z, [entity("one-device", "device")]) == CUE_AGREEMENT
 
     def test_unconstrained_slot_accepts_anything(self):
         z = zero(GrammaticalRole.SUBJECT, 0)
-        assert check_compatibility(z, entity("anything", "whatever")) is Verdict.COMPATIBLE
+        assert check_compatibility(z, [entity("anything", "whatever")]) is None
 
     def test_entity_set_total_cardinality(self):
         z = zero(GrammaticalRole.SUBJECT, 0, types=("device",), cardinality=2)
         pair = [entity("a", "device"), entity("b", "device")]
-        assert check_compatibility(z, pair) is Verdict.COMPATIBLE
+        assert check_compatibility(z, pair) is None
         odd = [entity("a", "device"), entity("b", "device"), entity("c", "device")]
-        assert check_compatibility(z, odd) is Verdict.ANOMALOUS
+        assert check_compatibility(z, odd) == CUE_AGREEMENT
 
     def test_set_member_type_must_match(self):
         z = zero(GrammaticalRole.SUBJECT, 0, types=("device",), cardinality=2)
         mixed = [entity("a", "device"), entity("b", "organization")]
-        assert check_compatibility(z, mixed) is Verdict.ANOMALOUS
+        assert check_compatibility(z, mixed) == CUE_LEXICAL
 
     @given(
         base=st.sets(st.sampled_from("pqrs"), min_size=1),
@@ -51,14 +51,14 @@ class TestCheckCompatibility:
         types=st.sets(st.sampled_from("pqrstuvw"), min_size=1),
     )
     def test_monotone_in_constraints(self, base, extra, types):
-        # widening a non-empty restriction never flips COMPATIBLE to ANOMALOUS
-        cand = entity("x", *types)
+        # widening a non-empty restriction never rules out a fitting candidate
+        cand = [entity("x", *types)]
         before = check_compatibility(zero(GrammaticalRole.SUBJECT, 0, types=base), cand)
         after = check_compatibility(
             zero(GrammaticalRole.SUBJECT, 0, types=base | {extra}), cand
         )
-        if before is Verdict.COMPATIBLE:
-            assert after is Verdict.COMPATIBLE
+        if before is None:
+            assert after is None
 
 
 class TestResolveZeroLocal:
@@ -94,7 +94,7 @@ class TestResolveZeroLocal:
         got = local_resolution(u.expressions[0], cf_prev, u, self.ENTITIES).entity_id
         assert got in cf_prev
         assert (
-            check_compatibility(u.expressions[0], self.ENTITIES[got]) is Verdict.COMPATIBLE
+            check_compatibility(u.expressions[0], [self.ENTITIES[got]]) is None
         )
 
     def test_overt_entities_are_not_candidates(self):
