@@ -2,21 +2,24 @@
 
 Subcommands: analyze (per-utterance trace), stats (distribution tables plus
 chi-square), resolve (zero-to-antecedent listing), validate (list every
-diagnostic on stdout), eval (gold comparison). Every command parses, and so
-validates, its input first. Exit codes: 0 success, 1 format, validation or
-usage problem, 2 internal fault.
+diagnostic on stdout), eval (gold comparison). Every command validates its
+whole input and prints no result for input with a problem. Exit codes: 0
+success, 1 format, validation or usage problem, 2 internal fault.
 
-The engine commands spread a large corpus over the CPUs in the process's
-affinity mask: contiguous groups of discourses run in forked workers, one
-per CPU and per `_UTTERANCES_PER_WORKER` utterances, and their results are
-merged in input order, so the output does not depend on the CPU count. A
-single discourse, a corpus too small for two workers, or a single CPU runs
-in process.
+Every command spreads a large corpus over the CPUs in the process's
+affinity mask. The parent only reads and decodes the files and checks their
+discourse ids. Forked workers, one per CPU and per `_UTTERANCES_PER_WORKER`
+utterances, each build, validate and run a contiguous share of the
+discourses, balanced by utterance count, and send back their diagnostics
+and results. The parent merges these in input order, so the output, errors
+included, does not depend on the CPU count. A single discourse, a corpus
+too small for two workers, or a single CPU runs in process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -28,13 +31,10 @@ from .engine import DiscourseReport, EngineConfig, run_corpus
 from .hypotheses import DEFAULT_BEAM
 from .model import Discourse, Violation, encode_resolution, format_resolution
 
-#: Groups of discourses per worker. Workers pull the next group when they
-#: finish one, so a slow group or a slow CPU holds up at most one group.
-_TASKS_PER_WORKER = 8
-
-#: Fewest utterances per worker. Starting a pool of two costs about 50 ms on
-#: a 2-vCPU machine, and two workers broke even there at about 1500 short
-#: utterances, so a corpus of fewer than 2000 runs in process.
+#: Fewest utterances per worker, so a corpus of fewer than 2000 runs in
+#: process. On a 2-vCPU machine two forked workers break even with one
+#: process at about 500 short utterances and are 6% faster at 1000, so the
+#: bound is conservative; it stays until a benchmark workload lies below it.
 _UTTERANCES_PER_WORKER = 1000
 
 
@@ -98,39 +98,50 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(paths: Sequence[str]) -> list[Discourse]:
-    """Parse every file; one CorpusFormatError carries the diagnostics of
-    all of them, each location prefixed with its file's path. A discourse id
-    may appear once across all the files, as within one."""
-    discourses: list[Discourse] = []
-    diags: list[Violation] = []
-    seen_ids: set[str] = set()
+#: A file as the parent read it: its path, the diagnostic that stopped its
+#: reading (none if it was read), and the location and id of each of its
+#: discourses.
+_File = tuple[str, list[Violation], list[tuple[str, Optional[str]]]]
+
+
+def _read(paths: Sequence[str]) -> tuple[list[_File], list[corpus_io.RawDiscourse]]:
+    """Read and decode every file: the files, and the raw discourses of all
+    of them in input order."""
+    files: list[_File] = []
+    raw: list[corpus_io.RawDiscourse] = []
     for path in paths:
+        failure: list[Violation] = []
+        found: list[corpus_io.RawDiscourse] = []
         try:
-            parsed = corpus_io.parse_corpus(Path(path).read_text(encoding="utf-8"))
+            found = corpus_io.read_document(Path(path).read_text(encoding="utf-8"))
         except UnicodeDecodeError as exc:
             message = f"not UTF-8: {exc.reason}"
-            diags.append(Violation("malformed-encoding", f"{path}: byte {exc.start}", message))
-            continue
+            failure = [Violation("malformed-encoding", f"byte {exc.start}", message)]
         except corpus_io.CorpusFormatError as exc:
-            for v in exc.diagnostics:
-                diags.append(Violation(v.code, f"{path}: {v.location}", v.message))
-            continue
-        # a parsed file dropped no element, so list and file indices agree
-        for i, d in enumerate(parsed):
-            if d.id in seen_ids:
-                diags.append(
-                    Violation(
-                        "duplicate-discourse-id",
-                        f"{path}: discourses[{i}]",
-                        f"discourse id '{d.id}' repeated",
-                    )
-                )
-            seen_ids.add(d.id)
-        discourses.extend(parsed)
-    if diags:
-        raise corpus_io.CorpusFormatError(diags)
-    return discourses
+            failure = exc.diagnostics
+        files.append((path, failure, [(r.loc, r.id) for r in found]))
+        raw.extend(found)
+    return files, raw
+
+
+def _diagnostics(files: list[_File], found: list[list[Violation]]) -> list[Violation]:
+    """Every file's diagnostics, in file order, each location prefixed with
+    its file's path: what stopped its reading, or what its discourses
+    `found`, or, for a file with neither, each discourse id that a file
+    before it without diagnostics has."""
+    diags: list[Violation] = []
+    seen_ids: set[Optional[str]] = set()
+    at = 0
+    for path, failure, discourses in files:
+        mine = failure + [v for per in found[at : at + len(discourses)] for v in per]
+        at += len(discourses)
+        if not mine:
+            for loc, did in discourses:
+                if did in seen_ids:
+                    mine.append(corpus_io.repeated_id(loc, did))
+                seen_ids.add(did)
+        diags.extend(Violation(v.code, f"{path}: {v.location}", v.message) for v in mine)
+    return diags
 
 
 def _config(args: argparse.Namespace) -> EngineConfig:
@@ -141,23 +152,6 @@ def _config(args: argparse.Namespace) -> EngineConfig:
     )
 
 
-#: The task function of a pool worker, set in the worker by `_start_worker`.
-_worker_job: Callable[[int], Any]
-
-
-def _start_worker(job: Callable[[int], Any], cpus: Any) -> None:
-    """Keep the task function and move to a CPU no other worker has: left
-    to the scheduler, forked workers that wait on the task queue between
-    groups were woken on one CPU and ran no faster than one process."""
-    global _worker_job
-    _worker_job = job
-    os.sched_setaffinity(0, {cpus.get()})
-
-
-def _run_worker_task(i: int) -> Any:
-    return _worker_job(i)
-
-
 def _cpus() -> list[int]:
     """The CPUs this process may run on; one where that is not known."""
     if hasattr(os, "sched_getaffinity"):
@@ -165,52 +159,133 @@ def _cpus() -> list[int]:
     return [0]
 
 
+def _utterances(r: corpus_io.RawDiscourse) -> int:
+    utterances = r.item.get("utterances") if isinstance(r.item, dict) else None
+    return len(utterances) if isinstance(utterances, list) else 0
+
+
+def _shares(raw: list[corpus_io.RawDiscourse], cpus: int) -> list[list[corpus_io.RawDiscourse]]:
+    """Cut `raw` into contiguous shares of about equal utterance counts, at
+    most one per CPU and one per `_UTTERANCES_PER_WORKER` utterances: each
+    discourse goes to the share its middle falls in. A corpus that gets one
+    share is that share."""
+    sizes = list(map(_utterances, raw))
+    total = sum(sizes)
+    n = min(cpus, len(raw), total // _UTTERANCES_PER_WORKER)
+    if n <= 1:
+        return [raw] if raw else []
+    shares: list[list[corpus_io.RawDiscourse]] = [[] for _ in range(n)]
+    before = 0
+    for r, size in zip(raw, sizes):
+        # a discourse without utterances at the very end has its middle there
+        shares[min(n - 1, (2 * before + size) * n // (2 * total))].append(r)
+        before += size
+    return [share for share in shares if share]
+
+
+def _run_share(
+    share: list[corpus_io.RawDiscourse], run: bool, job: Callable[[list[Discourse]], Any]
+) -> tuple[list[list[Violation]], Any]:
+    """Build and validate the discourses of `share`, and, if `run` and none
+    has a diagnostic, return `job(discourses)` with their diagnostics. The
+    share is emptied once built, so its raw JSON is not held while the job
+    runs."""
+    discourses, found = corpus_io.build_discourses(share)
+    share.clear()
+    return found, job(discourses) if run and not any(found) else None
+
+
+def _run_shares(paths: Sequence[str], job: Callable[[list[Discourse]], Any]) -> list[Any]:
+    """Read the files, build their discourses in contiguous shares and
+    return `job(discourses)` of each share in input order; raise
+    CorpusFormatError with every diagnostic of every file instead if there
+    is one.
+
+    The parent only reads and decodes the files and checks their discourse
+    ids; the shares are built and run in forked workers, at most one per
+    CPU and one per `_UTTERANCES_PER_WORKER` utterances, each pinned to a
+    CPU of its own. A corpus that gets one worker runs in process. The
+    heap is frozen (`gc.freeze`) before the shares are built, so the
+    workers' garbage collector neither walks nor copies what they inherit.
+    It stays frozen: the command ends the process, whose exit then skips
+    the frozen objects.
+    """
+    files, raw = _read(paths)
+    ids = [r.id for r in raw]
+    # No job runs on a corpus whose reading already failed.
+    run = not any(failure for _, failure, _ in files) and len(set(ids)) == len(ids)
+    cpus = _cpus()
+    shares = _shares(raw, len(cpus))
+    del raw
+
+    def work(share: list[corpus_io.RawDiscourse]) -> tuple[list[list[Violation]], Any]:
+        return _run_share(share, run, job)
+
+    gc.freeze()
+    results = _fork(shares, cpus, work) if len(shares) > 1 else list(map(work, shares))
+    diags = _diagnostics(files, [per for found, _ in results for per in found])
+    if diags:
+        raise corpus_io.CorpusFormatError(diags)
+    return [result for _, result in results]
+
+
+def _fork(shares: list[Any], cpus: list[int], work: Callable[[Any], Any]) -> list[Any]:
+    """`work(share)` of each share, each run in a forked worker pinned to a
+    CPU of its own (left to the scheduler, forked workers were woken on one
+    CPU and ran no faster than one process). A worker sends its result back
+    pickled over a pipe; an exception it raises is raised here, and a worker
+    that dies is a RuntimeError naming its exit status. Fork, not spawn: the
+    command starts no thread, and a forked worker shares the decoded JSON
+    instead of receiving it pickled."""
+    # Imported here, so that a run in process never pays for the import.
+    import pickle
+
+    workers = []
+    for share, cpu in zip(shares, cpus):
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read_end)
+                os.sched_setaffinity(0, {cpu})
+                try:
+                    reply = (True, work(share))
+                except Exception as exc:
+                    reply = (False, exc)
+                with open(write_end, "wb") as pipe:
+                    pickle.dump(reply, pipe)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_end)
+        workers.append((pid, read_end))
+    replies = []
+    for pid, read_end in workers:
+        with open(read_end, "rb") as pipe:
+            data = pipe.read()
+        replies.append((data, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+    for _, code in replies:
+        if code != 0:
+            raise RuntimeError(f"worker ended with exit status {code}")
+    results = []
+    for data, _ in replies:
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
 def _run_engine(
     args: argparse.Namespace,
     finish: Callable[[list[DiscourseReport], Sequence[Discourse]], Any],
 ) -> list[Any]:
-    """Parse the files, run the engine over contiguous groups of their
-    discourses and return `finish(reports, discourses)` of each group, in
-    input order.
-
-    Groups run in forked workers, at most one per CPU and one per
-    `_UTTERANCES_PER_WORKER` utterances, `_TASKS_PER_WORKER` groups per
-    worker; a corpus that gets one worker runs in process as one group.
-    Workers inherit the parsed discourses through fork and pull one group at
-    a time; only the small results of `finish` travel back. An exception in
-    a worker is raised here.
-    """
-    discourses = _load(args.files)
+    """Run the engine on the discourses of the files, share by share (see
+    `_run_shares`), and return `finish(reports, discourses)` of each share
+    in input order."""
     config = _config(args)
-    cpus = _cpus()
-    n = len(discourses)
-    size = sum(len(d.utterances) for d in discourses)
-    workers = min(len(cpus), n, size // _UTTERANCES_PER_WORKER)
-    n_tasks = min(n, _TASKS_PER_WORKER * workers if workers > 1 else 1)
-    tasks = [discourses[n * k // n_tasks : n * (k + 1) // n_tasks] for k in range(n_tasks)]
-
-    def job(i: int) -> Any:
-        return finish(run_corpus(tasks[i], config), tasks[i])
-
-    if workers <= 1:
-        return list(map(job, range(n_tasks)))
-    # Imported here, so that a run in process never pays for the import.
-    # fork, not spawn: the process has started no thread, and a forked
-    # worker shares the parsed corpus instead of receiving it pickled. An
-    # executor, not a multiprocessing.Pool: a worker that dies (say, killed
-    # for memory) raises BrokenProcessPool here, where a Pool waits forever.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    context = multiprocessing.get_context("fork")
-    free_cpus = context.SimpleQueue()
-    for cpu in cpus[:workers]:
-        free_cpus.put(cpu)
-    pool = ProcessPoolExecutor(workers, context, _start_worker, (job, free_cpus))
-    try:
-        return list(pool.map(_run_worker_task, range(n_tasks)))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    return _run_shares(args.files, lambda ds: finish(run_corpus(ds, config), ds))
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -307,7 +382,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     violations: list[Violation] = []
     try:
-        summary = f"{len(_load(args.files))} discourse(s), 0 violation(s)"
+        summary = f"{sum(_run_shares(args.files, len))} discourse(s), 0 violation(s)"
     except corpus_io.CorpusFormatError as exc:
         violations = exc.diagnostics
         summary = f"{len(violations)} violation(s)"

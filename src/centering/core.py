@@ -64,23 +64,21 @@ def compute_cb(cf_prev: Iterable[str], realized: Iterable[str]) -> Optional[str]
 
 
 def classify_transition(
-    cb_prev: Optional[str],
-    cb_cur: Optional[str],
-    cp_cur: str,
-    zta_applied: bool = False,
+    cb_prev: Optional[str], cb_cur: Optional[str], cp_cur: Optional[str]
 ) -> TransitionLabel:
     """Four-way transition classification by Cb identity and Cb=Cp.
 
-    Total over all inputs: an absent current Cb is always ROUGH_SHIFT. The
-    CONTINUE cell upgrades to ZTA_CONTINUE when it holds under zero topic
-    assignment.
+    Total over all inputs: an absent current Cb is always ROUGH_SHIFT, so an
+    empty Cf (`cp_cur` None), which realizes no Cb, is one. The zero-topic
+    continue is never returned here: `expand_hypotheses` relabels the
+    promoted reading, whose Cf this classifies as a CONTINUE.
     """
     if cb_cur is None:
         return TransitionLabel.ROUGH_SHIFT
     same_cb = cb_cur == cb_prev
     cb_is_cp = cb_cur == cp_cur
     if same_cb and cb_is_cp:
-        return TransitionLabel.ZTA_CONTINUE if zta_applied else TransitionLabel.CONTINUE
+        return TransitionLabel.CONTINUE
     if same_cb:
         return TransitionLabel.RETAIN
     if cb_is_cp:

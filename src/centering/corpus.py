@@ -13,7 +13,7 @@ import functools
 import json
 import typing
 from importlib import resources
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .engine import DiscourseReport, HypothesisView, Retrieval, UtteranceReport
 from .model import (
@@ -83,6 +83,28 @@ def parse_corpus(text: str) -> list[Discourse]:
     carrying every diagnostic found, each naming its exact location.
     Whitespace-only input is an empty corpus.
     """
+    discourses, found = build_discourses(read_document(text))
+    diags = [v for per_discourse in found for v in per_discourse]
+    if diags:
+        raise CorpusFormatError(diags)
+    return discourses
+
+
+class RawDiscourse(NamedTuple):
+    """A discourse object of a document, located and not yet built. `id` is
+    None for an element that is not an object; `repeated` marks an id that
+    an earlier discourse of the document has."""
+
+    loc: str
+    item: Any
+    id: Optional[str]
+    repeated: bool
+
+
+def read_document(text: str) -> list[RawDiscourse]:
+    """The raw discourses of a corpus document, after the checks of its JSON
+    and top-level shape, which raise CorpusFormatError. `build_discourses`
+    builds them; the two make up `parse_corpus`."""
     if not text.strip():
         return []
     try:
@@ -98,7 +120,6 @@ def parse_corpus(text: str) -> list[Discourse]:
             ]
         ) from exc
 
-    diags: list[Violation] = []
     if isinstance(data, dict):
         items = data.get("discourses")
         if not isinstance(items, list):
@@ -112,24 +133,48 @@ def parse_corpus(text: str) -> list[Discourse]:
             [Violation("malformed-structure", "$", "expected an object or a list")]
         )
 
-    discourses = []
+    raw = []
     seen_ids: set[str] = set()
     for i, item in enumerate(items):
-        d = _parse_discourse(item, f"discourses[{i}]", diags)
+        loc = f"discourses[{i}]"
+        did = _discourse_id(item, loc)
+        raw.append(RawDiscourse(loc, item, did, did in seen_ids))
+        if did is not None:
+            seen_ids.add(did)
+    return raw
+
+
+def build_discourses(
+    raw: Iterable[RawDiscourse],
+) -> tuple[list[Discourse], list[list[Violation]]]:
+    """Build and validate raw discourses: the discourses built, and per raw
+    discourse its diagnostics, a repeated id last."""
+    discourses = []
+    found = []
+    for r in raw:
+        diags: list[Violation] = []
+        d = _parse_discourse(r.item, r.loc, diags)
+        if r.repeated:
+            diags.append(repeated_id(r.loc, r.id))
         if d is not None:
-            if d.id in seen_ids:
-                diags.append(
-                    Violation(
-                        "duplicate-discourse-id",
-                        f"discourses[{i}]",
-                        f"discourse id '{d.id}' repeated",
-                    )
-                )
-            seen_ids.add(d.id)
             discourses.append(d)
-    if diags:
-        raise CorpusFormatError(diags)
-    return discourses
+        found.append(diags)
+    return discourses, found
+
+
+def repeated_id(loc: str, did: str) -> Violation:
+    """The diagnostic of a discourse id met before, at `loc`."""
+    return Violation("duplicate-discourse-id", loc, f"discourse id '{did}' repeated")
+
+
+def _discourse_id(item: Any, loc: str) -> Optional[str]:
+    """The id a discourse object is built under: a placeholder unique to
+    `loc` when it has none, and None for an element that is not an object,
+    which is not built."""
+    if not isinstance(item, dict):
+        return None
+    did = item.get("id")
+    return did if isinstance(did, str) and did else f"<anonymous {loc}>"
 
 
 def _parse_discourse(item: Any, loc: str, diags: list[Violation]) -> Optional[Discourse]:
@@ -140,10 +185,9 @@ def _parse_discourse(item: Any, loc: str, diags: list[Violation]) -> Optional[Di
     if not isinstance(item, dict):
         diags.append(Violation("malformed-structure", loc, "discourse must be an object"))
         return None
-    did = item.get("id")
-    if not isinstance(did, str) or not did:
+    did = _discourse_id(item, loc)
+    if did != item.get("id"):
         diags.append(Violation("malformed-structure", f"{loc}.id", "missing discourse id"))
-        did = f"<anonymous {loc}>"
     complete = True
 
     entities: list[DiscourseEntity] = []

@@ -68,10 +68,7 @@ def expand_hypotheses(
         resolutions = dict(outcome.assignments)
         plain_cf = rank_cf(u, resolutions)
         cb = compute_cb(parent.cf_ids, (eid for eid, _ in plain_cf))
-        if plain_cf:
-            plain_label = classify_transition(parent.cb, cb, plain_cf[0][0], False)
-        else:
-            plain_label = TransitionLabel.ROUGH_SHIFT
+        plain_label = classify_transition(parent.cb, cb, plain_cf[0][0] if plain_cf else None)
         plain_pref = plain_label.preference_rank
 
         promote = (

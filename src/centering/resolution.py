@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .model import (
     CbHistory,
@@ -109,25 +109,38 @@ def form_set_candidates(
         recency[entry.entity_id] = rec
 
     pool = sorted(recency, key=lambda eid: (-recency[eid], eid))
-
-    def subsets(start: int, chosen: list[str], total: int) -> Iterable[tuple[str, ...]]:
-        if total == required_cardinality and len(chosen) >= 2:
-            yield tuple(chosen)
-        if total >= required_cardinality:
-            return
-        for i in range(start, len(pool)):
-            eid = pool[i]
-            entity = entities.get(eid)
-            if entity is None:
-                continue
-            if chosen:
-                shared = entities[chosen[0]].semantic_types
-                for cid in chosen[1:]:
-                    shared = shared & entities[cid].semantic_types
-                if not (shared & entity.semantic_types):
-                    continue
-            yield from subsets(i + 1, chosen + [eid], total + entity.cardinality)
-
-    found = list(subsets(0, [], 0))
+    found = list(_subsets(pool, entities, required_cardinality, 0, [], 0))
     found.sort(key=lambda members: (-min(recency[m] for m in members), members))
     return found
+
+
+def _subsets(
+    pool: Sequence[str],
+    entities: Mapping[str, DiscourseEntity],
+    required: int,
+    start: int,
+    chosen: list[str],
+    total: int,
+) -> Iterator[tuple[str, ...]]:
+    """The sets of two or more type-sharing members of `pool[start:]` that
+    extend `chosen` (of cardinality `total`) to `required`, depth first in
+    pool order. A module function, not a closure: a recursive closure is a
+    reference cycle that only the garbage collector frees."""
+    if total == required and len(chosen) >= 2:
+        yield tuple(chosen)
+    if total >= required:
+        return
+    for i in range(start, len(pool)):
+        eid = pool[i]
+        entity = entities.get(eid)
+        if entity is None:
+            continue
+        if chosen:
+            shared = entities[chosen[0]].semantic_types
+            for cid in chosen[1:]:
+                shared = shared & entities[cid].semantic_types
+            if not (shared & entity.semantic_types):
+                continue
+        yield from _subsets(
+            pool, entities, required, i + 1, chosen + [eid], total + entity.cardinality
+        )

@@ -62,7 +62,7 @@ def zta_rule_fires(prev, u, res):
     plain_cf = rank_cf(u, res)
     if classify_transition(prev.cb, cb, plain_cf[0][0]) is TransitionLabel.CONTINUE:
         return False
-    return classify_transition(prev.cb, cb, prev.cb, True) is TransitionLabel.ZTA_CONTINUE
+    return classify_transition(prev.cb, cb, prev.cb) is TransitionLabel.CONTINUE
 
 
 def cf_ids(rep, i):
@@ -247,13 +247,11 @@ class TestCriterion4Ablations:
 class TestCriterion5Properties:
     def test_a_transition_classification_exhaustive(self):
         entities = [None, "x", "y"]
-        for cb_prev, cb_cur, cp, zta in itertools.product(
-            entities, entities, ["x", "y"], [False, True]
-        ):
-            label = classify_transition(cb_prev, cb_cur, cp, zta)
+        for cb_prev, cb_cur, cp in itertools.product(entities, entities, [None, "x", "y"]):
+            label = classify_transition(cb_prev, cb_cur, cp)
+            # the zero-topic continue is labelled by expansion, never here
             cells = {
                 TransitionLabel.CONTINUE,
-                TransitionLabel.ZTA_CONTINUE,
                 TransitionLabel.RETAIN,
                 TransitionLabel.SMOOTH_SHIFT,
                 TransitionLabel.ROUGH_SHIFT,
@@ -263,9 +261,7 @@ class TestCriterion5Properties:
                 assert label is TransitionLabel.ROUGH_SHIFT
             else:
                 expected = {
-                    (True, True): (
-                        TransitionLabel.ZTA_CONTINUE if zta else TransitionLabel.CONTINUE
-                    ),
+                    (True, True): TransitionLabel.CONTINUE,
                     (True, False): TransitionLabel.RETAIN,
                     (False, True): TransitionLabel.SMOOTH_SHIFT,
                     (False, False): TransitionLabel.ROUGH_SHIFT,

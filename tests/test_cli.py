@@ -11,7 +11,7 @@ import pytest
 import centering
 import centering.cli as cli_mod
 from centering.cli import main
-from centering.corpus import fixture_text, serialize_corpus
+from centering.corpus import RawDiscourse, fixture_text, serialize_corpus
 
 from test_golden import synth_corpus
 
@@ -378,6 +378,17 @@ class TestDuplicateIdsAcrossFiles:
             "[duplicate-discourse-id]\n"
         )
 
+    def test_a_file_with_diagnostics_claims_no_ids(self, files, corpus_file, capsys):
+        broken = json.loads(fixture_text("cvd_device"))
+        broken["discourses"][0]["utterances"][0]["tense"] = "future"
+        first = corpus_file("cvd_device", json.dumps(broken))
+        code, out, err = run_cli(capsys, "analyze", first, files[1])
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {first}: discourses[0].utterances[0].tense: unknown tense 'future' "
+            "[unknown-tense]\n"
+        )
+
 
 class TestEval:
     def test_full_accuracy(self, corpus_file, capsys):
@@ -456,6 +467,18 @@ def engine_pids(paths):
     return set(cli_mod._run_engine(args, lambda reports, _: os.getpid()))
 
 
+#: Faulty inputs for the workers, each with the one error line it gives
+#: (file name on).
+WORKER_FAULTS = {
+    "bad-tag-in-last-share": "device_lineup.centering.json: discourses[0].utterances[5]"
+    ".expressions[0].role: unknown role tag 'subjekt' [unknown-role]",
+    "id-repeated-across-files": "device_lineup.centering.json: discourses[0]: discourse id "
+    "'etching-factory' repeated [duplicate-discourse-id]",
+    "bad-json-in-second-file": "etching_factory.centering.json: line 1, column 17: "
+    "Expecting value [malformed-json]",
+}
+
+
 class TestWorkers:
     @pytest.mark.parametrize("command", ["analyze", "stats", "resolve", "eval"])
     @pytest.mark.parametrize("format", ["text", "machine"])
@@ -504,10 +527,56 @@ class TestWorkers:
             f"sys.exit(cli.main(['analyze', *{pool_corpus!r}]))\n"
         )
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert "internal error: BrokenProcessPool" in proc.stderr
+        assert "internal error" in proc.stderr and "exit status 3" in proc.stderr
+
+    @pytest.mark.parametrize("fault", sorted(WORKER_FAULTS))
+    def test_input_errors_do_not_depend_on_cpu_count(
+        self, fault, pool_corpus, tmp_path, monkeypatch, capsys
+    ):
+        synth, etching, lineup = pool_corpus
+        if fault == "bad-json-in-second-file":
+            etching = tmp_path / "etching_factory.centering.json"
+            etching.write_text('{"discourses": [', encoding="utf-8")
+        else:
+            data = json.loads(fixture_text("device_lineup"))
+            if fault == "bad-tag-in-last-share":
+                data["discourses"][0]["utterances"][-1]["expressions"][0]["role"] = "subjekt"
+            else:
+                data["discourses"][0]["id"] = "etching-factory"
+            lineup = tmp_path / "device_lineup.centering.json"
+            lineup.write_text(json.dumps(data), encoding="utf-8")
+        errors = []
+        for cpus in (1, 3):
+            with_cpus(monkeypatch, cpus)
+            code, out, err = run_cli(capsys, "analyze", synth, str(etching), str(lineup))
+            assert (code, out) == (1, "")
+            errors.append(err)
+        assert errors[0] == errors[1]
+        assert [line.split(os.sep)[-1] for line in errors[0].splitlines()] == [WORKER_FAULTS[fault]]
+
+    def test_shares_are_contiguous_and_balanced_by_utterances(self, monkeypatch):
+        monkeypatch.setattr(cli_mod, "_UTTERANCES_PER_WORKER", 1)
+        raw = [
+            RawDiscourse(f"discourses[{i}]", {"utterances": [{}] * n}, f"d{i}", False)
+            for i, n in enumerate([5, 0, 5, 10, 0])
+        ]
+        raw.append(RawDiscourse("discourses[5]", 5, None, False))
+        shares = cli_mod._shares(list(raw), 2)
+        assert shares == [raw[:3], raw[3:]]
+        assert cli_mod._shares(list(raw), 1) == [raw]
+        assert cli_mod._shares([], 2) == []
+
+    def test_raw_json_is_dropped_before_the_job_runs(self, pool_corpus):
+        _, raw = cli_mod._read(pool_corpus)
+        found, held = cli_mod._run_share(raw, True, lambda discourses: (len(raw), len(discourses)))
+        assert held == (0, 44) and not any(found)
 
     def test_a_worker_per_threshold_of_utterances(self, pool_corpus, monkeypatch):
-        size = sum(len(d.utterances) for d in cli_mod._load(pool_corpus))
+        size = sum(
+            len(d["utterances"])
+            for path in pool_corpus
+            for d in json.loads(Path(path).read_text(encoding="utf-8"))["discourses"]
+        )
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
         # two workers would need one utterance more than the corpus holds

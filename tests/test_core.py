@@ -5,10 +5,17 @@ import itertools
 from hypothesis import given
 from hypothesis import strategies as st
 
-from centering import GrammaticalRole, classify_transition, compute_cb, rank_cf
+from centering import (
+    GrammaticalRole,
+    classify_transition,
+    compute_cb,
+    expand_hypotheses,
+    rank_cf,
+)
 from centering.model import EffectiveRole, TransitionLabel
 
-from conftest import overt, utterance, zero
+from conftest import outcomes, overt, utterance, zero
+from test_hypotheses import ASK_GA, PREV
 
 
 class TestRankCf:
@@ -98,22 +105,29 @@ class TestClassifyTransition:
         assert C("investment", None, "t-electron") is TransitionLabel.ROUGH_SHIFT
 
     def test_zta_upgrade(self):
-        got = classify_transition("hanako", "hanako", "hanako", zta_applied=True)
-        assert got is TransitionLabel.ZTA_CONTINUE
+        # the upgrade is the continue cell under zero topic assignment: the
+        # promoted reading's Cf classifies as CONTINUE and is labelled
+        # ZTA_CONTINUE, where the plain reading is a RETAIN
+        children = expand_hypotheses([PREV], ASK_GA, outcomes({1: "hanako"}))
+        (promoted,) = [c for c in children if c.zta_applied]
+        (plain,) = [c for c in children if not c.zta_applied]
+        assert classify_transition("hanako", promoted.cb, promoted.cf[0][0]) is (
+            TransitionLabel.CONTINUE
+        )
+        assert promoted.transition is TransitionLabel.ZTA_CONTINUE
+        assert plain.transition is TransitionLabel.RETAIN
 
     def test_exhaustive_and_mutually_exclusive(self):
         # every equality pattern lands in exactly one cell
         entities = [None, "x", "y"]
-        for cb_prev, cb_cur, cp, zta in itertools.product(
-            entities, entities, ["x", "y"], [False, True]
-        ):
-            label = classify_transition(cb_prev, cb_cur, cp, zta)
+        for cb_prev, cb_cur, cp in itertools.product(entities, entities, [None, "x", "y"]):
+            label = classify_transition(cb_prev, cb_cur, cp)
             if cb_cur is None:
                 assert label is TransitionLabel.ROUGH_SHIFT
                 continue
             conditions = {
-                TransitionLabel.CONTINUE: cb_cur == cb_prev and cb_cur == cp and not zta,
-                TransitionLabel.ZTA_CONTINUE: cb_cur == cb_prev and cb_cur == cp and zta,
+                TransitionLabel.CONTINUE: cb_cur == cb_prev and cb_cur == cp,
+                TransitionLabel.ZTA_CONTINUE: False,
                 TransitionLabel.RETAIN: cb_cur == cb_prev and cb_cur != cp,
                 TransitionLabel.SMOOTH_SHIFT: cb_cur != cb_prev and cb_cur == cp,
                 TransitionLabel.ROUGH_SHIFT: cb_cur != cb_prev and cb_cur != cp,
