@@ -204,25 +204,36 @@ def _run_shares(paths: Sequence[str], job: Callable[[list[Discourse]], Any]) -> 
     The parent only reads and decodes the files and checks their discourse
     ids; the shares are built and run in forked workers, at most one per
     CPU and one per `_UTTERANCES_PER_WORKER` utterances, each pinned to a
-    CPU of its own. A corpus that gets one worker runs in process. The
-    heap is frozen (`gc.freeze`) before the shares are built, so the
-    workers' garbage collector neither walks nor copies what they inherit.
-    It stays frozen: the command ends the process, whose exit then skips
-    the frozen objects.
+    CPU of its own. A corpus that gets one worker runs in process.
+
+    The cyclic garbage collector is off from the reading of the files to
+    the last result, and the caller's setting is restored after; forked
+    workers inherit it off and end with `os._exit`. Nothing this path makes
+    forms a reference cycle, so reference counting alone frees it all, and
+    the collector would only walk the live objects again and again. The
+    heap is also frozen (`gc.freeze`) before the shares are built. It stays
+    frozen: the command ends the process, whose last collection at exit
+    then skips the frozen objects.
     """
-    files, raw = _read(paths)
-    ids = [r.id for r in raw]
-    # No job runs on a corpus whose reading already failed.
-    run = not any(failure for _, failure, _ in files) and len(set(ids)) == len(ids)
-    cpus = _cpus()
-    shares = _shares(raw, len(cpus))
-    del raw
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        files, raw = _read(paths)
+        ids = [r.id for r in raw]
+        # No job runs on a corpus whose reading already failed.
+        run = not any(failure for _, failure, _ in files) and len(set(ids)) == len(ids)
+        cpus = _cpus()
+        shares = _shares(raw, len(cpus))
+        del raw
 
-    def work(share: list[corpus_io.RawDiscourse]) -> tuple[list[list[Violation]], Any]:
-        return _run_share(share, run, job)
+        def work(share: list[corpus_io.RawDiscourse]) -> tuple[list[list[Violation]], Any]:
+            return _run_share(share, run, job)
 
-    gc.freeze()
-    results = _fork(shares, cpus, work) if len(shares) > 1 else list(map(work, shares))
+        gc.freeze()
+        results = _fork(shares, cpus, work) if len(shares) > 1 else list(map(work, shares))
+    finally:
+        if enabled:
+            gc.enable()
     diags = _diagnostics(files, [per for found, _ in results for per in found])
     if diags:
         raise corpus_io.CorpusFormatError(diags)
@@ -301,6 +312,11 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The encoder of every machine line of `resolve`, built once: `json.dumps`
+#: with options builds a new encoder per call.
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _resolution_lines(reports: list[DiscourseReport], format: str) -> list[str]:
     lines = []
     for rep in reports:
@@ -314,7 +330,7 @@ def _resolution_lines(reports: list[DiscourseReport], format: str) -> list[str]:
                         "antecedent": encode_resolution(value),
                         "cues": list(u.cues),
                     }
-                    lines.append(json.dumps(record, sort_keys=True))
+                    lines.append(_LINE_ENCODER.encode(record))
                 else:
                     cue = f"  cue={'+'.join(u.cues)}" if u.cues else ""
                     lines.append(

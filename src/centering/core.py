@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
 from .model import (
@@ -32,24 +33,23 @@ def rank_cf(
 
     # best (role, position) seen per realized entity
     best: dict[str, tuple[int, int]] = {}
-
-    def note(entity_id: str, rank: int, position: int) -> None:
-        cur = best.get(entity_id)
-        if cur is None or (rank, position) < cur:
-            best[entity_id] = (rank, position)
-
     for expr in u.expressions:
         if expr.is_zero:
             value = resolutions.get(expr.surface_position)
             if value is None:
                 continue
-            members = [value] if isinstance(value, str) else sorted(value)
-            for member in members:
-                note(member, expr.role.rank, expr.surface_position)
+            members = (value,) if isinstance(value, str) else sorted(value)
         elif expr.entity_ref is not None:
-            note(expr.entity_ref, expr.role.rank, expr.surface_position)
+            members = (expr.entity_ref,)
+        else:
+            continue
+        seen = (expr.role.rank, expr.surface_position)
+        for member in members:
+            cur = best.get(member)
+            if cur is None or seen < cur:
+                best[member] = seen
 
-    ordered = sorted(best.items(), key=lambda item: item[1])
+    ordered = sorted(best.items(), key=itemgetter(1))
     return tuple((entity_id, _ROLE_OF_RANK[rank]) for entity_id, (rank, _pos) in ordered)
 
 

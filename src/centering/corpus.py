@@ -11,6 +11,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import re
+import sys
 import typing
 from importlib import resources
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
@@ -90,6 +92,42 @@ def parse_corpus(text: str) -> list[Discourse]:
     return discourses
 
 
+#: The tokens of JSON that bear on nesting and on integer literals. Strings
+#: are matched whole, so that nothing inside them counts, and an unclosed
+#: one runs to the end, so that the scan stays linear.
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"?|[\[{]|[\]}]|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?', re.S)
+
+
+def _loads(text: str) -> Any:
+    """`json.loads(text)`, raising JSONDecodeError also for JSON that the
+    decoder cannot take: nesting past the recursion limit, located at the
+    first bracket of the greatest depth, or an integer literal longer than
+    `sys.get_int_max_str_digits()`, located at the first one."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except RecursionError as exc:
+        depth = deepest = at = 0
+        for token in _JSON_TOKEN.finditer(text):
+            if token.group() in ("[", "{"):
+                depth += 1
+                if depth > deepest:
+                    deepest, at = depth, token.start()
+            elif token.group() in ("]", "}"):
+                depth -= 1
+        message = f"nested {deepest} deep, past the decoder's limit"
+        raise json.JSONDecodeError(message, text, at) from exc
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        for token in _JSON_TOKEN.finditer(text):
+            digits = token.group().lstrip("-")
+            if digits.isdigit() and len(digits) > limit:
+                message = f"integer of {len(digits)} digits, more than {limit}"
+                raise json.JSONDecodeError(message, text, token.start()) from exc
+        raise
+
+
 class RawDiscourse(NamedTuple):
     """A discourse object of a document, located and not yet built. `id` is
     None for an element that is not an object; `repeated` marks an id that
@@ -108,7 +146,7 @@ def read_document(text: str) -> list[RawDiscourse]:
     if not text.strip():
         return []
     try:
-        data = json.loads(text)
+        data = _loads(text)
     except json.JSONDecodeError as exc:
         raise CorpusFormatError(
             [
@@ -456,8 +494,13 @@ def _encode(obj: Any) -> Any:
     return {key: getattr(obj, name) for name, key in fields}
 
 
+#: The encoder of every machine record, built once: `json.dumps` with
+#: options builds a new encoder per call.
+_RECORD_ENCODER = json.JSONEncoder(default=_encode, sort_keys=True)
+
+
 def _record(kind: str, obj: Any) -> str:
-    return json.dumps({"record": kind, **_encode(obj)}, default=_encode, sort_keys=True)
+    return _RECORD_ENCODER.encode({"record": kind, **_encode(obj)})
 
 
 def _machine_block(rep: DiscourseReport) -> str:
@@ -497,7 +540,7 @@ def read_reports(text: str) -> list[DiscourseReport]:
         if not line.strip():
             continue
         try:
-            data = _take(_OBJECT, json.loads(line))
+            data = _take(_OBJECT, _loads(line))
             kind = data.get("record")
             if kind == "utterance":
                 u = _decode(UtteranceReport, data)

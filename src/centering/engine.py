@@ -62,7 +62,7 @@ def push_cb(history: CbHistory, cb: str, index: int, past_tense: bool = False) -
     return (CbHistoryEntry(cb, index, flag), *kept)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Retrieval:
     """Outcome of one global retrieval at one zero slot.
 
@@ -144,7 +144,7 @@ class EngineConfig:
     global_enabled: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HypothesisView:
     """Serializable snapshot of one hypothesis for reports."""
 
@@ -156,7 +156,7 @@ class HypothesisView:
     anomalous: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UtteranceReport:
     """Per-utterance analysis record emitted by the engine."""
 
@@ -190,7 +190,7 @@ class DiscourseReport:
     history: tuple[tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiscourseState:
     """Engine state after processing a prefix of a discourse, and the record
     of its last step.
@@ -237,7 +237,7 @@ def _resolve_locally(
     anomalous = False
     claimed: set[str] = set()
     for zero in zeros:
-        res = local_resolution(zero, cf_prev, u, entities, frozenset(claimed))
+        res = local_resolution(zero, cf_prev, u, entities, claimed)
         assigned[zero.surface_position] = res.entity_id
         if res.entity_id is not None:
             claimed.add(res.entity_id)
@@ -350,22 +350,23 @@ def coherence_step(state: DiscourseState, u: Utterance) -> DiscourseState:
     history = state.history
     if accepted.cb is not None:
         history = push_cb(history, accepted.cb, u.index, u.tense is Tense.PAST)
-    return replace(
-        state,
-        hypotheses=tuple(survivors),
-        history=history,
-        utterance=u,
-        retrievals=tuple(retrievals),
-        prev=state,
+    return DiscourseState(
+        state.discourse, config, tuple(survivors), history, u, tuple(retrievals), state
     )
 
 
 def _accepted(survivors: Sequence[CenteringHypothesis]) -> CenteringHypothesis:
     """Current best reading; preference ties resolve to the plain (fewest
     promotions) branch for bookkeeping purposes."""
-    best_key = rank_key(survivors[0])[:2]
-    tied = [h for h in survivors if rank_key(h)[:2] == best_key]
-    return min(tied, key=lambda h: (h.zta_count, rank_key(h)))
+    if len(survivors) == 1:
+        return survivors[0]
+    keys = [rank_key(h) for h in survivors]
+    tied = [
+        (h.zta_count, key, i)
+        for i, (h, key) in enumerate(zip(survivors, keys))
+        if key[:2] == keys[0][:2]
+    ]
+    return survivors[min(tied)[2]]
 
 
 def run_discourse(

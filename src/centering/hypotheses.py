@@ -18,7 +18,7 @@ from .model import (
 DEFAULT_BEAM = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResolutionOutcome:
     """Per-parent local resolution result for all zeros of one utterance.
 

@@ -108,13 +108,11 @@ class TransitionLabel(Enum):
         #: Coherence preference; lower is preferred. The zero-topic continue
         #: ties with the plain continue.
         self.preference_rank = _PREFERENCE[value]
-
-    @property
-    def display(self) -> str:
-        return self.value
+        #: Tag of the reports: the value, read as a plain attribute.
+        self.display = value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiscourseEntity:
     """A semantic discourse entity realizable by referring expressions.
 
@@ -134,7 +132,7 @@ class DiscourseEntity:
 GoldAntecedent = Union[str, frozenset[str]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResolutionConstraints:
     """Cue annotations on a zero slot.
 
@@ -153,7 +151,7 @@ class ResolutionConstraints:
         object.__setattr__(self, "gold_antecedent", decode_resolution(self.gold_antecedent))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReferringExpression:
     """One overt NP or zero slot in an utterance.
 
@@ -266,7 +264,7 @@ def format_resolution(value: Resolution) -> str:
     return "{" + "+".join(sorted(value)) + "}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CenteringHypothesis:
     """One (Cb, Cf, transition) reading of an utterance.
 
@@ -344,7 +342,7 @@ class CenteringHypothesis:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CbHistoryEntry:
     """One former backward-looking center.
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import AbstractSet, Iterator, Mapping, Optional, Sequence
 
 from .model import (
     CbHistory,
@@ -40,7 +40,7 @@ def check_compatibility(
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocalResolution:
     """Outcome of a local resolution attempt.
 
@@ -58,7 +58,7 @@ def local_resolution(
     cf_prev: Sequence[str],
     u: Utterance,
     entities: Mapping[str, DiscourseEntity],
-    exclude: frozenset[str] = frozenset(),
+    exclude: AbstractSet[str] = frozenset(),
 ) -> LocalResolution:
     """Resolve a zero to the highest-ranked compatible member of the
     predecessor Cf; `entity_id` is None when none qualifies (the caller then
@@ -68,10 +68,10 @@ def local_resolution(
     already claimed by other zeros of the same utterance), are not
     candidates.
     """
-    blocked = exclude | u.overt_entities
+    overt = u.overt_entities
     had_candidate = False
     for entity_id in cf_prev:
-        if entity_id in blocked:
+        if entity_id in exclude or entity_id in overt:
             continue
         entity = entities.get(entity_id)
         if entity is None:

@@ -1,5 +1,7 @@
 """End-to-end command line behavior."""
 
+import gc
+import importlib.util
 import json
 import os
 import subprocess
@@ -10,8 +12,22 @@ import pytest
 
 import centering
 import centering.cli as cli_mod
+from centering import (
+    CorpusFormatError,
+    evaluate_gold,
+    parse_corpus,
+    run_corpus,
+    tabulate_disambiguation,
+    tabulate_transitions,
+)
 from centering.cli import main
-from centering.corpus import RawDiscourse, fixture_text, serialize_corpus
+from centering.corpus import (
+    FIXTURE_NAMES,
+    RawDiscourse,
+    fixture_text,
+    report_blocks,
+    serialize_corpus,
+)
 
 from test_golden import synth_corpus
 
@@ -91,6 +107,23 @@ def index_file(tmp_path, indices):
     path = tmp_path / "order.centering.json"
     path.write_text(json.dumps(corpus), encoding="utf-8")
     return str(path)
+
+
+def beyond_the_decoder(case):
+    """A corpus text that `json.loads` cannot take although its syntax
+    holds up to that point, and the location and message it is reported
+    with."""
+    if case == "nested-too-deep":
+        return "[" * 100000, "line 1, column 100000: nested 100000 deep, past the decoder's limit"
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("integers have no digit limit in this interpreter")
+    head = '{"discourses": [{"id": "d", "entities": [{"id": "a", "cardinality": '
+    text = head + "7" * (limit + 1) + "}]}]}"
+    return text, f"line 1, column {len(head) + 1}: integer of {limit + 1} digits, more than {limit}"
+
+
+DECODER_CASES = ("nested-too-deep", "integer-too-long")
 
 
 class TestAnalyze:
@@ -319,6 +352,21 @@ class TestValidateAndErrors:
         assert (code, err) == (1, "")
         assert out.splitlines()[0].startswith(f"{path}: line 1, column 17: ")
         assert out.splitlines()[0].endswith("[malformed-json]")
+
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
+    @pytest.mark.parametrize("case", DECODER_CASES)
+    def test_json_the_decoder_cannot_take_is_a_located_format_error(
+        self, case, command, tmp_path, capsys
+    ):
+        text, diag = beyond_the_decoder(case)
+        path = tmp_path / "corpus.centering.json"
+        path.write_text(text, encoding="utf-8")
+        line = f"{path}: {diag} [malformed-json]"
+        code, out, err = run_cli(capsys, command, str(path))
+        if command == "validate":
+            assert (code, out, err) == (1, f"{line}\n1 violation(s)\n", "")
+        else:
+            assert (code, out, err) == (1, "", f"error: {line}\n")
 
     def test_non_utf8_file_is_a_located_format_error(self, tmp_path, capsys):
         path = tmp_path / "utf16.centering.json"
@@ -621,3 +669,78 @@ def run_python(code):
     return subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
+
+
+def topic_cues_text(discourses=20):
+    """The first discourses of the benchmark's seed-1 topic_cues corpus,
+    made by its generator, which is imported and only read."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus_gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    corpus = gen.build_corpus("topic_cues", 1)
+    return gen.corpus_text({"discourses": corpus["discourses"][:discourses]})
+
+
+class TestCollector:
+    """The engine commands run with the cyclic garbage collector off. That
+    is sound only while reference counting alone frees everything their job
+    path makes, and only if the caller gets its collector back as it was."""
+
+    @pytest.mark.parametrize("corpus", ["fixtures", "topic_cues"])
+    def test_run_leaves_no_cyclic_garbage(self, corpus):
+        if corpus == "fixtures":
+            texts = [fixture_text(name) for name in FIXTURE_NAMES]
+        else:
+            texts = [topic_cues_text()]
+        data = json.loads(texts[-1])
+        data["discourses"][-1]["utterances"][1]["expressions"][0]["role"] = "bogus"
+        failing = [json.dumps(data), *(beyond_the_decoder(case)[0] for case in DECODER_CASES)]
+        gc.collect()
+        gc.disable()
+        try:
+            for text in failing:
+                try:
+                    parse_corpus(text)
+                except CorpusFormatError:
+                    pass
+                else:
+                    pytest.fail("a bad corpus parsed")
+            for text in texts:
+                discourses = parse_corpus(text)
+                reports = run_corpus(discourses)
+                for format in ("text", "machine"):
+                    report_blocks(reports, format)
+                tabulate_transitions(reports)
+                tabulate_disambiguation(reports)
+                evaluate_gold(reports, discourses)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("valid", [True, False], ids=["valid", "invalid"])
+    def test_main_leaves_the_collector_as_it_found_it(
+        self, enabled, cpus, valid, pool_corpus, tmp_path, monkeypatch, capsys
+    ):
+        paths = list(pool_corpus)
+        if not valid:
+            paths[-1] = tmp_path / "broken.centering.json"
+            paths[-1].write_text('{"discourses": [', encoding="utf-8")
+        with_cpus(monkeypatch, cpus)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            code, _, _ = run_cli(capsys, "analyze", *map(str, paths))
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert code == (0 if valid else 1)
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_jobs_run_with_the_collector_off(self, cpus, pool_corpus, monkeypatch):
+        with_cpus(monkeypatch, cpus)
+        args = cli_mod._build_parser().parse_args(["analyze", *pool_corpus])
+        states = cli_mod._run_engine(args, lambda reports, _: gc.isenabled())
+        assert gc.isenabled()
+        assert len(states) == (1 if cpus == 1 else 3) and not any(states)

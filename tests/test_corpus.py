@@ -1,6 +1,7 @@
 """Corpus parsing, serialization, diagnostics, and report round-trips."""
 
 import json
+import sys
 
 import pytest
 
@@ -191,6 +192,22 @@ class TestRoundTrips:
         diag = err.value.diagnostics[0]
         assert diag.location == "line 2"
         assert message in diag.message
+
+    @pytest.mark.parametrize("case", ["nested-too-deep", "integer-too-long"])
+    def test_report_line_the_decoder_cannot_take_is_a_located_format_error(self, case):
+        lines = serialize_reports(run_corpus([load_fixture("classroom_exam")]), "machine")
+        lines = lines.splitlines()
+        if case == "nested-too-deep":
+            lines[1] = '{"record": "utterance", "cf": ' + "[" * 100000
+        else:
+            digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if not digits:
+                pytest.skip("integers have no digit limit in this interpreter")
+            lines[1] = '{"record": "utterance", "index": ' + "7" * (digits + 1) + "}"
+        with pytest.raises(CorpusFormatError) as err:
+            read_reports("\n".join(lines))
+        diag = err.value.diagnostics[0]
+        assert (diag.code, diag.location) == ("malformed-json", "line 2")
 
     def test_empty_reports_serialize(self):
         assert serialize_reports([], "machine") == ""

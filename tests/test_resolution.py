@@ -1,7 +1,5 @@
 """Compatibility checks, local resolution, and set-candidate formation."""
 
-import gc
-
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -9,9 +7,7 @@ from centering import (
     GrammaticalRole,
     check_compatibility,
     form_set_candidates,
-    load_fixture,
     local_resolution,
-    run_discourse,
 )
 from centering.model import CbHistoryEntry
 from centering.resolution import CUE_AGREEMENT, CUE_LEXICAL
@@ -182,15 +178,3 @@ class TestFormSetCandidates:
         h = history(("pair", 3), ("solo", 2), ("trio", 1))
         got = form_set_candidates(h, [], 3, pool, 4)
         assert got == [("pair", "solo")]
-
-    def test_run_leaves_no_cyclic_garbage(self):
-        # device_lineup resolves a zero to a set; with the collector off,
-        # reference counting alone must free everything the run made
-        discourse = load_fixture("device_lineup")
-        gc.collect()
-        gc.disable()
-        try:
-            run_discourse(discourse)
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
