@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from ._record import dataclass
 from .engine import DiscourseReport
 from .model import Discourse, Resolution, TransitionLabel, decode_resolution
 from .resolution import CUE_AGREEMENT, CUE_LEXICAL, CUE_TENSE

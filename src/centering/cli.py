@@ -23,7 +23,6 @@ import gc
 import json
 import os
 import sys
-from pathlib import Path
 from typing import Any, Callable, NoReturn, Optional, Sequence
 
 from . import analysis, corpus as corpus_io
@@ -113,7 +112,9 @@ def _read(paths: Sequence[str]) -> tuple[list[_File], list[corpus_io.RawDiscours
         failure: list[Violation] = []
         found: list[corpus_io.RawDiscourse] = []
         try:
-            found = corpus_io.read_document(Path(path).read_text(encoding="utf-8"))
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            found = corpus_io.read_document(text)
         except UnicodeDecodeError as exc:
             message = f"not UTF-8: {exc.reason}"
             failure = [Violation("malformed-encoding", f"byte {exc.start}", message)]

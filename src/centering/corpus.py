@@ -8,15 +8,14 @@ See the README for the schema and `centering/fixtures/` for worked examples.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import re
 import sys
 import typing
-from importlib import resources
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
+from ._record import fields, is_record, replace
 from .engine import DiscourseReport, HypothesisView, Retrieval, UtteranceReport
 from .model import (
     Discourse,
@@ -442,7 +441,7 @@ def _shape(hint: Any) -> _Shape:
     are, tuples and frozensets as lists, records as objects."""
     if hint in _JSON_NAMES:
         return {hint: None}
-    if dataclasses.is_dataclass(hint):
+    if is_record(hint):
         return {dict: lambda v: _decode(hint, v)}
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is typing.Union:
@@ -468,7 +467,7 @@ def _shape(hint: Any) -> _Shape:
 _FIELDS = {
     cls: tuple(
         (f.name, _KEYS.get(f.name, f.name))
-        for f in dataclasses.fields(cls)
+        for f in fields(cls)
         if f.name != "utterances"
     )
     for cls in (UtteranceReport, DiscourseReport, Retrieval, HypothesisView)
@@ -488,10 +487,10 @@ def _encode(obj: Any) -> Any:
     table, resolution sets become sorted lists."""
     if isinstance(obj, frozenset):
         return encode_resolution(obj)
-    fields = _FIELDS.get(type(obj))
-    if fields is None:
+    table = _FIELDS.get(type(obj))
+    if table is None:
         raise TypeError(f"{type(obj).__name__} is not a report record")
-    return {key: getattr(obj, name) for name, key in fields}
+    return {key: getattr(obj, name) for name, key in table}
 
 
 #: The encoder of every machine record, built once: `json.dumps` with
@@ -548,7 +547,7 @@ def read_reports(text: str) -> list[DiscourseReport]:
             elif kind == "discourse":
                 rep = _decode(DiscourseReport, data, utterances=())
                 utts = tuple(pending.pop(rep.discourse_id, ()))
-                out.append(dataclasses.replace(rep, utterances=utts))
+                out.append(replace(rep, utterances=utts))
         except json.JSONDecodeError as exc:
             raise CorpusFormatError([Violation("malformed-json", f"line {n}", exc.msg)]) from exc
         except (TypeError, ValueError) as exc:
@@ -618,6 +617,9 @@ FIXTURE_NAMES = (
 
 def fixture_text(name: str) -> str:
     """Raw text of a bundled sample corpus (see FIXTURE_NAMES)."""
+    # Imported here: it loads pathlib and zipfile, which no command needs.
+    from importlib import resources
+
     pkg = resources.files("centering") / "fixtures" / f"{name}.centering.json"
     return pkg.read_text(encoding="utf-8")
 

@@ -7,9 +7,9 @@ discourses can run in parallel with no shared state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
+from ._record import dataclass, field, replace
 from .core import rank_cf
 from .hypotheses import (
     DEFAULT_BEAM,
@@ -142,6 +142,14 @@ class EngineConfig:
     beam: int = DEFAULT_BEAM
     zta_enabled: bool = True
     global_enabled: bool = True
+
+    def __post_init__(self) -> None:
+        # a bool is an int to Python, but not a beam width
+        if isinstance(self.beam, bool) or not isinstance(self.beam, int) or self.beam < 1:
+            raise ValueError(f"beam must be an int >= 1, got {self.beam!r}")
+        for name in ("zta_enabled", "global_enabled"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Sequence
 
+from ._record import dataclass, replace
 from .core import classify_transition, rank_cf, compute_cb
 from .model import (
     ARGUMENT_ROLES,

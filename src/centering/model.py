@@ -7,11 +7,12 @@ types, so instances are safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Union
+
+from ._record import dataclass, field
 
 
 class GrammaticalRole(IntEnum):

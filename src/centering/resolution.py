@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import AbstractSet, Iterator, Mapping, Optional, Sequence
 
+from ._record import dataclass
 from .model import (
     CbHistory,
     DiscourseEntity,

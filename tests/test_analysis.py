@@ -1,6 +1,5 @@
 """Distribution tables, chi-square, cue accounting, gold evaluation."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -15,6 +14,7 @@ from centering import (
     tabulate_disambiguation,
     tabulate_transitions,
 )
+from centering._record import replace
 from centering.corpus import FIXTURE_NAMES
 from centering.engine import DiscourseReport, UtteranceReport
 
@@ -211,7 +211,7 @@ class TestEvaluateGold:
         # two discourses built in code may share an id; each report is
         # scored against the discourse at its own position
         cvd = load_fixture("cvd_device")
-        bank = dataclasses.replace(load_fixture("bank_pos"), id=cvd.id)
+        bank = replace(load_fixture("bank_pos"), id=cvd.id)
         apart = [evaluate_gold(run_corpus([d]), [d]) for d in (cvd, bank)]
         together = evaluate_gold(run_corpus([cvd, bank]), [cvd, bank])
         assert together == apart[0] + apart[1]
@@ -221,7 +221,7 @@ class TestEvaluateGold:
     def test_reports_out_of_step_with_the_corpus_raise(self):
         corpus = [load_fixture("cvd_device"), load_fixture("bank_pos")]
         reports = run_corpus(corpus)
-        shifted = dataclasses.replace(reports[0], utterances=reports[0].utterances[1:])
+        shifted = replace(reports[0], utterances=reports[0].utterances[1:])
         for bad_reports, bad_corpus in [
             (reports, corpus[::-1]),
             (reports[:1], corpus),

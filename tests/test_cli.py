@@ -653,21 +653,32 @@ class TestWorkers:
         for name in fixtures:
             paths.append(tmp_path / f"{name}.centering.json")
             paths[-1].write_text(fixture_text(name), encoding="utf-8")
+        # -S: no site hook may preload a module and hide the package's own
+        # import of it; the record module stands in for dataclasses, and
+        # the fixtures' loader for importlib.resources
+        unused = ["multiprocessing", "pickle", "dataclasses", "inspect"]
+        unused += ["importlib.resources", "pathlib"]
         proc = run_python(
             "import sys\n"
             "from centering.cli import main\n"
             f"code = main(['analyze', *{list(map(str, paths))!r}])\n"
-            "print(code, sorted({'multiprocessing', 'pickle'} & set(sys.modules)))\n"
+            f"print(code, sorted(set({unused!r}) & set(sys.modules)))\n",
+            "-S",
         )
         assert proc.stdout.splitlines()[-1] == "0 []", proc.stderr
 
 
-def run_python(code):
-    """Run `code` in a new interpreter that imports this package."""
+def run_python(code, *options):
+    """Run `code` in a new interpreter, started with `options`, that imports
+    this package."""
     src = str(Path(centering.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, *options, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
     )
 
 

@@ -1,7 +1,6 @@
 """Cb history, global retrieval, coherence stepping, randomized properties."""
 
 import random
-from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +16,7 @@ from centering import (
     run_discourse,
     validate_discourse,
 )
+from centering._record import fields, replace
 from centering.engine import (
     CUE_TENSE,
     DiscourseState,
@@ -395,6 +395,23 @@ class TestEngineMechanics:
         assert last.resolution_map[2] == "a"
         assert [r.value for r in last.retrievals] == ["a"]
         assert CUE_TENSE in last.cues
+
+
+@pytest.mark.parametrize(
+    "given, name",
+    [
+        ({"beam": 0}, "beam"),
+        ({"beam": -5, "zta_enabled": "no"}, "beam"),
+        ({"beam": 2.0}, "beam"),
+        ({"beam": True}, "beam"),
+        ({"zta_enabled": "no"}, "zta_enabled"),
+        ({"global_enabled": 1}, "global_enabled"),
+    ],
+)
+def test_engine_config_rejects_what_the_engine_cannot_run(given, name):
+    # a beam of 0 used to run a one-utterance discourse and fail on a longer one
+    with pytest.raises(ValueError, match=f"^{name} "):
+        EngineConfig(**given)
 
 
 def test_long_chain_hypothesis_and_trace_support_repr_hash_eq():

@@ -1,0 +1,163 @@
+"""The frozen-record contract, checked on every record class of the package
+with instances taken from a parse and a run of the bundled fixtures."""
+
+import dataclasses
+import pickle
+
+import pytest
+
+from centering import (
+    CorpusFormatError,
+    EngineConfig,
+    coherence_step,
+    evaluate_gold,
+    load_fixture,
+    parse_corpus,
+    tabulate_transitions,
+)
+from centering import analysis, engine, hypotheses, model, resolution
+from centering._record import fields, is_record, replace
+from centering.corpus import FIXTURE_NAMES
+from centering.engine import DiscourseState, finalize
+from centering.model import CenteringHypothesis, TransitionLabel
+
+RECORD_CLASSES = sorted(
+    (
+        value
+        for module in (model, hypotheses, resolution, engine, analysis)
+        for value in vars(module).values()
+        if is_record(value) and isinstance(value, type) and value.__module__ == module.__name__
+    ),
+    key=lambda cls: cls.__name__,
+)
+
+
+def _reachable(roots):
+    """Every record reachable from `roots` through fields and containers,
+    grouped by class, each once."""
+    found, seen, stack = {}, set(), list(roots)
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, (list, tuple, frozenset)):
+            stack.extend(obj)
+        elif is_record(obj) and id(obj) not in seen:
+            seen.add(id(obj))
+            found.setdefault(type(obj), []).append(obj)
+            stack.extend(getattr(obj, f.name) for f in fields(obj))
+    return found
+
+
+@pytest.fixture(scope="module")
+def instances():
+    """Records of every class: the parsed fixtures, each step's state, the
+    reports, tables and gold summary of the run, the parser's diagnostics,
+    and the local resolutions the run made."""
+    corpus = [load_fixture(name) for name in FIXTURE_NAMES]
+    local = []
+    with pytest.MonkeyPatch.context() as patch:
+        calls = (engine.local_resolution, engine.expand_hypotheses)
+
+        def resolve(*args):
+            local.append(calls[0](*args))
+            return local[-1]
+
+        def expand(prev_set, u, outcomes, **kw):
+            local.append(tuple(outcomes))
+            return calls[1](prev_set, u, outcomes, **kw)
+
+        patch.setattr(engine, "local_resolution", resolve)
+        patch.setattr(engine, "expand_hypotheses", expand)
+        states = []
+        for d in corpus:
+            state = DiscourseState(discourse=d, config=EngineConfig())
+            for u in d.utterances:
+                state = coherence_step(state, u)
+            states.append(state)
+    reports = [finalize(state) for state in states]
+    with pytest.raises(CorpusFormatError) as bad:
+        parse_corpus('{"discourses": [{"id": "x", "entities": 3}]}')
+    roots = [corpus, states, reports, local, bad.value.diagnostics]
+    roots += [tabulate_transitions(reports), evaluate_gold(reports, corpus)]
+    return _reachable(roots)
+
+
+def test_every_record_class_has_instances(instances):
+    assert len(RECORD_CLASSES) == 19
+    assert sorted(instances, key=lambda cls: cls.__name__) == RECORD_CLASSES
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
+def test_assignment_and_deletion_raise(instances, cls):
+    x = instances[cls][0]
+    for f in fields(x):
+        with pytest.raises(AttributeError):
+            setattr(x, f.name, getattr(x, f.name))
+        with pytest.raises(AttributeError):
+            delattr(x, f.name)
+    with pytest.raises(AttributeError):
+        x.not_a_field = 1
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
+def test_pickle_round_trip(instances, cls):
+    for x in instances[cls]:
+        back = pickle.loads(pickle.dumps(x))
+        assert type(back) is cls
+        assert back == x
+        assert [getattr(back, f.name) for f in fields(x)] == [
+            getattr(x, f.name) for f in fields(x)
+        ]
+
+
+def _mirror(cls):
+    """A standard frozen dataclass with the fields of `cls`, named alike."""
+    specs = [
+        (f.name, object, dataclasses.field(init=f.init, repr=f.repr, compare=f.compare))
+        for f in fields(cls)
+    ]
+    mirror = dataclasses.make_dataclass(cls.__name__, specs, frozen=True)
+    mirror.__qualname__ = cls.__qualname__
+    return mirror
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
+def test_eq_hash_repr_as_dataclasses_computes_them(instances, cls):
+    mirror = _mirror(cls)
+
+    def twin(x):
+        m = object.__new__(mirror)
+        for f in fields(x):
+            object.__setattr__(m, f.name, getattr(x, f.name))
+        return m
+
+    xs = instances[cls][:50]
+    for x in xs:
+        assert repr(x) == repr(twin(x))
+        assert hash(x) == hash(twin(x))
+    for x, y in zip(xs, xs[1:]):
+        assert (x == y) == (twin(x) == twin(y))
+    # a record equals only records of its own class
+    assert xs[0] != twin(xs[0])
+
+
+@pytest.mark.parametrize(
+    "cls, link", [(CenteringHypothesis, "parent"), (DiscourseState, "prev")]
+)
+def test_links_stay_out_of_eq_hash_and_repr(instances, cls, link):
+    # a record whose link leads to a record with no promotion, so cutting
+    # the link changes no other field
+    linked = [x for x in instances[cls] if getattr(x, link) is not None]
+    x = next(x for x in linked if getattr(getattr(x, link), "zta_count", 0) == 0)
+    cut = replace(x, **{link: None})
+    assert getattr(cut, link) is None
+    assert cut == x and hash(cut) == hash(x) and repr(cut) == repr(x)
+    assert f"{link}=" not in repr(x)
+
+
+def test_replace_recomputes_zta_count(instances):
+    h = next(h for h in instances[CenteringHypothesis] if h.parent and not h.zta_applied)
+    promoted = replace(h, transition=TransitionLabel.ZTA_CONTINUE)
+    assert promoted.zta_count == h.parent.zta_count + 1 == h.zta_count + 1
+    assert replace(promoted, transition=h.transition).zta_count == h.zta_count
+    with pytest.raises(ValueError):
+        replace(h, zta_count=5)
