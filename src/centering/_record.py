@@ -4,7 +4,10 @@
 the same immutable value classes as the standard decorator, from the same
 declarations: annotated fields, defaults, `field(default=, init=, repr=,
 compare=)` and an optional `__post_init__`. Only each record's `__init__` is
-compiled. Everything else is supplied once and shared by every record:
+compiled. A slotted record's instance moves to the record's one base, an
+unsealed twin that holds the slots, for plain stores of its fields and back
+after them. Any other record sets them through `object.__setattr__`, which
+builds no `__dict__` until one is asked for. Everything else is supplied once and shared by every record:
 
 - assigning or deleting an attribute raises `FrozenInstanceError`;
 - `==`, `hash` and `repr` run over the fields marked compared or shown, as
@@ -12,7 +15,8 @@ compiled. Everything else is supplied once and shared by every record:
 - records pickle through their field values alone, so an attribute
   computed on first use is computed again after unpickling;
 - `fields` lists a record's fields and `replace` builds a copy with some
-  fields changed, running `__init__` (and so `__post_init__`) again.
+  fields changed, running `__init__` (and so `__post_init__`) again;
+- `lazy` declares an attribute computed on first read and kept.
 
 Importing this module loads nothing beyond `typing`, whereas the standard
 decorator's module pulls in `inspect` and compiles six methods per class on
@@ -21,7 +25,7 @@ every start.
 
 from __future__ import annotations
 
-from typing import Any, TypeVar
+from typing import Any, Optional, TypeVar
 
 _T = TypeVar("_T")
 
@@ -75,6 +79,22 @@ def replace(record: _T, /, **changes: Any) -> _T:
     return record.__class__(**changes)
 
 
+class lazy:
+    """An attribute of a record with a `__dict__`, computed by `func` on
+    first read and kept on the instance. Unlike Python 3.11's `cached_property`
+    it takes no lock: two threads may both compute it, harmless for a pure `func`."""
+
+    def __init__(self, func: Any) -> None:
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj: Any, owner: Any = None) -> Any:
+        if obj is None:
+            return self
+        value = self.func(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
+
+
 def _setattr(self: Any, name: str, value: Any) -> None:
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
@@ -112,19 +132,24 @@ def _setstate(self: Any, state: list) -> None:
         object.__setattr__(self, f.name, value)
 
 
-def _make_init(cls: type, declared: tuple[Field, ...]) -> Any:
-    """Compile `cls.__init__`: it sets each field through one bound
-    `object.__setattr__`, then calls `__post_init__` if the class has one."""
-    env: dict[str, Any] = {"_set": object.__setattr__}
-    params, body = ["self"], []
+def _make_init(cls: type, unsealed: Optional[type], declared: tuple[Field, ...]) -> Any:
+    """Compile `cls.__init__`: once its arguments are bound, it sets each
+    field (see the module's docstring), then calls `__post_init__` if the
+    class has one."""
+    env: dict[str, Any] = {"_set": object.__setattr__, "_unsealed": unsealed, "_sealed": cls}
+    params = ["self"]
+    body = ["_set(self, '__class__', _unsealed)"] if unsealed else []
+    store = "self.{} = {}" if unsealed else "_set(self, {!r}, {})"
     for f in declared:
         if f.default is not _MISSING:
             env[f"_d_{f.name}"] = f.default
         if f.init:
             params.append(f.name if f.default is _MISSING else f"{f.name}=_d_{f.name}")
-            body.append(f"_set(self, {f.name!r}, {f.name})")
+            body.append(store.format(f.name, f.name))
         elif f.default is not _MISSING:
-            body.append(f"_set(self, {f.name!r}, _d_{f.name})")
+            body.append(store.format(f.name, f"_d_{f.name}"))
+    if unsealed:
+        body.append("_set(self, '__class__', _sealed)")
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
     source = (
@@ -165,7 +190,6 @@ def _build(cls: Any, slots: bool) -> Any:
     members = {k: v for k, v in cls.__dict__.items() if k not in dropped}
     members.update(
         __qualname__=cls.__qualname__,
-        __init__=_make_init(cls, declared),
         __record_fields__=declared,
         __record_compare__=tuple(f.name for f in declared if f.compare),
         __record_repr__=tuple(f.name for f in declared if f.repr),
@@ -177,6 +201,11 @@ def _build(cls: Any, slots: bool) -> Any:
         __getstate__=_getstate,
         __setstate__=_setstate,
     )
+    bases, unsealed = cls.__bases__, None
     if slots:
-        members["__slots__"] = tuple(f.name for f in declared)
-    return type(cls)(cls.__name__, cls.__bases__, members)
+        layout = {"__slots__": tuple(f.name for f in declared)}
+        unsealed = type(cls)(f"{cls.__qualname__}.<unsealed>", bases, layout)
+        bases, members["__slots__"] = (unsealed,), ()
+    sealed = type(cls)(cls.__name__, bases, members)
+    sealed.__init__ = _make_init(sealed, unsealed, declared)
+    return sealed

@@ -313,9 +313,10 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     return 0
 
 
-#: The encoder of every machine line of `resolve`, built once: `json.dumps`
-#: with options builds a new encoder per call.
-_LINE_ENCODER = json.JSONEncoder(sort_keys=True)
+#: The encoder of every machine line of `resolve`, built once. Each line's
+#: object comes with its keys sorted and holds no cycle, so it neither sorts
+#: nor checks.
+_LINE_ENCODER = json.JSONEncoder(check_circular=False)
 
 
 def _resolution_lines(reports: list[DiscourseReport], format: str) -> list[str]:
@@ -325,11 +326,11 @@ def _resolution_lines(reports: list[DiscourseReport], format: str) -> list[str]:
             for pos, value in u.resolutions:
                 if format == "machine":
                     record = {
-                        "discourse": rep.discourse_id,
-                        "utterance": u.index,
-                        "pos": pos,
                         "antecedent": encode_resolution(value),
-                        "cues": list(u.cues),
+                        "cues": u.cues,
+                        "discourse": rep.discourse_id,
+                        "pos": pos,
+                        "utterance": u.index,
                     }
                     lines.append(_LINE_ENCODER.encode(record))
                 else:

@@ -76,6 +76,11 @@ def _get(obj: dict, key: str, kind: str, default: Any, loc: str, diags: list[Vio
     return default
 
 
+def _tag(obj: dict, key: str, absent: str, loc: str, diags: list[Violation]) -> Optional[str]:
+    """The tag name `obj[key]`: `absent` if absent or null, None if not a string (see `_get`)."""
+    return absent if obj.get(key) is None else _get(obj, key, "a string", None, loc, diags)
+
+
 def parse_corpus(text: str) -> list[Discourse]:
     """Parse a corpus document into discourse structures.
 
@@ -245,8 +250,8 @@ def _parse_discourse(item: Any, loc: str, diags: list[Violation]) -> Optional[Di
             diags.append(Violation("malformed-structure", uloc, "utterance must be an object"))
             complete = False
             continue
-        tense_raw = utt.get("tense", "nonpast")
-        tense = _TENSES.get(str(tense_raw).lower())
+        tense_raw = _tag(utt, "tense", "nonpast", uloc, diags)
+        tense = Tense.NONPAST if tense_raw is None else _TENSES.get(tense_raw.lower())
         if tense is None:
             diags.append(
                 Violation("unknown-tense", f"{uloc}.tense", f"unknown tense '{tense_raw}'")
@@ -259,12 +264,13 @@ def _parse_discourse(item: Any, loc: str, diags: list[Violation]) -> Optional[Di
                 complete = False
             else:
                 expressions.append(parsed)
+        # positional, in declaration order, which keeps the diagnostics' order
         utterances.append(
             Utterance(
-                index=_get(utt, "index", "an integer", j, uloc, diags),
-                expressions=tuple(expressions),
-                tense=tense,
-                text=_get(utt, "text", "a string", None, uloc, diags),
+                _get(utt, "index", "an integer", j, uloc, diags),
+                tuple(expressions),
+                tense,
+                _get(utt, "text", "a string", None, uloc, diags),
             )
         )
     discourse = Discourse(id=did, entities=tuple(entities), utterances=tuple(utterances))
@@ -282,16 +288,18 @@ def _parse_expression(
     if not isinstance(expr, dict):
         diags.append(Violation("malformed-structure", loc, "expression must be an object"))
         return None
-    role_raw = str(expr.get("role", "")).lower()
-    role = _ROLES.get(role_raw)
+    role_raw = _tag(expr, "role", "", loc, diags)
+    role = GrammaticalRole.OTHERS if role_raw is None else _ROLES.get(role_raw.lower())
     if role is None:
-        diags.append(Violation("unknown-role", f"{loc}.role", f"unknown role tag '{role_raw}'"))
+        message = f"unknown role tag '{role_raw.lower()}'"
+        diags.append(Violation("unknown-role", f"{loc}.role", message))
         role = GrammaticalRole.OTHERS
-    form_raw = str(expr.get("form", "overt")).lower()
-    form = _FORMS.get(form_raw)
+    form_raw = _tag(expr, "form", "overt", loc, diags)
+    # A zero draws none of the follow-on violations of an overt NP.
+    form = Form.ZERO if form_raw is None else _FORMS.get(form_raw.lower())
     if form is None:
-        # A zero draws none of the follow-on violations of an overt NP.
-        diags.append(Violation("unknown-form", f"{loc}.form", f"unknown form '{form_raw}'"))
+        message = f"unknown form '{form_raw.lower()}'"
+        diags.append(Violation("unknown-form", f"{loc}.form", message))
         form = Form.ZERO
 
     entity = _get(expr, "entity", "a string", "?", loc, diags)
@@ -300,19 +308,20 @@ def _parse_expression(
     if raw_cons is not None:
         cloc = f"{loc}.constraints"
         constraints = ResolutionConstraints(
-            compatible_types=_get(raw_cons, "types", "a list of strings", [], cloc, diags),
-            required_cardinality=_get(raw_cons, "cardinality", "an integer", None, cloc, diags),
-            gold_antecedent=_get(raw_cons, "gold", "an id or a list of ids", None, cloc, diags),
+            _get(raw_cons, "types", "a list of strings", [], cloc, diags),
+            _get(raw_cons, "cardinality", "an integer", None, cloc, diags),
+            _get(raw_cons, "gold", "an id or a list of ids", None, cloc, diags),
         )
 
+    # positional, in declaration order, which keeps the diagnostics' order
     return ReferringExpression(
-        entity_ref=None if entity == "?" else entity,
-        form=form,
-        role=role,
-        surface_position=_get(expr, "pos", "an integer", 0, loc, diags),
-        wa_marked=_get(expr, "wa", "a boolean", False, loc, diags),
-        ga_marked=_get(expr, "ga", "a boolean", False, loc, diags),
-        constraints=constraints,
+        None if entity == "?" else entity,
+        form,
+        role,
+        _get(expr, "pos", "an integer", 0, loc, diags),
+        _get(expr, "wa", "a boolean", False, loc, diags),
+        _get(expr, "ga", "a boolean", False, loc, diags),
+        constraints,
     )
 
 
@@ -482,29 +491,36 @@ def _shapes(cls: type) -> tuple[_Shape, ...]:
     return tuple(_shape(hints[name]) for name, _ in _FIELDS[cls])
 
 
-def _encode(obj: Any) -> Any:
-    """json.dumps hook: report records become objects through the field
-    table, resolution sets become sorted lists."""
-    if isinstance(obj, frozenset):
-        return encode_resolution(obj)
-    table = _FIELDS.get(type(obj))
-    if table is None:
-        raise TypeError(f"{type(obj).__name__} is not a report record")
-    return {key: getattr(obj, name) for name, key in table}
+#: Report fields that hold records, by the class of those records.
+_NESTED = {"retrievals": Retrieval, "hypotheses": HypothesisView}
 
 
-#: The encoder of every machine record, built once: `json.dumps` with
-#: options builds a new encoder per call.
-_RECORD_ENCODER = json.JSONEncoder(default=_encode, sort_keys=True)
+def _writer(cls: type, kind: Optional[str] = None) -> Callable[[Any], dict]:
+    """Compile the function that builds the machine object of a record of
+    `cls` from the field table, with `"record": kind` if given: keys in
+    sorted order, and the records of `_NESTED` fields as objects."""
+    env = {f"_{name}": _writer(_NESTED[name]) for name, _ in _FIELDS[cls] if name in _NESTED}
+    items = [] if kind is None else [("record", repr(kind))]
+    for name, key in _FIELDS[cls]:
+        items.append((key, f"[_{name}(x) for x in o.{name}]" if name in _NESTED else f"o.{name}"))
+    body = ", ".join(f"{key!r}: {value}" for key, value in sorted(items))
+    exec(f"def _write(o):\n return {{{body}}}\n", env)
+    return env["_write"]
 
 
-def _record(kind: str, obj: Any) -> str:
-    return _RECORD_ENCODER.encode({"record": kind, **_encode(obj)})
+_UTTERANCE_OBJECT = _writer(UtteranceReport, "utterance")
+_DISCOURSE_OBJECT = _writer(DiscourseReport, "discourse")
+
+#: The encoder of every machine record, built once. The objects come with
+#: their keys sorted and hold no cycle, so it neither sorts nor checks; its
+#: hook only turns resolution sets into sorted lists.
+_RECORD_ENCODER = json.JSONEncoder(default=encode_resolution, check_circular=False)
 
 
 def _machine_block(rep: DiscourseReport) -> str:
-    lines = [_record("utterance", u) for u in rep.utterances]
-    lines.append(_record("discourse", rep))
+    encode = _RECORD_ENCODER.encode
+    lines = [encode(_UTTERANCE_OBJECT(u)) for u in rep.utterances]
+    lines.append(encode(_DISCOURSE_OBJECT(rep)))
     return "\n".join(lines) + "\n"
 
 

@@ -222,24 +222,25 @@ class DiscourseState:
 
 
 def _view(h: CenteringHypothesis) -> HypothesisView:
+    # positional, in declaration order
     return HypothesisView(
-        cb=h.cb,
-        cf=tuple((eid, role.display) for eid, role in h.cf),
-        transition=h.transition.display,
-        zta_applied=h.zta_applied,
-        dampened=h.dampened,
-        anomalous=h.anomalous,
+        h.cb,
+        tuple([(eid, role.display) for eid, role in h.cf]),
+        h.transition.display,
+        h.zta_applied,
+        h.dampened,
+        h.anomalous,
     )
 
 
 def _resolve_locally(
     parent: CenteringHypothesis,
     u: Utterance,
+    zeros: Sequence[ReferringExpression],
     entities: Mapping[str, DiscourseEntity],
 ) -> ResolutionOutcome:
-    """Resolve every zero of `u` against the parent's Cf, most salient zero
-    first, each claim excluding earlier ones."""
-    zeros = sorted(u.zeros, key=lambda z: (z.role.rank, z.surface_position))
+    """Resolve `zeros`, the zeros of `u` most salient first, against the
+    parent's Cf, each claim excluding earlier ones."""
     cf_prev = [eid for eid, _ in parent.cf]
     assigned: dict[int, Resolution] = {}
     anomalous = False
@@ -250,9 +251,7 @@ def _resolve_locally(
         if res.entity_id is not None:
             claimed.add(res.entity_id)
         anomalous = anomalous or res.exhausted
-    return ResolutionOutcome(
-        assignments=tuple(sorted(assigned.items())), anomalous=anomalous
-    )
+    return ResolutionOutcome(tuple(sorted(assigned.items())), anomalous)
 
 
 def _seed_hypothesis(u: Utterance) -> CenteringHypothesis:
@@ -318,7 +317,8 @@ def coherence_step(state: DiscourseState, u: Utterance) -> DiscourseState:
     if not state.hypotheses:
         survivors = [_seed_hypothesis(u)]
     else:
-        outcomes = [_resolve_locally(parent, u, entities) for parent in state.hypotheses]
+        zeros = sorted(u.zeros, key=lambda z: (z.role.rank, z.surface_position))
+        outcomes = [_resolve_locally(parent, u, zeros, entities) for parent in state.hypotheses]
         children = expand_hypotheses(
             state.hypotheses, u, outcomes, zta_enabled=config.zta_enabled
         )
@@ -432,22 +432,23 @@ def finalize(state: DiscourseState) -> DiscourseReport:
     ):
         u = step.utterance
         retrieval_map = {r.position: r for r in step.retrievals}
+        # positional, in declaration order
         reports.append(
             UtteranceReport(
-                discourse_id=discourse.id,
-                index=u.index,
-                tense=u.tense.value,
-                text=u.text,
-                seed=chosen.seed,
-                has_zero=u.has_zero,
-                label=chosen.transition.display,
-                cb=chosen.cb,
-                cf=tuple((eid, role.display) for eid, role in chosen.cf),
-                resolutions=chosen.resolutions,
-                cues=chosen.cues,
-                retrievals=tuple(retrieval_map[p] for p in sorted(retrieval_map)),
-                hypotheses=tuple(_view(h) for h in step.hypotheses),
-                ambiguous=flag,
+                discourse.id,
+                u.index,
+                u.tense.value,
+                u.text,
+                chosen.seed,
+                u.has_zero,
+                chosen.transition.display,
+                chosen.cb,
+                tuple([(eid, role.display) for eid, role in chosen.cf]),
+                chosen.resolutions,
+                chosen.cues,
+                tuple([retrieval_map[p] for p in sorted(retrieval_map)]),
+                tuple([_view(h) for h in step.hypotheses]),
+                flag,
             )
         )
     reports.reverse()

@@ -81,30 +81,23 @@ def expand_hypotheses(
         if dampened:
             keys = keys | {f"u{u.index}"}
 
-        plain = CenteringHypothesis(
-            utterance_index=u.index,
-            cb=cb,
-            cf=plain_cf,
-            transition=plain_label,
-            dampened=dampened,
-            anomalous=outcome.anomalous,
-            resolutions=outcome.assignments,
-            parent=parent,
-            ambiguity_keys=keys,
-            eff_pref=plain_pref,
-            parent_rank=dense_rank[(parent.eff_pref, parent.parent_rank)],
+        rank = dense_rank[(parent.eff_pref, parent.parent_rank)]
+        # positional, in declaration order
+        children.append(
+            CenteringHypothesis(
+                u.index, cb, plain_cf, plain_label, plain_pref, dampened,
+                outcome.anomalous, outcome.assignments, (), parent, keys, rank,
+            )
         )
-        children.append(plain)
         if promote:
+            zta_cf = ((cb, EffectiveRole.ZERO_TOP), *(e for e in plain_cf if e[0] != cb))
             zta_label = TransitionLabel.ZTA_CONTINUE
+            # a dampened promotion ties with its plain sibling
+            zta_pref = plain_pref if dampened else zta_label.preference_rank
             children.append(
-                replace(
-                    plain,
-                    cf=((cb, EffectiveRole.ZERO_TOP),)
-                    + tuple(entry for entry in plain_cf if entry[0] != cb),
-                    transition=zta_label,
-                    # a dampened promotion ties with its plain sibling
-                    eff_pref=plain_pref if dampened else zta_label.preference_rank,
+                CenteringHypothesis(
+                    u.index, cb, zta_cf, zta_label, zta_pref, dampened,
+                    outcome.anomalous, outcome.assignments, (), parent, keys, rank,
                 )
             )
 

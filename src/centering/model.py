@@ -8,11 +8,10 @@ types, so instances are safe to share across threads.
 from __future__ import annotations
 
 from enum import Enum, IntEnum
-from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
-from ._record import dataclass, field
+from ._record import dataclass, field, lazy
 
 
 class GrammaticalRole(IntEnum):
@@ -202,11 +201,11 @@ class Utterance:
     def __post_init__(self) -> None:
         object.__setattr__(self, "expressions", tuple(self.expressions))
 
-    @cached_property
+    @lazy
     def zeros(self) -> tuple[ReferringExpression, ...]:
         return tuple(e for e in self.expressions if e.is_zero)
 
-    @cached_property
+    @lazy
     def overt_entities(self) -> frozenset[str]:
         return frozenset(
             e.entity_ref
@@ -231,7 +230,7 @@ class Discourse:
         object.__setattr__(self, "entities", tuple(self.entities))
         object.__setattr__(self, "utterances", tuple(self.utterances))
 
-    @cached_property
+    @lazy
     def entity_map(self) -> Mapping[str, DiscourseEntity]:
         """Entities by id, built on first use and kept; read-only, since
         every caller shares it."""

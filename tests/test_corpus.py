@@ -14,9 +14,11 @@ from centering import (
     run_corpus,
     serialize_reports,
 )
-from centering.corpus import FIXTURE_NAMES, fixture_text, serialize_corpus
+from centering._record import is_record
+from centering.corpus import _FIELDS, FIXTURE_NAMES, fixture_text, serialize_corpus
 
 from conftest import FIXTURES
+from test_cli import topic_cues_text
 from test_golden import synth_corpus
 
 
@@ -140,6 +142,71 @@ class TestParseCorpus:
         assert kinds == {"unknown-entity", "unknown-role"}
 
 
+def _one_expression(utterance=None, expression=None):
+    """A corpus of one utterance holding one overt subject, with the keys of
+    `utterance` and `expression` set on them."""
+    expr = {"entity": "a", "form": "overt", "role": "subject", "pos": 0, **(expression or {})}
+    utt = {"index": 0, "tense": "past", "expressions": [expr], **(utterance or {})}
+    entities = [{"id": "a", "types": ["person"]}]
+    return json.dumps({"discourses": [{"id": "d", "entities": entities, "utterances": [utt]}]})
+
+
+class TestTagDiagnostics:
+    """`role`, `form` and `tense` are strings. A value of another type is a
+    malformed structure, reported at its key and nowhere else; JSON null
+    counts as absent, as it does for every other key."""
+
+    EXPR = "discourses[0].utterances[0].expressions[0]"
+
+    @pytest.mark.parametrize(
+        "utterance,expression,where,key",
+        [
+            ({}, {"role": ["subject"]}, EXPR, "role"),
+            ({}, {"role": 2}, EXPR, "role"),
+            ({}, {"form": {"zero": True}}, EXPR, "form"),
+            ({}, {"form": False}, EXPR, "form"),
+            ({"tense": ["past"]}, {}, "discourses[0].utterances[0]", "tense"),
+            ({"tense": 1}, {}, "discourses[0].utterances[0]", "tense"),
+        ],
+        ids=["role-list", "role-int", "form-object", "form-bool", "tense-list", "tense-int"],
+    )
+    def test_a_tag_that_is_not_a_string_is_malformed(self, utterance, expression, where, key):
+        with pytest.raises(CorpusFormatError) as err:
+            parse_corpus(_one_expression(utterance, expression))
+        got = [(d.code, d.location, d.message) for d in err.value.diagnostics]
+        assert got == [("malformed-structure", f"{where}.{key}", f"'{key}' must be a string")]
+
+    @pytest.mark.parametrize(
+        "utterance,expression",
+        [({"tense": None}, {}), ({}, {"form": None})],
+        ids=["tense", "form"],
+    )
+    def test_a_null_tag_is_an_absent_one(self, utterance, expression):
+        absent = json.loads(_one_expression())
+        part = absent["discourses"][0]["utterances"][0]
+        for key in utterance:
+            del part[key]
+        for key in expression:
+            del part["expressions"][0][key]
+        assert parse_corpus(_one_expression(utterance, expression)) == parse_corpus(
+            json.dumps(absent)
+        )
+
+    @pytest.mark.parametrize("role", [None, "absent"])
+    def test_a_null_or_absent_role_is_unknown(self, role):
+        text = _one_expression(expression={"role": role})
+        if role == "absent":
+            text = text.replace('"role": "absent", ', "")
+        with pytest.raises(CorpusFormatError) as err:
+            parse_corpus(text)
+        got = [(d.code, d.location, d.message) for d in err.value.diagnostics]
+        assert got == [("unknown-role", f"{self.EXPR}.role", "unknown role tag ''")]
+
+    def test_tags_are_read_in_any_case(self):
+        text = _one_expression({"tense": "PAST"}, {"form": "Overt", "role": "SUBJECT"})
+        assert parse_corpus(text) == parse_corpus(_one_expression())
+
+
 class TestRoundTrips:
     @pytest.mark.parametrize("name", FIXTURES)
     def test_corpus_round_trip_identity(self, name):
@@ -208,6 +275,39 @@ class TestRoundTrips:
             read_reports("\n".join(lines))
         diag = err.value.diagnostics[0]
         assert (diag.code, diag.location) == ("malformed-json", "line 2")
+
+    @pytest.mark.parametrize("corpus", ["fixtures", "topic-cues"])
+    def test_machine_lines_equal_a_sorted_rendering_of_the_fields(self, corpus):
+        """The writer builds each object with its keys already in order and
+        encodes it without sorting; each line must equal the plain rendering
+        of the field table with sorted keys."""
+        if corpus == "fixtures":
+            discourses = [d for name in FIXTURES for d in parse_corpus(fixture_text(name))]
+        else:
+            discourses = parse_corpus(topic_cues_text(20))
+        reports = run_corpus(discourses)
+
+        def plain(value):
+            if isinstance(value, frozenset):
+                return sorted(value)
+            if isinstance(value, tuple):
+                return [plain(v) for v in value]
+            if is_record(value):
+                return {key: plain(getattr(value, name)) for name, key in _FIELDS[type(value)]}
+            return value
+
+        want = []
+        for rep in reports:
+            for u in rep.utterances:
+                want.append(json.dumps({"record": "utterance", **plain(u)}, sort_keys=True))
+            want.append(json.dumps({"record": "discourse", **plain(rep)}, sort_keys=True))
+        assert serialize_reports(reports, "machine").splitlines() == want
+        if corpus == "topic-cues":
+            # the corpus reaches the writer's set-valued cases
+            resolved = [v for r in reports for u in r.utterances for _, v in u.resolutions]
+            retrieved = [x for r in reports for u in r.utterances for x in u.retrievals]
+            assert any(isinstance(v, frozenset) for v in resolved)
+            assert any(isinstance(x.value, frozenset) for x in retrieved)
 
     def test_empty_reports_serialize(self):
         assert serialize_reports([], "machine") == ""

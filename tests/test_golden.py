@@ -1,9 +1,11 @@
-"""Golden-output gate: `analyze --format machine` is pinned byte for byte.
+"""Golden-output gate: the engine commands' output is pinned byte for byte.
 
 The pins cover the bundled fixtures and a seeded synthetic corpus (short
-discourses plus two long chains) at beams 1, 2 and 4. A change that alters
-any reading, label, resolution or hypothesis listing changes a hash here; a
-pure refactor or speed-up must leave every hash as it is.
+discourses plus two long chains): `analyze --format machine` at beams 1, 2
+and 4, and `stats`, `resolve` and `eval` in machine format and `analyze` in
+text format at the default beam 4. A change that alters any reading, label,
+resolution or hypothesis listing changes a hash here; a pure refactor or
+speed-up must leave every hash as it is.
 """
 
 import hashlib
@@ -24,6 +26,34 @@ GOLDEN = {
     ("synth", 1): "b5d8b003992db1d07103f885a8a07e5423735d3a0c93f12f896e701ef37e9937",
     ("synth", 2): "e30a49aac79a339b6cbe13a8e158891d76948c7e44a04f225cd5414d24eea4b1",
     ("synth", 4): "5821fed233fa99e3b642961abce43d823adb634f1c8a27c4bce8384f206a3349",
+}
+
+#: (command, format, corpus) at beam 4.
+OTHER_GOLDEN = {
+    ("stats", "machine", "fixtures"): (
+        "eaa5dd0f1b4a5f06c71c3c8b037b7af76f5427edbbfa2d1e4c728a548095f40b"
+    ),
+    ("stats", "machine", "synth"): (
+        "b1f5ae00256812e2b35e3c61f7b4a7a04311dc727ddb6107cd10dcb910f47b37"
+    ),
+    ("resolve", "machine", "fixtures"): (
+        "b763d991b30ff653ef2f48656b51f72fe98e93a55d1bbcfea130eb3524d2cb72"
+    ),
+    ("resolve", "machine", "synth"): (
+        "ed1234c1574b59b8c318a1f65cbbf181f579346e84c9016f422bfc11d0964bda"
+    ),
+    ("eval", "machine", "fixtures"): (
+        "c642d6f560c2a15e4f167020b82c491e87be325bfc92dc87a0c61f2a3dc28b00"
+    ),
+    ("eval", "machine", "synth"): (
+        "3781b6075de1d53abcd864808381288e1944a8e7fb92cc315246aca5be86f178"
+    ),
+    ("analyze", "text", "fixtures"): (
+        "10c14a3af00819ee2914ca2715e92a9995119a77f58af9fa2eb27c1632274eed"
+    ),
+    ("analyze", "text", "synth"): (
+        "d00030e3c08c7d2e8b30f43127543290c50543405dcbdfd2980bee9873610434"
+    ),
 }
 
 
@@ -58,3 +88,12 @@ def test_machine_output_is_pinned(corpus, beam, corpus_files, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[(corpus, beam)]
+
+
+@pytest.mark.parametrize("command,format,corpus", sorted(OTHER_GOLDEN))
+def test_other_outputs_are_pinned(command, format, corpus, corpus_files, capsys):
+    code = main([command, "--format", format, "--beam", "4", *corpus_files[corpus]])
+    out = capsys.readouterr().out
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == OTHER_GOLDEN[(command, format, corpus)]

@@ -3,6 +3,7 @@ with instances taken from a parse and a run of the bundled fixtures."""
 
 import dataclasses
 import pickle
+import threading
 
 import pytest
 
@@ -16,10 +17,10 @@ from centering import (
     tabulate_transitions,
 )
 from centering import analysis, engine, hypotheses, model, resolution
-from centering._record import fields, is_record, replace
+from centering._record import _MISSING, fields, is_record, replace
 from centering.corpus import FIXTURE_NAMES
 from centering.engine import DiscourseState, finalize
-from centering.model import CenteringHypothesis, TransitionLabel
+from centering.model import CenteringHypothesis, Discourse, TransitionLabel, Utterance
 
 RECORD_CLASSES = sorted(
     (
@@ -110,9 +111,19 @@ def test_pickle_round_trip(instances, cls):
 
 
 def _mirror(cls):
-    """A standard frozen dataclass with the fields of `cls`, named alike."""
+    """A standard frozen dataclass with the fields and defaults of `cls`,
+    named alike."""
     specs = [
-        (f.name, object, dataclasses.field(init=f.init, repr=f.repr, compare=f.compare))
+        (
+            f.name,
+            object,
+            dataclasses.field(
+                default=dataclasses.MISSING if f.default is _MISSING else f.default,
+                init=f.init,
+                repr=f.repr,
+                compare=f.compare,
+            ),
+        )
         for f in fields(cls)
     ]
     mirror = dataclasses.make_dataclass(cls.__name__, specs, frozen=True)
@@ -161,3 +172,90 @@ def test_replace_recomputes_zta_count(instances):
     assert replace(promoted, transition=h.transition).zta_count == h.zta_count
     with pytest.raises(ValueError):
         replace(h, zta_count=5)
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
+def test_init_leaves_an_instance_of_the_record_class(instances, cls):
+    """A slotted record's `__init__` stores its fields on an unsealed twin
+    class and moves the instance back; neither a new instance, its repr nor
+    its pickle shows the twin, and the twin's instances stay unsealed."""
+    for x in instances[cls][:20]:
+        y = replace(x)
+        assert type(y) is cls and y == x
+        assert "unsealed" not in repr(y)
+        data = pickle.dumps(y)
+        assert b"unsealed" not in data
+        assert type(pickle.loads(data)) is cls
+    if cls.__base__ is not object:
+        assert cls.__base__.__qualname__ == f"{cls.__qualname__}.<unsealed>"
+        assert cls.__slots__ == () and cls.__base__.__setattr__ is object.__setattr__
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
+def test_a_bad_call_raises_the_type_error_of_a_dataclass(instances, cls):
+    mirror = _mirror(cls)
+    given = {f.name: getattr(instances[cls][0], f.name) for f in fields(cls) if f.init}
+    # an unknown keyword, one positional too many, a value given twice and,
+    # where a field has no default, a missing one
+    calls = [
+        ((), {**given, "bogus": 1}),
+        ((*given.values(), 1), {}),
+        ((*given.values(),)[:1], given),
+    ]
+    if any(f.init and f.default is _MISSING for f in fields(cls)):
+        calls.append(((), {}))
+    for args, kwargs in calls:
+        with pytest.raises(TypeError) as want:
+            mirror(*args, **kwargs)
+        with pytest.raises(TypeError) as got:
+            cls(*args, **kwargs)
+        assert str(got.value) == str(want.value)
+
+
+def test_post_init_still_refuses_a_bad_value():
+    with pytest.raises(ValueError, match="beam must be an int >= 1"):
+        EngineConfig(beam=0)
+
+
+LAZY = [(Utterance, "zeros"), (Utterance, "overt_entities"), (Discourse, "entity_map")]
+
+
+@pytest.mark.parametrize("cls,name", LAZY, ids=lambda v: getattr(v, "__name__", v))
+def test_lazy_attribute_is_computed_once_and_is_no_field(instances, monkeypatch, cls, name):
+    lazy = vars(cls)[name]
+    calls = []
+    compute = lazy.func
+    monkeypatch.setattr(lazy, "func", lambda obj: calls.append(obj) or compute(obj))
+    x = max(instances[cls], key=lambda x: len(repr(x)))
+    fresh, blank = replace(x), replace(x)
+    assert name not in vars(fresh)
+    value = getattr(fresh, name)
+    assert value == getattr(x, name)
+    assert getattr(fresh, name) is value and calls == [fresh]
+    # kept out of ==, hash, repr and pickle
+    assert name in vars(fresh) and name not in vars(blank)
+    assert fresh == blank and hash(fresh) == hash(blank) and repr(fresh) == repr(blank)
+    assert pickle.dumps(fresh) == pickle.dumps(blank)
+    # and computed again after unpickling
+    back = pickle.loads(pickle.dumps(fresh))
+    assert name not in vars(back)
+    assert getattr(back, name) == value and len(calls) == 2
+
+
+def test_threads_reading_a_fresh_utterance_see_equal_values(instances):
+    u = next(u for u in instances[Utterance] if u.zeros and u.overt_entities)
+    for _ in range(20):
+        fresh = replace(u)
+        start = threading.Barrier(4)
+        seen = []
+
+        def read():
+            start.wait()
+            seen.append((fresh.zeros, fresh.overt_entities))
+
+        threads = [threading.Thread(target=read) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert seen == [(u.zeros, u.overt_entities)] * 4
