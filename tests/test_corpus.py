@@ -207,6 +207,77 @@ class TestTagDiagnostics:
         assert parse_corpus(text) == parse_corpus(_one_expression())
 
 
+class TestKeyDiagnostics:
+    """Every other key of an expression has one type too. A value of another
+    type gives one malformed-structure diagnostic at its key, and the key
+    reads as absent; several bad keys are listed in a fixed order."""
+
+    EXPR = "discourses[0].utterances[0].expressions[0]"
+
+    @pytest.mark.parametrize(
+        "expression,key,kind",
+        [
+            ({"form": "zero", "entity": 5}, "entity", "a string"),
+            ({"form": "zero", "entity": ["a"]}, "entity", "a string"),
+            ({"constraints": "x"}, "constraints", "an object"),
+            ({"form": "zero", "constraints": ["x"]}, "constraints", "an object"),
+            ({"pos": True}, "pos", "an integer"),
+            ({"pos": "1"}, "pos", "an integer"),
+            ({"pos": 1.0}, "pos", "an integer"),
+            ({"wa": 1}, "wa", "a boolean"),
+            ({"wa": "true"}, "wa", "a boolean"),
+            ({"ga": 0}, "ga", "a boolean"),
+            ({"ga": [True]}, "ga", "a boolean"),
+        ],
+        ids=[
+            "entity-int", "entity-list", "constraints-string", "constraints-list",
+            "pos-bool", "pos-string", "pos-float", "wa-int", "wa-string", "ga-int",
+            "ga-list",
+        ],
+    )
+    def test_a_value_of_the_wrong_type_is_malformed(self, expression, key, kind):
+        with pytest.raises(CorpusFormatError) as err:
+            parse_corpus(_one_expression(expression=expression))
+        got = [(d.code, d.location, d.message) for d in err.value.diagnostics]
+        assert got == [("malformed-structure", f"{self.EXPR}.{key}", f"'{key}' must be {kind}")]
+
+    def test_an_overt_entity_of_the_wrong_type_leaves_the_np_unresolved(self):
+        with pytest.raises(CorpusFormatError) as err:
+            parse_corpus(_one_expression(expression={"entity": 5}))
+        got = [(d.code, d.location) for d in err.value.diagnostics]
+        where = f"{self.EXPR}.entity"
+        assert got == [("malformed-structure", where), ("unresolved-overt", where)]
+
+    def test_bad_keys_are_listed_in_order(self):
+        constraints = {"types": "x", "cardinality": True, "gold": 3}
+        expression = {
+            "ga": "yes", "wa": 1, "pos": True, "constraints": constraints,
+            "entity": 5, "form": False, "role": 2,
+        }
+        with pytest.raises(CorpusFormatError) as err:
+            parse_corpus(_one_expression(expression=expression))
+        got = [(d.code, d.location, d.message) for d in err.value.diagnostics]
+        cons = f"{self.EXPR}.constraints"
+        assert got == [
+            ("malformed-structure", f"{self.EXPR}.role", "'role' must be a string"),
+            ("malformed-structure", f"{self.EXPR}.form", "'form' must be a string"),
+            ("malformed-structure", f"{self.EXPR}.entity", "'entity' must be a string"),
+            ("malformed-structure", f"{cons}.types", "'types' must be a list of strings"),
+            ("malformed-structure", f"{cons}.cardinality", "'cardinality' must be an integer"),
+            ("malformed-structure", f"{cons}.gold", "'gold' must be an id or a list of ids"),
+            ("malformed-structure", f"{self.EXPR}.pos", "'pos' must be an integer"),
+            ("malformed-structure", f"{self.EXPR}.wa", "'wa' must be a boolean"),
+            ("malformed-structure", f"{self.EXPR}.ga", "'ga' must be a boolean"),
+        ]
+
+    @pytest.mark.parametrize("key", ["entity", "constraints", "pos", "wa", "ga"])
+    def test_a_null_key_is_an_absent_one(self, key):
+        absent = json.loads(_one_expression(expression={"form": "zero"}))
+        absent["discourses"][0]["utterances"][0]["expressions"][0].pop(key, None)
+        null = _one_expression(expression={"form": "zero", key: None})
+        assert parse_corpus(null) == parse_corpus(json.dumps(absent))
+
+
 class TestRoundTrips:
     @pytest.mark.parametrize("name", FIXTURES)
     def test_corpus_round_trip_identity(self, name):

@@ -3,13 +3,19 @@
 The pins cover the bundled fixtures and a seeded synthetic corpus (short
 discourses plus two long chains): `analyze --format machine` at beams 1, 2
 and 4, and `stats`, `resolve` and `eval` in machine format and `analyze` in
-text format at the default beam 4. A change that alters any reading, label,
+text format at the default beam 4. Those corpora rarely hold two readings at
+once, so a third corpus, made by the benchmark's topic-cue generator, pins
+the multi-reading paths (dampened promotions, parallel readings, retrieval
+per reading): `analyze --format machine` at beams 1, 2 and 4, with
+`--no-zta` and with `--no-global`, and `stats --format machine`. A change that alters any reading, label,
 resolution or hypothesis listing changes a hash here; a pure refactor or
 speed-up must leave every hash as it is.
 """
 
 import hashlib
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +63,47 @@ OTHER_GOLDEN = {
 }
 
 
+#: Extra arguments of a command on the topic-cue corpus.
+TOPIC_CUES_GOLDEN = {
+    ("analyze", "--beam", "1"): (
+        "d6724305e258ec64592f8b89ef692722a84246ca1289b9fee437350ca3ebeb19"
+    ),
+    ("analyze", "--beam", "2"): (
+        "cfa4ee2ed598731fc9ef4085226a5ff150919ece359dbfc645bca88722e32d37"
+    ),
+    ("analyze", "--beam", "4"): (
+        "4358203c6dcc0a9d0c5b0ffe5d5514dda42b476969729d94f505496e22f65280"
+    ),
+    ("analyze", "--no-zta"): (
+        "1963eabd6501e7c3e2e82148a2dd5e8c950ea7ace981c3161c40026a9bcf7cc7"
+    ),
+    ("analyze", "--no-global"): (
+        "91060cc1db7fb3b37b8134fe2a9148bf1c2971dcd625dad82c86a2ef12410922"
+    ),
+    ("stats",): (
+        "bbf7114692ae327b478696d06f96362528cdba1ff18a6620ac59f8e64b0b5aef"
+    ),
+}
+
+
+def load_corpus_gen():
+    """The benchmark's corpus generator, imported and only read."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus_gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def topic_cue_text():
+    """12 topic-cue discourses of 30 utterances: wa topics over zero
+    subjects keep several readings alive and dampen every promotion."""
+    gen = load_corpus_gen()
+    rng = random.Random(1996)
+    discourses = [gen.topic_cue_discourse(rng, f"golden-tc-{k}", 30) for k in range(12)]
+    return gen.corpus_text({"discourses": discourses})
+
+
 def synth_corpus():
     rng = random.Random(1996)
     short = [random_discourse(rng, f"golden-{k}") for k in range(40)]
@@ -77,7 +124,9 @@ def corpus_files(tmp_path_factory):
         fixtures.append(str(path))
     synth = root / "synth.centering.json"
     synth.write_text(serialize_corpus(synth_corpus()), encoding="utf-8")
-    return {"fixtures": fixtures, "synth": [str(synth)]}
+    topic_cues = root / "topic_cues.centering.json"
+    topic_cues.write_text(topic_cue_text(), encoding="utf-8")
+    return {"fixtures": fixtures, "synth": [str(synth)], "topic_cues": [str(topic_cues)]}
 
 
 @pytest.mark.parametrize("corpus,beam", sorted(GOLDEN))
@@ -97,3 +146,11 @@ def test_other_outputs_are_pinned(command, format, corpus, corpus_files, capsys)
     assert code == 0
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == OTHER_GOLDEN[(command, format, corpus)]
+
+
+@pytest.mark.parametrize("args", sorted(TOPIC_CUES_GOLDEN), ids=" ".join)
+def test_multi_reading_outputs_are_pinned(args, corpus_files, capsys):
+    code = main([args[0], "--format", "machine", *args[1:], *corpus_files["topic_cues"]])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TOPIC_CUES_GOLDEN[args]
