@@ -50,7 +50,7 @@ def rank_cf(
                 best[member] = seen
 
     ordered = sorted(best.items(), key=itemgetter(1))
-    return tuple((entity_id, _ROLE_OF_RANK[rank]) for entity_id, (rank, _pos) in ordered)
+    return tuple([(entity_id, _ROLE_OF_RANK[rank]) for entity_id, (rank, _pos) in ordered])
 
 
 def compute_cb(cf_prev: Iterable[str], realized: Iterable[str]) -> Optional[str]:

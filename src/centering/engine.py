@@ -19,6 +19,7 @@ from .hypotheses import (
     rank_key,
 )
 from .model import (
+    _ZTA_CONTINUE,
     CbHistory,
     CbHistoryEntry,
     CenteringHypothesis,
@@ -241,7 +242,7 @@ def _resolve_locally(
 ) -> ResolutionOutcome:
     """Resolve `zeros`, the zeros of `u` most salient first, against the
     parent's Cf, each claim excluding earlier ones."""
-    cf_prev = [eid for eid, _ in parent.cf]
+    cf_prev = parent.cf_ids
     assigned: dict[int, Resolution] = {}
     anomalous = False
     claimed: set[str] = set()
@@ -327,7 +328,7 @@ def coherence_step(state: DiscourseState, u: Utterance) -> DiscourseState:
         best_label = min(
             (c.transition for c in children), key=lambda t: t.preference_rank
         )
-        zta_available = any(c.zta_applied for c in children)
+        zta_available = any(c.transition is _ZTA_CONTINUE for c in children)
         needs_global = best_label is TransitionLabel.ROUGH_SHIFT or (
             best_label is TransitionLabel.RETAIN and not zta_available
         )
@@ -431,7 +432,14 @@ def finalize(state: DiscourseState) -> DiscourseReport:
         steps, stats_path.ancestry(), ambiguous, strict=True
     ):
         u = step.utterance
-        retrieval_map = {r.position: r for r in step.retrievals}
+        views = tuple([_view(h) for h in step.hypotheses])
+        # the chosen reading is one of the step's, and its view holds its Cf
+        cf = next(view.cf for h, view in zip(step.hypotheses, views) if h is chosen)
+        retrievals = step.retrievals
+        if retrievals:
+            # one per position, the last made there
+            by_pos = {r.position: r for r in retrievals}
+            retrievals = tuple([by_pos[p] for p in sorted(by_pos)])
         # positional, in declaration order
         reports.append(
             UtteranceReport(
@@ -443,11 +451,11 @@ def finalize(state: DiscourseState) -> DiscourseReport:
                 u.has_zero,
                 chosen.transition.display,
                 chosen.cb,
-                tuple([(eid, role.display) for eid, role in chosen.cf]),
+                cf,
                 chosen.resolutions,
                 chosen.cues,
-                tuple([retrieval_map[p] for p in sorted(retrieval_map)]),
-                tuple([_view(h) for h in step.hypotheses]),
+                retrievals,
+                views,
                 flag,
             )
         )

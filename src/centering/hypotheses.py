@@ -4,11 +4,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ._record import dataclass, replace
+from ._record import dataclass
 from .core import classify_transition, rank_cf, compute_cb
 from .model import (
+    _ZTA_CONTINUE,
     ARGUMENT_ROLES,
     CenteringHypothesis,
+    CfList,
     EffectiveRole,
     Resolution,
     TransitionLabel,
@@ -56,18 +58,28 @@ def expand_hypotheses(
     wa-marked topic) tie in preference and share an ambiguity key.
     Duplicated readings from different parents collapse to the lowest-ZTA
     ancestry. Result is sorted best-first.
+
+    Parents that resolved the zeros alike share one plain Cf, so it is
+    ranked once per distinct assignment.
     """
     # (eff_pref, parent_rank) orders prev_set by full chain preference
     parent_keys = sorted({(p.eff_pref, p.parent_rank) for p in prev_set})
     dense_rank = {key: rank for rank, key in enumerate(parent_keys)}
     hosts = [z.surface_position for z in u.zeros if z.role in ARGUMENT_ROLES]
     wa_competitor = _has_wa_competitor(u)
+    branch_point = frozenset({f"u{u.index}"})
+    ranked: dict[tuple, tuple[dict[int, Resolution], CfList, set[str]]] = {}
     children: list[CenteringHypothesis] = []
 
     for parent, outcome in zip(prev_set, outcomes, strict=True):
-        resolutions = dict(outcome.assignments)
-        plain_cf = rank_cf(u, resolutions)
-        cb = compute_cb(parent.cf_ids, (eid for eid, _ in plain_cf))
+        shared = ranked.get(outcome.assignments)
+        if shared is None:
+            resolutions = dict(outcome.assignments)
+            plain_cf = rank_cf(u, resolutions)
+            shared = (resolutions, plain_cf, {eid for eid, _ in plain_cf})
+            ranked[outcome.assignments] = shared
+        resolutions, plain_cf, realized = shared
+        cb = compute_cb(parent.cf_ids, realized)
         plain_label = classify_transition(parent.cb, cb, plain_cf[0][0] if plain_cf else None)
         plain_pref = plain_label.preference_rank
 
@@ -79,7 +91,7 @@ def expand_hypotheses(
         dampened = promote and wa_competitor
         keys = parent.ambiguity_keys
         if dampened:
-            keys = keys | {f"u{u.index}"}
+            keys = keys | branch_point
 
         rank = dense_rank[(parent.eff_pref, parent.parent_rank)]
         # positional, in declaration order
@@ -91,12 +103,11 @@ def expand_hypotheses(
         )
         if promote:
             zta_cf = ((cb, EffectiveRole.ZERO_TOP), *(e for e in plain_cf if e[0] != cb))
-            zta_label = TransitionLabel.ZTA_CONTINUE
             # a dampened promotion ties with its plain sibling
-            zta_pref = plain_pref if dampened else zta_label.preference_rank
+            zta_pref = plain_pref if dampened else _ZTA_CONTINUE.preference_rank
             children.append(
                 CenteringHypothesis(
-                    u.index, cb, zta_cf, zta_label, zta_pref, dampened,
+                    u.index, cb, zta_cf, _ZTA_CONTINUE, zta_pref, dampened,
                     outcome.anomalous, outcome.assignments, (), parent, keys, rank,
                 )
             )
@@ -109,6 +120,8 @@ def expand_hypotheses(
 def _dedupe(children: list[CenteringHypothesis]) -> list[CenteringHypothesis]:
     """Collapse identical readings spawned by different parents, keeping the
     ancestry with fewest promotions (and best chain preference)."""
+    if len(children) < 2:
+        return children
     by_key: dict[tuple, CenteringHypothesis] = {}
     for child in children:
         key = child.identity_key()
@@ -122,7 +135,12 @@ def _dedupe(children: list[CenteringHypothesis]) -> list[CenteringHypothesis]:
         )
         merged_keys = cur.ambiguity_keys | child.ambiguity_keys
         if merged_keys != better.ambiguity_keys:
-            better = replace(better, ambiguity_keys=merged_keys)
+            h = better
+            # positional, in declaration order
+            better = CenteringHypothesis(
+                h.utterance_index, h.cb, h.cf, h.transition, h.eff_pref, h.dampened,
+                h.anomalous, h.resolutions, h.cues, h.parent, merged_keys, h.parent_rank,
+            )
         by_key[key] = better
     return list(by_key.values())
 
@@ -135,7 +153,7 @@ def rank_key(h: CenteringHypothesis) -> tuple:
     return (
         1 if h.anomalous else 0,
         (h.eff_pref, h.parent_rank),
-        0 if h.zta_applied else 1,
+        0 if h.transition is _ZTA_CONTINUE else 1,
     )
 
 

@@ -111,6 +111,13 @@ class TransitionLabel(Enum):
         #: Tag of the reports: the value, read as a plain attribute.
         self.display = value
 
+    #: Members are singletons, so hashing by identity agrees with `==`
+    #: (identity too) and skips the Python-level `Enum.__hash__`.
+    __hash__ = object.__hash__
+
+
+_ZTA_CONTINUE = TransitionLabel.ZTA_CONTINUE
+
 
 @dataclass(frozen=True, slots=True)
 class DiscourseEntity:
@@ -280,9 +287,10 @@ class CenteringHypothesis:
     `(eff_pref, parent_rank)` orders the children of one live set exactly as
     their full preference chains (current utterance first) would.
     `zta_count` is the number of promotions on the chain, inherited from the
-    parent and recomputed whenever the hypothesis is rebuilt. `parent` is
-    left out of repr, equality and hashing, which would otherwise recurse
-    down the whole chain.
+    parent and recomputed whenever the hypothesis is rebuilt; `cf_ids`, the
+    ids of `cf` in order, is built with it and left out of repr, equality
+    and hashing, as `cf` already takes part. `parent` is left out of them
+    too, which would otherwise recurse down the whole chain.
     """
 
     utterance_index: int
@@ -300,10 +308,12 @@ class CenteringHypothesis:
     ambiguity_keys: frozenset[str] = frozenset()
     parent_rank: int = 0
     zta_count: int = field(init=False, default=0)
+    cf_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         inherited = self.parent.zta_count if self.parent is not None else 0
-        object.__setattr__(self, "zta_count", inherited + int(self.zta_applied))
+        object.__setattr__(self, "zta_count", inherited + (self.transition is _ZTA_CONTINUE))
+        object.__setattr__(self, "cf_ids", tuple([eid for eid, _ in self.cf]))
 
     @property
     def seed(self) -> bool:
@@ -313,11 +323,7 @@ class CenteringHypothesis:
     @property
     def zta_applied(self) -> bool:
         """Whether this reading promoted a zero to topic."""
-        return self.transition is TransitionLabel.ZTA_CONTINUE
-
-    @property
-    def cf_ids(self) -> tuple[str, ...]:
-        return tuple(eid for eid, _ in self.cf)
+        return self.transition is _ZTA_CONTINUE
 
     @property
     def resolution_map(self) -> Mapping[int, Resolution]:

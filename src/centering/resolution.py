@@ -29,12 +29,15 @@ def check_compatibility(
     member's semantic types miss the slot's selectional restriction (an
     empty restriction is unconstrained).
     """
-    required = zero.required_cardinality
-    if not members or (
-        required is not None and sum(m.cardinality for m in members) != required
-    ):
+    if not members:
         return CUE_AGREEMENT
-    wanted = zero.compatible_types
+    constraints = zero.constraints
+    if constraints is None:
+        return None
+    required = constraints.required_cardinality
+    if required is not None and sum(m.cardinality for m in members) != required:
+        return CUE_AGREEMENT
+    wanted = constraints.compatible_types
     if wanted and not all(m.semantic_types & wanted for m in members):
         return CUE_LEXICAL
     return None

@@ -2,11 +2,14 @@
 
 import pytest
 
-from centering import GrammaticalRole, expand_hypotheses, prune_hypotheses
+import centering.engine as engine
+import centering.hypotheses as hypotheses
+from centering import GrammaticalRole, expand_hypotheses, parse_corpus, prune_hypotheses, run_corpus
 from centering.hypotheses import rank_key
 from centering.model import CenteringHypothesis, EffectiveRole, TransitionLabel
 
 from conftest import outcomes, overt, utterance, zero
+from test_golden import topic_cue_text
 
 
 def seed(cb, cf_ids, index=0):
@@ -168,6 +171,30 @@ class TestExpandHypotheses:
             [PREV, PREV], ASK_GA, outcomes({1: "hanako"}, {1: "hanako"})
         )
         assert len(children) == 2  # promoted + plain, not four
+
+
+def test_plain_cf_is_ranked_once_per_distinct_assignment(monkeypatch):
+    # per expansion: [parents, distinct assignment tuples, rank_cf calls]
+    steps = []
+    real_rank, real_expand = hypotheses.rank_cf, engine.expand_hypotheses
+
+    def rank(*args):
+        steps[-1][2] += 1
+        return real_rank(*args)
+
+    def expand(prev_set, u, outcomes, **kw):
+        steps.append([len(outcomes), len({o.assignments for o in outcomes}), 0])
+        return real_expand(prev_set, u, outcomes, **kw)
+
+    monkeypatch.setattr(hypotheses, "rank_cf", rank)
+    monkeypatch.setattr(engine, "expand_hypotheses", expand)
+    discourses = parse_corpus(topic_cue_text())
+    run_corpus(discourses)
+    assert len(steps) == sum(len(d.utterances) - 1 for d in discourses)
+    assert [calls for _, _, calls in steps] == [distinct for _, distinct, _ in steps]
+    # the corpus keeps several readings, which often resolve alike
+    assert max(distinct for _, distinct, _ in steps) > 1
+    assert sum(parents for parents, _, _ in steps) > sum(distinct for _, distinct, _ in steps)
 
 
 def hyp(label, index=3, anomalous=False):
