@@ -54,14 +54,16 @@ def _strings(value: Any) -> bool:
 
 
 _KINDS: dict[str, Callable[[Any], bool]] = {
-    "a boolean": lambda v: isinstance(v, bool),
     "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "a string": lambda v: isinstance(v, str),
-    "an object": lambda v: isinstance(v, dict),
     "a list": lambda v: isinstance(v, list),
     "a list of strings": _strings,
-    "an id or a list of ids": lambda v: isinstance(v, str) or _strings(v),
 }
+
+
+def _malformed(loc: str, key: str, kind: str) -> Violation:
+    """The diagnostic of a value at `loc.key` that is not of `kind`."""
+    return Violation("malformed-structure", f"{loc}.{key}", f"'{key}' must be {kind}")
 
 
 def _get(obj: dict, key: str, kind: str, default: Any, loc: str, diags: list[Violation]) -> Any:
@@ -72,13 +74,19 @@ def _get(obj: dict, key: str, kind: str, default: Any, loc: str, diags: list[Vio
         return default
     if _KINDS[kind](value):
         return value
-    diags.append(Violation("malformed-structure", f"{loc}.{key}", f"'{key}' must be {kind}"))
+    diags.append(_malformed(loc, key, kind))
     return default
 
 
 def _tag(obj: dict, key: str, absent: str, loc: str, diags: list[Violation]) -> Optional[str]:
     """The tag name `obj[key]`: `absent` if absent or null, None if not a string (see `_get`)."""
-    return absent if obj.get(key) is None else _get(obj, key, "a string", None, loc, diags)
+    value = obj.get(key)
+    if value is None:
+        return absent
+    if type(value) is str:
+        return value
+    diags.append(_malformed(loc, key, "a string"))
+    return None
 
 
 def parse_corpus(text: str) -> list[Discourse]:
@@ -302,27 +310,58 @@ def _parse_expression(
         diags.append(Violation("unknown-form", f"{loc}.form", message))
         form = Form.ZERO
 
-    entity = _get(expr, "entity", "a string", "?", loc, diags)
-    constraints = None
-    raw_cons = _get(expr, "constraints", "an object", None, loc, diags)
-    if raw_cons is not None:
-        cloc = f"{loc}.constraints"
-        constraints = ResolutionConstraints(
-            _get(raw_cons, "types", "a list of strings", [], cloc, diags),
-            _get(raw_cons, "cardinality", "an integer", None, cloc, diags),
-            _get(raw_cons, "gold", "an id or a list of ids", None, cloc, diags),
-        )
-
-    # positional, in declaration order, which keeps the diagnostics' order
+    # The other keys are read once each and checked here, in the order of
+    # their diagnostics, as `_get` would (`type(v) is int` rejects a bool).
+    entity = expr.get("entity")
+    if entity is not None and type(entity) is not str:
+        diags.append(_malformed(loc, "entity", "a string"))
+        entity = None
+    constraints = expr.get("constraints")
+    if type(constraints) is dict:
+        constraints = _parse_constraints(constraints, loc, diags)
+    elif constraints is not None:
+        diags.append(_malformed(loc, "constraints", "an object"))
+        constraints = None
+    pos = expr.get("pos")
+    if type(pos) is not int:
+        if pos is not None:
+            diags.append(_malformed(loc, "pos", "an integer"))
+        pos = 0
+    wa = expr.get("wa")
+    if type(wa) is not bool:
+        if wa is not None:
+            diags.append(_malformed(loc, "wa", "a boolean"))
+        wa = False
+    ga = expr.get("ga")
+    if type(ga) is not bool:
+        if ga is not None:
+            diags.append(_malformed(loc, "ga", "a boolean"))
+        ga = False
+    # positional, in declaration order
     return ReferringExpression(
-        None if entity == "?" else entity,
-        form,
-        role,
-        _get(expr, "pos", "an integer", 0, loc, diags),
-        _get(expr, "wa", "a boolean", False, loc, diags),
-        _get(expr, "ga", "a boolean", False, loc, diags),
-        constraints,
+        None if entity == "?" else entity, form, role, pos, wa, ga, constraints
     )
+
+
+def _parse_constraints(
+    raw: dict, loc: str, diags: list[Violation]
+) -> ResolutionConstraints:
+    """The constraints object of the expression at `loc`, its keys read and
+    checked as in `_parse_expression`."""
+    types = raw.get("types")
+    if types is not None and not _strings(types):
+        diags.append(_malformed(f"{loc}.constraints", "types", "a list of strings"))
+        types = None
+    cardinality = raw.get("cardinality")
+    if cardinality is not None and type(cardinality) is not int:
+        diags.append(_malformed(f"{loc}.constraints", "cardinality", "an integer"))
+        cardinality = None
+    gold = raw.get("gold")
+    if gold is not None and type(gold) is not str and not _strings(gold):
+        diags.append(_malformed(f"{loc}.constraints", "gold", "an id or a list of ids"))
+        gold = None
+    # positional, in declaration order
+    return ResolutionConstraints(types or (), cardinality, gold)
 
 
 def serialize_corpus(discourses: Iterable[Discourse]) -> str:
