@@ -248,7 +248,12 @@ def _fork(shares: list[Any], cpus: list[int], work: Callable[[Any], Any]) -> lis
     pickled over a pipe; an exception it raises is raised here, and a worker
     that dies is a RuntimeError naming its exit status. Fork, not spawn: the
     command starts no thread, and a forked worker shares the decoded JSON
-    instead of receiving it pickled."""
+    instead of receiving it pickled.
+
+    Once every worker is forked, `shares` is emptied: the workers hold
+    their own copies, and the parent need not keep the corpus while it
+    waits. Each reply is unpickled as it arrives, after its worker ended
+    well, and its bytes are dropped before the next is read."""
     # Imported here, so that a run in process never pays for the import.
     import pickle
 
@@ -272,21 +277,26 @@ def _fork(shares: list[Any], cpus: list[int], work: Callable[[Any], Any]) -> lis
                 os._exit(status)
         os.close(write_end)
         workers.append((pid, read_end))
-    replies = []
+    del share
+    shares.clear()
+    # Every worker is read and reaped; the first that died outranks any
+    # exception a worker raised, which comes first in input order.
+    replies, dead = [], None
     for pid, read_end in workers:
         with open(read_end, "rb") as pipe:
             data = pipe.read()
-        replies.append((data, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
-    for _, code in replies:
-        if code != 0:
-            raise RuntimeError(f"worker ended with exit status {code}")
-    results = []
-    for data, _ in replies:
-        ok, value = pickle.loads(data)
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code != 0 and dead is None:
+            dead = code
+        if dead is None:
+            replies.append(pickle.loads(data))
+        del data
+    if dead is not None:
+        raise RuntimeError(f"worker ended with exit status {dead}")
+    for ok, value in replies:
         if not ok:
             raise value
-        results.append(value)
-    return results
+    return [value for _, value in replies]
 
 
 def _run_engine(
@@ -302,7 +312,9 @@ def _run_engine(
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     blocks = _run_engine(args, lambda reports, _: corpus_io.report_blocks(reports, args.format))
-    sys.stdout.write(corpus_io.report_head(args.format) + "".join(blocks))
+    sys.stdout.write(corpus_io.report_head(args.format))
+    for block in blocks:
+        sys.stdout.write(block)
     return 0
 
 

@@ -614,6 +614,14 @@ class TestWorkers:
         assert cli_mod._shares(list(raw), 1) == [raw]
         assert cli_mod._shares([], 2) == []
 
+    def test_fork_empties_its_shares_and_returns_results_in_order(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
+        shares = [[1], [2, 3], [4, 5, 6]]
+        got = cli_mod._fork(shares, [0, 1, 2], lambda share: (os.getpid(), sum(share)))
+        assert shares == []
+        assert [total for _, total in got] == [1, 5, 15]
+        assert os.getpid() not in {pid for pid, _ in got}
+
     def test_raw_json_is_dropped_before_the_job_runs(self, pool_corpus):
         _, raw = cli_mod._read(pool_corpus)
         found, held = cli_mod._run_share(raw, True, lambda discourses: (len(raw), len(discourses)))
