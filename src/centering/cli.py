@@ -99,8 +99,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 #: A file as the parent read it: its path, the diagnostic that stopped its
 #: reading (none if it was read), and the location and id of each of its
-#: discourses.
+#: discourses. Each id is a copy: a string the JSON decoder made lies among
+#: the decoded document's objects, and would keep their memory from the
+#: system once they are freed.
 _File = tuple[str, list[Violation], list[tuple[str, Optional[str]]]]
+
+
+def _copy(text: Optional[str]) -> Optional[str]:
+    """A string equal to `text` but not `text` itself (None stays None)."""
+    return None if text is None else (text + " ")[:-1]
 
 
 def _read(paths: Sequence[str]) -> tuple[list[_File], list[corpus_io.RawDiscourse]]:
@@ -120,7 +127,7 @@ def _read(paths: Sequence[str]) -> tuple[list[_File], list[corpus_io.RawDiscours
             failure = [Violation("malformed-encoding", f"byte {exc.start}", message)]
         except corpus_io.CorpusFormatError as exc:
             failure = exc.diagnostics
-        files.append((path, failure, [(r.loc, r.id) for r in found]))
+        files.append((path, failure, [(r.loc, _copy(r.id)) for r in found]))
         raw.extend(found)
     return files, raw
 
@@ -220,7 +227,7 @@ def _run_shares(paths: Sequence[str], job: Callable[[list[Discourse]], Any]) -> 
     gc.disable()
     try:
         files, raw = _read(paths)
-        ids = [r.id for r in raw]
+        ids = [did for _, _, discourses in files for _, did in discourses]
         # No job runs on a corpus whose reading already failed.
         run = not any(failure for _, failure, _ in files) and len(set(ids)) == len(ids)
         cpus = _cpus()

@@ -622,6 +622,13 @@ class TestWorkers:
         assert [total for _, total in got] == [1, 5, 15]
         assert os.getpid() not in {pid for pid, _ in got}
 
+    def test_the_parent_keeps_no_string_of_the_decoded_json(self, pool_corpus):
+        # a decoded string kept would hold the freed document's memory
+        files, raw = cli_mod._read(pool_corpus)
+        kept = [did for _, _, discourses in files for _, did in discourses]
+        assert kept == [r.id for r in raw]
+        assert not any(did is r.id for did, r in zip(kept, raw))
+
     def test_raw_json_is_dropped_before_the_job_runs(self, pool_corpus):
         _, raw = cli_mod._read(pool_corpus)
         found, held = cli_mod._run_share(raw, True, lambda discourses: (len(raw), len(discourses)))
