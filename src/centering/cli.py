@@ -284,10 +284,10 @@ def _fork(shares: list[Any], cpus: list[int], work: Callable[[Any], Any]) -> lis
                 os._exit(status)
         os.close(write_end)
         workers.append((pid, read_end))
-    del share
+    share = None  # the loop left the last share bound
     shares.clear()
-    # Every worker is read and reaped; the first that died outranks any
-    # exception a worker raised, which comes first in input order.
+    # Every worker is read and reaped. A dead worker is reported ahead of any
+    # exception a worker sent, and of each kind the first in input order.
     replies, dead = [], None
     for pid, read_end in workers:
         with open(read_end, "rb") as pipe:

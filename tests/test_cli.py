@@ -1,7 +1,6 @@
 """End-to-end command line behavior."""
 
 import gc
-import importlib.util
 import json
 import os
 import subprocess
@@ -29,7 +28,7 @@ from centering.corpus import (
     serialize_corpus,
 )
 
-from test_golden import synth_corpus
+from test_golden import load_corpus_gen, synth_corpus
 
 
 @pytest.fixture()
@@ -700,10 +699,7 @@ def run_python(code, *options):
 def topic_cues_text(discourses=20):
     """The first discourses of the benchmark's seed-1 topic_cues corpus,
     made by its generator, which is imported and only read."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus_gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_corpus_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    gen = load_corpus_gen()
     corpus = gen.build_corpus("topic_cues", 1)
     return gen.corpus_text({"discourses": corpus["discourses"][:discourses]})
 

@@ -7,9 +7,9 @@ text format at the default beam 4. Those corpora rarely hold two readings at
 once, so a third corpus, made by the benchmark's topic-cue generator, pins
 the multi-reading paths (dampened promotions, parallel readings, retrieval
 per reading): `analyze --format machine` at beams 1, 2 and 4, with
-`--no-zta` and with `--no-global`, and `stats --format machine`. A change that alters any reading, label,
-resolution or hypothesis listing changes a hash here; a pure refactor or
-speed-up must leave every hash as it is.
+`--no-zta` and with `--no-global`, and `stats --format machine`. A change
+that alters any reading, label, resolution or hypothesis listing changes a
+hash here; a pure refactor or speed-up must leave every hash as it is.
 """
 
 import hashlib
@@ -63,7 +63,7 @@ OTHER_GOLDEN = {
 }
 
 
-#: Extra arguments of a command on the topic-cue corpus.
+#: `--format machine` on the topic-cue corpus, by command and other arguments.
 TOPIC_CUES_GOLDEN = {
     ("analyze", "--beam", "1"): (
         "d6724305e258ec64592f8b89ef692722a84246ca1289b9fee437350ca3ebeb19"

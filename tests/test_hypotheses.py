@@ -4,7 +4,13 @@ import pytest
 
 import centering.engine as engine
 import centering.hypotheses as hypotheses
-from centering import GrammaticalRole, expand_hypotheses, parse_corpus, prune_hypotheses, run_corpus
+from centering import (
+    GrammaticalRole,
+    expand_hypotheses,
+    parse_corpus,
+    prune_hypotheses,
+    run_corpus,
+)
 from centering.hypotheses import rank_key
 from centering.model import CenteringHypothesis, EffectiveRole, TransitionLabel
 
