@@ -7,13 +7,15 @@ text format at the default beam 4. Those corpora rarely hold two readings at
 once, so a third corpus, made by the benchmark's topic-cue generator, pins
 the multi-reading paths (dampened promotions, parallel readings, retrieval
 per reading): `analyze --format machine` at beams 1, 2 and 4, with
-`--no-zta` and with `--no-global`, and `stats --format machine`. A change
+`--no-zta` and with `--no-global`, and `stats --format machine`. A corrupt
+copy of that corpus pins the diagnostics of `validate --format machine`. A change
 that alters any reading, label, resolution or hypothesis listing changes a
 hash here; a pure refactor or speed-up must leave every hash as it is.
 """
 
 import hashlib
 import importlib.util
+import json
 import random
 from pathlib import Path
 
@@ -85,6 +87,9 @@ TOPIC_CUES_GOLDEN = {
     ),
 }
 
+#: `validate --format machine` on `corrupt_topic_cue_text()`.
+VALIDATE_GOLDEN = "686dd85e49f43eef6c72d24d3f4a5ee460744e543b5435fbb262ee545c14270b"
+
 
 def load_corpus_gen():
     """The benchmark's corpus generator, imported and only read."""
@@ -102,6 +107,17 @@ def topic_cue_text():
     rng = random.Random(1996)
     discourses = [gen.topic_cue_discourse(rng, f"golden-tc-{k}", 30) for k in range(12)]
     return gen.corpus_text({"discourses": discourses})
+
+
+def corrupt_topic_cue_text():
+    """The topic-cue corpus with a bad role tag, entities that are no list,
+    an unknown entity and a tense that is no string, in four discourses."""
+    data = json.loads(topic_cue_text())
+    data["discourses"][2]["utterances"][4]["expressions"][0]["role"] = "bogus"
+    data["discourses"][5]["entities"] = 3
+    data["discourses"][7]["utterances"][1]["expressions"][1]["entity"] = "nobody"
+    data["discourses"][9]["utterances"][3]["tense"] = 7
+    return json.dumps(data)
 
 
 def synth_corpus():
@@ -154,3 +170,13 @@ def test_multi_reading_outputs_are_pinned(args, corpus_files, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TOPIC_CUES_GOLDEN[args]
+
+
+def test_validate_diagnostics_are_pinned(tmp_path, monkeypatch, capsys):
+    # a relative path, since each diagnostic's location starts with it
+    (tmp_path / "corrupt.centering.json").write_text(corrupt_topic_cue_text(), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code = main(["validate", "--format", "machine", "corrupt.centering.json"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VALIDATE_GOLDEN
