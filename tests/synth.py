@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .model import (
+from centering.model import (
     Discourse,
     DiscourseEntity,
     Form,

@@ -35,7 +35,7 @@ from centering.model import (
     EffectiveRole,
     TransitionLabel,
 )
-from centering.synth import random_discourse
+from synth import random_discourse
 
 from conftest import entity, labels_of, outcomes, utterance, zero
 from test_hypotheses import PREV, ASK_GA, ASK_WA

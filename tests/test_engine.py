@@ -25,7 +25,7 @@ from centering.engine import (
     finalize,
 )
 from centering.model import CbHistoryEntry
-from centering.synth import random_discourse
+from synth import random_discourse
 
 from conftest import discourse, entity, overt, utterance, zero
 

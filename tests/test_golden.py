@@ -23,7 +23,7 @@ import pytest
 
 from centering.cli import main
 from centering.corpus import fixture_text, serialize_corpus
-from centering.synth import random_discourse
+from synth import random_discourse
 
 from conftest import FIXTURES
 

@@ -16,7 +16,7 @@ import pytest
 import centering.engine as engine
 from centering.engine import DiscourseState, EngineConfig, coherence_step
 from centering.hypotheses import rank_key
-from centering.synth import random_discourse
+from synth import random_discourse
 
 
 def chain_key(h):
