@@ -1,22 +1,22 @@
 """Frozen records: the part of `dataclasses` that this package's records use.
 
-`@dataclass(frozen=True)` and `@dataclass(frozen=True, slots=True)` build
-the same immutable value classes as the standard decorator, from the same
-declarations: annotated fields, defaults, `field(default=, init=, repr=,
-compare=)` and an optional `__post_init__`. Only each record's `__init__` is
-compiled. A slotted record's instance moves to the record's one base, an
-unsealed twin that holds the slots, for plain stores of its fields and back
-after them. Any other record sets them through `object.__setattr__`, which
-builds no `__dict__` until one is asked for. Everything else is supplied once and shared by every record:
+`@record` builds the same immutable value classes as the standard
+`@dataclass(frozen=True, slots=True)`, from the same declarations: annotated
+fields, defaults, `field(default=, init=, compare=)` and an optional
+`__post_init__`. Every record has one layout: its fields live in slots of
+the record's one base, an unsealed twin, and no instance has a `__dict__`.
+Only each record's `__init__` is compiled: it moves the instance to the
+twin for plain stores of its fields and back after them. A derived field
+(`init=False`) is set by `__post_init__` through `object.__setattr__`.
+Everything else is supplied once and shared by every record:
 
 - assigning or deleting an attribute raises `FrozenInstanceError`;
-- `==`, `hash` and `repr` run over the fields marked compared or shown, as
-  the standard decorator computes them;
-- records pickle through their field values alone, so an attribute
-  computed on first use is computed again after unpickling;
+- `==`, `hash` and `repr` run over the compared fields, as the standard
+  decorator computes them;
+- a record pickles as a call of its class on its `__init__` fields, so a
+  derived field is never pickled and is computed again on unpickling;
 - `fields` lists a record's fields and `replace` builds a copy with some
-  fields changed, running `__init__` (and so `__post_init__`) again;
-- `lazy` declares an attribute computed on first read and kept.
+  fields changed, running `__init__` (and so `__post_init__`) again.
 
 Importing this module loads nothing beyond `typing`, whereas the standard
 decorator's module pulls in `inspect` and compiles six methods per class on
@@ -25,7 +25,7 @@ every start.
 
 from __future__ import annotations
 
-from typing import Any, Optional, TypeVar
+from typing import Any, TypeVar
 
 _T = TypeVar("_T")
 
@@ -39,22 +39,20 @@ class FrozenInstanceError(AttributeError):
 class Field:
     """One declared field of a record."""
 
-    __slots__ = ("name", "default", "init", "repr", "compare")
+    __slots__ = ("name", "default", "init", "compare")
 
-    def __init__(self, default: Any, init: bool, repr: bool, compare: bool) -> None:
+    def __init__(self, default: Any, init: bool, compare: bool) -> None:
         self.name = ""
         self.default = default
         self.init = init
-        self.repr = repr
         self.compare = compare
 
 
-def field(
-    *, default: Any = _MISSING, init: bool = True, repr: bool = True, compare: bool = True
-) -> Any:
-    """Declare a field whose default, `__init__` parameter, repr or
-    comparison differs from a plain annotated one."""
-    return Field(default, init, repr, compare)
+def field(*, default: Any = _MISSING, init: bool = True, compare: bool = True) -> Any:
+    """Declare a field that has a default, that `__init__` does not take (a
+    derived field: `__post_init__` sets it, and no default is used), or
+    that `==`, `hash` and `repr` leave out."""
+    return Field(default, init, compare)
 
 
 def fields(record: Any) -> tuple[Field, ...]:
@@ -77,22 +75,6 @@ def replace(record: _T, /, **changes: Any) -> _T:
         elif f.name not in changes:
             changes[f.name] = getattr(record, f.name)
     return record.__class__(**changes)
-
-
-class lazy:
-    """An attribute of a record with a `__dict__`, computed by `func` on
-    first read and kept on the instance. Unlike Python 3.11's `cached_property`
-    it takes no lock: two threads may both compute it, harmless for a pure `func`."""
-
-    def __init__(self, func: Any) -> None:
-        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
-
-    def __get__(self, obj: Any, owner: Any = None) -> Any:
-        if obj is None:
-            return self
-        value = self.func(obj)
-        object.__setattr__(obj, self.name, value)
-        return value
 
 
 def _setattr(self: Any, name: str, value: Any) -> None:
@@ -119,37 +101,28 @@ def _hash(self: Any) -> int:
 
 
 def _repr(self: Any) -> str:
-    shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__record_repr__)
+    shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__record_compare__)
     return f"{self.__class__.__qualname__}({shown})"
 
 
-def _getstate(self: Any) -> list:
-    return [getattr(self, f.name) for f in self.__record_fields__]
+def _reduce(self: Any) -> tuple:
+    return self.__class__, _values(self, self.__record_init__)
 
 
-def _setstate(self: Any, state: list) -> None:
-    for f, value in zip(self.__record_fields__, state):
-        object.__setattr__(self, f.name, value)
-
-
-def _make_init(cls: type, unsealed: Optional[type], declared: tuple[Field, ...]) -> Any:
-    """Compile `cls.__init__`: once its arguments are bound, it sets each
+def _make_init(cls: type, unsealed: type, declared: tuple[Field, ...]) -> Any:
+    """Compile `cls.__init__`: once its arguments are bound, it stores each
     field (see the module's docstring), then calls `__post_init__` if the
     class has one."""
     env: dict[str, Any] = {"_set": object.__setattr__, "_unsealed": unsealed, "_sealed": cls}
     params = ["self"]
-    body = ["_set(self, '__class__', _unsealed)"] if unsealed else []
-    store = "self.{} = {}" if unsealed else "_set(self, {!r}, {})"
+    body = ["_set(self, '__class__', _unsealed)"]
     for f in declared:
-        if f.default is not _MISSING:
-            env[f"_d_{f.name}"] = f.default
         if f.init:
+            if f.default is not _MISSING:
+                env[f"_d_{f.name}"] = f.default
             params.append(f.name if f.default is _MISSING else f"{f.name}=_d_{f.name}")
-            body.append(store.format(f.name, f.name))
-        elif f.default is not _MISSING:
-            body.append(store.format(f.name, f"_d_{f.name}"))
-    if unsealed:
-        body.append("_set(self, '__class__', _sealed)")
+            body.append(f"self.{f.name} = {f.name}")
+    body.append("_set(self, '__class__', _sealed)")
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
     source = (
@@ -165,24 +138,15 @@ def _make_init(cls: type, unsealed: Optional[type], declared: tuple[Field, ...])
     return init
 
 
-def dataclass(*, frozen: bool, slots: bool = False) -> Any:
-    """The decorator that makes a class a frozen record, with `__slots__`
-    when `slots` is true: `@dataclass(frozen=True)` or
-    `@dataclass(frozen=True, slots=True)`."""
-    if not frozen:
-        raise TypeError("records are frozen: pass frozen=True")
-    return lambda cls: _build(cls, slots)
-
-
-def _build(cls: Any, slots: bool) -> Any:
-    """The record class declared by `cls`. It is built anew, without the
-    fields' class attributes: `__init__` sets every field on the instance,
-    and a slot could not share its name with a class attribute."""
+def record(cls: Any) -> Any:
+    """The frozen record class declared by `cls`. It is built anew, without
+    the fields' class attributes: `__init__` sets every field on the
+    instance, and a slot could not share its name with a class attribute."""
     declared = []
     for name in cls.__dict__.get("__annotations__", {}):
         spec = cls.__dict__.get(name, _MISSING)
         if not isinstance(spec, Field):
-            spec = Field(spec, True, True, True)
+            spec = Field(spec, True, True)
         spec.name = name
         declared.append(spec)
     declared = tuple(declared)
@@ -190,22 +154,19 @@ def _build(cls: Any, slots: bool) -> Any:
     members = {k: v for k, v in cls.__dict__.items() if k not in dropped}
     members.update(
         __qualname__=cls.__qualname__,
+        __slots__=(),
         __record_fields__=declared,
         __record_compare__=tuple(f.name for f in declared if f.compare),
-        __record_repr__=tuple(f.name for f in declared if f.repr),
+        __record_init__=tuple(f.name for f in declared if f.init),
         __setattr__=_setattr,
         __delattr__=_delattr,
         __eq__=_eq,
         __hash__=_hash,
         __repr__=_repr,
-        __getstate__=_getstate,
-        __setstate__=_setstate,
+        __reduce__=_reduce,
     )
-    bases, unsealed = cls.__bases__, None
-    if slots:
-        layout = {"__slots__": tuple(f.name for f in declared)}
-        unsealed = type(cls)(f"{cls.__qualname__}.<unsealed>", bases, layout)
-        bases, members["__slots__"] = (unsealed,), ()
-    sealed = type(cls)(cls.__name__, bases, members)
+    layout = {"__slots__": tuple(f.name for f in declared)}
+    unsealed = type(cls)(f"{cls.__qualname__}.<unsealed>", cls.__bases__, layout)
+    sealed = type(cls)(cls.__name__, (unsealed,), members)
     sealed.__init__ = _make_init(sealed, unsealed, declared)
     return sealed

@@ -5,7 +5,7 @@ from __future__ import annotations
 import operator
 from typing import Iterable, Optional, Sequence
 
-from ._record import dataclass
+from ._record import record
 from .engine import DiscourseReport
 from .model import Discourse, Resolution, TransitionLabel, decode_resolution
 from .resolution import CUE_AGREEMENT, CUE_LEXICAL, CUE_TENSE
@@ -23,7 +23,7 @@ _COLUMN_OF = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class TransitionTable:
     """2x4 distribution of transitions by zero use. Rows sum over every
     non-seed utterance report; totals are always computed from the cells,
@@ -108,7 +108,7 @@ def tabulate_disambiguation(reports: Iterable[DiscourseReport]) -> dict[str, int
     return counts
 
 
-@dataclass(frozen=True)
+@record
 class ZeroOutcome:
     """Evaluation record for one zero slot."""
 
@@ -129,7 +129,7 @@ def _count(status: str) -> property:
     return property(lambda self: sum(d.status == status for d in self.details))
 
 
-@dataclass(frozen=True)
+@record
 class GoldSummary:
     """The outcome of every zero, in corpus order; each tally is counted
     from them."""

@@ -424,7 +424,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         violations = exc.diagnostics
         summary = f"{len(violations)} violation(s)"
     for v in violations:
-        line = json.dumps(vars(v), sort_keys=True) if args.format == "machine" else str(v)
+        line = str(v)
+        if args.format == "machine":
+            line = json.dumps({"code": v.code, "location": v.location, "message": v.message})
         sys.stdout.write(line + "\n")
     if args.format == "text":
         sys.stdout.write(summary + "\n")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
 
-from ._record import dataclass, field, replace
+from ._record import field, record, replace
 from .core import rank_cf
 from .hypotheses import (
     DEFAULT_BEAM,
@@ -63,7 +63,7 @@ def push_cb(history: CbHistory, cb: str, index: int, past_tense: bool = False) -
     return (CbHistoryEntry(cb, index, flag), *kept)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Retrieval:
     """Outcome of one global retrieval at one zero slot.
 
@@ -132,7 +132,7 @@ def global_retrieve(
     return Retrieval(zero.surface_position, value, tuple(cues), considered, member_order)
 
 
-@dataclass(frozen=True)
+@record
 class EngineConfig:
     """Knobs of the coherence engine.
 
@@ -153,7 +153,7 @@ class EngineConfig:
                 raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class HypothesisView:
     """Serializable snapshot of one hypothesis for reports."""
 
@@ -165,7 +165,7 @@ class HypothesisView:
     anomalous: bool
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class UtteranceReport:
     """Per-utterance analysis record emitted by the engine."""
 
@@ -189,7 +189,7 @@ class UtteranceReport:
         return dict(self.resolutions)
 
 
-@dataclass(frozen=True)
+@record
 class DiscourseReport:
     """Full trace for one discourse run."""
 
@@ -199,7 +199,7 @@ class DiscourseReport:
     history: tuple[tuple[str, int], ...]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DiscourseState:
     """Engine state after processing a prefix of a discourse, and the record
     of its last step.
@@ -219,7 +219,7 @@ class DiscourseState:
     history: CbHistory = ()
     utterance: Optional[Utterance] = None
     retrievals: tuple[Retrieval, ...] = ()
-    prev: Optional["DiscourseState"] = field(default=None, repr=False, compare=False)
+    prev: Optional["DiscourseState"] = field(default=None, compare=False)
 
 
 def _view(h: CenteringHypothesis) -> HypothesisView:

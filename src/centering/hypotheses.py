@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ._record import dataclass
+from ._record import record
 from .core import classify_transition, rank_cf, compute_cb
 from .model import (
     _ZTA_CONTINUE,
@@ -20,7 +20,7 @@ from .model import (
 DEFAULT_BEAM = 4
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ResolutionOutcome:
     """Per-parent local resolution result for all zeros of one utterance.
 

@@ -11,7 +11,7 @@ from enum import Enum, IntEnum
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
-from ._record import dataclass, field, lazy
+from ._record import field, record
 
 
 class GrammaticalRole(IntEnum):
@@ -119,7 +119,7 @@ class TransitionLabel(Enum):
 _ZTA_CONTINUE = TransitionLabel.ZTA_CONTINUE
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DiscourseEntity:
     """A semantic discourse entity realizable by referring expressions.
 
@@ -139,7 +139,7 @@ class DiscourseEntity:
 GoldAntecedent = Union[str, frozenset[str]]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ResolutionConstraints:
     """Cue annotations on a zero slot.
 
@@ -158,7 +158,7 @@ class ResolutionConstraints:
         object.__setattr__(self, "gold_antecedent", decode_resolution(self.gold_antecedent))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ReferringExpression:
     """One overt NP or zero slot in an utterance.
 
@@ -192,27 +192,25 @@ class ReferringExpression:
         return self.constraints.required_cardinality
 
 
-@dataclass(frozen=True)
+@record
 class Utterance:
     """One pre-segmented simplex clause.
 
-    `zeros` and `overt_entities` are computed on first use and kept; they are
-    not fields, so equality, hashing and repr ignore them.
+    `zeros`, its zero slots in surface order, is derived from `expressions`
+    and left out of equality, hashing and repr.
     """
 
     index: int
     expressions: tuple[ReferringExpression, ...]
     tense: Tense = Tense.NONPAST
     text: Optional[str] = None
+    zeros: tuple[ReferringExpression, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "expressions", tuple(self.expressions))
+        object.__setattr__(self, "zeros", tuple([e for e in self.expressions if e.is_zero]))
 
-    @lazy
-    def zeros(self) -> tuple[ReferringExpression, ...]:
-        return tuple(e for e in self.expressions if e.is_zero)
-
-    @lazy
+    @property
     def overt_entities(self) -> frozenset[str]:
         return frozenset(
             e.entity_ref
@@ -225,23 +223,24 @@ class Utterance:
         return bool(self.zeros)
 
 
-@dataclass(frozen=True)
+@record
 class Discourse:
-    """An annotated discourse: entity declarations plus ordered utterances."""
+    """An annotated discourse: entity declarations plus ordered utterances.
+
+    `entity_map`, the entities by id, is derived from `entities` and left
+    out of equality, hashing and repr; it is read-only, since every caller
+    shares it.
+    """
 
     id: str
     entities: tuple[DiscourseEntity, ...]
     utterances: tuple[Utterance, ...]
+    entity_map: Mapping[str, DiscourseEntity] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entities", tuple(self.entities))
         object.__setattr__(self, "utterances", tuple(self.utterances))
-
-    @lazy
-    def entity_map(self) -> Mapping[str, DiscourseEntity]:
-        """Entities by id, built on first use and kept; read-only, since
-        every caller shares it."""
-        return MappingProxyType({e.id: e for e in self.entities})
+        object.__setattr__(self, "entity_map", MappingProxyType({e.id: e for e in self.entities}))
 
 
 #: A Cf list: entities in salience order with their effective roles.
@@ -271,7 +270,7 @@ def format_resolution(value: Resolution) -> str:
     return "{" + "+".join(sorted(value)) + "}"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CenteringHypothesis:
     """One (Cb, Cf, transition) reading of an utterance.
 
@@ -302,13 +301,11 @@ class CenteringHypothesis:
     anomalous: bool = False
     resolutions: tuple[tuple[int, Resolution], ...] = ()
     cues: tuple[str, ...] = ()
-    parent: Optional["CenteringHypothesis"] = field(
-        default=None, repr=False, compare=False
-    )
+    parent: Optional["CenteringHypothesis"] = field(default=None, compare=False)
     ambiguity_keys: frozenset[str] = frozenset()
     parent_rank: int = 0
-    zta_count: int = field(init=False, default=0)
-    cf_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    zta_count: int = field(init=False)
+    cf_ids: tuple[str, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         inherited = self.parent.zta_count if self.parent is not None else 0
@@ -348,7 +345,7 @@ class CenteringHypothesis:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CbHistoryEntry:
     """One former backward-looking center.
 
@@ -366,7 +363,7 @@ class CbHistoryEntry:
 CbHistory = tuple[CbHistoryEntry, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     """One located problem: a format diagnostic or a violated invariant."""
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import AbstractSet, Iterator, Mapping, Optional, Sequence
 
-from ._record import dataclass
+from ._record import record
 from .model import (
     CbHistory,
     DiscourseEntity,
@@ -43,7 +43,7 @@ def check_compatibility(
     return None
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class LocalResolution:
     """Outcome of a local resolution attempt.
 

@@ -2,6 +2,8 @@
 with instances taken from a parse and a run of the bundled fixtures."""
 
 import dataclasses
+import hashlib
+import json
 import pickle
 import threading
 
@@ -120,7 +122,7 @@ def _mirror(cls):
             dataclasses.field(
                 default=dataclasses.MISSING if f.default is _MISSING else f.default,
                 init=f.init,
-                repr=f.repr,
+                repr=f.compare,
                 compare=f.compare,
             ),
         )
@@ -176,9 +178,9 @@ def test_replace_recomputes_zta_count(instances):
 
 @pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
 def test_init_leaves_an_instance_of_the_record_class(instances, cls):
-    """A slotted record's `__init__` stores its fields on an unsealed twin
-    class and moves the instance back; neither a new instance, its repr nor
-    its pickle shows the twin, and the twin's instances stay unsealed."""
+    """A record's `__init__` stores its fields on an unsealed twin class and
+    moves the instance back; neither a new instance, its repr nor its pickle
+    shows the twin, and the twin's instances stay unsealed."""
     for x in instances[cls][:20]:
         y = replace(x)
         assert type(y) is cls and y == x
@@ -186,9 +188,8 @@ def test_init_leaves_an_instance_of_the_record_class(instances, cls):
         data = pickle.dumps(y)
         assert b"unsealed" not in data
         assert type(pickle.loads(data)) is cls
-    if cls.__base__ is not object:
-        assert cls.__base__.__qualname__ == f"{cls.__qualname__}.<unsealed>"
-        assert cls.__slots__ == () and cls.__base__.__setattr__ is object.__setattr__
+    assert cls.__base__.__qualname__ == f"{cls.__qualname__}.<unsealed>"
+    assert cls.__base__.__setattr__ is object.__setattr__
 
 
 @pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
@@ -217,29 +218,77 @@ def test_post_init_still_refuses_a_bad_value():
         EngineConfig(beam=0)
 
 
-LAZY = [(Utterance, "zeros"), (Utterance, "overt_entities"), (Discourse, "entity_map")]
+#: Each derived field: its class, the `__init__` field it is derived from,
+#: how to compute it from the record, and whether `==`, `hash` and `repr`
+#: take part in it.
+DERIVED = [
+    (
+        Utterance,
+        "zeros",
+        "expressions",
+        lambda u: tuple(e for e in u.expressions if e.is_zero),
+        False,
+    ),
+    (Discourse, "entity_map", "entities", lambda d: {e.id: e for e in d.entities}, False),
+    (
+        CenteringHypothesis,
+        "zta_count",
+        "parent",
+        lambda h: sum(node.zta_applied for node in h.ancestry()),
+        True,
+    ),
+    (CenteringHypothesis, "cf_ids", "cf", lambda h: tuple(eid for eid, _ in h.cf), False),
+]
 
 
-@pytest.mark.parametrize("cls,name", LAZY, ids=lambda v: getattr(v, "__name__", v))
-def test_lazy_attribute_is_computed_once_and_is_no_field(instances, monkeypatch, cls, name):
-    lazy = vars(cls)[name]
-    calls = []
-    compute = lazy.func
-    monkeypatch.setattr(lazy, "func", lambda obj: calls.append(obj) or compute(obj))
-    x = max(instances[cls], key=lambda x: len(repr(x)))
-    fresh, blank = replace(x), replace(x)
-    assert name not in vars(fresh)
-    value = getattr(fresh, name)
-    assert value == getattr(x, name)
-    assert getattr(fresh, name) is value and calls == [fresh]
-    # kept out of ==, hash, repr and pickle
-    assert name in vars(fresh) and name not in vars(blank)
-    assert fresh == blank and hash(fresh) == hash(blank) and repr(fresh) == repr(blank)
-    assert pickle.dumps(fresh) == pickle.dumps(blank)
-    # and computed again after unpickling
-    back = pickle.loads(pickle.dumps(fresh))
-    assert name not in vars(back)
-    assert getattr(back, name) == value and len(calls) == 2
+@pytest.mark.parametrize(
+    "cls, name, source, derive, compared",
+    DERIVED,
+    ids=[f"{cls.__name__}.{name}" for cls, name, *_ in DERIVED],
+)
+def test_derived_field_is_rebuilt_and_never_pickled(
+    instances, cls, name, source, derive, compared
+):
+    (spec,) = [f for f in fields(cls) if f.name == name]
+    assert not spec.init and spec.compare is compared
+    xs = [x for x in instances[cls] if getattr(x, source)][:20]
+    assert xs
+    for x in xs:
+        assert getattr(x, name) == derive(x)
+        # replace derives it again from the changed source field
+        value = getattr(x, source)
+        shorter = replace(x, **{source: None if is_record(value) else value[1:]})
+        assert getattr(shorter, name) == derive(shorter)
+        # a wrong value of the field changes no pickle byte, and unpickling
+        # derives the right one again
+        tampered = replace(x)
+        object.__setattr__(tampered, name, None)
+        assert pickle.dumps(tampered) == pickle.dumps(x)
+        assert getattr(pickle.loads(pickle.dumps(tampered)), name) == getattr(x, name)
+        if not compared:
+            assert tampered == x and hash(tampered) == hash(x) and repr(tampered) == repr(x)
+            assert f"{name}=" not in repr(x)
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_record_is_slotted(instances, cls):
+    assert cls.__slots__ == ()
+    assert cls.__base__.__slots__ == tuple(f.name for f in fields(cls))
+    for x in instances[cls]:
+        assert not hasattr(x, "__dict__")
+
+
+#: sha256 of `[[discourse id, utterance index, sorted overt entities], ...]`
+#: over the bundled fixtures, as JSON, taken when the value was still kept
+#: on the utterance after its first read.
+OVERT_ENTITIES_SHA256 = "b9aff42e8521101acaefca78540cb1d1538732377a749b43bf66419b0b1e70b0"
+
+
+def test_overt_entities_keep_their_values():
+    corpus = [load_fixture(name) for name in FIXTURE_NAMES]
+    assert all(isinstance(u.overt_entities, frozenset) for d in corpus for u in d.utterances)
+    rows = [[d.id, u.index, sorted(u.overt_entities)] for d in corpus for u in d.utterances]
+    assert hashlib.sha256(json.dumps(rows).encode("utf-8")).hexdigest() == OVERT_ENTITIES_SHA256
 
 
 def test_threads_reading_a_fresh_utterance_see_equal_values(instances):
