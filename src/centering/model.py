@@ -81,6 +81,9 @@ class Form(Enum):
     ZERO = "zero"
 
 
+_ZERO = Form.ZERO
+
+
 class Tense(Enum):
     PAST = "past"
     NONPAST = "nonpast"
@@ -207,8 +210,9 @@ class Utterance:
     zeros: tuple[ReferringExpression, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "expressions", tuple(self.expressions))
-        object.__setattr__(self, "zeros", tuple([e for e in self.expressions if e.is_zero]))
+        expressions = tuple(self.expressions)
+        object.__setattr__(self, "expressions", expressions)
+        object.__setattr__(self, "zeros", tuple([e for e in expressions if e.form is _ZERO]))
 
     @property
     def overt_entities(self) -> frozenset[str]:
