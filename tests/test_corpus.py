@@ -18,7 +18,7 @@ from centering._record import is_record
 from centering.corpus import _FIELDS, FIXTURE_NAMES, fixture_text, serialize_corpus
 
 from conftest import FIXTURES
-from test_cli import topic_cues_text
+from test_cli import run_cli, topic_cues_text, with_cpus
 from test_golden import synth_corpus
 
 
@@ -403,6 +403,97 @@ class TestTextReports:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             serialize_reports([], "yaml")
+
+
+def reader_document(case):
+    """A corpus document of three fixture discourses laid out as `case`
+    says, and what reading it gives: the ids of its discourses, or its
+    diagnostics."""
+    items = [json.loads(fixture_text(name))["discourses"][0] for name in READER_FIXTURES]
+    ids = [item["id"] for item in items]
+    a, b, c = map(json.dumps, items)
+    body = f"[{a}, {b}, {c}]"
+    if case == "bare-list":
+        return body, ids
+    if case == "keys-around-discourses":
+        return f'{{"source": {{"discourses": 3}}, "discourses": {body}, "notes": ["x"]}}', ids
+    if case == "repeated-discourses-key":
+        return f'{{"discourses": {body}, "discourses": []}}', []
+    if case == "empty-list":
+        return "[]", []
+    if case == "element-not-an-object":
+        return f"[{a}, 5, {c}]", ["discourses[1]: discourse must be an object [malformed-structure]"]
+    if case == "discourses-not-a-list":
+        text = f'{{"discourses": {{"0": {a}}}}}'
+        return text, ["$: expected a 'discourses' list [malformed-structure]"]
+    if case == "top-level-scalar":
+        return '"corpus"', ["$: expected an object or a list [malformed-structure]"]
+    if case == "trailing-data":
+        text = f'{{"discourses": {body}}} []'
+        return text, [f"line 1, column {len(text) - 1}: Extra data [malformed-json]"]
+    if case == "missing-comma":
+        text = f"[{a}, {b} {c}]"
+        at = len(f"[{a}, {b} ") + 1
+        return text, [f"line 1, column {at}: Expecting ',' delimiter [malformed-json]"]
+    if case == "truncated-in-last-discourse":
+        text = f"[{a}, {b}, {c}"[: -len(c) + c.index('"entities": ') + len('"entities": ')]
+        return text, [f"line 1, column {len(text) + 1}: Expecting value [malformed-json]"]
+    if case == "utf8-bom":
+        message = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+        return "\ufeff" + body, [f"line 1, column 1: {message} [malformed-json]"]
+    if case == "nested-too-deep-in-third":
+        head = f'[{a}, {b}, {{"id": "deep", "entities": '
+        text = head + "[" * 100000
+        message = "nested 100002 deep, past the decoder's limit"
+        return text, [f"line 1, column {len(text)}: {message} [malformed-json]"]
+    assert case == "integer-too-long-in-third"
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("integers have no digit limit in this interpreter")
+    head = f'[{a}, {b}, {{"id": "long", "entities": [{{"id": "e", "cardinality": '
+    text = head + "7" * (limit + 1) + "}]}]"
+    message = f"integer of {limit + 1} digits, more than {limit}"
+    return text, [f"line 1, column {len(head) + 1}: {message} [malformed-json]"]
+
+
+READER_FIXTURES = ("classroom_exam", "research_lab", "phone_card")
+
+READER_CASES = (
+    "bare-list",
+    "keys-around-discourses",
+    "repeated-discourses-key",
+    "empty-list",
+    "element-not-an-object",
+    "discourses-not-a-list",
+    "top-level-scalar",
+    "trailing-data",
+    "missing-comma",
+    "truncated-in-last-discourse",
+    "utf8-bom",
+    "nested-too-deep-in-third",
+    "integer-too-long-in-third",
+)
+
+
+class TestReader:
+    @pytest.mark.parametrize("case", READER_CASES)
+    def test_a_document_reads_alike_in_process_and_in_workers(
+        self, case, tmp_path, monkeypatch, capsys
+    ):
+        text, expected = reader_document(case)
+        path = tmp_path / "corpus.centering.json"
+        path.write_text(text, encoding="utf-8")
+        try:
+            discourses = parse_corpus(text)
+        except CorpusFormatError as exc:
+            assert list(map(str, exc.diagnostics)) == expected
+            want = (1, "", "".join(f"error: {path}: {line}\n" for line in expected))
+        else:
+            assert [d.id for d in discourses] == expected
+            want = (0, serialize_reports(run_corpus(discourses), "machine"), "")
+        for cpus in (1, 3):
+            with_cpus(monkeypatch, cpus)
+            assert run_cli(capsys, "analyze", "--format", "machine", str(path)) == want
 
 
 def test_fixture_names_constant_matches_tests():
