@@ -7,13 +7,17 @@ whole input and prints no result for input with a problem. Exit codes: 0
 success, 1 format, validation or usage problem, 2 internal fault.
 
 Every command spreads a large corpus over the CPUs in the process's
-affinity mask. The parent only reads and decodes the files and checks their
-discourse ids. Forked workers, one per CPU and per `_UTTERANCES_PER_WORKER`
-utterances, each build, validate and run a contiguous share of the
-discourses, balanced by utterance count, and send back their diagnostics
-and results. The parent merges these in input order, so the output, errors
-included, does not depend on the CPU count. A single discourse, a corpus
-too small for two workers, or a single CPU runs in process.
+affinity mask. The parent only reads the files, indexes their discourses
+(`corpus.read_document`: each one's location, id, utterance count and where
+its JSON starts) and checks their ids; it holds no decoded discourse.
+Forked workers, one per CPU and per `_UTTERANCES_PER_WORKER` utterances,
+each take a contiguous share of the index, balanced by utterance count, and
+decode, build, validate, run and finish its discourses one at a time,
+dropping each before the next. They send back each discourse's diagnostics
+and result, and the parent merges these in input order, so the output,
+errors included, does not depend on the CPU count. A single discourse, a
+corpus too small for two workers, or a single CPU runs the same loop in
+process.
 """
 
 from __future__ import annotations
@@ -99,19 +103,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 #: A file as the parent read it: its path, the diagnostic that stopped its
 #: reading (none if it was read), and the location and id of each of its
-#: discourses. Each id is a copy: a string the JSON decoder made lies among
-#: the decoded document's objects, and would keep their memory from the
-#: system once they are freed.
+#: discourses.
 _File = tuple[str, list[Violation], list[tuple[str, Optional[str]]]]
 
 
-def _copy(text: Optional[str]) -> Optional[str]:
-    """A string equal to `text` but not `text` itself (None stays None)."""
-    return None if text is None else (text + " ")[:-1]
-
-
 def _read(paths: Sequence[str]) -> tuple[list[_File], list[corpus_io.RawDiscourse]]:
-    """Read and decode every file: the files, and the raw discourses of all
+    """Read and index every file: the files, and the raw discourses of all
     of them in input order."""
     files: list[_File] = []
     raw: list[corpus_io.RawDiscourse] = []
@@ -127,7 +124,7 @@ def _read(paths: Sequence[str]) -> tuple[list[_File], list[corpus_io.RawDiscours
             failure = [Violation("malformed-encoding", f"byte {exc.start}", message)]
         except corpus_io.CorpusFormatError as exc:
             failure = exc.diagnostics
-        files.append((path, failure, [(r.loc, _copy(r.id)) for r in found]))
+        files.append((path, failure, [(r.loc, r.id) for r in found]))
         raw.extend(found)
     return files, raw
 
@@ -167,59 +164,61 @@ def _cpus() -> list[int]:
     return [0]
 
 
-def _utterances(r: corpus_io.RawDiscourse) -> int:
-    utterances = r.item.get("utterances") if isinstance(r.item, dict) else None
-    return len(utterances) if isinstance(utterances, list) else 0
-
-
 def _shares(raw: list[corpus_io.RawDiscourse], cpus: int) -> list[list[corpus_io.RawDiscourse]]:
     """Cut `raw` into contiguous shares of about equal utterance counts, at
     most one per CPU and one per `_UTTERANCES_PER_WORKER` utterances: each
     discourse goes to the share its middle falls in. A corpus that gets one
     share is that share."""
-    sizes = list(map(_utterances, raw))
-    total = sum(sizes)
+    total = sum(r.size for r in raw)
     n = min(cpus, len(raw), total // _UTTERANCES_PER_WORKER)
     if n <= 1:
         return [raw] if raw else []
     shares: list[list[corpus_io.RawDiscourse]] = [[] for _ in range(n)]
     before = 0
-    for r, size in zip(raw, sizes):
+    for r in raw:
         # a discourse without utterances at the very end has its middle there
-        shares[min(n - 1, (2 * before + size) * n // (2 * total))].append(r)
-        before += size
+        shares[min(n - 1, (2 * before + r.size) * n // (2 * total))].append(r)
+        before += r.size
     return [share for share in shares if share]
 
 
 def _run_share(
-    share: list[corpus_io.RawDiscourse], run: bool, job: Callable[[list[Discourse]], Any]
-) -> tuple[list[list[Violation]], Any]:
-    """Build and validate the discourses of `share`, and, if `run` and none
-    has a diagnostic, return `job(discourses)` with their diagnostics. The
-    share is emptied once built, so its raw JSON is not held while the job
-    runs."""
-    discourses, found = corpus_io.build_discourses(share)
-    share.clear()
-    return found, job(discourses) if run and not any(found) else None
+    share: list[corpus_io.RawDiscourse], run: bool, job: Callable[[Discourse], Any]
+) -> tuple[list[list[Violation]], list[Any]]:
+    """Decode, build and validate the discourses of `share` one at a time,
+    in order, and run `job` on each while `run` and no discourse so far had
+    a diagnostic: the diagnostics of each discourse, and the job's results.
+    Each raw discourse is taken off the share before it is decoded, and each
+    discourse is dropped before the next is decoded."""
+    found, results = [], []
+    share.reverse()
+    while share:
+        discourse, diags = corpus_io.build_discourse(share.pop())
+        found.append(diags)
+        run = run and not diags
+        if run:
+            results.append(job(discourse))
+        del discourse
+    return found, results
 
 
-def _run_shares(paths: Sequence[str], job: Callable[[list[Discourse]], Any]) -> list[Any]:
-    """Read the files, build their discourses in contiguous shares and
-    return `job(discourses)` of each share in input order; raise
-    CorpusFormatError with every diagnostic of every file instead if there
-    is one.
+def _run_shares(paths: Sequence[str], job: Callable[[Discourse], Any]) -> list[Any]:
+    """Read the files and return `job(discourse)` of each of their
+    discourses in input order; raise CorpusFormatError with every
+    diagnostic of every file instead if there is one.
 
-    The parent only reads and decodes the files and checks their discourse
-    ids; the shares are built and run in forked workers, at most one per
-    CPU and one per `_UTTERANCES_PER_WORKER` utterances, each pinned to a
-    CPU of its own. A corpus that gets one worker runs in process.
+    The parent only reads and indexes the files and checks their discourse
+    ids; contiguous shares of the index are decoded, built and run, one
+    discourse at a time, in forked workers, at most one per CPU and one per
+    `_UTTERANCES_PER_WORKER` utterances, each pinned to a CPU of its own. A
+    corpus that gets one worker runs in process.
 
     The cyclic garbage collector is off from the reading of the files to
     the last result, and the caller's setting is restored after; forked
     workers inherit it off and end with `os._exit`. Nothing this path makes
     forms a reference cycle, so reference counting alone frees it all, and
     the collector would only walk the live objects again and again. The
-    heap is also frozen (`gc.freeze`) before the shares are built. It stays
+    heap is also frozen (`gc.freeze`) before the shares are run. It stays
     frozen: the command ends the process, whose last collection at exit
     then skips the frozen objects.
     """
@@ -234,7 +233,7 @@ def _run_shares(paths: Sequence[str], job: Callable[[list[Discourse]], Any]) -> 
         shares = _shares(raw, len(cpus))
         del raw
 
-        def work(share: list[corpus_io.RawDiscourse]) -> tuple[list[list[Violation]], Any]:
+        def work(share: list[corpus_io.RawDiscourse]) -> tuple[list[list[Violation]], list[Any]]:
             return _run_share(share, run, job)
 
         gc.freeze()
@@ -245,7 +244,7 @@ def _run_shares(paths: Sequence[str], job: Callable[[list[Discourse]], Any]) -> 
     diags = _diagnostics(files, [per for found, _ in results for per in found])
     if diags:
         raise corpus_io.CorpusFormatError(diags)
-    return [result for _, result in results]
+    return [result for _, part in results for result in part]
 
 
 def _fork(shares: list[Any], cpus: list[int], work: Callable[[Any], Any]) -> list[Any]:
@@ -254,12 +253,13 @@ def _fork(shares: list[Any], cpus: list[int], work: Callable[[Any], Any]) -> lis
     CPU and ran no faster than one process). A worker sends its result back
     pickled over a pipe; an exception it raises is raised here, and a worker
     that dies is a RuntimeError naming its exit status. Fork, not spawn: the
-    command starts no thread, and a forked worker shares the decoded JSON
-    instead of receiving it pickled.
+    command starts no thread, and a forked worker shares the parent's
+    copy of each file's text and its index instead of receiving them
+    pickled.
 
     Once every worker is forked, `shares` is emptied: the workers hold
-    their own copies, and the parent need not keep the corpus while it
-    waits. Each reply is unpickled as it arrives, after its worker ended
+    their own copies, and the parent need not keep the index or the files'
+    text while it waits. Each reply is unpickled as it arrives, after its worker ended
     well, and its bytes are dropped before the next is read."""
     # Imported here, so that a run in process never pays for the import.
     import pickle
@@ -310,11 +310,11 @@ def _run_engine(
     args: argparse.Namespace,
     finish: Callable[[list[DiscourseReport], Sequence[Discourse]], Any],
 ) -> list[Any]:
-    """Run the engine on the discourses of the files, share by share (see
-    `_run_shares`), and return `finish(reports, discourses)` of each share
-    in input order."""
+    """Run the engine on the discourses of the files, one at a time (see
+    `_run_shares`), and return `finish(reports, discourses)` of each
+    discourse, with its one report, in input order."""
     config = _config(args)
-    return _run_shares(args.files, lambda ds: finish(run_corpus(ds, config), ds))
+    return _run_shares(args.files, lambda d: finish(run_corpus([d], config), (d,)))
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -419,7 +419,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     violations: list[Violation] = []
     try:
-        summary = f"{sum(_run_shares(args.files, len))} discourse(s), 0 violation(s)"
+        count = len(_run_shares(args.files, lambda discourse: None))
+        summary = f"{count} discourse(s), 0 violation(s)"
     except corpus_io.CorpusFormatError as exc:
         violations = exc.diagnostics
         summary = f"{len(violations)} violation(s)"
@@ -435,7 +436,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     parts = _run_engine(args, analysis.evaluate_gold)
-    summary = sum(parts, analysis.GoldSummary())
+    # one summary of every part's details: adding the parts would copy the
+    # details gathered so far once per discourse
+    summary = analysis.GoldSummary(tuple(d for part in parts for d in part.details))
     if args.format == "machine":
         sys.stdout.write(
             json.dumps(

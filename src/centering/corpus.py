@@ -97,8 +97,12 @@ def parse_corpus(text: str) -> list[Discourse]:
     carrying every diagnostic found, each naming its exact location.
     Whitespace-only input is an empty corpus.
     """
-    discourses, found = build_discourses(read_document(text))
-    diags = [v for per_discourse in found for v in per_discourse]
+    discourses, diags = [], []
+    for r in read_document(text):
+        d, found = build_discourse(r)
+        if d is not None:
+            discourses.append(d)
+        diags.extend(found)
     if diags:
         raise CorpusFormatError(diags)
     return discourses
@@ -141,75 +145,133 @@ def _loads(text: str) -> Any:
 
 
 class RawDiscourse(NamedTuple):
-    """A discourse object of a document, located and not yet built. `id` is
-    None for an element that is not an object; `repeated` marks an id that
-    an earlier discourse of the document has."""
+    """A discourse of a document, located and not yet built: its id, None
+    for an element that is not an object; whether an earlier discourse of
+    the document has that id; its utterance count; and where its JSON
+    starts in the document `text`. The discourse of a document that holds
+    only one keeps its decoded object as `item` instead, and no text."""
 
     loc: str
-    item: Any
     id: Optional[str]
     repeated: bool
+    size: int
+    text: Optional[str]
+    start: int
+    item: Any = None
+
+
+#: JSON's whitespace, as `json.loads` skips it.
+_SPACE = re.compile(r"[ \t\n\r]*")
+
+_DECODER = json.JSONDecoder()
 
 
 def read_document(text: str) -> list[RawDiscourse]:
     """The raw discourses of a corpus document, after the checks of its JSON
-    and top-level shape, which raise CorpusFormatError. `build_discourses`
-    builds them; the two make up `parse_corpus`."""
+    and top-level shape, which raise CorpusFormatError. `build_discourse`
+    builds each; the two make up `parse_corpus`.
+
+    The document is walked, not held: each discourse is decoded once, to
+    learn its id and size, and dropped. Any JSON that the walk does not
+    take goes to `_loads`, for the error that `json.loads` would raise."""
     if not text.strip():
         return []
     try:
-        data = _loads(text)
-    except json.JSONDecodeError as exc:
-        raise CorpusFormatError(
-            [
-                Violation(
-                    "malformed-json",
-                    f"line {exc.lineno}, column {exc.colno}",
-                    exc.msg,
-                )
-            ]
-        ) from exc
+        top, items = _walk(text)
+    except (ValueError, RecursionError):
+        try:
+            _loads(text)
+        except json.JSONDecodeError as exc:
+            where = f"line {exc.lineno}, column {exc.colno}"
+            raise CorpusFormatError([Violation("malformed-json", where, exc.msg)]) from exc
+        raise  # json.loads took JSON that the walk did not: a fault of the walk
+    if items is None:
+        message = "expected a 'discourses' list" if top == "{" else "expected an object or a list"
+        raise CorpusFormatError([Violation("malformed-structure", "$", message)])
+    return items
 
-    if isinstance(data, dict):
-        items = data.get("discourses")
-        if not isinstance(items, list):
-            raise CorpusFormatError(
-                [Violation("malformed-structure", "$", "expected a 'discourses' list")]
-            )
-    elif isinstance(data, list):
-        items = data
+
+def _walk(text: str) -> tuple[str, Optional[list[RawDiscourse]]]:
+    """The first character of the JSON document `text` and its discourses:
+    the top-level list, or the last "discourses" list of the top-level
+    object (None when it has none). Raises ValueError or RecursionError at
+    the first thing that `json.loads` would not take either."""
+    decode = _DECODER.raw_decode
+    at = _SPACE.match(text).end()
+    top = text[at : at + 1]
+    items = None
+    if top == "[":
+        items, at = _walk_list(text, at)
+    elif top == "{":
+        at = _SPACE.match(text, at + 1).end()
+        closed = text[at : at + 1] == "}"
+        at += closed
+        while not closed:
+            key, at = decode(text, at)
+            at = _SPACE.match(text, at).end()
+            if type(key) is not str or text[at : at + 1] != ":":
+                raise ValueError("expected a key and a colon")
+            at = _SPACE.match(text, at + 1).end()
+            if key != "discourses":
+                at = decode(text, at)[1]
+            elif text[at : at + 1] == "[":
+                items, at = _walk_list(text, at)
+            else:
+                items, at = None, decode(text, at)[1]
+            at, closed = _next(text, at, "}")
     else:
-        raise CorpusFormatError(
-            [Violation("malformed-structure", "$", "expected an object or a list")]
-        )
+        at = decode(text, at)[1]
+    if _SPACE.match(text, at).end() != len(text):
+        raise ValueError("extra data")
+    return top, items
 
-    raw = []
+
+def _walk_list(text: str, at: int) -> tuple[list[RawDiscourse], int]:
+    """The discourses of the list that opens at `text[at]`, and where the
+    list ends."""
+    items: list[RawDiscourse] = []
     seen_ids: set[str] = set()
-    for i, item in enumerate(items):
-        loc = f"discourses[{i}]"
+    at = _SPACE.match(text, at + 1).end()
+    closed = text[at : at + 1] == "]"
+    at += closed
+    while not closed:
+        item, end = _DECODER.raw_decode(text, at)
+        loc = f"discourses[{len(items)}]"
         did = _discourse_id(item, loc)
-        raw.append(RawDiscourse(loc, item, did, did in seen_ids))
+        utterances = item.get("utterances") if did is not None else None
+        size = len(utterances) if isinstance(utterances, list) else 0
+        items.append(RawDiscourse(loc, did, did in seen_ids, size, text, at))
         if did is not None:
             seen_ids.add(did)
-    return raw
+        at, closed = _next(text, end, "]")
+    if len(items) == 1:
+        # the last element decoded is the only one
+        items[0] = items[0]._replace(text=None, item=item)
+    return items, at
 
 
-def build_discourses(
-    raw: Iterable[RawDiscourse],
-) -> tuple[list[Discourse], list[list[Violation]]]:
-    """Build and validate raw discourses: the discourses built, and per raw
-    discourse its diagnostics, a repeated id last."""
-    discourses = []
-    found = []
-    for r in raw:
-        diags: list[Violation] = []
-        d = _parse_discourse(r.item, r.loc, diags)
-        if r.repeated:
-            diags.append(repeated_id(r.loc, r.id))
-        if d is not None:
-            discourses.append(d)
-        found.append(diags)
-    return discourses, found
+def _next(text: str, at: int, close: str) -> tuple[int, bool]:
+    """After a member of a container that `close` ends: where the next
+    member starts, or where the container ends and True."""
+    at = _SPACE.match(text, at).end()
+    sep = text[at : at + 1]
+    if sep == close:
+        return at + 1, True
+    if sep != ",":
+        raise ValueError(f"expected ',' or '{close}'")
+    return _SPACE.match(text, at + 1).end(), False
+
+
+def build_discourse(r: RawDiscourse) -> tuple[Optional[Discourse], list[Violation]]:
+    """Decode, build and validate a raw discourse: the discourse built (None
+    for an element that is not an object) and its diagnostics, a repeated
+    id last."""
+    item = r.item if r.text is None else _DECODER.raw_decode(r.text, r.start)[0]
+    diags: list[Violation] = []
+    d = _parse_discourse(item, r.loc, diags)
+    if r.repeated:
+        diags.append(repeated_id(r.loc, r.id))
+    return d, diags
 
 
 def repeated_id(loc: str, did: str) -> Violation:

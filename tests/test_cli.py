@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -22,8 +23,8 @@ from centering import (
 from centering.cli import main
 from centering.corpus import (
     FIXTURE_NAMES,
-    RawDiscourse,
     fixture_text,
+    read_document,
     report_blocks,
     serialize_corpus,
 )
@@ -603,11 +604,11 @@ class TestWorkers:
 
     def test_shares_are_contiguous_and_balanced_by_utterances(self, monkeypatch):
         monkeypatch.setattr(cli_mod, "_UTTERANCES_PER_WORKER", 1)
-        raw = [
-            RawDiscourse(f"discourses[{i}]", {"utterances": [{}] * n}, f"d{i}", False)
-            for i, n in enumerate([5, 0, 5, 10, 0])
-        ]
-        raw.append(RawDiscourse("discourses[5]", 5, None, False))
+        items = [{"id": f"d{i}", "utterances": [{}] * n} for i, n in enumerate([5, 0, 5, 10])]
+        items += [{"id": "d4", "utterances": 3}, 5]
+        raw = read_document(json.dumps(items))
+        # an element that is not an object, or has no list of utterances, has none
+        assert [r.size for r in raw] == [5, 0, 5, 10, 0, 0]
         shares = cli_mod._shares(list(raw), 2)
         assert shares == [raw[:3], raw[3:]]
         assert cli_mod._shares(list(raw), 1) == [raw]
@@ -621,17 +622,21 @@ class TestWorkers:
         assert [total for _, total in got] == [1, 5, 15]
         assert os.getpid() not in {pid for pid, _ in got}
 
-    def test_the_parent_keeps_no_string_of_the_decoded_json(self, pool_corpus):
-        # a decoded string kept would hold the freed document's memory
+    def test_the_parent_keeps_no_decoded_discourse(self, pool_corpus):
+        # of a file of several discourses, only its text and, per discourse,
+        # a few scalars; the one discourse of a file is decoded only once
         files, raw = cli_mod._read(pool_corpus)
-        kept = [did for _, _, discourses in files for _, did in discourses]
-        assert kept == [r.id for r in raw]
-        assert not any(did is r.id for did, r in zip(kept, raw))
+        assert [did for _, _, discourses in files for _, did in discourses] == [r.id for r in raw]
+        several, single = raw[:-2], raw[-2:]
+        assert len(several) == 42
+        assert not any(isinstance(field, (dict, list)) for r in several for field in r)
+        assert all(r.text is None and isinstance(r.item, dict) for r in single)
 
     def test_raw_json_is_dropped_before_the_job_runs(self, pool_corpus):
         _, raw = cli_mod._read(pool_corpus)
-        found, held = cli_mod._run_share(raw, True, lambda discourses: (len(raw), len(discourses)))
-        assert held == (0, 44) and not any(found)
+        ids = [r.id for r in raw]
+        found, held = cli_mod._run_share(raw, True, lambda discourse: (len(raw), discourse.id))
+        assert held == list(zip(range(43, -1, -1), ids)) and not any(found)
 
     def test_a_worker_per_threshold_of_utterances(self, pool_corpus, monkeypatch):
         size = sum(
@@ -704,6 +709,29 @@ def topic_cues_text(discourses=20):
     return gen.corpus_text({"discourses": corpus["discourses"][:discourses]})
 
 
+def test_memory_grows_with_the_text_not_the_decoded_corpus(tmp_path, monkeypatch, capsys):
+    # In process, a command holds each file's text and one decoded
+    # discourse at a time: its peak, reached while a file's bytes and its
+    # text are both held, grows by about two bytes per byte of input, where
+    # a decoded corpus held whole grows by about eight.
+    monkeypatch.setattr(cli_mod, "_cpus", lambda: [0])
+    sizes, peaks = [], []
+    for discourses in (20, 60):
+        path = tmp_path / f"topic-cues-{discourses}.centering.json"
+        path.write_text(topic_cues_text(discourses), encoding="utf-8")
+        sizes.append(path.stat().st_size)
+        tracemalloc.start()
+        try:
+            code = main(["stats", "--format", "machine", str(path)])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    capsys.readouterr()
+    growth = (peaks[1] - peaks[0]) / (sizes[1] - sizes[0])
+    assert growth <= 2.5, f"peak grew {growth:.2f} bytes per input byte"
+
+
 class TestCollector:
     """The engine commands run with the cyclic garbage collector off. That
     is sound only while reference counting alone frees everything their job
@@ -763,6 +791,7 @@ class TestCollector:
     def test_jobs_run_with_the_collector_off(self, cpus, pool_corpus, monkeypatch):
         with_cpus(monkeypatch, cpus)
         args = cli_mod._build_parser().parse_args(["analyze", *pool_corpus])
-        states = cli_mod._run_engine(args, lambda reports, _: gc.isenabled())
+        states = cli_mod._run_engine(args, lambda reports, _: (os.getpid(), gc.isenabled()))
         assert gc.isenabled()
-        assert len(states) == (1 if cpus == 1 else 3) and not any(states)
+        assert len(states) == 44 and not any(enabled for _, enabled in states)
+        assert len({pid for pid, _ in states}) == (1 if cpus == 1 else 3)

@@ -422,7 +422,8 @@ def reader_document(case):
     if case == "empty-list":
         return "[]", []
     if case == "element-not-an-object":
-        return f"[{a}, 5, {c}]", ["discourses[1]: discourse must be an object [malformed-structure]"]
+        diag = "discourses[1]: discourse must be an object [malformed-structure]"
+        return f"[{a}, 5, {c}]", [diag]
     if case == "discourses-not-a-list":
         text = f'{{"discourses": {{"0": {a}}}}}'
         return text, ["$: expected a 'discourses' list [malformed-structure]"]
