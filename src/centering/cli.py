@@ -13,11 +13,14 @@ its JSON starts) and checks their ids; it holds no decoded discourse.
 Forked workers, one per CPU and per `_UTTERANCES_PER_WORKER` utterances,
 each take a contiguous share of the index, balanced by utterance count, and
 decode, build, validate, run and finish its discourses one at a time,
-dropping each before the next. They send back each discourse's diagnostics
-and result, and the parent merges these in input order, so the output,
-errors included, does not depend on the CPU count. A single discourse, a
-corpus too small for two workers, or a single CPU runs the same loop in
-process.
+dropping each before the next. Each worker streams its reply back: a head
+with its discourses' diagnostics (or its exception) and how many results
+follow, then the results, each pickled on its own. The parent reads every
+head before any result, so a diagnostic anywhere stops the command before
+it writes a byte, and then unpickles one result at a time, in input order,
+which the command writes or folds and drops. The output, errors included,
+does not depend on the CPU count. A single discourse, a corpus too small
+for two workers, or a single CPU runs the same loop in process.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import gc
 import json
 import os
 import sys
-from typing import Any, Callable, NoReturn, Optional, Sequence
+from typing import Any, Callable, Iterator, NoReturn, Optional, Sequence
 
 from . import analysis, corpus as corpus_io
 from .engine import DiscourseReport, EngineConfig, run_corpus
@@ -202,26 +205,37 @@ def _run_share(
     return found, results
 
 
-def _run_shares(paths: Sequence[str], job: Callable[[Discourse], Any]) -> list[Any]:
-    """Read the files and return `job(discourse)` of each of their
-    discourses in input order; raise CorpusFormatError with every
-    diagnostic of every file instead if there is one.
+def _run_shares(paths: Sequence[str], job: Callable[[Discourse], Any]) -> Iterator[Any]:
+    """Read the files and return an iterator over `job(discourse)` of each
+    of their discourses in input order; raise CorpusFormatError with every
+    diagnostic of every file instead, before any result, if there is one.
 
     The parent only reads and indexes the files and checks their discourse
     ids; contiguous shares of the index are decoded, built and run, one
     discourse at a time, in forked workers, at most one per CPU and one per
     `_UTTERANCES_PER_WORKER` utterances, each pinned to a CPU of its own. A
-    corpus that gets one worker runs in process.
+    corpus that gets one worker runs in process. The iterator unpickles a
+    worker's results one at a time as it is advanced (see `_fork`); closed
+    early, it reaps every worker.
 
     The cyclic garbage collector is off from the reading of the files to
-    the last result, and the caller's setting is restored after; forked
-    workers inherit it off and end with `os._exit`. Nothing this path makes
-    forms a reference cycle, so reference counting alone frees it all, and
-    the collector would only walk the live objects again and again. The
-    heap is also frozen (`gc.freeze`) before the shares are run. It stays
-    frozen: the command ends the process, whose last collection at exit
-    then skips the frozen objects.
+    the last result read, or the iterator's close, and the caller's setting
+    is restored after; forked workers inherit it off and end with
+    `os._exit`. Nothing this path makes forms a reference cycle, so
+    reference counting alone frees it all, and the collector would only
+    walk the live objects again and again. The heap is also frozen
+    (`gc.freeze`) before the shares are run. It stays frozen: the command
+    ends the process, whose last collection at exit then skips the frozen
+    objects.
     """
+    results = _results(paths, job)
+    next(results)  # runs up to the first result, so every error is raised here
+    return results
+
+
+def _results(paths: Sequence[str], job: Callable[[Discourse], Any]) -> Iterator[Any]:
+    """The generator behind `_run_shares`: it yields None once the
+    diagnostics are checked, and then the results."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -237,81 +251,129 @@ def _run_shares(paths: Sequence[str], job: Callable[[Discourse], Any]) -> list[A
             return _run_share(share, run, job)
 
         gc.freeze()
-        results = _fork(shares, cpus, work) if len(shares) > 1 else list(map(work, shares))
+        stream = _fork(shares, cpus, work) if len(shares) > 1 else _in_process(shares, work)
+        try:
+            diags = _diagnostics(files, [per for head in next(stream) for per in head])
+            if diags:
+                raise corpus_io.CorpusFormatError(diags)
+            yield None
+            yield from stream
+        finally:
+            stream.close()
     finally:
         if enabled:
             gc.enable()
-    diags = _diagnostics(files, [per for found, _ in results for per in found])
-    if diags:
-        raise corpus_io.CorpusFormatError(diags)
-    return [result for _, part in results for result in part]
 
 
-def _fork(shares: list[Any], cpus: list[int], work: Callable[[Any], Any]) -> list[Any]:
-    """`work(share)` of each share, each run in a forked worker pinned to a
-    CPU of its own (left to the scheduler, forked workers were woken on one
-    CPU and ran no faster than one process). A worker sends its result back
-    pickled over a pipe; an exception it raises is raised here, and a worker
-    that dies is a RuntimeError naming its exit status. Fork, not spawn: the
-    command starts no thread, and a forked worker shares the parent's
-    copy of each file's text and its index instead of receiving them
-    pickled.
+def _in_process(shares: list[Any], work: Callable[[Any], tuple[Any, list[Any]]]) -> Iterator[Any]:
+    """The stream of `_fork`, with each share run in this process: the head
+    of every share's `work(share)`, then the results of all of them."""
+    parts = list(map(work, shares))
+    yield [head for head, _ in parts]
+    for _, results in parts:
+        yield from results
 
-    Once every worker is forked, `shares` is emptied: the workers hold
-    their own copies, and the parent need not keep the index or the files'
-    text while it waits. Each reply is unpickled as it arrives, after its worker ended
-    well, and its bytes are dropped before the next is read."""
+
+def _fork(
+    shares: list[Any], cpus: list[int], work: Callable[[Any], tuple[Any, list[Any]]]
+) -> Iterator[Any]:
+    """A stream of `work(share) = (head, results)` of each share, each run in
+    a forked worker pinned to a CPU of its own (left to the scheduler,
+    forked workers were woken on one CPU and ran no faster than one
+    process): first the list of every share's head, then the results of
+    all the shares in order, one at a time. Fork, not spawn: the command
+    starts no thread, and a forked worker shares the parent's copy of each
+    file's text and its index instead of receiving them pickled.
+
+    A worker writes to its pipe its head and how many results follow (or
+    the exception it raised), then each result, pickled on its own. The
+    parent reads every worker's head before it yields anything, and raises
+    the exception of the first worker that sent one; a worker that died
+    before its head is a RuntimeError naming its exit status, raised ahead
+    of any exception. Then it unpickles one result at a time, so a worker
+    that is done early waits on its full pipe until its turn, holding its
+    own results. A worker that dies after its head is the same RuntimeError
+    when its results run short; the caller may then have written a prefix
+    of the output, but never a result out of order.
+
+    Every worker is reaped on every path: its pipe is closed first, so that
+    a worker blocked on a write ends too. Once every worker is forked,
+    `shares` is emptied: the workers hold their own copies, and the parent
+    need not keep the index or the files' text while it waits."""
     # Imported here, so that a run in process never pays for the import.
     import pickle
 
-    workers = []
-    for share, cpu in zip(shares, cpus):
-        read_end, write_end = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            status = 1
-            try:
-                os.close(read_end)
-                os.sched_setaffinity(0, {cpu})
+    workers: list[tuple[int, Any]] = []
+    codes: dict[int, int] = {}  # the exit code of each worker reaped, by position
+
+    def reap(upto: int) -> None:
+        """Reap each worker before `upto` not yet reaped, closing every
+        pipe before waiting on any."""
+        for _, pipe in workers[:upto]:
+            pipe.close()
+        for at, (pid, _) in enumerate(workers[:upto]):
+            if at not in codes:
+                codes[at] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+    def load(at: int) -> Any:
+        """The next object worker `at` sent; where its stream breaks, every
+        worker is reaped, and one that ended badly is named."""
+        try:
+            return pickle.load(workers[at][1])
+        except (EOFError, pickle.UnpicklingError):
+            reap(len(workers))
+            if codes[at]:
+                raise RuntimeError(f"worker ended with exit status {codes[at]}") from None
+            raise
+
+    try:
+        for share, cpu in zip(shares, cpus):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
                 try:
-                    reply = (True, work(share))
-                except Exception as exc:
-                    reply = (False, exc)
-                with open(write_end, "wb") as pipe:
-                    pickle.dump(reply, pipe)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(write_end)
-        workers.append((pid, read_end))
-    share = None  # the loop left the last share bound
-    shares.clear()
-    # Every worker is read and reaped. A dead worker is reported ahead of any
-    # exception a worker sent, and of each kind the first in input order.
-    replies, dead = [], None
-    for pid, read_end in workers:
-        with open(read_end, "rb") as pipe:
-            data = pipe.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if code != 0 and dead is None:
-            dead = code
-        if dead is None:
-            replies.append(pickle.loads(data))
-        del data
-    if dead is not None:
-        raise RuntimeError(f"worker ended with exit status {dead}")
-    for ok, value in replies:
-        if not ok:
-            raise value
-    return [value for _, value in replies]
+                    os.close(read_end)
+                    for _, pipe in workers:  # no worker holds another's pipe
+                        os.close(pipe.fileno())
+                    os.sched_setaffinity(0, {cpu})
+                    try:
+                        head, results = work(share)
+                        reply = (True, head, len(results))
+                    except Exception as exc:
+                        reply, results = (False, exc, 0), []
+                    with open(write_end, "wb") as pipe:
+                        pickle.dump(reply, pipe)
+                        for result in results:
+                            pickle.dump(result, pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            workers.append((pid, open(read_end, "rb")))
+        share = None  # the loop left the last share bound
+        shares.clear()
+        heads = [load(at) for at in range(len(workers))]
+        for ok, value, _ in heads:
+            if not ok:
+                raise value
+        yield [value for _, value, _ in heads]
+        for at, (_, _, count) in enumerate(heads):
+            for _ in range(count):
+                yield load(at)
+            reap(at + 1)
+            if codes[at]:
+                raise RuntimeError(f"worker ended with exit status {codes[at]}")
+    finally:
+        reap(len(workers))
 
 
 def _run_engine(
     args: argparse.Namespace,
     finish: Callable[[list[DiscourseReport], Sequence[Discourse]], Any],
-) -> list[Any]:
+) -> Iterator[Any]:
     """Run the engine on the discourses of the files, one at a time (see
-    `_run_shares`), and return `finish(reports, discourses)` of each
+    `_run_shares`), and iterate over `finish(reports, discourses)` of each
     discourse, with its one report, in input order."""
     config = _config(args)
     return _run_shares(args.files, lambda d: finish(run_corpus([d], config), (d,)))
@@ -326,9 +388,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_resolve(args: argparse.Namespace) -> int:
-    parts = _run_engine(args, lambda reports, _: _resolution_lines(reports, args.format))
-    lines = [line for part in parts for line in part]
-    sys.stdout.write("\n".join(lines) + ("\n" if lines else ""))
+    for lines in _run_engine(args, lambda reports, _: _resolution_lines(reports, args.format)):
+        sys.stdout.writelines(f"{line}\n" for line in lines)
     return 0
 
 
@@ -373,9 +434,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             analysis.tabulate_disambiguation(reports),
         ),
     )
-    table = sum((t for t, _ in parts), analysis.tabulate_transitions(()))
+    table = analysis.tabulate_transitions(())
     cues = analysis.tabulate_disambiguation(())
-    for _, counts in parts:
+    for part, counts in parts:
+        table += part
         for name, n in counts.items():
             cues[name] += n
     a, b, c, d = table.continue_vs_rest()
@@ -419,7 +481,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     violations: list[Violation] = []
     try:
-        count = len(_run_shares(args.files, lambda discourse: None))
+        count = sum(1 for _ in _run_shares(args.files, lambda discourse: None))
         summary = f"{count} discourse(s), 0 violation(s)"
     except corpus_io.CorpusFormatError as exc:
         violations = exc.diagnostics

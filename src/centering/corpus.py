@@ -174,7 +174,7 @@ def read_document(text: str) -> list[RawDiscourse]:
     The document is walked, not held: each discourse is decoded once, to
     learn its id and size, and dropped. Any JSON that the walk does not
     take goes to `_loads`, for the error that `json.loads` would raise."""
-    if not text.strip():
+    if not text or text.isspace():  # strip() would copy the text
         return []
     try:
         top, items = _walk(text)
@@ -622,7 +622,8 @@ def _machine_block(rep: DiscourseReport) -> str:
     encode = _RECORD_ENCODER.encode
     lines = [encode(_UTTERANCE_OBJECT(u)) for u in rep.utterances]
     lines.append(encode(_DISCOURSE_OBJECT(rep)))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the block's last newline, without copying the block again
+    return "\n".join(lines)
 
 
 _OBJECT: _Shape = {dict: None}
@@ -712,7 +713,8 @@ def _text_block(rep: DiscourseReport) -> str:
                 )
     amb = "yes" if rep.unresolved_ambiguity else "no"
     lines.append(f"  summary: utterances={len(rep.utterances)} unresolved-ambiguity={amb}")
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 # -- bundled sample corpora --------------------------------------------------

@@ -527,6 +527,26 @@ WORKER_FAULTS = {
 }
 
 
+class DiesWhenSent:
+    """A result whose pickling ends the worker that sends it, with exit
+    status 4: after its head, which holds only a count of results."""
+
+    def __reduce__(self):
+        os._exit(4)
+
+
+class BrokenStdout:
+    """A stdout whose reader went away after the first block."""
+
+    def __init__(self):
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 2:  # the head, then one block
+            raise BrokenPipeError(32, "Broken pipe")
+
+
 class TestWorkers:
     @pytest.mark.parametrize("command", ["analyze", "stats", "resolve", "eval"])
     @pytest.mark.parametrize("format", ["text", "machine"])
@@ -577,6 +597,72 @@ class TestWorkers:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert "internal error" in proc.stderr and "exit status 3" in proc.stderr
 
+    def test_worker_dead_after_its_head_exit_two(self, pool_corpus, monkeypatch, capsys):
+        with_cpus(monkeypatch, 3)
+        _, full, _ = run_cli(capsys, "analyze", *pool_corpus)
+        real = cli_mod.corpus_io.report_blocks
+
+        def dies_when_sent(reports, format):
+            # device-lineup is in the last share, whose head is sent by then
+            if reports[0].discourse_id == "device-lineup":
+                return DiesWhenSent()
+            return real(reports, format)
+
+        monkeypatch.setattr(cli_mod.corpus_io, "report_blocks", dies_when_sent)
+        code, out, err = run_cli(capsys, "analyze", *pool_corpus)
+        assert code == 2
+        assert "internal error" in err and "exit status 4" in err
+        # the results read before it stand, in order
+        assert out and full.startswith(out) and out != full
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "diagnostic-in-last-share",
+            "worker-raises",
+            "dies-before-head",
+            "closed-early",
+            "stdout-broken",
+        ],
+    )
+    def test_no_worker_is_left_behind(self, case, pool_corpus, tmp_path, monkeypatch):
+        synth, etching, lineup = pool_corpus
+        parent = os.getpid()
+
+        def job(discourse):
+            if discourse.id == "device-lineup" and os.getpid() != parent:
+                if case == "worker-raises":
+                    raise ValueError("engine fault")
+                if case == "dies-before-head":
+                    os._exit(3)
+            return discourse.id
+
+        if case == "diagnostic-in-last-share":
+            data = json.loads(fixture_text("device_lineup"))
+            data["discourses"][0]["utterances"][-1]["expressions"][0]["role"] = "subjekt"
+            lineup = tmp_path / "device_lineup.centering.json"
+            lineup.write_text(json.dumps(data), encoding="utf-8")
+        with_cpus(monkeypatch, 3)
+        paths = [synth, etching, str(lineup)]
+        if case == "closed-early":
+            results = cli_mod._run_shares(paths, job)
+            assert next(results) == "golden-0"
+            results.close()
+        elif case == "stdout-broken":
+            monkeypatch.setattr(sys, "stdout", BrokenStdout())
+            assert main(["analyze", *paths]) == 1
+        else:
+            error = {
+                "diagnostic-in-last-share": CorpusFormatError,
+                "worker-raises": ValueError,
+                "dies-before-head": RuntimeError,
+            }[case]
+            with pytest.raises(error):
+                cli_mod._run_shares(paths, job)
+        assert gc.isenabled()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.parametrize("fault", sorted(WORKER_FAULTS))
     def test_input_errors_do_not_depend_on_cpu_count(
         self, fault, pool_corpus, tmp_path, monkeypatch, capsys
@@ -617,10 +703,15 @@ class TestWorkers:
     def test_fork_empties_its_shares_and_returns_results_in_order(self, monkeypatch):
         monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
         shares = [[1], [2, 3], [4, 5, 6]]
-        got = cli_mod._fork(shares, [0, 1, 2], lambda share: (os.getpid(), sum(share)))
+        stream = cli_mod._fork(
+            shares, [0, 1, 2], lambda share: (sum(share), [(os.getpid(), n) for n in share])
+        )
+        # every worker's head first, then each result in input order
+        assert next(stream) == [1, 5, 15]
         assert shares == []
-        assert [total for _, total in got] == [1, 5, 15]
-        assert os.getpid() not in {pid for pid, _ in got}
+        got = list(stream)
+        assert [n for _, n in got] == [1, 2, 3, 4, 5, 6]
+        assert len({pid for pid, _ in got}) == 3 and os.getpid() not in {pid for pid, _ in got}
 
     def test_the_parent_keeps_no_decoded_discourse(self, pool_corpus):
         # of a file of several discourses, only its text and, per discourse,
@@ -732,6 +823,25 @@ def test_memory_grows_with_the_text_not_the_decoded_corpus(tmp_path, monkeypatch
     assert growth <= 2.5, f"peak grew {growth:.2f} bytes per input byte"
 
 
+def test_the_parent_holds_one_worker_result_at_a_time(pool_corpus, monkeypatch):
+    # Each worker keeps its results until the parent reads them, so the
+    # parent's peak is about one result, not the 44 of the corpus (8.8 MB).
+    with_cpus(monkeypatch, 3)
+    tracemalloc.start()
+    try:
+        results = cli_mod._run_shares(pool_corpus, lambda discourse: "x" * 200_000)
+        # from here on: reading the files peaks at their text, twice over
+        tracemalloc.reset_peak()
+        sizes = []
+        for result in results:
+            sizes.append(len(result))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == [200_000] * 44
+    assert peak < 1_000_000, f"peak {peak / 1e6:.2f} MB"
+
+
 class TestCollector:
     """The engine commands run with the cyclic garbage collector off. That
     is sound only while reference counting alone frees everything their job
@@ -791,7 +901,11 @@ class TestCollector:
     def test_jobs_run_with_the_collector_off(self, cpus, pool_corpus, monkeypatch):
         with_cpus(monkeypatch, cpus)
         args = cli_mod._build_parser().parse_args(["analyze", *pool_corpus])
-        states = cli_mod._run_engine(args, lambda reports, _: (os.getpid(), gc.isenabled()))
+        results = cli_mod._run_engine(args, lambda reports, _: (os.getpid(), gc.isenabled()))
+        states = [next(results)]
+        # off until the last result is read, and the caller's setting after
+        assert not gc.isenabled()
+        states += results
         assert gc.isenabled()
         assert len(states) == 44 and not any(enabled for _, enabled in states)
         assert len({pid for pid, _ in states}) == (1 if cpus == 1 else 3)

@@ -1,7 +1,9 @@
 """Corpus parsing, serialization, diagnostics, and report round-trips."""
 
 import json
+import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -15,11 +17,17 @@ from centering import (
     serialize_reports,
 )
 from centering._record import is_record
-from centering.corpus import _FIELDS, FIXTURE_NAMES, fixture_text, serialize_corpus
+from centering.corpus import (
+    _FIELDS,
+    FIXTURE_NAMES,
+    fixture_text,
+    read_document,
+    serialize_corpus,
+)
 
 from conftest import FIXTURES
 from test_cli import run_cli, topic_cues_text, with_cpus
-from test_golden import synth_corpus
+from test_golden import load_corpus_gen, synth_corpus
 
 
 class TestParseCorpus:
@@ -495,6 +503,38 @@ class TestReader:
         for cpus in (1, 3):
             with_cpus(monkeypatch, cpus)
             assert run_cli(capsys, "analyze", "--format", "machine", str(path)) == want
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", " \n\t", "\u3000\n", "\r\n ", "\n[]\n"],
+        ids=["empty", "json-space", "ideographic-space", "crlf-space", "empty-list"],
+    )
+    def test_a_blank_document_reads_as_no_discourses(self, text):
+        # any text that str.isspace() accepts, as str.strip() emptied it
+        # before; an empty list is JSON and reads alike
+        assert read_document(text) == []
+
+    def test_space_outside_json_before_a_document_is_malformed(self):
+        with pytest.raises(CorpusFormatError) as exc:
+            read_document("\u3000[]")
+        assert [v.code for v in exc.value.diagnostics] == ["malformed-json"]
+
+    def test_reading_does_not_copy_the_text(self):
+        # a text ending in a newline, as every generated corpus does, is
+        # walked in place: the peak is one decoded discourse and the index
+        gen = load_corpus_gen()
+        rng = random.Random("read-document")
+        discourses = [gen.topic_cue_discourse(rng, f"tc-{k}", 30) for k in range(120)]
+        text = gen.corpus_text({"discourses": discourses})
+        assert text.endswith("\n") and text.isascii() and len(text) > 1_000_000
+        tracemalloc.start()
+        try:
+            raw = read_document(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(raw) == 120
+        assert peak < 0.3 * len(text), f"peak {peak / len(text):.2f}x the text"
 
 
 def test_fixture_names_constant_matches_tests():
