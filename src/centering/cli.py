@@ -7,15 +7,16 @@ whole input and prints no result for input with a problem. Exit codes: 0
 success, 1 format, validation or usage problem, 2 internal fault.
 
 Every command spreads a large corpus over the CPUs in the process's
-affinity mask. The parent only reads the files, indexes their discourses
-(`corpus.read_document`: each one's location, id, utterance count and where
-its JSON starts) and checks their ids; it holds no decoded discourse.
+affinity mask. The parent only indexes the files' discourses
+(`corpus.read_file`: each one's location, id, utterance count and where its
+JSON lies in its file) and checks their ids; it holds no decoded discourse,
+and no file whole: it walks each through a small window and keeps it open.
 Forked workers, one per CPU and per `_UTTERANCES_PER_WORKER` utterances,
 each take a contiguous share of the index, balanced by utterance count, and
-decode, build, validate, run and finish its discourses one at a time,
-dropping each before the next. Each worker streams its reply back: a head
-with its discourses' diagnostics (or its exception) and how many results
-follow, then the results, each pickled on its own. The parent reads every
+read back, decode, build, validate, run and finish its discourses one at a
+time, dropping each before the next. Each worker streams its reply back: a
+head with its discourses' diagnostics (or its exception) and how many
+results follow, then the results, each pickled on its own. The parent reads every
 head before any result, so a diagnostic anywhere stops the command before
 it writes a byte, and then unpickles one result at a time, in input order,
 which the command writes or folds and drops. The output, errors included,
@@ -110,23 +111,34 @@ def _build_parser() -> argparse.ArgumentParser:
 _File = tuple[str, list[Violation], list[tuple[str, Optional[str]]]]
 
 
-def _read(paths: Sequence[str]) -> tuple[list[_File], list[corpus_io.RawDiscourse]]:
+def _read(
+    paths: Sequence[str], opened: list[Any]
+) -> tuple[list[_File], list[corpus_io.RawDiscourse]]:
     """Read and index every file: the files, and the raw discourses of all
-    of them in input order."""
+    of them in input order. Each file whose discourses are read back from
+    it when they are built (`corpus.read_file`) stays open, and every file
+    opened is added to `opened`, which the caller closes. Files kept open
+    take at most half the descriptors the process may hold; past that, a
+    file is read whole, as a pipe is."""
     files: list[_File] = []
     raw: list[corpus_io.RawDiscourse] = []
+    room = os.sysconf("SC_OPEN_MAX") // 2 if hasattr(os, "sysconf") else 0
     for path in paths:
         failure: list[Violation] = []
         found: list[corpus_io.RawDiscourse] = []
+        fh = open(path, "rb", buffering=0)
+        opened.append(fh)
         try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-            found = corpus_io.read_document(text)
+            found = corpus_io.read_file(fh.fileno(), window=room > 0)
         except UnicodeDecodeError as exc:
             message = f"not UTF-8: {exc.reason}"
             failure = [Violation("malformed-encoding", f"byte {exc.start}", message)]
         except corpus_io.CorpusFormatError as exc:
             failure = exc.diagnostics
+        if any(r.source == fh.fileno() for r in found):
+            room -= 1
+        else:
+            fh.close()
         files.append((path, failure, [(r.loc, r.id) for r in found]))
         raw.extend(found)
     return files, raw
@@ -210,11 +222,11 @@ def _run_shares(paths: Sequence[str], job: Callable[[Discourse], Any]) -> Iterat
     of their discourses in input order; raise CorpusFormatError with every
     diagnostic of every file instead, before any result, if there is one.
 
-    The parent only reads and indexes the files and checks their discourse
-    ids; contiguous shares of the index are decoded, built and run, one
-    discourse at a time, in forked workers, at most one per CPU and one per
-    `_UTTERANCES_PER_WORKER` utterances, each pinned to a CPU of its own. A
-    corpus that gets one worker runs in process. The iterator unpickles a
+    The parent only indexes the files and checks their discourse ids;
+    contiguous shares of the index are read back from the files, decoded,
+    built and run, one discourse at a time, in forked workers, at most one
+    per CPU and one per `_UTTERANCES_PER_WORKER` utterances, each pinned to
+    a CPU of its own. A corpus that gets one worker runs in process. The iterator unpickles a
     worker's results one at a time as it is advanced (see `_fork`); closed
     early, it reaps every worker.
 
@@ -226,7 +238,8 @@ def _run_shares(paths: Sequence[str], job: Callable[[Discourse], Any]) -> Iterat
     walk the live objects again and again. The heap is also frozen
     (`gc.freeze`) before the shares are run. It stays frozen: the command
     ends the process, whose last collection at exit then skips the frozen
-    objects.
+    objects. The files that discourses are read back from stay open until
+    then too, and are closed on every path.
     """
     results = _results(paths, job)
     next(results)  # runs up to the first result, so every error is raised here
@@ -238,8 +251,9 @@ def _results(paths: Sequence[str], job: Callable[[Discourse], Any]) -> Iterator[
     diagnostics are checked, and then the results."""
     enabled = gc.isenabled()
     gc.disable()
+    opened: list[Any] = []
     try:
-        files, raw = _read(paths)
+        files, raw = _read(paths, opened)
         ids = [did for _, _, discourses in files for _, did in discourses]
         # No job runs on a corpus whose reading already failed.
         run = not any(failure for _, failure, _ in files) and len(set(ids)) == len(ids)
@@ -261,6 +275,8 @@ def _results(paths: Sequence[str], job: Callable[[Discourse], Any]) -> Iterator[
         finally:
             stream.close()
     finally:
+        for fh in opened:
+            fh.close()
         if enabled:
             gc.enable()
 
@@ -282,8 +298,10 @@ def _fork(
     forked workers were woken on one CPU and ran no faster than one
     process): first the list of every share's head, then the results of
     all the shares in order, one at a time. Fork, not spawn: the command
-    starts no thread, and a forked worker shares the parent's copy of each
-    file's text and its index instead of receiving them pickled.
+    starts no thread, and a forked worker inherits the parent's open files
+    and its index instead of receiving them pickled. It shares each file's
+    offset with the parent and the other workers too, so it reads only by
+    offset (`os.pread`).
 
     A worker writes to its pipe its head and how many results follow (or
     the exception it raised), then each result, pickled on its own. The
@@ -299,7 +317,7 @@ def _fork(
     Every worker is reaped on every path: its pipe is closed first, so that
     a worker blocked on a write ends too. Once every worker is forked,
     `shares` is emptied: the workers hold their own copies, and the parent
-    need not keep the index or the files' text while it waits."""
+    need not keep the index while it waits."""
     # Imported here, so that a run in process never pays for the import.
     import pickle
 
@@ -379,11 +397,19 @@ def _run_engine(
     return _run_shares(args.files, lambda d: finish(run_corpus([d], config), (d,)))
 
 
+#: The characters of each piece of a block that `analyze` writes: the text
+#: stream encodes what it is given whole, so a long block written at once
+#: would be held twice, as text and as bytes.
+_WRITE = 64 * 1024
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     blocks = _run_engine(args, lambda reports, _: corpus_io.report_blocks(reports, args.format))
-    sys.stdout.write(corpus_io.report_head(args.format))
+    write = sys.stdout.write
+    write(corpus_io.report_head(args.format))
     for block in blocks:
-        sys.stdout.write(block)
+        for at in range(0, len(block), _WRITE):
+            write(block[at : at + _WRITE])
     return 0
 
 

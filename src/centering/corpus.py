@@ -8,12 +8,15 @@ See the README for the schema and `centering/fixtures/` for worked examples.
 
 from __future__ import annotations
 
+import codecs
 import functools
 import json
+import os
 import re
+import stat
 import sys
 import typing
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from ._record import fields, is_record, replace
 from .engine import DiscourseReport, HypothesisView, Retrieval, UtteranceReport
@@ -147,16 +150,19 @@ def _loads(text: str) -> Any:
 class RawDiscourse(NamedTuple):
     """A discourse of a document, located and not yet built: its id, None
     for an element that is not an object; whether an earlier discourse of
-    the document has that id; its utterance count; and where its JSON
-    starts in the document `text`. The discourse of a document that holds
-    only one keeps its decoded object as `item` instead, and no text."""
+    the document has that id; its utterance count; and where its JSON lies
+    in `source`, the document's text (`start` and `length` in characters)
+    or the descriptor of its file (in bytes, read back with `os.pread`).
+    The discourse of a document that holds only one keeps its decoded
+    object as `item` instead, and no source."""
 
     loc: str
     id: Optional[str]
     repeated: bool
     size: int
-    text: Optional[str]
+    source: Union[str, int, None]
     start: int
+    length: int
     item: Any = None
 
 
@@ -164,6 +170,86 @@ class RawDiscourse(NamedTuple):
 _SPACE = re.compile(r"[ \t\n\r]*")
 
 _DECODER = json.JSONDecoder()
+
+#: A file shorter than `_WHOLE` bytes is read in one piece, so that its
+#: discourse, when it holds only one, is decoded once; a longer one `_READ`
+#: bytes at a time. A value that the window cannot hold makes the next read
+#: as long as the part of the window the walk has not passed, so the window
+#: doubles until the value fits.
+_WHOLE = 256 * 1024
+_READ = 64 * 1024
+
+
+class _Window:
+    """A JSON document as the walk sees it: `text`, the part of it in hand,
+    and `at`, the walk's position there. A text is in hand whole. A file is
+    read through a window: the walk takes each read of it as it passes the
+    end of the window, which then drops what the walk has passed."""
+
+    def __init__(self, source: Union[str, int], step: int = 0):
+        self.source = source
+        self.step = step
+        self.at = 0
+        # text[mark] lies at `base` in the source: at a character of a text,
+        # at a byte of a file; each character of a narrow window is one
+        self.mark = self.base = 0
+        if type(source) is str:
+            self.text, self.done, self.narrow = source, True, True
+        else:
+            self.text, self.done, self.narrow = "", False, True
+            self.read = 0
+            self.decoder = codecs.getincrementaldecoder("utf-8")()
+
+    def more(self) -> bool:
+        """Read the next piece of the file onto the window, dropping what
+        the walk has passed; False at the end of the document."""
+        if self.done:
+            return False
+        self.base, self.mark = self.offset(self.at), 0
+        rest = self.text[self.at :]
+        self.text = ""
+        size = max(self.step, len(rest))
+        data = os.pread(self.source, size, self.read)
+        self.read += len(data)
+        self.done = len(data) < size  # a regular file reads short only at its end
+        piece = self.decoder.decode(data, self.done)
+        del data
+        self.text, self.at = rest + piece, 0
+        self.narrow = self.text.isascii()
+        return True
+
+    def offset(self, at: int) -> int:
+        """Where `text[at]` lies in the source; `at` never moves back."""
+        if self.narrow:
+            return self.base + at - self.mark
+        # each segment between two offsets is encoded once
+        self.base += len(self.text[self.mark : at].encode())
+        self.mark = at
+        return self.base
+
+    def skip(self) -> str:
+        """Move past JSON whitespace, and return the character there, or ""
+        at the end of the document."""
+        while True:
+            self.at = _SPACE.match(self.text, self.at).end()
+            if self.at < len(self.text) or not self.more():
+                return self.text[self.at : self.at + 1]
+
+    def value(self) -> Any:
+        """Decode the JSON value after any whitespace, and move past it. A
+        value that fails or ends at the end of the window (a number may go
+        on past it) is decoded again over a longer window."""
+        self.skip()
+        while True:
+            try:
+                item, end = _DECODER.raw_decode(self.text, self.at)
+            except ValueError:
+                if self.more():
+                    continue
+                raise
+            if end < len(self.text) or not self.more():
+                self.at = end
+                return item
 
 
 def read_document(text: str) -> list[RawDiscourse]:
@@ -177,7 +263,7 @@ def read_document(text: str) -> list[RawDiscourse]:
     if not text or text.isspace():  # strip() would copy the text
         return []
     try:
-        top, items = _walk(text)
+        top, items = _walk(_Window(text))
     except (ValueError, RecursionError):
         try:
             _loads(text)
@@ -191,82 +277,115 @@ def read_document(text: str) -> list[RawDiscourse]:
     return items
 
 
-def _walk(text: str) -> tuple[str, Optional[list[RawDiscourse]]]:
-    """The first character of the JSON document `text` and its discourses:
+def read_file(fd: int, window: bool = True) -> list[RawDiscourse]:
+    """The raw discourses of the corpus file open on descriptor `fd`, as
+    `read_document` gives them for its text, and its errors; a file that is
+    not UTF-8 raises UnicodeDecodeError at the byte where it stops being.
+
+    A regular file is walked through a window (`_Window`): a small one is
+    read in one piece, a longer one a read at a time, so the walk holds a
+    read and the discourse it decodes, not the file. Each discourse of a
+    file of several keeps where its JSON lies in the file, to be read back
+    when it is built: `fd` must stay open until then. A file that the
+    window walk does not take in any way (a JSON error, bytes that are not
+    UTF-8, a top-level shape without discourses) is read whole as text and
+    handed to `read_document`, whose errors then name what is wrong; so is
+    a file that cannot be read by offset, such as a pipe, and any file
+    when `window` is False."""
+    st = os.fstat(fd)
+    if window and hasattr(os, "pread") and stat.S_ISREG(st.st_mode):
+        step = st.st_size + 1 if st.st_size < _WHOLE else _READ
+        try:
+            items = _walk(_Window(fd, step))[1]
+        except (ValueError, RecursionError):
+            items = None
+        if items is not None:
+            return items
+    # from where the file is, which a window walk does not move
+    with open(fd, encoding="utf-8", closefd=False) as fh:
+        return read_document(fh.read())
+
+
+def _walk(src: _Window) -> tuple[str, Optional[list[RawDiscourse]]]:
+    """The first character of the JSON document `src` and its discourses:
     the top-level list, or the last "discourses" list of the top-level
     object (None when it has none). Raises ValueError or RecursionError at
     the first thing that `json.loads` would not take either."""
-    decode = _DECODER.raw_decode
-    at = _SPACE.match(text).end()
-    top = text[at : at + 1]
+    top = src.skip()
     items = None
     if top == "[":
-        items, at = _walk_list(text, at)
+        items = _walk_list(src)
     elif top == "{":
-        at = _SPACE.match(text, at + 1).end()
-        closed = text[at : at + 1] == "}"
-        at += closed
+        src.at += 1
+        closed = src.skip() == "}"
+        src.at += closed
         while not closed:
-            key, at = decode(text, at)
-            at = _SPACE.match(text, at).end()
-            if type(key) is not str or text[at : at + 1] != ":":
+            key = src.value()
+            if type(key) is not str or src.skip() != ":":
                 raise ValueError("expected a key and a colon")
-            at = _SPACE.match(text, at + 1).end()
+            src.at += 1
             if key != "discourses":
-                at = decode(text, at)[1]
-            elif text[at : at + 1] == "[":
-                items, at = _walk_list(text, at)
+                src.value()
+            elif src.skip() == "[":
+                items = _walk_list(src)
             else:
-                items, at = None, decode(text, at)[1]
-            at, closed = _next(text, at, "}")
+                items = None
+                src.value()
+            closed = _next(src, "}")
     else:
-        at = decode(text, at)[1]
-    if _SPACE.match(text, at).end() != len(text):
+        src.value()
+    if src.skip():
         raise ValueError("extra data")
     return top, items
 
 
-def _walk_list(text: str, at: int) -> tuple[list[RawDiscourse], int]:
-    """The discourses of the list that opens at `text[at]`, and where the
-    list ends."""
+def _walk_list(src: _Window) -> list[RawDiscourse]:
+    """The discourses of the list that opens at the walk's position, which
+    then moves past the list."""
     items: list[RawDiscourse] = []
     seen_ids: set[str] = set()
-    at = _SPACE.match(text, at + 1).end()
-    closed = text[at : at + 1] == "]"
-    at += closed
+    src.at += 1
+    closed = src.skip() == "]"
+    src.at += closed
     while not closed:
-        item, end = _DECODER.raw_decode(text, at)
+        src.skip()
+        start = src.offset(src.at)
+        item = src.value()
+        length = src.offset(src.at) - start
         loc = f"discourses[{len(items)}]"
         did = _discourse_id(item, loc)
         utterances = item.get("utterances") if did is not None else None
         size = len(utterances) if isinstance(utterances, list) else 0
-        items.append(RawDiscourse(loc, did, did in seen_ids, size, text, at))
+        items.append(RawDiscourse(loc, did, did in seen_ids, size, src.source, start, length))
         if did is not None:
             seen_ids.add(did)
-        at, closed = _next(text, end, "]")
+        closed = _next(src, "]")
     if len(items) == 1:
         # the last element decoded is the only one
-        items[0] = items[0]._replace(text=None, item=item)
-    return items, at
+        items[0] = items[0]._replace(source=None, item=item)
+    return items
 
 
-def _next(text: str, at: int, close: str) -> tuple[int, bool]:
-    """After a member of a container that `close` ends: where the next
-    member starts, or where the container ends and True."""
-    at = _SPACE.match(text, at).end()
-    sep = text[at : at + 1]
-    if sep == close:
-        return at + 1, True
-    if sep != ",":
+def _next(src: _Window, close: str) -> bool:
+    """After a member of a container that `close` ends: move to the comma
+    before the next member, or past the end of the container and True."""
+    sep = src.skip()
+    if sep != close and sep != ",":
         raise ValueError(f"expected ',' or '{close}'")
-    return _SPACE.match(text, at + 1).end(), False
+    src.at += 1
+    return sep == close
 
 
 def build_discourse(r: RawDiscourse) -> tuple[Optional[Discourse], list[Violation]]:
     """Decode, build and validate a raw discourse: the discourse built (None
     for an element that is not an object) and its diagnostics, a repeated
     id last."""
-    item = r.item if r.text is None else _DECODER.raw_decode(r.text, r.start)[0]
+    if r.source is None:
+        item = r.item
+    elif type(r.source) is str:
+        item = _DECODER.raw_decode(r.source, r.start)[0]
+    else:
+        item = _DECODER.raw_decode(os.pread(r.source, r.length, r.start).decode())[0]
     diags: list[Violation] = []
     d = _parse_discourse(item, r.loc, diags)
     if r.repeated:

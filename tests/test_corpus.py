@@ -1,11 +1,15 @@
 """Corpus parsing, serialization, diagnostics, and report round-trips."""
 
 import json
+import os
 import random
 import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from centering import (
     CorpusFormatError,
@@ -16,12 +20,15 @@ from centering import (
     run_corpus,
     serialize_reports,
 )
+import centering.corpus as corpus_mod
 from centering._record import is_record
 from centering.corpus import (
     _FIELDS,
     FIXTURE_NAMES,
+    build_discourse,
     fixture_text,
     read_document,
+    read_file,
     serialize_corpus,
 )
 
@@ -535,6 +542,148 @@ class TestReader:
             tracemalloc.stop()
         assert len(raw) == 120
         assert peak < 0.3 * len(text), f"peak {peak / len(text):.2f}x the text"
+
+
+#: Utterance texts whose UTF-8 takes three bytes a character.
+JAPANESE = ("試験は難しかった。", "太郎が答案を出した。", "先生はそれを読んだ。", "装置が届いた")
+
+
+def _window_discourses():
+    """Four short topic-cue discourses whose utterances carry Japanese text."""
+    gen = load_corpus_gen()
+    rng = random.Random("window")
+    discourses = []
+    for k in range(4):
+        d = gen.topic_cue_discourse(rng, f"tc-{k}", 3)
+        for j, u in enumerate(d["utterances"]):
+            u["text"] = JAPANESE[(k + j) % len(JAPANESE)]
+        discourses.append(d)
+    return discourses
+
+
+WINDOW_DISCOURSES = _window_discourses()
+
+WINDOW_SHAPES = (
+    "object",
+    "bare-list",
+    "number-in-list",
+    "extra-keys",
+    "repeated-key",
+    "one",
+    "empty",
+    "blank",
+)
+
+
+@st.composite
+def corpus_files(draw):
+    """The bytes of a corpus file: a document of one of `WINDOW_SHAPES`,
+    kept, cut short, given an invalid byte or led by a byte order mark."""
+    shape = draw(st.sampled_from(WINDOW_SHAPES))
+    picks = st.lists(st.integers(0, len(WINDOW_DISCOURSES) - 1), min_size=2, max_size=4)
+    # a discourse drawn twice repeats its id
+    discourses = [WINDOW_DISCOURSES[i] for i in draw(picks)]
+    indent = draw(st.sampled_from([None, 1]))
+
+    def dump(value):
+        return json.dumps(value, ensure_ascii=False, indent=indent)
+
+    if shape == "blank":
+        text = draw(st.sampled_from(["", " ", "\r\n\t "]))
+    elif shape == "empty":
+        text = draw(st.sampled_from(["[]", '{"discourses": []}']))
+    elif shape == "one":
+        text = dump({"discourses": discourses[:1]})
+    elif shape == "bare-list":
+        text = dump(discourses)
+    elif shape == "number-in-list":
+        # a number may end at a window's edge and go on past it
+        text = dump([discourses[0], 123456789, *discourses[1:]])
+    elif shape == "extra-keys":
+        extra = {"count": 123456789, "source": {"discourses": 3, "name": "記事"}}
+        text = dump({**extra, "discourses": discourses, "notes": ["x", 1.5]})
+    elif shape == "repeated-key":
+        text = f'{{"discourses": {dump(discourses)}, "discourses": {dump(discourses[1:])}}}'
+    else:
+        text = dump({"discourses": discourses})
+    data = (text + "\n").encode("utf-8")
+    edit = draw(st.sampled_from(["none", "none", "truncate", "invalid-byte", "bom"]))
+    if edit == "truncate":
+        data = data[: draw(st.integers(0, len(data)))]
+    elif edit == "invalid-byte":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    elif edit == "bom":
+        data = "\ufeff".encode("utf-8") + data
+    return data
+
+
+def read_as_text(path):
+    """A corpus file read whole as text and indexed by `read_document`, its
+    discourses built: the outcome `read_file` must give."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        return "not UTF-8", exc.start, exc.reason
+    try:
+        raw = read_document(text)
+    except CorpusFormatError as exc:
+        return "format error", exc.diagnostics
+    return "read", [r[:4] for r in raw], list(map(build_discourse, raw))
+
+
+def read_by_window(path):
+    """A corpus file indexed by `read_file` and its discourses built, as
+    `read_as_text` gives them, with the source of each discourse."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        try:
+            raw = read_file(fd)
+        except UnicodeDecodeError as exc:
+            return ("not UTF-8", exc.start, exc.reason), None
+        except CorpusFormatError as exc:
+            return ("format error", exc.diagnostics), None
+        sources = ["fd" if r.source == fd else r.source for r in raw]
+        return ("read", [r[:4] for r in raw], list(map(build_discourse, raw))), sources
+    finally:
+        os.close(fd)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=corpus_files(), whole=st.integers(0, 64), step=st.integers(1, 48))
+def test_a_file_reads_through_any_window_as_its_text_reads(data, whole, step, tmp_path):
+    # windows of a few dozen bytes, so that discourses and characters of
+    # several bytes straddle their edges
+    path = tmp_path / "corpus.centering.json"
+    path.write_bytes(data)
+    want = read_as_text(path)
+    with mock.patch.object(corpus_mod, "_WHOLE", whole), mock.patch.object(
+        corpus_mod, "_READ", step
+    ):
+        got, sources = read_by_window(path)
+    assert got == want
+    if want[0] == "read" and len(want[1]) > 1:
+        # read back from the file, not from a text read whole
+        assert sources == ["fd"] * len(want[1])
+    elif want[0] == "read" and want[1]:
+        assert sources == [None]
+
+
+def test_a_pipe_is_read_whole(tmp_path):
+    text = topic_cues_text(3)
+    read_end, write_end = os.pipe()
+    with open(write_end, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    try:
+        raw = read_file(read_end)
+    finally:
+        os.close(read_end)
+    assert raw == read_document(text)
+    assert {r.source for r in raw} == {raw[0].source} and type(raw[0].source) is str
 
 
 def test_fixture_names_constant_matches_tests():
