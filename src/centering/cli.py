@@ -14,14 +14,15 @@ and no file whole: it walks each through a small window and keeps it open.
 Forked workers, one per CPU and per `_UTTERANCES_PER_WORKER` utterances,
 each take a contiguous share of the index, balanced by utterance count, and
 read back, decode, build, validate, run and finish its discourses one at a
-time, dropping each before the next. Each worker streams its reply back: a
-head with its discourses' diagnostics (or its exception) and how many
-results follow, then the results, each pickled on its own. The parent reads every
-head before any result, so a diagnostic anywhere stops the command before
-it writes a byte, and then unpickles one result at a time, in input order,
-which the command writes or folds and drops. The output, errors included,
-does not depend on the CPU count. A single discourse, a corpus too small
-for two workers, or a single CPU runs the same loop in process.
+time, dropping each before the next. Each worker streams its reply back
+over a pipe: a head with its discourses' diagnostics (or its exception) and
+how many results follow, then the results, each pickled on its own. The
+parent reads every head before any result, so a diagnostic anywhere stops
+the command before it writes a byte, and then unpickles one result at a
+time, in input order, which the command writes or folds and drops; a worker
+done early waits on its full pipe until its turn. The output, errors
+included, does not depend on the CPU count. A single discourse, a corpus
+too small for two workers, or a single CPU runs the same loop in process.
 """
 
 from __future__ import annotations
@@ -219,16 +220,10 @@ def _run_share(
 
 def _run_shares(paths: Sequence[str], job: Callable[[Discourse], Any]) -> Iterator[Any]:
     """Read the files and return an iterator over `job(discourse)` of each
-    of their discourses in input order; raise CorpusFormatError with every
-    diagnostic of every file instead, before any result, if there is one.
-
-    The parent only indexes the files and checks their discourse ids;
-    contiguous shares of the index are read back from the files, decoded,
-    built and run, one discourse at a time, in forked workers, at most one
-    per CPU and one per `_UTTERANCES_PER_WORKER` utterances, each pinned to
-    a CPU of its own. A corpus that gets one worker runs in process. The iterator unpickles a
-    worker's results one at a time as it is advanced (see `_fork`); closed
-    early, it reaps every worker.
+    of their discourses in input order (the stream of the module
+    docstring); raise CorpusFormatError with every diagnostic of every file
+    instead, before any result, if there is one. Closed early, the iterator
+    reaps every worker.
 
     The cyclic garbage collector is off from the reading of the files to
     the last result read, or the iterator's close, and the caller's setting
@@ -293,26 +288,22 @@ def _in_process(shares: list[Any], work: Callable[[Any], tuple[Any, list[Any]]])
 def _fork(
     shares: list[Any], cpus: list[int], work: Callable[[Any], tuple[Any, list[Any]]]
 ) -> Iterator[Any]:
-    """A stream of `work(share) = (head, results)` of each share, each run in
-    a forked worker pinned to a CPU of its own (left to the scheduler,
+    """The stream of the module docstring for `work(share) = (head,
+    results)` of each share: first the list of every share's head, then
+    the results of all the shares in order, one at a time. Each share runs
+    in a forked worker pinned to a CPU of its own (left to the scheduler,
     forked workers were woken on one CPU and ran no faster than one
-    process): first the list of every share's head, then the results of
-    all the shares in order, one at a time. Fork, not spawn: the command
-    starts no thread, and a forked worker inherits the parent's open files
-    and its index instead of receiving them pickled. It shares each file's
-    offset with the parent and the other workers too, so it reads only by
-    offset (`os.pread`).
+    process). Fork, not spawn: the command starts no thread, and a forked
+    worker inherits the parent's open files and its index instead of
+    receiving them pickled. It shares each file's offset with the parent
+    and the other workers too, so it reads only by offset (`os.pread`).
 
-    A worker writes to its pipe its head and how many results follow (or
-    the exception it raised), then each result, pickled on its own. The
-    parent reads every worker's head before it yields anything, and raises
-    the exception of the first worker that sent one; a worker that died
-    before its head is a RuntimeError naming its exit status, raised ahead
-    of any exception. Then it unpickles one result at a time, so a worker
-    that is done early waits on its full pipe until its turn, holding its
-    own results. A worker that dies after its head is the same RuntimeError
-    when its results run short; the caller may then have written a prefix
-    of the output, but never a result out of order.
+    Before anything is yielded, the exception of the first worker that
+    sent one is raised; a worker that died before its head is a
+    RuntimeError naming its exit status, raised ahead of any exception. A
+    worker that dies after its head is the same RuntimeError when its
+    results run short; the caller may then have written a prefix of the
+    output, but never a result out of order.
 
     Every worker is reaped on every path: its pipe is closed first, so that
     a worker blocked on a write ends too. Once every worker is forked,

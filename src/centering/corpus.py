@@ -16,7 +16,7 @@ import re
 import stat
 import sys
 import typing
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
 from ._record import fields, is_record, replace
 from .engine import DiscourseReport, HypothesisView, Retrieval, UtteranceReport
@@ -237,8 +237,9 @@ class _Window:
 
     def value(self) -> Any:
         """Decode the JSON value after any whitespace, and move past it. A
-        value that fails or ends at the end of the window (a number may go
-        on past it) is decoded again over a longer window."""
+        value that fails, or ends within two characters of the end of a
+        window that is not the last, is decoded again over a longer window:
+        a number cut after its '.', 'e' or exponent sign decodes without them."""
         self.skip()
         while True:
             try:
@@ -247,34 +248,17 @@ class _Window:
                 if self.more():
                     continue
                 raise
-            if end < len(self.text) or not self.more():
+            if end + 2 < len(self.text) or not self.more():
                 self.at = end
                 return item
 
 
 def read_document(text: str) -> list[RawDiscourse]:
     """The raw discourses of a corpus document, after the checks of its JSON
-    and top-level shape, which raise CorpusFormatError. `build_discourse`
-    builds each; the two make up `parse_corpus`.
-
-    The document is walked, not held: each discourse is decoded once, to
-    learn its id and size, and dropped. Any JSON that the walk does not
-    take goes to `_loads`, for the error that `json.loads` would raise."""
-    if not text or text.isspace():  # strip() would copy the text
-        return []
-    try:
-        top, items = _walk(_Window(text))
-    except (ValueError, RecursionError):
-        try:
-            _loads(text)
-        except json.JSONDecodeError as exc:
-            where = f"line {exc.lineno}, column {exc.colno}"
-            raise CorpusFormatError([Violation("malformed-json", where, exc.msg)]) from exc
-        raise  # json.loads took JSON that the walk did not: a fault of the walk
-    if items is None:
-        message = "expected a 'discourses' list" if top == "{" else "expected an object or a list"
-        raise CorpusFormatError([Violation("malformed-structure", "$", message)])
-    return items
+    and top-level shape, which raise CorpusFormatError; none for a blank
+    one (`str.isspace`). `build_discourse` builds each; the two make up
+    `parse_corpus`."""
+    return _index(_Window(text), lambda: text)
 
 
 def read_file(fd: int, window: bool = True) -> list[RawDiscourse]:
@@ -282,35 +266,53 @@ def read_file(fd: int, window: bool = True) -> list[RawDiscourse]:
     `read_document` gives them for its text, and its errors; a file that is
     not UTF-8 raises UnicodeDecodeError at the byte where it stops being.
 
-    A regular file is walked through a window (`_Window`): a small one is
-    read in one piece, a longer one a read at a time, so the walk holds a
-    read and the discourse it decodes, not the file. Each discourse of a
-    file of several keeps where its JSON lies in the file, to be read back
-    when it is built: `fd` must stay open until then. A file that the
-    window walk does not take in any way (a JSON error, bytes that are not
-    UTF-8, a top-level shape without discourses) is read whole as text and
-    handed to `read_document`, whose errors then name what is wrong; so is
-    a file that cannot be read by offset, such as a pipe, and any file
-    when `window` is False."""
+    A regular file is walked through a window (`_Window`), so the walk
+    holds a read and the discourse it decodes, not the file. Each discourse
+    of a file of several keeps where its JSON lies in the file, to be read
+    back when it is built: `fd` must stay open until then. A file that
+    cannot be read by offset, such as a pipe, and any file when `window` is
+    False, is read whole as text."""
+
+    def whole() -> str:
+        # from where the file stands, which a window walk does not move
+        with open(fd, encoding="utf-8", closefd=False) as fh:
+            return fh.read()
+
     st = os.fstat(fd)
     if window and hasattr(os, "pread") and stat.S_ISREG(st.st_mode):
         step = st.st_size + 1 if st.st_size < _WHOLE else _READ
+        return _index(_Window(fd, step), whole)
+    return read_document(whole())
+
+
+def _index(src: _Window, whole: Callable[[], str]) -> list[RawDiscourse]:
+    """The discourses of the document `src`, walked once. Only a document
+    that the walk does not take is read whole, as `whole()`, and handed to
+    `_loads` for the located error; if `json.loads` takes it, the walk's
+    own error propagates, as a fault of the walk."""
+    try:
+        top, items = _walk(src)
+    except (ValueError, RecursionError):
+        text = whole()
+        if text.isspace():  # strip() would copy the text
+            return []
         try:
-            items = _walk(_Window(fd, step))[1]
-        except (ValueError, RecursionError):
-            items = None
-        if items is not None:
-            return items
-    # from where the file is, which a window walk does not move
-    with open(fd, encoding="utf-8", closefd=False) as fh:
-        return read_document(fh.read())
+            _loads(text)
+        except json.JSONDecodeError as exc:
+            where = f"line {exc.lineno}, column {exc.colno}"
+            raise CorpusFormatError([Violation("malformed-json", where, exc.msg)]) from exc
+        raise
+    if top and items is None:
+        message = "expected a 'discourses' list" if top == "{" else "expected an object or a list"
+        raise CorpusFormatError([Violation("malformed-structure", "$", message)])
+    return items or []
 
 
 def _walk(src: _Window) -> tuple[str, Optional[list[RawDiscourse]]]:
-    """The first character of the JSON document `src` and its discourses:
-    the top-level list, or the last "discourses" list of the top-level
-    object (None when it has none). Raises ValueError or RecursionError at
-    the first thing that `json.loads` would not take either."""
+    """The first character of the JSON document `src` ("" if it is blank)
+    and its discourses: the top-level list, or the last "discourses" list
+    of the top-level object (None when it has none). Raises ValueError or
+    RecursionError at the first thing that `json.loads` would not take."""
     top = src.skip()
     items = None
     if top == "[":
@@ -332,7 +334,7 @@ def _walk(src: _Window) -> tuple[str, Optional[list[RawDiscourse]]]:
                 items = None
                 src.value()
             closed = _next(src, "}")
-    else:
+    elif top:
         src.value()
     if src.skip():
         raise ValueError("extra data")
@@ -545,59 +547,6 @@ def _parse_constraints(
     return ResolutionConstraints(types or (), cardinality, gold)
 
 
-def serialize_corpus(discourses: Iterable[Discourse]) -> str:
-    """Canonical JSON rendering; parse(serialize(parse(x))) == parse(x)."""
-    out = {"discourses": [_dump_discourse(d) for d in discourses]}
-    return json.dumps(out, indent=2, sort_keys=False) + "\n"
-
-
-def _dump_discourse(d: Discourse) -> dict:
-    return {
-        "id": d.id,
-        "entities": [
-            {
-                "id": e.id,
-                "types": sorted(e.semantic_types),
-                "cardinality": e.cardinality,
-            }
-            for e in d.entities
-        ],
-        "utterances": [
-            {
-                "index": u.index,
-                "tense": u.tense.value,
-                **({"text": u.text} if u.text is not None else {}),
-                "expressions": [_dump_expression(e) for e in u.expressions],
-            }
-            for u in d.utterances
-        ],
-    }
-
-
-def _dump_expression(e: ReferringExpression) -> dict:
-    out: dict[str, Any] = {
-        "entity": e.entity_ref if e.entity_ref is not None else "?",
-        "form": e.form.value,
-        "role": e.role.display,
-        "pos": e.surface_position,
-    }
-    if e.wa_marked:
-        out["wa"] = True
-    if e.ga_marked:
-        out["ga"] = True
-    if e.constraints is not None:
-        cons: dict[str, Any] = {}
-        if e.constraints.compatible_types:
-            cons["types"] = sorted(e.constraints.compatible_types)
-        if e.constraints.required_cardinality is not None:
-            cons["cardinality"] = e.constraints.required_cardinality
-        gold = e.constraints.gold_antecedent
-        if gold is not None:
-            cons["gold"] = encode_resolution(gold)
-        out["constraints"] = cons
-    return out
-
-
 # -- reports ---------------------------------------------------------------
 
 
@@ -768,7 +717,9 @@ def read_reports(text: str) -> list[DiscourseReport]:
     Lines of another record kind are skipped. A line that is not JSON, not
     an object, lacks a key the writer writes, or holds a value of another
     type than the field's annotation, at any depth, raises CorpusFormatError
-    located at its line number.
+    located at its line number. Utterance lines that no discourse line
+    follows come back after the complete reports, as a report of their
+    discourse with `unresolved_ambiguity` False and an empty history.
     """
     pending: dict[str, list[UtteranceReport]] = {}
     out: list[DiscourseReport] = []

@@ -1,14 +1,17 @@
-"""Seeded random discourses for property tests and scaling runs.
+"""Seeded random discourses for property tests, and the canonical corpus
+writer that renders discourses as a corpus document.
 
-Every discourse it returns is well-formed (``validate_discourse`` finds no
-violation): declared entities, consecutive utterance indices, strictly
-increasing positions, at most one wa-marked topic per utterance.
+Every discourse `random_discourse` returns is well-formed
+(``validate_discourse`` finds no violation): declared entities, consecutive
+utterance indices, strictly increasing positions, at most one wa-marked
+topic per utterance.
 """
 
 from __future__ import annotations
 
+import json
 import random
-from typing import Optional
+from typing import Any, Iterable, Optional
 
 from centering.model import (
     Discourse,
@@ -19,6 +22,7 @@ from centering.model import (
     ResolutionConstraints,
     Tense,
     Utterance,
+    encode_resolution,
 )
 
 TYPE_POOL = ("organization", "person", "device", "abstract")
@@ -102,3 +106,56 @@ def random_discourse(
             )
         )
     return Discourse(id=ident, entities=tuple(entities), utterances=tuple(utterances))
+
+
+def serialize_corpus(discourses: Iterable[Discourse]) -> str:
+    """Canonical JSON rendering; parse(serialize(parse(x))) == parse(x)."""
+    out = {"discourses": [_dump_discourse(d) for d in discourses]}
+    return json.dumps(out, indent=2, sort_keys=False) + "\n"
+
+
+def _dump_discourse(d: Discourse) -> dict:
+    return {
+        "id": d.id,
+        "entities": [
+            {
+                "id": e.id,
+                "types": sorted(e.semantic_types),
+                "cardinality": e.cardinality,
+            }
+            for e in d.entities
+        ],
+        "utterances": [
+            {
+                "index": u.index,
+                "tense": u.tense.value,
+                **({"text": u.text} if u.text is not None else {}),
+                "expressions": [_dump_expression(e) for e in u.expressions],
+            }
+            for u in d.utterances
+        ],
+    }
+
+
+def _dump_expression(e: ReferringExpression) -> dict:
+    out: dict[str, Any] = {
+        "entity": e.entity_ref if e.entity_ref is not None else "?",
+        "form": e.form.value,
+        "role": e.role.display,
+        "pos": e.surface_position,
+    }
+    if e.wa_marked:
+        out["wa"] = True
+    if e.ga_marked:
+        out["ga"] = True
+    if e.constraints is not None:
+        cons: dict[str, Any] = {}
+        if e.constraints.compatible_types:
+            cons["types"] = sorted(e.constraints.compatible_types)
+        if e.constraints.required_cardinality is not None:
+            cons["cardinality"] = e.constraints.required_cardinality
+        gold = e.constraints.gold_antecedent
+        if gold is not None:
+            cons["gold"] = encode_resolution(gold)
+        out["constraints"] = cons
+    return out

@@ -28,14 +28,14 @@ from centering import (
     validate_discourse,
 )
 import centering.engine as engine
-from centering.corpus import fixture_text, serialize_corpus
+from centering.corpus import fixture_text
 from centering.model import (
     ARGUMENT_ROLES,
     CbHistoryEntry,
     EffectiveRole,
     TransitionLabel,
 )
-from synth import random_discourse
+from synth import random_discourse, serialize_corpus
 
 from conftest import entity, labels_of, outcomes, utterance, zero
 from test_hypotheses import PREV, ASK_GA, ASK_WA

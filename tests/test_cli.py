@@ -27,8 +27,8 @@ from centering.corpus import (
     fixture_text,
     read_document,
     report_blocks,
-    serialize_corpus,
 )
+from synth import serialize_corpus
 
 from test_golden import load_corpus_gen, synth_corpus
 
@@ -125,6 +125,16 @@ def beyond_the_decoder(case):
 
 
 DECODER_CASES = ("nested-too-deep", "integer-too-long")
+
+
+#: What `validate_discourse` finds in an overt NP of the probe given
+#: constraints with a cardinality of 0, in order.
+OVERT_CONSTRAINTS = [
+    "discourses[0].utterances[0].expressions[0].constraints: "
+    "resolution constraints on an overt NP [overt-constraints]",
+    "discourses[0].utterances[0].expressions[0].constraints.cardinality: "
+    "required_cardinality 0 < 1 [bad-required-cardinality]",
+]
 
 
 class TestAnalyze:
@@ -337,6 +347,21 @@ class TestValidateAndErrors:
             assert (code, out) == (1, "")
             assert err.splitlines() == [f"error: {line}" for line in listed]
 
+    def test_constraints_on_an_overt_np_are_located_by_the_parser(self, tmp_path):
+        file = probe_file(tmp_path, lambda d, e: e[0].update(constraints={"cardinality": 0}))
+        with open(file, encoding="utf-8") as fh:
+            with pytest.raises(CorpusFormatError) as exc:
+                parse_corpus(fh.read())
+        assert list(map(str, exc.value.diagnostics)) == OVERT_CONSTRAINTS
+
+    def test_constraints_on_an_overt_np_are_listed_by_validate(self, tmp_path, capsys):
+        file = probe_file(tmp_path, lambda d, e: e[0].update(constraints={"cardinality": 0}))
+        code, out, err = run_cli(capsys, "validate", "--format", "machine", file)
+        assert (code, err) == (1, "")
+        records = [json.loads(line) for line in out.splitlines()]
+        listed = [f"{r['location']}: {r['message']} [{r['code']}]" for r in records]
+        assert listed == [f"{file}: {line}" for line in OVERT_CONSTRAINTS]
+
     def test_format_error_names_its_file_once(self, corpus_file, tmp_path, capsys):
         bad = index_file(tmp_path, (3, 1))
         code, out, err = run_cli(capsys, "analyze", corpus_file("classroom_exam"), bad)
@@ -410,6 +435,14 @@ class TestValidateAndErrors:
         err = capsys.readouterr().err
         assert exc.value.code == 1
         assert "--beam" in err and ">= 1" in err
+        assert "internal error" not in err
+
+    def test_a_beam_that_is_not_an_integer_is_a_usage_error(self, corpus_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--beam", "x", corpus_file("classroom_exam")])
+        err = capsys.readouterr().err
+        assert exc.value.code == 1
+        assert "argument --beam: invalid int value: 'x'" in err
         assert "internal error" not in err
 
     def test_internal_fault_exit_two(self, corpus_file, capsys, monkeypatch):

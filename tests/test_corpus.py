@@ -29,8 +29,9 @@ from centering.corpus import (
     fixture_text,
     read_document,
     read_file,
-    serialize_corpus,
 )
+from centering.engine import DiscourseReport
+from synth import serialize_corpus
 
 from conftest import FIXTURES
 from test_cli import run_cli, topic_cues_text, with_cpus
@@ -321,6 +322,7 @@ class TestRoundTrips:
             ("index-a-string", "'index': expected an integer, found str"),
             ("seed-an-integer", "'seed': expected a boolean, found int"),
             ("cf-role-a-number", "'cf': expected a string, found int"),
+            ("cf-pair-of-three", "'cf': expected 2 items, found 3"),
         ],
     )
     def test_bad_report_line_is_a_located_format_error(self, case, message):
@@ -339,12 +341,22 @@ class TestRoundTrips:
             "index-a-string": edited(lines[1], index="x"),
             "seed-an-integer": edited(lines[1], seed=1),
             "cf-role-a-number": edited(lines[1], cf=[["a", 2]]),
+            "cf-pair-of-three": edited(lines[1], cf=[["a", "subject", "x"]]),
         }[case]
         with pytest.raises(CorpusFormatError) as err:
             read_reports("\n".join(lines))
         diag = err.value.diagnostics[0]
         assert diag.location == "line 2"
         assert message in diag.message
+
+    def test_utterances_without_their_discourse_line_follow_the_reports(self):
+        first, second = (run_corpus([load_fixture(n)]) for n in ("classroom_exam", "bank_pos"))
+        lines = serialize_reports(first + second, "machine").splitlines()
+        # the first discourse's own line is gone; its utterance lines stay
+        del lines[len(first[0].utterances)]
+        orphan = DiscourseReport(first[0].discourse_id, first[0].utterances, False, ())
+        assert orphan != first[0]
+        assert read_reports("\n".join(lines)) == [second[0], orphan]
 
     @pytest.mark.parametrize("case", ["nested-too-deep", "integer-too-long"])
     def test_report_line_the_decoder_cannot_take_is_a_located_format_error(self, case):
@@ -671,6 +683,127 @@ def test_a_file_reads_through_any_window_as_its_text_reads(data, whole, step, tm
         assert sources == ["fd"] * len(want[1])
     elif want[0] == "read" and want[1]:
         assert sources == [None]
+
+
+def index_by_window(path, step):
+    """`read_file` of the file at `path` through windows of `step` bytes."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        with mock.patch.object(corpus_mod, "_WHOLE", 0), mock.patch.object(
+            corpus_mod, "_READ", step
+        ):
+            return fd, read_file(fd)
+    finally:
+        os.close(fd)
+
+
+def _edge_documents():
+    """Valid documents with a value outside the discourses that a window's
+    edge may cut after its '.', 'e' or exponent sign, where the decoder
+    stops before them."""
+    a, b = (json.dumps(d, ensure_ascii=False) for d in WINDOW_DISCOURSES[:2])
+    return {
+        "fraction-before": f'{{"v": 1.5, "discourses": [{a}, {b}]}}',
+        "exponent-before": f'{{"v": 12e+3, "discourses": [{a}, {b}]}}',
+        "number-in-list": f"[{a}, -2.5E-3, {b}]",
+        "fraction-after": f'{{"discourses": [{a}, {b}], "score": 0.75}}',
+    }
+
+
+EDGE_DOCUMENTS = _edge_documents()
+
+
+@pytest.mark.parametrize("case", EDGE_DOCUMENTS)
+def test_a_number_cut_at_a_window_edge_is_decoded_again(case, tmp_path):
+    text = EDGE_DOCUMENTS[case]
+    path = tmp_path / "corpus.centering.json"
+    path.write_text(text, encoding="utf-8")
+    want = [r[:4] for r in read_document(text)]
+    for step in range(1, 65):
+        fd, raw = index_by_window(path, step)
+        assert [r[:4] for r in raw] == want, step
+        # every discourse is read back from the file, none from a text
+        # read whole
+        assert [r.source for r in raw] == [fd] * len(want), step
+
+
+@pytest.mark.parametrize(
+    "text,diag",
+    [
+        ("{1: []}", "line 1, column 2: Expecting property name enclosed in double quotes"),
+        ('{"discourses" []}', "line 1, column 15: Expecting ':' delimiter"),
+    ],
+    ids=["key-not-a-string", "key-without-colon"],
+)
+def test_a_bad_top_level_key_is_malformed(text, diag, tmp_path):
+    want = [f"{diag} [malformed-json]"]
+    with pytest.raises(CorpusFormatError) as exc:
+        read_document(text)
+    assert list(map(str, exc.value.diagnostics)) == want
+    path = tmp_path / "corpus.centering.json"
+    path.write_text(text, encoding="utf-8")
+    for step in range(1, 9):
+        with pytest.raises(CorpusFormatError) as exc:
+            index_by_window(path, step)
+        assert list(map(str, exc.value.diagnostics)) == want, step
+
+
+@pytest.mark.parametrize("case", ["truncated", "utf8-bom", "no-discourses"])
+def test_a_rejected_file_is_walked_once(case, tmp_path):
+    text = topic_cues_text(3)
+    data = {
+        "truncated": text[: len(text) // 2],
+        "utf8-bom": "\ufeff" + text,
+        "no-discourses": json.dumps({"meta": json.loads(text)["discourses"]}),
+    }[case]
+    path = tmp_path / "corpus.centering.json"
+    path.write_text(data, encoding="utf-8")
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        with mock.patch.object(corpus_mod, "_walk", wraps=corpus_mod._walk) as walk:
+            with pytest.raises(CorpusFormatError) as exc:
+                read_file(fd)
+        where = os.lseek(fd, 0, os.SEEK_CUR)
+    finally:
+        os.close(fd)
+    assert walk.call_count == 1
+    if case == "no-discourses":
+        assert list(map(str, exc.value.diagnostics)) == [
+            "$: expected a 'discourses' list [malformed-structure]"
+        ]
+        # the window reads by offset and leaves the file where it stands:
+        # the file was not read again as text
+        assert where == 0
+    else:
+        assert [v.code for v in exc.value.diagnostics] == ["malformed-json"]
+        # read whole as text, once, to name the error
+        assert where == len(data.encode("utf-8"))
+
+
+def test_a_fault_of_the_window_walk_is_raised(tmp_path, monkeypatch, capsys):
+    # a window that loses a byte of each read of a file: the walk fails on a
+    # valid document, and nothing falls back to reading the file whole
+    more = corpus_mod._Window.more
+
+    def lossy_more(self):
+        if not self.done:
+            self.read += 1
+        return more(self)
+
+    monkeypatch.setattr(corpus_mod._Window, "more", lossy_more)
+    path = tmp_path / "corpus.centering.json"
+    path.write_text(topic_cues_text(3), encoding="utf-8")
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        with pytest.raises(ValueError) as exc:
+            read_file(fd)
+    finally:
+        os.close(fd)
+    assert not isinstance(exc.value, CorpusFormatError)
+    with_cpus(monkeypatch, 1)
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("internal error: ")
 
 
 def test_a_pipe_is_read_whole(tmp_path):

@@ -22,8 +22,8 @@ from pathlib import Path
 import pytest
 
 from centering.cli import main
-from centering.corpus import fixture_text, serialize_corpus
-from synth import random_discourse
+from centering.corpus import fixture_text
+from synth import random_discourse, serialize_corpus
 
 from conftest import FIXTURES
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import centering.engine as engine
 from centering import load_fixture
-from centering.corpus import serialize_corpus
+from synth import serialize_corpus
 
 from conftest import FIXTURES
 
