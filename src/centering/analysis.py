@@ -165,10 +165,6 @@ class GoldSummary:
     def has_gold(self) -> bool:
         return self.scored > 0
 
-    def __add__(self, other: "GoldSummary") -> "GoldSummary":
-        """The summary of two disjoint sets of discourses, `self`'s first."""
-        return GoldSummary(self.details + other.details)
-
 
 def evaluate_gold(
     reports: Sequence[DiscourseReport], corpus: Sequence[Discourse]

@@ -37,7 +37,7 @@ from typing import Any, Callable, Iterator, NoReturn, Optional, Sequence
 from . import analysis, corpus as corpus_io
 from .engine import DiscourseReport, EngineConfig, run_corpus
 from .hypotheses import DEFAULT_BEAM
-from .model import Discourse, Violation, encode_resolution, format_resolution
+from .model import Discourse, Violation, format_resolution
 
 #: Fewest utterances per worker, so a corpus of fewer than 2000 runs in
 #: process. On a 2-vCPU machine two forked workers break even with one
@@ -163,14 +163,6 @@ def _diagnostics(files: list[_File], found: list[list[Violation]]) -> list[Viola
                 seen_ids.add(did)
         diags.extend(Violation(v.code, f"{path}: {v.location}", v.message) for v in mine)
     return diags
-
-
-def _config(args: argparse.Namespace) -> EngineConfig:
-    return EngineConfig(
-        beam=args.beam,
-        zta_enabled=not args.no_zta,
-        global_enabled=not args.no_global,
-    )
 
 
 def _cpus() -> list[int]:
@@ -384,7 +376,9 @@ def _run_engine(
     """Run the engine on the discourses of the files, one at a time (see
     `_run_shares`), and iterate over `finish(reports, discourses)` of each
     discourse, with its one report, in input order."""
-    config = _config(args)
+    config = EngineConfig(
+        beam=args.beam, zta_enabled=not args.no_zta, global_enabled=not args.no_global
+    )
     return _run_shares(args.files, lambda d: finish(run_corpus([d], config), (d,)))
 
 
@@ -410,12 +404,6 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     return 0
 
 
-#: The encoder of every machine line of `resolve`, built once. Each line's
-#: object comes with its keys sorted and holds no cycle, so it neither sorts
-#: nor checks.
-_LINE_ENCODER = json.JSONEncoder(check_circular=False)
-
-
 def _resolution_lines(reports: list[DiscourseReport], format: str) -> list[str]:
     lines = []
     for rep in reports:
@@ -423,13 +411,13 @@ def _resolution_lines(reports: list[DiscourseReport], format: str) -> list[str]:
             for pos, value in u.resolutions:
                 if format == "machine":
                     record = {
-                        "antecedent": encode_resolution(value),
+                        "antecedent": value,
                         "cues": u.cues,
                         "discourse": rep.discourse_id,
                         "pos": pos,
                         "utterance": u.index,
                     }
-                    lines.append(_LINE_ENCODER.encode(record))
+                    lines.append(corpus_io.RECORD_ENCODER.encode(record))
                 else:
                     cue = f"  cue={'+'.join(u.cues)}" if u.cues else ""
                     lines.append(
@@ -439,7 +427,7 @@ def _resolution_lines(reports: list[DiscourseReport], format: str) -> list[str]:
     return lines
 
 
-def _fmt_row(label: str, cells: Sequence[int]) -> str:
+def _fmt_row(label: str, cells: Sequence[Any]) -> str:
     return f"{label:>14} | " + " | ".join(f"{c:>12}" for c in cells)
 
 
@@ -477,10 +465,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         )
         return 0
 
-    header = f"{'':>14} | " + " | ".join(f"{c:>12}" for c in analysis.COLUMNS)
     out = [
         "Distribution of centering transitions by zero use",
-        header,
+        _fmt_row("", analysis.COLUMNS),
         _fmt_row("with zero", table.with_zero),
         _fmt_row("without zero", table.without_zero),
         _fmt_row("total", table.totals),
@@ -515,8 +502,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     parts = _run_engine(args, analysis.evaluate_gold)
-    # one summary of every part's details: adding the parts would copy the
-    # details gathered so far once per discourse
     summary = analysis.GoldSummary(tuple(d for part in parts for d in part.details))
     if args.format == "machine":
         sys.stdout.write(

@@ -18,7 +18,7 @@ import sys
 import typing
 from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
-from ._record import fields, is_record, replace
+from ._record import fields, is_record
 from .engine import DiscourseReport, HypothesisView, Retrieval, UtteranceReport
 from .model import (
     Discourse,
@@ -680,14 +680,15 @@ def _writer(cls: type, kind: Optional[str] = None) -> Callable[[Any], dict]:
 _UTTERANCE_OBJECT = _writer(UtteranceReport, "utterance")
 _DISCOURSE_OBJECT = _writer(DiscourseReport, "discourse")
 
-#: The encoder of every machine record, built once. The objects come with
-#: their keys sorted and hold no cycle, so it neither sorts nor checks; its
-#: hook only turns resolution sets into sorted lists.
-_RECORD_ENCODER = json.JSONEncoder(default=encode_resolution, check_circular=False)
+#: The encoder of every machine line, of `analyze` and of `resolve`, built
+#: once. The objects come with their keys sorted and hold no cycle, so it
+#: neither sorts nor checks; its hook only turns resolution sets into sorted
+#: lists.
+RECORD_ENCODER = json.JSONEncoder(default=encode_resolution, check_circular=False)
 
 
 def _machine_block(rep: DiscourseReport) -> str:
-    encode = _RECORD_ENCODER.encode
+    encode = RECORD_ENCODER.encode
     lines = [encode(_UTTERANCE_OBJECT(u)) for u in rep.utterances]
     lines.append(encode(_DISCOURSE_OBJECT(rep)))
     lines.append("")  # the block's last newline, without copying the block again
@@ -697,10 +698,9 @@ def _machine_block(rep: DiscourseReport) -> str:
 _OBJECT: _Shape = {dict: None}
 
 
-def _decode(cls: type, data: Any, **given: Any) -> Any:
+def _decode(cls: type, data: dict, **given: Any) -> Any:
     """Build a report record from its JSON object through the field table;
     `given` supplies the fields a line does not carry."""
-    _take(_OBJECT, data)
     for (name, key), shape in zip(_FIELDS[cls], _shapes(cls)):
         if key not in data:
             raise ValueError(f"missing key '{key}'")
@@ -717,11 +717,14 @@ def read_reports(text: str) -> list[DiscourseReport]:
     Lines of another record kind are skipped. A line that is not JSON, not
     an object, lacks a key the writer writes, or holds a value of another
     type than the field's annotation, at any depth, raises CorpusFormatError
-    located at its line number. Utterance lines that no discourse line
-    follows come back after the complete reports, as a report of their
-    discourse with `unresolved_ambiguity` False and an empty history.
+    located at its line number. So does any other layout than the writer's,
+    where each discourse's utterance lines come just before its discourse
+    line: an utterance or discourse line of another discourse than the
+    utterance lines before it, located at that line, and utterance lines
+    that no discourse line follows, located at the first of them.
     """
-    pending: dict[str, list[UtteranceReport]] = {}
+    utts: list[UtteranceReport] = []
+    first = 0  # the line of utts[0]
     out: list[DiscourseReport] = []
     for n, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -730,20 +733,29 @@ def read_reports(text: str) -> list[DiscourseReport]:
             data = _take(_OBJECT, _loads(line))
             kind = data.get("record")
             if kind == "utterance":
-                u = _decode(UtteranceReport, data)
-                pending.setdefault(u.discourse_id, []).append(u)
+                rec = _decode(UtteranceReport, data)
             elif kind == "discourse":
-                rep = _decode(DiscourseReport, data, utterances=())
-                utts = tuple(pending.pop(rep.discourse_id, ()))
-                out.append(replace(rep, utterances=utts))
+                rec = _decode(DiscourseReport, data, utterances=tuple(utts))
+            else:
+                continue
+            if utts and rec.discourse_id != utts[0].discourse_id:
+                after = f"after the utterance lines of '{utts[0].discourse_id}'"
+                raise ValueError(f"{kind} line of '{rec.discourse_id}' {after}")
         except json.JSONDecodeError as exc:
             raise CorpusFormatError([Violation("malformed-json", f"line {n}", exc.msg)]) from exc
         except (TypeError, ValueError) as exc:
             raise CorpusFormatError(
                 [Violation("malformed-record", f"line {n}", str(exc))]
             ) from exc
-    for did, utts in pending.items():
-        out.append(DiscourseReport(did, tuple(utts), False, ()))
+        if kind == "utterance":
+            first = first or n
+            utts.append(rec)
+        else:
+            out.append(rec)
+            utts, first = [], 0
+    if utts:
+        message = f"utterance lines of '{utts[0].discourse_id}' without their discourse line"
+        raise CorpusFormatError([Violation("malformed-record", f"line {first}", message)])
     return out
 
 

@@ -283,7 +283,7 @@ def _apply_retrieval(
         for cue in r.cues:
             if cue not in cues:
                 cues.append(cue)
-        role = EffectiveRole.from_role(by_pos[r.position].role)
+        role = EffectiveRole(int(by_pos[r.position].role))
         members = (r.value,) if isinstance(r.value, str) else r.member_order
         for m in members:
             if all(m != eid for eid, _ in new_head):

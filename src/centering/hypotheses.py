@@ -168,8 +168,6 @@ def prune_hypotheses(
     """
     if beam < 1:
         raise ValueError("beam must be >= 1")
-    if not hypotheses:
-        return []
     ordered = sorted(hypotheses, key=rank_key)
     compatible = [h for h in ordered if not h.anomalous]
     if compatible:

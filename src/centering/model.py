@@ -67,10 +67,6 @@ class EffectiveRole(IntEnum):
     OBJECT = 4
     OTHERS = 5
 
-    @classmethod
-    def from_role(cls, role: GrammaticalRole) -> "EffectiveRole":
-        return cls(int(role))
-
     def __init__(self, value: int) -> None:
         #: Lower-case, hyphenated tag of the reports, built once.
         self.display = self.name.lower().replace("_", "-")

@@ -214,7 +214,7 @@ class TestEvaluateGold:
         bank = replace(load_fixture("bank_pos"), id=cvd.id)
         apart = [evaluate_gold(run_corpus([d]), [d]) for d in (cvd, bank)]
         together = evaluate_gold(run_corpus([cvd, bank]), [cvd, bank])
-        assert together == apart[0] + apart[1]
+        assert together.details == apart[0].details + apart[1].details
         assert (together.correct, together.unresolved) == (5, 0)
         assert together.accuracy == 1.0
 

@@ -681,6 +681,20 @@ class TestWorkers:
         # the results read before it stand, in order
         assert out and full.startswith(out) and out != full
 
+    def test_worker_failing_after_its_last_result_exit_two(
+        self, pool_corpus, monkeypatch, capsys
+    ):
+        with_cpus(monkeypatch, 3)
+        _, full, _ = run_cli(capsys, "analyze", *pool_corpus)
+        real = os._exit
+        # inherited by the forked workers, each of which ends with it
+        monkeypatch.setattr(os, "_exit", lambda status: real(status or 5))
+        code, out, err = run_cli(capsys, "analyze", *pool_corpus)
+        assert code == 2
+        assert "internal error" in err and "exit status 5" in err
+        # every result of the first worker was read and written
+        assert out and full.startswith(out) and out != full
+
     @pytest.mark.parametrize(
         "case",
         [

@@ -21,7 +21,7 @@ from centering import (
     serialize_reports,
 )
 import centering.corpus as corpus_mod
-from centering._record import is_record
+from centering._record import is_record, replace
 from centering.corpus import (
     _FIELDS,
     FIXTURE_NAMES,
@@ -30,7 +30,6 @@ from centering.corpus import (
     read_document,
     read_file,
 )
-from centering.engine import DiscourseReport
 from synth import serialize_corpus
 
 from conftest import FIXTURES
@@ -349,14 +348,54 @@ class TestRoundTrips:
         assert diag.location == "line 2"
         assert message in diag.message
 
-    def test_utterances_without_their_discourse_line_follow_the_reports(self):
-        first, second = (run_corpus([load_fixture(n)]) for n in ("classroom_exam", "bank_pos"))
-        lines = serialize_reports(first + second, "machine").splitlines()
-        # the first discourse's own line is gone; its utterance lines stay
-        del lines[len(first[0].utterances)]
-        orphan = DiscourseReport(first[0].discourse_id, first[0].utterances, False, ())
-        assert orphan != first[0]
-        assert read_reports("\n".join(lines)) == [second[0], orphan]
+    @staticmethod
+    def two_blocks():
+        """The machine lines of two fixture reports, and the number of
+        utterance lines in the first block."""
+        reports = run_corpus([load_fixture(n) for n in ("classroom_exam", "bank_pos")])
+        return serialize_reports(reports, "machine").splitlines(), len(reports[0].utterances)
+
+    @staticmethod
+    def layout_error(lines):
+        with pytest.raises(CorpusFormatError) as err:
+            read_reports("\n".join(lines))
+        (diag,) = err.value.diagnostics
+        assert diag.code == "malformed-record"
+        return diag
+
+    def test_an_utterance_line_of_another_discourse_is_malformed(self):
+        lines, n = self.two_blocks()
+        del lines[n]  # the first discourse line: both blocks' utterances meet
+        diag = self.layout_error(lines)
+        assert diag.location == f"line {n + 1}"
+        assert diag.message == (
+            "utterance line of 'bank-pos' after the utterance lines of 'classroom-exam'"
+        )
+
+    def test_a_discourse_line_after_another_discourse_s_utterances_is_malformed(self):
+        lines, n = self.two_blocks()
+        lines[n], lines[-1] = lines[-1], lines[n]  # the discourse lines swapped
+        diag = self.layout_error(lines)
+        assert diag.location == f"line {n + 1}"
+        assert diag.message == (
+            "discourse line of 'bank-pos' after the utterance lines of 'classroom-exam'"
+        )
+
+    def test_utterance_lines_at_the_end_are_malformed(self):
+        lines, n = self.two_blocks()
+        diag = self.layout_error(lines[:-1])
+        # located at the first utterance line of the second block
+        assert diag.location == f"line {n + 2}"
+        assert diag.message == "utterance lines of 'bank-pos' without their discourse line"
+
+    def test_blank_lines_are_skipped_and_counted(self):
+        lines, n = self.two_blocks()
+        reports = read_reports("\n".join(lines))
+        spaced = ["", *lines[: n + 1], "  \t", *lines[n + 1 :], ""]
+        assert read_reports("\n".join(spaced)) == reports
+        del spaced[n + 1]  # the first discourse line
+        diag = self.layout_error(spaced)
+        assert diag.location == f"line {n + 3}"
 
     @pytest.mark.parametrize("case", ["nested-too-deep", "integer-too-long"])
     def test_report_line_the_decoder_cannot_take_is_a_located_format_error(self, case):
@@ -426,6 +465,22 @@ class TestTextReports:
         reports = run_corpus([load_fixture("etching_factory")])
         text = serialize_reports(reports, "text")
         assert "cue=LEXICAL" in text
+
+    def test_alternative_readings_show_their_flags(self):
+        # the engine prunes an anomalous reading when a compatible one
+        # lives, so an anomalous alternative comes only from a report
+        # built or read in
+        (rep,) = run_corpus([load_fixture("classroom_exam_topic")])
+        u = next(u for u in rep.utterances if len(u.hypotheses) > 1)
+        views = (u.hypotheses[0], replace(u.hypotheses[1], dampened=False, anomalous=True))
+        flagged = replace(rep, utterances=(replace(u, hypotheses=views),))
+        rows = [line.strip() for line in serialize_reports([flagged], "text").splitlines()]
+        assert rows[3].startswith("Cf1: ") and rows[3].endswith("(dampened)")
+        assert rows[4].startswith("Cf2: ") and rows[4].endswith("(anomalous)")
+        views = (replace(views[0], anomalous=True), views[1])
+        flagged = replace(rep, utterances=(replace(u, hypotheses=views),))
+        text = serialize_reports([flagged], "text")
+        assert "(dampened, anomalous)" in text
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):

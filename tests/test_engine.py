@@ -1,5 +1,6 @@
 """Cb history, global retrieval, coherence stepping, randomized properties."""
 
+import json
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from centering import (
     Tense,
     form_set_candidates,
     global_retrieve,
+    parse_corpus,
     push_cb,
     run_discourse,
     validate_discourse,
@@ -395,6 +397,42 @@ class TestEngineMechanics:
         assert last.resolution_map[2] == "a"
         assert [r.value for r in last.retrievals] == ["a"]
         assert CUE_TENSE in last.cues
+
+
+def test_plain_zeros_resolve_locally_and_by_retrieval():
+    """Zeros read without `constraints`, the format's plain zero, fit every
+    candidate: one resolves to the previous Cf head; the second of two in a
+    RETAIN, whose one local candidate the first claims, goes to the former
+    centers, where the shift to past tense puts taro first."""
+
+    def expr(role, pos, entity=None):
+        form = {"entity": entity} if entity else {"form": "zero"}
+        return {**form, "role": role, "pos": pos}
+
+    utterances = [
+        ("past", [expr("subject", 0, "taro"), expr("object", 1, "hanako")]),
+        ("past", [expr("subject", 0), expr("object", 1, "book")]),
+        ("nonpast", [expr("subject", 0, "book")]),
+        ("past", [expr("subject", 0, "hanako"), expr("others", 1), expr("others", 2)]),
+    ]
+    utterances = [
+        {"index": i, "tense": tense, "expressions": x} for i, (tense, x) in enumerate(utterances)
+    ]
+    entities = [{"id": e, "types": ["thing"]} for e in ("taro", "hanako", "book")]
+    text = json.dumps([{"id": "plain", "entities": entities, "utterances": utterances}])
+    (d,) = parse_corpus(text)
+    zeros = [z for u in d.utterances for z in u.zeros]
+    assert len(zeros) == 3
+    for z in zeros:
+        assert z.constraints is None
+        assert (z.compatible_types, z.required_cardinality) == (frozenset(), None)
+    rep = run_discourse(d)
+    resolved = [u.resolutions for u in rep.utterances]
+    assert resolved == [(), ((0, "taro"),), (), ((1, "book"), (2, "taro"))]
+    assert [u.retrievals for u in rep.utterances[:3]] == [(), (), ()]
+    assert rep.utterances[3].label == "retain"
+    (r,) = rep.utterances[3].retrievals
+    assert (r.position, r.value, r.cues, r.candidates) == (2, "taro", (CUE_TENSE,), ("book", "taro"))
 
 
 @pytest.mark.parametrize(

@@ -280,6 +280,9 @@ class TestPruneHypotheses:
         kept = prune_hypotheses(children, beam=10**6)
         assert sorted(kept, key=rank_key) == sorted(children, key=rank_key)
 
+    def test_no_hypotheses_prune_to_none(self):
+        assert prune_hypotheses([]) == []
+
     def test_beam_must_be_positive(self):
         with pytest.raises(ValueError):
             prune_hypotheses([hyp(TransitionLabel.CONTINUE)], beam=0)

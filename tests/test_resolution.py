@@ -29,6 +29,9 @@ class TestCheckCompatibility:
         assert check_compatibility(z, [entity("s-metal", "organization")]) == CUE_AGREEMENT
         assert check_compatibility(z, [entity("one-device", "device")]) == CUE_AGREEMENT
 
+    def test_no_member_is_agreement(self):
+        assert check_compatibility(zero(GrammaticalRole.SUBJECT, 0), []) == CUE_AGREEMENT
+
     def test_unconstrained_slot_accepts_anything(self):
         z = zero(GrammaticalRole.SUBJECT, 0)
         assert check_compatibility(z, [entity("anything", "whatever")]) is None
