@@ -7,43 +7,46 @@ whole input and prints no result for input with a problem. Exit codes: 0
 success, 1 format, validation or usage problem, 2 internal fault.
 
 Every command spreads a large corpus over the CPUs in the process's
-affinity mask. The parent only indexes the files' discourses
-(`corpus.read_file`: each one's location, id, utterance count and where its
-JSON lies in its file) and checks their ids; it holds no decoded discourse,
-and no file whole: it walks each through a small window and keeps it open.
-Forked workers, one per CPU and per `_UTTERANCES_PER_WORKER` utterances,
-each take a contiguous share of the index, balanced by utterance count, and
-read back, decode, build, validate, run and finish its discourses one at a
-time, dropping each before the next. Each worker streams its reply back
-over a pipe: a head with its discourses' diagnostics (or its exception) and
-how many results follow, then the results, each pickled on its own. The
-parent reads every head before any result, so a diagnostic anywhere stops
-the command before it writes a byte, and then unpickles one result at a
-time, in input order, which the command writes or folds and drops; a worker
-done early waits on its full pipe until its turn. The output, errors
-included, does not depend on the CPU count. A single discourse, a corpus
-too small for two workers, or a single CPU runs the same loop in process.
+affinity mask. The parent only sizes the files: it stats each one, and
+reads a file that is not regular, such as a pipe, once; it opens no regular
+file. Forked workers, one per CPU and per `_BYTES_PER_PART` bytes of
+corpus, each take a contiguous part of the corpus by position. A worker
+opens each regular file by path, checks that it is the file the parent
+sized, and walks every file once (`corpus.walk`), holding a small window of
+it and one decoded discourse at a time: it builds, validates, runs and
+finishes each discourse whose middle falls in its part, and drops it before
+the next. Each worker streams its reply back over a pipe: a head with every
+file as it walked it (its read error and its discourses' ids) and its own
+discourses' diagnostics (or its exception), and how many results follow,
+then the results, each pickled on its own. The parent reads every head
+before any result, so a diagnostic anywhere stops the command before it
+writes a byte, and then unpickles one result at a time, in input order,
+which the command writes or folds and drops; a worker done early waits on
+its full pipe until its turn. The output, errors included, does not depend
+on the CPU count. A corpus too small for two parts, or a single CPU, runs
+the same function over its one part in process.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import io
 import json
 import os
+import stat
 import sys
-from typing import Any, Callable, Iterator, NoReturn, Optional, Sequence
+from typing import Any, BinaryIO, Callable, Iterator, NoReturn, Optional, Sequence, Union
 
 from . import analysis, corpus as corpus_io
 from .engine import DiscourseReport, EngineConfig, run_corpus
 from .hypotheses import DEFAULT_BEAM
 from .model import Discourse, Violation, format_resolution
 
-#: Fewest utterances per worker, so a corpus of fewer than 2000 runs in
-#: process. On a 2-vCPU machine two forked workers break even with one
-#: process at about 500 short utterances and are 6% faster at 1000, so the
-#: bound is conservative; it stays until a benchmark workload lies below it.
-_UTTERANCES_PER_WORKER = 1000
+#: Fewest bytes of corpus per part, so a corpus under 512 KiB runs in
+#: process: the benchmark's long_chain (about 240 KB) does, and its other
+#: two workloads (about 870 KB each) are split.
+_BYTES_PER_PART = 256 * 1024
 
 
 class _Parser(argparse.ArgumentParser):
@@ -106,43 +109,47 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: A file as the parent read it: its path, the diagnostic that stopped its
+#: A file as the parent sized it: its path, its size in bytes, and what a
+#: process walks it from: the bytes of a file that is not regular, such as a
+#: pipe, read once, or else the identity of the regular file (`_identity`),
+#: which each process opens by path and checks.
+_Sized = tuple[str, int, Union[bytes, tuple[int, ...]]]
+
+#: A file as a process walked it: its path, the diagnostic that stopped its
 #: reading (none if it was read), and the location and id of each of its
 #: discourses.
 _File = tuple[str, list[Violation], list[tuple[str, Optional[str]]]]
 
+#: What a process reports before its results: every file as it walked it,
+#: and the diagnostics of each discourse it built.
+_Head = tuple[list[_File], list[list[Violation]]]
 
-def _read(
-    paths: Sequence[str], opened: list[Any]
-) -> tuple[list[_File], list[corpus_io.RawDiscourse]]:
-    """Read and index every file: the files, and the raw discourses of all
-    of them in input order. Each file whose discourses are read back from
-    it when they are built (`corpus.read_file`) stays open, and every file
-    opened is added to `opened`, which the caller closes. Files kept open
-    take at most half the descriptors the process may hold; past that, a
-    file is read whole, as a pipe is."""
-    files: list[_File] = []
-    raw: list[corpus_io.RawDiscourse] = []
-    room = os.sysconf("SC_OPEN_MAX") // 2 if hasattr(os, "sysconf") else 0
-    for path in paths:
-        failure: list[Violation] = []
-        found: list[corpus_io.RawDiscourse] = []
-        fh = open(path, "rb", buffering=0)
-        opened.append(fh)
-        try:
-            found = corpus_io.read_file(fh.fileno(), window=room > 0)
-        except UnicodeDecodeError as exc:
-            message = f"not UTF-8: {exc.reason}"
-            failure = [Violation("malformed-encoding", f"byte {exc.start}", message)]
-        except corpus_io.CorpusFormatError as exc:
-            failure = exc.diagnostics
-        if any(r.source == fh.fileno() for r in found):
-            room -= 1
-        else:
-            fh.close()
-        files.append((path, failure, [(r.loc, r.id) for r in found]))
-        raw.extend(found)
-    return files, raw
+
+def _size(path: str) -> _Sized:
+    """Size the file at `path`, reading it only if it is not regular."""
+    st = os.stat(path)
+    if stat.S_ISREG(st.st_mode):
+        return path, st.st_size, _identity(st)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return path, len(data), data
+
+
+def _identity(st: os.stat_result) -> tuple[int, ...]:
+    """What tells a regular file from the same path rewritten or replaced."""
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _open(path: str, known: Union[bytes, tuple[int, ...]]) -> BinaryIO:
+    """The stream to walk a sized file from; OSError if a regular file is no
+    longer the one the parent sized."""
+    if type(known) is bytes:
+        return io.BytesIO(known)
+    fh = open(path, "rb", buffering=0)
+    if _identity(os.fstat(fh.fileno())) != known:
+        fh.close()
+        raise OSError(f"{path}: changed after the command began")
+    return fh
 
 
 def _diagnostics(files: list[_File], found: list[list[Violation]]) -> list[Violation]:
@@ -172,61 +179,85 @@ def _cpus() -> list[int]:
     return [0]
 
 
-def _shares(raw: list[corpus_io.RawDiscourse], cpus: int) -> list[list[corpus_io.RawDiscourse]]:
-    """Cut `raw` into contiguous shares of about equal utterance counts, at
-    most one per CPU and one per `_UTTERANCES_PER_WORKER` utterances: each
-    discourse goes to the share its middle falls in. A corpus that gets one
-    share is that share."""
-    total = sum(r.size for r in raw)
-    n = min(cpus, len(raw), total // _UTTERANCES_PER_WORKER)
-    if n <= 1:
-        return [raw] if raw else []
-    shares: list[list[corpus_io.RawDiscourse]] = [[] for _ in range(n)]
-    before = 0
-    for r in raw:
-        # a discourse without utterances at the very end has its middle there
-        shares[min(n - 1, (2 * before + r.size) * n // (2 * total))].append(r)
-        before += r.size
-    return [share for share in shares if share]
+def _part(
+    files: list[_Sized], part: int, parts: int, job: Callable[[Discourse], Any]
+) -> tuple[_Head, list[Any]]:
+    """Walk every file once, and build and validate each discourse whose
+    middle falls in part `part` of `parts` equal parts of the corpus by
+    position, one at a time, dropping each before the next; run `job` on
+    each while no file, id or discourse before it had a problem. The head,
+    and the job's results.
+
+    A file whose walk fails, or whose discourses a later "discourses" key
+    replaces, keeps none of the discourses walked before, nor what they
+    gave. A job's exception is raised once every file is walked, unless a
+    file failed or an id repeats: their diagnostics then stand, as if no
+    job had run."""
+    total = max(sum(size for _, size, _ in files), 1)
+    read: list[_File] = []
+    found: list[list[Violation]] = []
+    results: list[Any] = []
+    seen_ids: set[Optional[str]] = set()  # the ids of the files before
+    run, fault, base = True, None, 0
+    for path, size, known in files:
+        failure: list[Violation] = []
+        discourses: list[tuple[str, Optional[str]]] = []
+        kept = len(found), len(results), run, fault
+        try:
+            with _open(path, known) as stream:
+                for r, item in corpus_io.walk(stream):
+                    if r is None:  # a later "discourses" key replaces those before
+                        discourses = []
+                        del found[kept[0] :], results[kept[1] :]
+                        run, fault = kept[2:]
+                        continue
+                    discourses.append((r.loc, r.id))
+                    run = run and not r.repeated and r.id not in seen_ids
+                    if min(parts - 1, (base + r.middle) * parts // total) != part:
+                        del item
+                        continue
+                    discourse, diags = corpus_io.build_discourse(r, item)
+                    del item
+                    found.append(diags)
+                    run = run and not diags
+                    if run:
+                        try:
+                            results.append(job(discourse))
+                        except Exception as exc:
+                            run, fault = False, exc
+                    del discourse
+        except UnicodeDecodeError as exc:
+            message = f"not UTF-8: {exc.reason}"
+            failure = [Violation("malformed-encoding", f"byte {exc.start}", message)]
+        except corpus_io.CorpusFormatError as exc:
+            failure = exc.diagnostics
+        if failure:
+            discourses, run = [], False
+            del found[kept[0] :], results[kept[1] :]
+        read.append((path, failure, discourses))
+        seen_ids.update(did for _, did in discourses)
+        base += size
+    ids = [did for _, _, discourses in read for _, did in discourses]
+    if fault and not any(failure for _, failure, _ in read) and len(set(ids)) == len(ids):
+        raise fault
+    return (read, found), results
 
 
-def _run_share(
-    share: list[corpus_io.RawDiscourse], run: bool, job: Callable[[Discourse], Any]
-) -> tuple[list[list[Violation]], list[Any]]:
-    """Decode, build and validate the discourses of `share` one at a time,
-    in order, and run `job` on each while `run` and no discourse so far had
-    a diagnostic: the diagnostics of each discourse, and the job's results.
-    Each raw discourse is taken off the share before it is decoded, and each
-    discourse is dropped before the next is decoded."""
-    found, results = [], []
-    share.reverse()
-    while share:
-        discourse, diags = corpus_io.build_discourse(share.pop())
-        found.append(diags)
-        run = run and not diags
-        if run:
-            results.append(job(discourse))
-        del discourse
-    return found, results
-
-
-def _run_shares(paths: Sequence[str], job: Callable[[Discourse], Any]) -> Iterator[Any]:
-    """Read the files and return an iterator over `job(discourse)` of each
+def _run_parts(paths: Sequence[str], job: Callable[[Discourse], Any]) -> Iterator[Any]:
+    """Size the files and return an iterator over `job(discourse)` of each
     of their discourses in input order (the stream of the module
     docstring); raise CorpusFormatError with every diagnostic of every file
     instead, before any result, if there is one. Closed early, the iterator
     reaps every worker.
 
-    The cyclic garbage collector is off from the reading of the files to
-    the last result read, or the iterator's close, and the caller's setting
-    is restored after; forked workers inherit it off and end with
-    `os._exit`. Nothing this path makes forms a reference cycle, so
-    reference counting alone frees it all, and the collector would only
-    walk the live objects again and again. The heap is also frozen
-    (`gc.freeze`) before the shares are run. It stays frozen: the command
-    ends the process, whose last collection at exit then skips the frozen
-    objects. The files that discourses are read back from stay open until
-    then too, and are closed on every path.
+    The cyclic garbage collector is off from the sizing of the files to the
+    last result read, or the iterator's close, and the caller's setting is
+    restored after; forked workers inherit it off and end with `os._exit`.
+    Nothing this path makes forms a reference cycle, so reference counting
+    alone frees it all, and the collector would only walk the live objects
+    again and again. The heap is also frozen (`gc.freeze`) before the parts
+    are run. It stays frozen: the command ends the process, whose last
+    collection at exit then skips the frozen objects.
     """
     results = _results(paths, job)
     next(results)  # runs up to the first result, so every error is raised here
@@ -234,27 +265,23 @@ def _run_shares(paths: Sequence[str], job: Callable[[Discourse], Any]) -> Iterat
 
 
 def _results(paths: Sequence[str], job: Callable[[Discourse], Any]) -> Iterator[Any]:
-    """The generator behind `_run_shares`: it yields None once the
+    """The generator behind `_run_parts`: it yields None once the
     diagnostics are checked, and then the results."""
     enabled = gc.isenabled()
     gc.disable()
-    opened: list[Any] = []
     try:
-        files, raw = _read(paths, opened)
-        ids = [did for _, _, discourses in files for _, did in discourses]
-        # No job runs on a corpus whose reading already failed.
-        run = not any(failure for _, failure, _ in files) and len(set(ids)) == len(ids)
+        files = [_size(path) for path in paths]
         cpus = _cpus()
-        shares = _shares(raw, len(cpus))
-        del raw
+        parts = max(1, min(len(cpus), sum(size for _, size, _ in files) // _BYTES_PER_PART))
 
-        def work(share: list[corpus_io.RawDiscourse]) -> tuple[list[list[Violation]], list[Any]]:
-            return _run_share(share, run, job)
+        def work(part: int) -> tuple[_Head, list[Any]]:
+            return _part(files, part, parts, job)
 
         gc.freeze()
-        stream = _fork(shares, cpus, work) if len(shares) > 1 else _in_process(shares, work)
+        stream = _fork(parts, cpus, work) if parts > 1 else _in_process(work)
         try:
-            diags = _diagnostics(files, [per for head in next(stream) for per in head])
+            heads = next(stream)  # every process walked every file
+            diags = _diagnostics(heads[0][0], [per for _, found in heads for per in found])
             if diags:
                 raise corpus_io.CorpusFormatError(diags)
             yield None
@@ -262,33 +289,28 @@ def _results(paths: Sequence[str], job: Callable[[Discourse], Any]) -> Iterator[
         finally:
             stream.close()
     finally:
-        for fh in opened:
-            fh.close()
         if enabled:
             gc.enable()
 
 
-def _in_process(shares: list[Any], work: Callable[[Any], tuple[Any, list[Any]]]) -> Iterator[Any]:
-    """The stream of `_fork`, with each share run in this process: the head
-    of every share's `work(share)`, then the results of all of them."""
-    parts = list(map(work, shares))
-    yield [head for head, _ in parts]
-    for _, results in parts:
-        yield from results
+def _in_process(work: Callable[[int], tuple[Any, list[Any]]]) -> Iterator[Any]:
+    """The stream of `_fork` for the one part of a corpus, run in this
+    process."""
+    head, results = work(0)
+    yield [head]
+    yield from results
 
 
 def _fork(
-    shares: list[Any], cpus: list[int], work: Callable[[Any], tuple[Any, list[Any]]]
+    parts: int, cpus: list[int], work: Callable[[int], tuple[Any, list[Any]]]
 ) -> Iterator[Any]:
-    """The stream of the module docstring for `work(share) = (head,
-    results)` of each share: first the list of every share's head, then
-    the results of all the shares in order, one at a time. Each share runs
-    in a forked worker pinned to a CPU of its own (left to the scheduler,
-    forked workers were woken on one CPU and ran no faster than one
-    process). Fork, not spawn: the command starts no thread, and a forked
-    worker inherits the parent's open files and its index instead of
-    receiving them pickled. It shares each file's offset with the parent
-    and the other workers too, so it reads only by offset (`os.pread`).
+    """The stream of the module docstring for `work(part) = (head,
+    results)` of each part: first the list of every part's head, then the
+    results of all the parts in order, one at a time. Each part runs in a
+    forked worker pinned to a CPU of its own (left to the scheduler, forked
+    workers were woken on one CPU and ran no faster than one process).
+    Fork, not spawn: the command starts no thread, and a forked worker
+    inherits the sized files instead of receiving them pickled.
 
     Before anything is yielded, the exception of the first worker that
     sent one is raised; a worker that died before its head is a
@@ -298,9 +320,7 @@ def _fork(
     output, but never a result out of order.
 
     Every worker is reaped on every path: its pipe is closed first, so that
-    a worker blocked on a write ends too. Once every worker is forked,
-    `shares` is emptied: the workers hold their own copies, and the parent
-    need not keep the index while it waits."""
+    a worker blocked on a write ends too."""
     # Imported here, so that a run in process never pays for the import.
     import pickle
 
@@ -328,7 +348,7 @@ def _fork(
             raise
 
     try:
-        for share, cpu in zip(shares, cpus):
+        for part, cpu in zip(range(parts), cpus):
             read_end, write_end = os.pipe()
             pid = os.fork()
             if pid == 0:
@@ -339,7 +359,7 @@ def _fork(
                         os.close(pipe.fileno())
                     os.sched_setaffinity(0, {cpu})
                     try:
-                        head, results = work(share)
+                        head, results = work(part)
                         reply = (True, head, len(results))
                     except Exception as exc:
                         reply, results = (False, exc, 0), []
@@ -352,8 +372,6 @@ def _fork(
                     os._exit(status)
             os.close(write_end)
             workers.append((pid, open(read_end, "rb")))
-        share = None  # the loop left the last share bound
-        shares.clear()
         heads = [load(at) for at in range(len(workers))]
         for ok, value, _ in heads:
             if not ok:
@@ -374,12 +392,12 @@ def _run_engine(
     finish: Callable[[list[DiscourseReport], Sequence[Discourse]], Any],
 ) -> Iterator[Any]:
     """Run the engine on the discourses of the files, one at a time (see
-    `_run_shares`), and iterate over `finish(reports, discourses)` of each
+    `_run_parts`), and iterate over `finish(reports, discourses)` of each
     discourse, with its one report, in input order."""
     config = EngineConfig(
         beam=args.beam, zta_enabled=not args.no_zta, global_enabled=not args.no_global
     )
-    return _run_shares(args.files, lambda d: finish(run_corpus([d], config), (d,)))
+    return _run_parts(args.files, lambda d: finish(run_corpus([d], config), (d,)))
 
 
 #: The characters of each piece of a block that `analyze` writes: the text
@@ -485,7 +503,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     violations: list[Violation] = []
     try:
-        count = sum(1 for _ in _run_shares(args.files, lambda discourse: None))
+        count = sum(1 for _ in _run_parts(args.files, lambda discourse: None))
         summary = f"{count} discourse(s), 0 violation(s)"
     except corpus_io.CorpusFormatError as exc:
         violations = exc.diagnostics

@@ -13,10 +13,9 @@ import functools
 import json
 import os
 import re
-import stat
 import sys
 import typing
-from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
+from typing import Any, BinaryIO, Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from ._record import fields, is_record
 from .engine import DiscourseReport, HypothesisView, Retrieval, UtteranceReport
@@ -100,9 +99,13 @@ def parse_corpus(text: str) -> list[Discourse]:
     carrying every diagnostic found, each naming its exact location.
     Whitespace-only input is an empty corpus.
     """
-    discourses, diags = [], []
-    for r in read_document(text):
-        d, found = build_discourse(r)
+    discourses: list[Discourse] = []
+    diags: list[Violation] = []
+    for r, item in walk(text):
+        if r is None:  # a later "discourses" key replaces the discourses before
+            discourses, diags = [], []
+            continue
+        d, found = build_discourse(r, item)
         if d is not None:
             discourses.append(d)
         diags.extend(found)
@@ -148,22 +151,15 @@ def _loads(text: str) -> Any:
 
 
 class RawDiscourse(NamedTuple):
-    """A discourse of a document, located and not yet built: its id, None
-    for an element that is not an object; whether an earlier discourse of
-    the document has that id; its utterance count; and where its JSON lies
-    in `source`, the document's text (`start` and `length` in characters)
-    or the descriptor of its file (in bytes, read back with `os.pread`).
-    The discourse of a document that holds only one keeps its decoded
-    object as `item` instead, and no source."""
+    """A discourse of a document as the walk meets it, not yet built: its
+    location; its id, None for an element that is not an object; whether an
+    earlier discourse of the same list has that id; and where its middle
+    lies in the document, in characters."""
 
     loc: str
     id: Optional[str]
     repeated: bool
-    size: int
-    source: Union[str, int, None]
-    start: int
-    length: int
-    item: Any = None
+    middle: int
 
 
 #: JSON's whitespace, as `json.loads` skips it.
@@ -171,61 +167,49 @@ _SPACE = re.compile(r"[ \t\n\r]*")
 
 _DECODER = json.JSONDecoder()
 
-#: A file shorter than `_WHOLE` bytes is read in one piece, so that its
-#: discourse, when it holds only one, is decoded once; a longer one `_READ`
-#: bytes at a time. A value that the window cannot hold makes the next read
-#: as long as the part of the window the walk has not passed, so the window
-#: doubles until the value fits.
+#: A stream shorter than `_WHOLE` bytes is read in one piece, so that a
+#: discourse of it is decoded once; a longer one `_READ` bytes at a time. A
+#: value that the window cannot hold makes the next read as long as the part
+#: of the window the walk has not passed, so the window doubles until the
+#: value fits.
 _WHOLE = 256 * 1024
 _READ = 64 * 1024
 
 
 class _Window:
-    """A JSON document as the walk sees it: `text`, the part of it in hand,
-    and `at`, the walk's position there. A text is in hand whole. A file is
-    read through a window: the walk takes each read of it as it passes the
-    end of the window, which then drops what the walk has passed."""
+    """A JSON document as the walk sees it: `text`, the part of it in hand;
+    `at`, the walk's position there; and `base`, the characters before the
+    window. A text is in hand whole. A binary stream is read from its start
+    through a window: the walk takes each read of it as it passes the end of
+    the window, which then drops what the walk has passed."""
 
-    def __init__(self, source: Union[str, int], step: int = 0):
+    def __init__(self, source: Union[str, BinaryIO]):
         self.source = source
-        self.step = step
-        self.at = 0
-        # text[mark] lies at `base` in the source: at a character of a text,
-        # at a byte of a file; each character of a narrow window is one
-        self.mark = self.base = 0
+        self.at = self.base = 0
         if type(source) is str:
-            self.text, self.done, self.narrow = source, True, True
+            self.text, self.done = source, True
         else:
-            self.text, self.done, self.narrow = "", False, True
-            self.read = 0
+            self.text, self.done = "", False
+            size = source.seek(0, os.SEEK_END)
+            source.seek(0)
+            self.step = size + 1 if size < _WHOLE else _READ
             self.decoder = codecs.getincrementaldecoder("utf-8")()
 
     def more(self) -> bool:
-        """Read the next piece of the file onto the window, dropping what
+        """Read the next piece of the stream onto the window, dropping what
         the walk has passed; False at the end of the document."""
         if self.done:
             return False
-        self.base, self.mark = self.offset(self.at), 0
+        self.base += self.at
         rest = self.text[self.at :]
         self.text = ""
         size = max(self.step, len(rest))
-        data = os.pread(self.source, size, self.read)
-        self.read += len(data)
-        self.done = len(data) < size  # a regular file reads short only at its end
+        data = self.source.read(size)
+        self.done = len(data) < size  # a file or a buffer reads short only at its end
         piece = self.decoder.decode(data, self.done)
         del data
         self.text, self.at = rest + piece, 0
-        self.narrow = self.text.isascii()
         return True
-
-    def offset(self, at: int) -> int:
-        """Where `text[at]` lies in the source; `at` never moves back."""
-        if self.narrow:
-            return self.base + at - self.mark
-        # each segment between two offsets is encoded once
-        self.base += len(self.text[self.mark : at].encode())
-        self.mark = at
-        return self.base
 
     def skip(self) -> str:
         """Move past JSON whitespace, and return the character there, or ""
@@ -253,119 +237,99 @@ class _Window:
                 return item
 
 
-def read_document(text: str) -> list[RawDiscourse]:
-    """The raw discourses of a corpus document, after the checks of its JSON
-    and top-level shape, which raise CorpusFormatError; none for a blank
-    one (`str.isspace`). `build_discourse` builds each; the two make up
-    `parse_corpus`."""
-    return _index(_Window(text), lambda: text)
+#: What the walk hands over: a discourse and its decoded JSON, or (None,
+#: None) where a later "discourses" key replaces the discourses before.
+_Walked = tuple[Optional[RawDiscourse], Any]
 
 
-def read_file(fd: int, window: bool = True) -> list[RawDiscourse]:
-    """The raw discourses of the corpus file open on descriptor `fd`, as
-    `read_document` gives them for its text, and its errors; a file that is
-    not UTF-8 raises UnicodeDecodeError at the byte where it stops being.
+def walk(source: Union[str, BinaryIO]) -> Iterator[_Walked]:
+    """The discourses of a corpus document, a text or a seekable binary
+    stream, each handed over as it is decoded: the top-level list, or the
+    "discourses" list of the top-level object, the last one if it repeats
+    (json.loads keeps the last value of a key). The walk keeps no reference
+    to a decoded discourse once it has handed it over.
 
-    A regular file is walked through a window (`_Window`), so the walk
-    holds a read and the discourse it decodes, not the file. Each discourse
-    of a file of several keeps where its JSON lies in the file, to be read
-    back when it is built: `fd` must stay open until then. A file that
-    cannot be read by offset, such as a pipe, and any file when `window` is
-    False, is read whole as text."""
-
-    def whole() -> str:
-        # from where the file stands, which a window walk does not move
-        with open(fd, encoding="utf-8", closefd=False) as fh:
-            return fh.read()
-
-    st = os.fstat(fd)
-    if window and hasattr(os, "pread") and stat.S_ISREG(st.st_mode):
-        step = st.st_size + 1 if st.st_size < _WHOLE else _READ
-        return _index(_Window(fd, step), whole)
-    return read_document(whole())
-
-
-def _index(src: _Window, whole: Callable[[], str]) -> list[RawDiscourse]:
-    """The discourses of the document `src`, walked once. Only a document
-    that the walk does not take is read whole, as `whole()`, and handed to
-    `_loads` for the located error; if `json.loads` takes it, the walk's
-    own error propagates, as a fault of the walk."""
+    A document that the walk does not take ends it with CorpusFormatError,
+    and a stream that is not UTF-8 with UnicodeDecodeError at the byte where
+    it stops being; either way, what the walk handed over before is not of
+    the document. Only then is the document read whole, and handed to
+    `_loads` for the located error; if `json.loads` takes it, the walk's own
+    error propagates, as a fault of the walk. A blank document
+    (`str.isspace`) has no discourses."""
+    src = _Window(source)
     try:
-        top, items = _walk(src)
+        top = src.skip()
+        listed = top == "["
+        if listed:
+            yield from _discourses(src)
+        elif top == "{":
+            src.at += 1
+            closed = src.skip() == "}"
+            src.at += closed
+            while not closed:
+                key = src.value()
+                if type(key) is not str or src.skip() != ":":
+                    raise ValueError("expected a key and a colon")
+                src.at += 1
+                if key != "discourses":
+                    src.value()
+                else:
+                    if listed:
+                        yield None, None
+                    listed = src.skip() == "["
+                    if listed:
+                        yield from _discourses(src)
+                    else:
+                        src.value()
+                closed = _next(src, "}")
+        elif top:
+            src.value()
+        if src.skip():
+            raise ValueError("extra data")
     except (ValueError, RecursionError):
-        text = whole()
+        if type(source) is str:
+            text = source
+        else:
+            source.seek(0)
+            text = source.read().decode()
         if text.isspace():  # strip() would copy the text
-            return []
+            return
         try:
             _loads(text)
         except json.JSONDecodeError as exc:
             where = f"line {exc.lineno}, column {exc.colno}"
             raise CorpusFormatError([Violation("malformed-json", where, exc.msg)]) from exc
         raise
-    if top and items is None:
+    if top and not listed:
         message = "expected a 'discourses' list" if top == "{" else "expected an object or a list"
         raise CorpusFormatError([Violation("malformed-structure", "$", message)])
-    return items or []
 
 
-def _walk(src: _Window) -> tuple[str, Optional[list[RawDiscourse]]]:
-    """The first character of the JSON document `src` ("" if it is blank)
-    and its discourses: the top-level list, or the last "discourses" list
-    of the top-level object (None when it has none). Raises ValueError or
-    RecursionError at the first thing that `json.loads` would not take."""
-    top = src.skip()
-    items = None
-    if top == "[":
-        items = _walk_list(src)
-    elif top == "{":
-        src.at += 1
-        closed = src.skip() == "}"
-        src.at += closed
-        while not closed:
-            key = src.value()
-            if type(key) is not str or src.skip() != ":":
-                raise ValueError("expected a key and a colon")
-            src.at += 1
-            if key != "discourses":
-                src.value()
-            elif src.skip() == "[":
-                items = _walk_list(src)
-            else:
-                items = None
-                src.value()
-            closed = _next(src, "}")
-    elif top:
-        src.value()
-    if src.skip():
-        raise ValueError("extra data")
-    return top, items
-
-
-def _walk_list(src: _Window) -> list[RawDiscourse]:
+def _discourses(src: _Window) -> Iterator[_Walked]:
     """The discourses of the list that opens at the walk's position, which
-    then moves past the list."""
-    items: list[RawDiscourse] = []
+    then moves past the list. Each is made by a call, so that this frame
+    holds none while it waits."""
     seen_ids: set[str] = set()
+    count = 0
     src.at += 1
     closed = src.skip() == "]"
     src.at += closed
     while not closed:
-        src.skip()
-        start = src.offset(src.at)
-        item = src.value()
-        length = src.offset(src.at) - start
-        loc = f"discourses[{len(items)}]"
-        did = _discourse_id(item, loc)
-        utterances = item.get("utterances") if did is not None else None
-        size = len(utterances) if isinstance(utterances, list) else 0
-        items.append(RawDiscourse(loc, did, did in seen_ids, size, src.source, start, length))
-        if did is not None:
-            seen_ids.add(did)
+        yield _discourse(src, f"discourses[{count}]", seen_ids)
+        count += 1
         closed = _next(src, "]")
-    if len(items) == 1:
-        # the last element decoded is the only one
-        items[0] = items[0]._replace(source=None, item=item)
-    return items
+
+
+def _discourse(src: _Window, loc: str, seen_ids: set[str]) -> _Walked:
+    """The discourse at the walk's position, at `loc`, and its JSON."""
+    src.skip()
+    start = src.base + src.at
+    item = src.value()
+    did = _discourse_id(item, loc)
+    raw = RawDiscourse(loc, did, did in seen_ids, (start + src.base + src.at) // 2)
+    if did is not None:
+        seen_ids.add(did)
+    return raw, item
 
 
 def _next(src: _Window, close: str) -> bool:
@@ -378,16 +342,10 @@ def _next(src: _Window, close: str) -> bool:
     return sep == close
 
 
-def build_discourse(r: RawDiscourse) -> tuple[Optional[Discourse], list[Violation]]:
-    """Decode, build and validate a raw discourse: the discourse built (None
-    for an element that is not an object) and its diagnostics, a repeated
-    id last."""
-    if r.source is None:
-        item = r.item
-    elif type(r.source) is str:
-        item = _DECODER.raw_decode(r.source, r.start)[0]
-    else:
-        item = _DECODER.raw_decode(os.pread(r.source, r.length, r.start).decode())[0]
+def build_discourse(r: RawDiscourse, item: Any) -> tuple[Optional[Discourse], list[Violation]]:
+    """Build and validate the discourse `item` that the walk handed over as
+    `r`: the discourse built (None for an element that is not an object) and
+    its diagnostics, a repeated id last."""
     diags: list[Violation] = []
     d = _parse_discourse(item, r.loc, diags)
     if r.repeated:

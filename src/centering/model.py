@@ -179,12 +179,6 @@ class ReferringExpression:
         return self.form is Form.ZERO
 
     @property
-    def compatible_types(self) -> frozenset[str]:
-        if self.constraints is None:
-            return frozenset()
-        return self.constraints.compatible_types
-
-    @property
     def required_cardinality(self) -> Optional[int]:
         if self.constraints is None:
             return None

@@ -1,11 +1,11 @@
 """End-to-end command line behavior."""
 
-import contextlib
 import gc
 import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -25,7 +25,6 @@ from centering.cli import main
 from centering.corpus import (
     FIXTURE_NAMES,
     fixture_text,
-    read_document,
     report_blocks,
 )
 from synth import serialize_corpus
@@ -557,22 +556,10 @@ def pool_corpus(tmp_path_factory):
 
 def with_cpus(monkeypatch, n):
     """Pretend the process may run on `n` CPUs, and start a worker for
-    every utterance, so that a small corpus reaches the pool too."""
+    every byte, so that a small corpus reaches the pool too."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
     monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
-    monkeypatch.setattr(cli_mod, "_UTTERANCES_PER_WORKER", 1)
-
-
-@contextlib.contextmanager
-def indexed(paths):
-    """The files and raw discourses that `cli._read` gives for `paths`, and
-    the files it opened, closed on leaving the block."""
-    opened = []
-    try:
-        yield (*cli_mod._read(paths, opened), opened)
-    finally:
-        for fh in opened:
-            fh.close()
+    monkeypatch.setattr(cli_mod, "_BYTES_PER_PART", 1)
 
 
 def engine_pids(paths):
@@ -655,7 +642,7 @@ class TestWorkers:
             "        os._exit(3)\n"
             "    return real(discourses, config)\n"
             "cli.run_corpus = die\n"
-            "cli._UTTERANCES_PER_WORKER = 1\n"
+            "cli._BYTES_PER_PART = 1\n"
             "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
             "os.sched_setaffinity = lambda pid, cpus: None\n"
             f"sys.exit(cli.main(['analyze', *{pool_corpus!r}]))\n"
@@ -669,7 +656,7 @@ class TestWorkers:
         real = cli_mod.corpus_io.report_blocks
 
         def dies_when_sent(reports, format):
-            # device-lineup is in the last share, whose head is sent by then
+            # device-lineup is in the last part, whose head is sent by then
             if reports[0].discourse_id == "device-lineup":
                 return DiesWhenSent()
             return real(reports, format)
@@ -725,7 +712,7 @@ class TestWorkers:
         with_cpus(monkeypatch, 3)
         paths = [synth, etching, str(lineup)]
         if case == "closed-early":
-            results = cli_mod._run_shares(paths, job)
+            results = cli_mod._run_parts(paths, job)
             assert next(results) == "golden-0"
             results.close()
         elif case == "stdout-broken":
@@ -738,10 +725,49 @@ class TestWorkers:
                 "dies-before-head": RuntimeError,
             }[case]
             with pytest.raises(error):
-                cli_mod._run_shares(paths, job)
+                cli_mod._run_parts(paths, job)
         assert gc.isenabled()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("later", ["bad-json", "repeated-id", "replacing-key"])
+    def test_a_job_fault_gives_way_to_what_a_later_file_holds(
+        self, later, cpus, pool_corpus, tmp_path, monkeypatch, capsys
+    ):
+        # the job raises on a discourse before the walk reaches the end of
+        # the last file: a read error or a repeated id there stands as if no
+        # job had run, and so does a "discourses" key that replaces the one
+        # the discourse was in
+        synth, etching, _ = pool_corpus
+        lineup = tmp_path / "device_lineup.centering.json"
+        data = json.loads(fixture_text("device_lineup"))
+        if later == "bad-json":
+            lineup.write_text('{"discourses": [', encoding="utf-8")
+        elif later == "repeated-id":
+            data["discourses"][0]["id"] = "golden-0"
+            lineup.write_text(json.dumps(data), encoding="utf-8")
+        else:
+            fails = json.dumps({"id": "fails", "entities": [], "utterances": []})
+            body = json.dumps(data["discourses"])
+            lineup.write_text(f'{{"discourses": [{fails}], "discourses": {body}}}', "utf-8")
+        real, doomed = cli_mod.run_corpus, "fails" if later == "replacing-key" else "golden-0"
+
+        def fail(discourses, config):
+            if discourses[0].id == doomed:
+                raise RuntimeError("engine fault")
+            return real(discourses, config)
+
+        paths = [synth, etching, str(lineup)]
+        want = run_cli(capsys, "analyze", *pool_corpus)
+        monkeypatch.setattr(cli_mod, "run_corpus", fail)
+        with_cpus(monkeypatch, cpus)
+        code, out, err = run_cli(capsys, "analyze", *paths)
+        if later == "replacing-key":
+            assert (code, out, err) == want
+        else:
+            assert (code, out) == (1, "") and err.startswith("error: ")
+            assert "internal error" not in err
 
     @pytest.mark.parametrize("fault", sorted(WORKER_FAULTS))
     def test_input_errors_do_not_depend_on_cpu_count(
@@ -768,62 +794,86 @@ class TestWorkers:
         assert errors[0] == errors[1]
         assert [line.split(os.sep)[-1] for line in errors[0].splitlines()] == [WORKER_FAULTS[fault]]
 
-    def test_shares_are_contiguous_and_balanced_by_utterances(self, monkeypatch):
-        monkeypatch.setattr(cli_mod, "_UTTERANCES_PER_WORKER", 1)
-        items = [{"id": f"d{i}", "utterances": [{}] * n} for i, n in enumerate([5, 0, 5, 10])]
-        items += [{"id": "d4", "utterances": 3}, 5]
-        raw = read_document(json.dumps(items))
-        # an element that is not an object, or has no list of utterances, has none
-        assert [r.size for r in raw] == [5, 0, 5, 10, 0, 0]
-        shares = cli_mod._shares(list(raw), 2)
-        assert shares == [raw[:3], raw[3:]]
-        assert cli_mod._shares(list(raw), 1) == [raw]
-        assert cli_mod._shares([], 2) == []
+    def test_parts_are_contiguous_and_split_by_position(self, tmp_path):
+        # five discourses of about 100, 100, 200, 300 and 100 characters:
+        # each goes to the part its middle falls in, and every part walks
+        # every file
+        items = [{"id": f"d{i}", "pad": "x" * (n - 20)} for i, n in enumerate([100, 100, 200])]
+        items += [{"id": "d3", "pad": "x" * 280}, {"id": "d4", "pad": "x" * 80}]
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        first.write_text(json.dumps(items[:3]), encoding="utf-8")
+        second.write_text(json.dumps(items[3:]), encoding="utf-8")
+        files = [cli_mod._size(str(first)), cli_mod._size(str(second))]
+        total = sum(size for _, size, _ in files)
+        for parts in (1, 2, 3, 4, 7):
+            got = []
+            for part in range(parts):
+                (read, found), ids = cli_mod._part(files, part, parts, lambda d: d.id)
+                assert [did for _, _, discourses in read for _, did in discourses] == [
+                    f"d{i}" for i in range(5)
+                ]
+                assert len(found) == len(ids) and not any(found)
+                got.append(ids)
+            assert [did for ids in got for did in ids] == [f"d{i}" for i in range(5)]
+            # no part ends more than a discourse past its share of the corpus
+            before = 0
+            for part, ids in enumerate(got):
+                before += sum(len(json.dumps(items[int(did[1:])])) for did in ids)
+                assert before <= (part + 1) * total / parts + 300
 
-    def test_fork_empties_its_shares_and_returns_results_in_order(self, monkeypatch):
+    def test_fork_returns_every_head_then_the_results_in_order(self, monkeypatch):
         monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
-        shares = [[1], [2, 3], [4, 5, 6]]
+        parts = [[1], [2, 3], [4, 5, 6]]
         stream = cli_mod._fork(
-            shares, [0, 1, 2], lambda share: (sum(share), [(os.getpid(), n) for n in share])
+            3, [0, 1, 2], lambda k: (sum(parts[k]), [(os.getpid(), n) for n in parts[k]])
         )
         # every worker's head first, then each result in input order
         assert next(stream) == [1, 5, 15]
-        assert shares == []
         got = list(stream)
         assert [n for _, n in got] == [1, 2, 3, 4, 5, 6]
         assert len({pid for pid, _ in got}) == 3 and os.getpid() not in {pid for pid, _ in got}
 
     def test_the_parent_keeps_no_decoded_discourse(self, pool_corpus):
-        # of a file of several discourses, only its open descriptor and, per
-        # discourse, a few scalars; the one discourse of a file is decoded
-        # only once, and its file is closed at once
-        with indexed(pool_corpus) as (files, raw, opened):
-            fds = [None if fh.closed else fh.fileno() for fh in opened]
-        assert [did for _, _, discourses in files for _, did in discourses] == [r.id for r in raw]
-        several, single = raw[:-2], raw[-2:]
-        assert len(several) == 42
-        assert not any(isinstance(field, (str, dict, list)) for r in several for field in r[4:])
-        assert fds[1:] == [None, None] and {r.source for r in several} == {fds[0]}
-        assert all(r.source is None and isinstance(r.item, dict) for r in single)
+        # it only sizes the files: a regular file by its identity, which
+        # holds no text; a pipe by its bytes, read once
+        read_end, write_end = os.pipe()
+        with open(write_end, "wb") as fh:
+            fh.write(b"[]")
+        with open(read_end, "rb") as fh:
+            files = [cli_mod._size(path) for path in [*pool_corpus, f"/dev/fd/{fh.fileno()}"]]
+        sizes = [os.path.getsize(path) for path in pool_corpus]
+        assert [size for _, size, _ in files] == [*sizes, 2]
+        assert all(type(known) is tuple and len(known) == 4 for _, _, known in files[:-1])
+        assert files[-1][2] == b"[]"
 
-    def test_raw_json_is_dropped_before_the_job_runs(self, pool_corpus):
-        with indexed(pool_corpus) as (_, raw, _):
-            ids = [r.id for r in raw]
-            found, held = cli_mod._run_share(raw, True, lambda discourse: (len(raw), discourse.id))
-        assert held == list(zip(range(43, -1, -1), ids)) and not any(found)
+    def test_raw_json_is_dropped_before_the_job_runs(self, pool_corpus, monkeypatch):
+        # the item the walk decoded is held by nothing but the test's own
+        # list once the discourse is built: the walk and the caller dropped it
+        items, counts = [], []
+        real = cli_mod.corpus_io.build_discourse
 
-    def test_a_worker_per_threshold_of_utterances(self, pool_corpus, monkeypatch):
-        size = sum(
-            len(d["utterances"])
-            for path in pool_corpus
-            for d in json.loads(Path(path).read_text(encoding="utf-8"))["discourses"]
-        )
+        def build(r, item):
+            items.append(item)
+            return real(r, item)
+
+        def job(discourse):
+            counts.append(sys.getrefcount(items[-1]))
+            return discourse.id
+
+        monkeypatch.setattr(cli_mod.corpus_io, "build_discourse", build)
+        files = [cli_mod._size(path) for path in pool_corpus]
+        (_, found), ids = cli_mod._part(files, 0, 1, job)
+        assert len(ids) == 44 and not any(found)
+        assert counts == [2] * 44
+
+    def test_a_worker_per_part_of_bytes(self, pool_corpus, monkeypatch):
+        size = sum(os.path.getsize(path) for path in pool_corpus)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
-        # two workers would need one utterance more than the corpus holds
-        monkeypatch.setattr(cli_mod, "_UTTERANCES_PER_WORKER", size // 2 + 1)
+        # two workers would need one byte more than the corpus holds
+        monkeypatch.setattr(cli_mod, "_BYTES_PER_PART", size // 2 + 1)
         assert engine_pids(pool_corpus) == {os.getpid()}
-        monkeypatch.setattr(cli_mod, "_UTTERANCES_PER_WORKER", size // 2)
+        monkeypatch.setattr(cli_mod, "_BYTES_PER_PART", size // 2)
         assert os.getpid() not in engine_pids(pool_corpus)
 
     @pytest.mark.skipif(
@@ -831,7 +881,7 @@ class TestWorkers:
         reason="needs two CPUs",
     )
     def test_workers_run_on_cpus_of_their_own(self, pool_corpus, monkeypatch):
-        monkeypatch.setattr(cli_mod, "_UTTERANCES_PER_WORKER", 1)
+        monkeypatch.setattr(cli_mod, "_BYTES_PER_PART", 1)
         args = cli_mod._build_parser().parse_args(["analyze", *pool_corpus])
         masks = dict(
             cli_mod._run_engine(args, lambda reports, _: (os.getpid(), os.sched_getaffinity(0)))
@@ -902,9 +952,9 @@ def boom(discourse):
     "case", ["success", "diagnostic-in-last-share", "job-raises", "closed-early"]
 )
 def test_no_descriptor_is_left_open(case, cpus, pool_corpus, tmp_path, monkeypatch, capsys):
-    # the first file, of 42 discourses, is read back from its descriptor;
-    # a file left open warns only when its object is collected, which a
-    # traceback can put off, so the descriptors are counted
+    # each process opens each file by path to walk it; a file left open
+    # warns only when its object is collected, which a traceback can put
+    # off, so the descriptors are counted
     paths = list(pool_corpus)
     if case == "diagnostic-in-last-share":
         data = json.loads(fixture_text("device_lineup"))
@@ -918,26 +968,73 @@ def test_no_descriptor_is_left_open(case, cpus, pool_corpus, tmp_path, monkeypat
         assert code == (0 if case == "success" else 1)
     elif case == "job-raises":
         with pytest.raises(Boom):
-            cli_mod._run_shares(paths, boom)
+            cli_mod._run_parts(paths, boom)
     else:
-        results = cli_mod._run_shares(paths, lambda discourse: discourse.id)
+        results = cli_mod._run_parts(paths, lambda discourse: discourse.id)
         assert next(results) == "golden-0"
         results.close()
     assert open_descriptors() == before
 
 
-def test_files_past_half_the_descriptors_are_read_whole(tmp_path, monkeypatch, capsys):
-    discourses = json.loads(topic_cues_text(8))["discourses"]
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_more_files_than_the_descriptor_limit(cpus, tmp_path, capsys):
+    # in a child interpreter whose own soft limit on open descriptors is
+    # below the number of files: each process holds one file at a time
+    discourses = json.loads(topic_cues_text(40))["discourses"]
+    whole = tmp_path / "whole.centering.json"
+    whole.write_text(json.dumps({"discourses": discourses}), encoding="utf-8")
     paths = []
-    for k in range(4):
+    for k, discourse in enumerate(discourses):
         paths.append(str(tmp_path / f"part-{k}.centering.json"))
-        Path(paths[-1]).write_text(json.dumps(discourses[2 * k : 2 * k + 2]), encoding="utf-8")
-    want = run_cli(capsys, "analyze", "--format", "machine", *paths)
-    monkeypatch.setattr(os, "sysconf", lambda name: 4)
-    with indexed(paths) as (_, raw, opened):
-        assert [fh.closed for fh in opened] == [False, False, True, True]
-    assert [type(r.source) for r in raw] == [int] * 4 + [str] * 4
-    assert run_cli(capsys, "analyze", "--format", "machine", *paths) == want
+        Path(paths[-1]).write_text(json.dumps([discourse]), encoding="utf-8")
+    want = run_cli(capsys, "analyze", "--format", "machine", str(whole))
+    proc = run_python(
+        "import os, resource, sys\n"
+        "import centering.cli as cli\n"
+        "hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_NOFILE, (16, hard))\n"
+        "cli._BYTES_PER_PART = 1\n"
+        f"os.sched_getaffinity = lambda pid: set(range({cpus}))\n"
+        "os.sched_setaffinity = lambda pid, cpus: None\n"
+        f"sys.exit(cli.main(['analyze', '--format', 'machine', *{paths!r}]))\n"
+    )
+    assert len(paths) > 16
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("change", ["rewritten-in-place", "replaced", "grown"])
+def test_a_file_changed_after_it_was_sized_fails(
+    change, cpus, pool_corpus, tmp_path, monkeypatch, capsys
+):
+    paths = []
+    for path in pool_corpus:
+        paths.append(str(tmp_path / Path(path).name))
+        Path(paths[-1]).write_bytes(Path(path).read_bytes())
+    target = paths[0]
+    # an hour old, so that any rewrite during the run has another time
+    an_hour_ago = time.time_ns() - 3600 * 10**9
+    os.utime(target, ns=(an_hour_ago, an_hour_ago))
+    real = cli_mod._size
+
+    def size_then_change(path):
+        sized = real(path)
+        if path == target:
+            data = Path(path).read_bytes()
+            if change == "rewritten-in-place":
+                with open(path, "r+b") as fh:
+                    fh.write(data.replace(b'"golden-0"', b'"golden-X"', 1))
+            elif change == "replaced":
+                Path(path + ".new").write_bytes(data)
+                os.replace(path + ".new", path)
+            else:
+                Path(path).write_bytes(data + b"\n")
+        return sized
+
+    monkeypatch.setattr(cli_mod, "_size", size_then_change)
+    with_cpus(monkeypatch, cpus)
+    code, out, err = run_cli(capsys, "analyze", *paths)
+    assert (code, out, err) == (1, "", f"error: {target}: changed after the command began\n")
 
 
 def test_memory_grows_with_the_text_not_the_decoded_corpus(tmp_path, monkeypatch, capsys):
@@ -971,7 +1068,7 @@ def test_the_parent_holds_one_worker_result_at_a_time(pool_corpus, monkeypatch):
     with_cpus(monkeypatch, 3)
     tracemalloc.start()
     try:
-        results = cli_mod._run_shares(pool_corpus, lambda discourse: "x" * 200_000)
+        results = cli_mod._run_parts(pool_corpus, lambda discourse: "x" * 200_000)
         # from here on: reading the files peaks at their first windows
         tracemalloc.reset_peak()
         sizes = []

@@ -1,5 +1,6 @@
 """Corpus parsing, serialization, diagnostics, and report round-trips."""
 
+import io
 import json
 import os
 import random
@@ -27,8 +28,7 @@ from centering.corpus import (
     FIXTURE_NAMES,
     build_discourse,
     fixture_text,
-    read_document,
-    read_file,
+    walk,
 )
 from synth import serialize_corpus
 
@@ -501,6 +501,9 @@ def reader_document(case):
         return f'{{"source": {{"discourses": 3}}, "discourses": {body}, "notes": ["x"]}}', ids
     if case == "repeated-discourses-key":
         return f'{{"discourses": {body}, "discourses": []}}', []
+    if case == "discourses-key-replaces-bad-ones":
+        # the first list's bad element and repeated id are not the document's
+        return f'{{"discourses": [{a}, 5, {a}], "discourses": [{b}, {c}]}}', ids[1:]
     if case == "empty-list":
         return "[]", []
     if case == "element-not-an-object":
@@ -545,6 +548,7 @@ READER_CASES = (
     "bare-list",
     "keys-around-discourses",
     "repeated-discourses-key",
+    "discourses-key-replaces-bad-ones",
     "empty-list",
     "element-not-an-object",
     "discourses-not-a-list",
@@ -586,16 +590,16 @@ class TestReader:
     def test_a_blank_document_reads_as_no_discourses(self, text):
         # any text that str.isspace() accepts, as str.strip() emptied it
         # before; an empty list is JSON and reads alike
-        assert read_document(text) == []
+        assert list(walk(text)) == []
 
     def test_space_outside_json_before_a_document_is_malformed(self):
         with pytest.raises(CorpusFormatError) as exc:
-            read_document("\u3000[]")
+            list(walk("\u3000[]"))
         assert [v.code for v in exc.value.diagnostics] == ["malformed-json"]
 
     def test_reading_does_not_copy_the_text(self):
         # a text ending in a newline, as every generated corpus does, is
-        # walked in place: the peak is one decoded discourse and the index
+        # walked in place: the peak is a decoded discourse or two
         gen = load_corpus_gen()
         rng = random.Random("read-document")
         discourses = [gen.topic_cue_discourse(rng, f"tc-{k}", 30) for k in range(120)]
@@ -603,12 +607,25 @@ class TestReader:
         assert text.endswith("\n") and text.isascii() and len(text) > 1_000_000
         tracemalloc.start()
         try:
-            raw = read_document(text)
+            raw = [r for r, _ in walk(text)]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(raw) == 120
         assert peak < 0.3 * len(text), f"peak {peak / len(text):.2f}x the text"
+
+    @pytest.mark.parametrize("source", ["text", "stream"])
+    def test_the_walk_holds_no_discourse_it_handed_over(self, source):
+        # while the caller builds and runs a discourse, the decoded JSON is
+        # held by the caller's own name and getrefcount's argument alone
+        text = topic_cues_text(5)
+        counts = []
+        for r, item in walk(text if source == "text" else io.BytesIO(text.encode())):
+            discourse, _ = build_discourse(r, item)
+            counts.append(sys.getrefcount(item))
+            run_corpus([discourse])
+            counts.append(sys.getrefcount(item))
+        assert counts == [2] * 10
 
 
 #: Utterance texts whose UTF-8 takes three bytes a character.
@@ -685,35 +702,29 @@ def corpus_files(draw):
     return data
 
 
+def walked(source):
+    """What walking `source` gives: each discourse, but for its JSON, and
+    what building it gives; or (None, None) where the discourses before are
+    replaced; or the error that ends the walk."""
+    try:
+        return "read", [
+            (None, None) if r is None else (r, build_discourse(r, item))
+            for r, item in walk(source)
+        ]
+    except UnicodeDecodeError as exc:
+        return "not UTF-8", exc.start, exc.reason
+    except CorpusFormatError as exc:
+        return "format error", exc.diagnostics
+
+
 def read_as_text(path):
-    """A corpus file read whole as text and indexed by `read_document`, its
-    discourses built: the outcome `read_file` must give."""
+    """A corpus file read whole as text and walked: the outcome a walk of
+    the file must give."""
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         return "not UTF-8", exc.start, exc.reason
-    try:
-        raw = read_document(text)
-    except CorpusFormatError as exc:
-        return "format error", exc.diagnostics
-    return "read", [r[:4] for r in raw], list(map(build_discourse, raw))
-
-
-def read_by_window(path):
-    """A corpus file indexed by `read_file` and its discourses built, as
-    `read_as_text` gives them, with the source of each discourse."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        try:
-            raw = read_file(fd)
-        except UnicodeDecodeError as exc:
-            return ("not UTF-8", exc.start, exc.reason), None
-        except CorpusFormatError as exc:
-            return ("format error", exc.diagnostics), None
-        sources = ["fd" if r.source == fd else r.source for r in raw]
-        return ("read", [r[:4] for r in raw], list(map(build_discourse, raw))), sources
-    finally:
-        os.close(fd)
+    return walked(text)
 
 
 @settings(
@@ -724,32 +735,26 @@ def read_by_window(path):
 @given(data=corpus_files(), whole=st.integers(0, 64), step=st.integers(1, 48))
 def test_a_file_reads_through_any_window_as_its_text_reads(data, whole, step, tmp_path):
     # windows of a few dozen bytes, so that discourses and characters of
-    # several bytes straddle their edges
+    # several bytes straddle their edges; a file and a buffer alike
     path = tmp_path / "corpus.centering.json"
     path.write_bytes(data)
     want = read_as_text(path)
     with mock.patch.object(corpus_mod, "_WHOLE", whole), mock.patch.object(
         corpus_mod, "_READ", step
     ):
-        got, sources = read_by_window(path)
-    assert got == want
-    if want[0] == "read" and len(want[1]) > 1:
-        # read back from the file, not from a text read whole
-        assert sources == ["fd"] * len(want[1])
-    elif want[0] == "read" and want[1]:
-        assert sources == [None]
+        with open(path, "rb", buffering=0) as fh:
+            assert walked(fh) == want
+        assert walked(io.BytesIO(data)) == want
 
 
-def index_by_window(path, step):
-    """`read_file` of the file at `path` through windows of `step` bytes."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        with mock.patch.object(corpus_mod, "_WHOLE", 0), mock.patch.object(
-            corpus_mod, "_READ", step
-        ):
-            return fd, read_file(fd)
-    finally:
-        os.close(fd)
+def walk_by_window(path, step):
+    """The discourses of the file at `path`, walked through windows of
+    `step` bytes."""
+    with mock.patch.object(corpus_mod, "_WHOLE", 0), mock.patch.object(
+        corpus_mod, "_READ", step
+    ):
+        with open(path, "rb", buffering=0) as fh:
+            return [r for r, _ in walk(fh)]
 
 
 def _edge_documents():
@@ -773,13 +778,9 @@ def test_a_number_cut_at_a_window_edge_is_decoded_again(case, tmp_path):
     text = EDGE_DOCUMENTS[case]
     path = tmp_path / "corpus.centering.json"
     path.write_text(text, encoding="utf-8")
-    want = [r[:4] for r in read_document(text)]
+    want = [r for r, _ in walk(text)]
     for step in range(1, 65):
-        fd, raw = index_by_window(path, step)
-        assert [r[:4] for r in raw] == want, step
-        # every discourse is read back from the file, none from a text
-        # read whole
-        assert [r.source for r in raw] == [fd] * len(want), step
+        assert walk_by_window(path, step) == want, step
 
 
 @pytest.mark.parametrize(
@@ -793,14 +794,24 @@ def test_a_number_cut_at_a_window_edge_is_decoded_again(case, tmp_path):
 def test_a_bad_top_level_key_is_malformed(text, diag, tmp_path):
     want = [f"{diag} [malformed-json]"]
     with pytest.raises(CorpusFormatError) as exc:
-        read_document(text)
+        list(walk(text))
     assert list(map(str, exc.value.diagnostics)) == want
     path = tmp_path / "corpus.centering.json"
     path.write_text(text, encoding="utf-8")
     for step in range(1, 9):
         with pytest.raises(CorpusFormatError) as exc:
-            index_by_window(path, step)
+            walk_by_window(path, step)
         assert list(map(str, exc.value.diagnostics)) == want, step
+
+
+class CountedReads(io.BytesIO):
+    """A buffer that counts the reads of its whole rest."""
+
+    whole_reads = 0
+
+    def read(self, size=-1):
+        self.whole_reads += size is None or size < 0
+        return super().read(size)
 
 
 @pytest.mark.parametrize("case", ["truncated", "utf8-bom", "no-discourses"])
@@ -811,49 +822,39 @@ def test_a_rejected_file_is_walked_once(case, tmp_path):
         "utf8-bom": "\ufeff" + text,
         "no-discourses": json.dumps({"meta": json.loads(text)["discourses"]}),
     }[case]
-    path = tmp_path / "corpus.centering.json"
-    path.write_text(data, encoding="utf-8")
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        with mock.patch.object(corpus_mod, "_walk", wraps=corpus_mod._walk) as walk:
-            with pytest.raises(CorpusFormatError) as exc:
-                read_file(fd)
-        where = os.lseek(fd, 0, os.SEEK_CUR)
-    finally:
-        os.close(fd)
-    assert walk.call_count == 1
+    stream = CountedReads(data.encode("utf-8"))
+    with mock.patch.object(corpus_mod, "_Window", wraps=corpus_mod._Window) as window:
+        with pytest.raises(CorpusFormatError) as exc:
+            list(walk(stream))
+    assert window.call_count == 1
     if case == "no-discourses":
         assert list(map(str, exc.value.diagnostics)) == [
             "$: expected a 'discourses' list [malformed-structure]"
         ]
-        # the window reads by offset and leaves the file where it stands:
-        # the file was not read again as text
-        assert where == 0
+        # the walk itself found the shape: the file was not read again
+        assert stream.whole_reads == 0
     else:
         assert [v.code for v in exc.value.diagnostics] == ["malformed-json"]
-        # read whole as text, once, to name the error
-        assert where == len(data.encode("utf-8"))
+        # read whole, once, to name the error
+        assert stream.whole_reads == 1
 
 
 def test_a_fault_of_the_window_walk_is_raised(tmp_path, monkeypatch, capsys):
     # a window that loses a byte of each read of a file: the walk fails on a
-    # valid document, and nothing falls back to reading the file whole
+    # valid document, and nothing falls back to reading the file another way
     more = corpus_mod._Window.more
 
     def lossy_more(self):
         if not self.done:
-            self.read += 1
+            self.source.seek(1, os.SEEK_CUR)
         return more(self)
 
     monkeypatch.setattr(corpus_mod._Window, "more", lossy_more)
     path = tmp_path / "corpus.centering.json"
     path.write_text(topic_cues_text(3), encoding="utf-8")
-    fd = os.open(path, os.O_RDONLY)
-    try:
+    with open(path, "rb", buffering=0) as fh:
         with pytest.raises(ValueError) as exc:
-            read_file(fd)
-    finally:
-        os.close(fd)
+            list(walk(fh))
     assert not isinstance(exc.value, CorpusFormatError)
     with_cpus(monkeypatch, 1)
     code, out, err = run_cli(capsys, "analyze", str(path))
@@ -861,17 +862,20 @@ def test_a_fault_of_the_window_walk_is_raised(tmp_path, monkeypatch, capsys):
     assert err.startswith("internal error: ")
 
 
-def test_a_pipe_is_read_whole(tmp_path):
+def test_a_pipe_is_read_whole(tmp_path, monkeypatch, capsys):
+    # by the parent, once, and walked from its bytes by every process
     text = topic_cues_text(3)
-    read_end, write_end = os.pipe()
-    with open(write_end, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    try:
-        raw = read_file(read_end)
-    finally:
-        os.close(read_end)
-    assert raw == read_document(text)
-    assert {r.source for r in raw} == {raw[0].source} and type(raw[0].source) is str
+    path = tmp_path / "corpus.centering.json"
+    path.write_text(text, encoding="utf-8")
+    for cpus in (1, 3):
+        with_cpus(monkeypatch, cpus)
+        want = run_cli(capsys, "analyze", "--format", "machine", str(path))
+        read_end, write_end = os.pipe()
+        with open(write_end, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with open(read_end, "rb") as fh:
+            got = run_cli(capsys, "analyze", "--format", "machine", f"/dev/fd/{fh.fileno()}")
+        assert got == want and want[0] == 0
 
 
 def test_fixture_names_constant_matches_tests():

@@ -202,9 +202,9 @@ def reference_retrieve(history, zero, u, entities, cf_prev, prev_tense):
     """Former-Cb retrieval as two bodies, one for singular and one for plural
     zeros, each with its own agreement and lexical filters: the reference
     that `global_retrieve` must agree with."""
+    wanted = zero.constraints.compatible_types if zero.constraints else frozenset()
 
     def compatible(members):
-        wanted = zero.compatible_types
         if wanted and any(not (m.semantic_types & wanted) for m in members):
             return False
         required = zero.required_cardinality
@@ -231,7 +231,6 @@ def reference_retrieve(history, zero, u, entities, cf_prev, prev_tense):
         if len(kept) < len(candidates):
             cues.append("AGREEMENT")
         candidates = kept
-    wanted = zero.compatible_types
     if wanted:
         kept = [e for e in candidates if entities[e.entity_id].semantic_types & wanted]
         if len(kept) < len(candidates):
@@ -425,7 +424,7 @@ def test_plain_zeros_resolve_locally_and_by_retrieval():
     assert len(zeros) == 3
     for z in zeros:
         assert z.constraints is None
-        assert (z.compatible_types, z.required_cardinality) == (frozenset(), None)
+        assert z.required_cardinality is None
     rep = run_discourse(d)
     resolved = [u.resolutions for u in rep.utterances]
     assert resolved == [(), ((0, "taro"),), (), ((1, "book"), (2, "taro"))]
