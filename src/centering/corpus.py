@@ -51,44 +51,36 @@ _FORMS = {"overt": Form.OVERT_NP, "overt_np": Form.OVERT_NP, "zero": Form.ZERO}
 _TENSES = {"past": Tense.PAST, "nonpast": Tense.NONPAST}
 
 
-def _strings(value: Any) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+#: The two kinds of key that are not one JSON type, named as in diagnostics.
+_STRINGS = "a list of strings"
+_IDS = "an id or a list of ids"
 
 
-_KINDS: dict[str, Callable[[Any], bool]] = {
-    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "a string": lambda v: isinstance(v, str),
-    "a list": lambda v: isinstance(v, list),
-    "a list of strings": _strings,
-}
-
-
-def _malformed(loc: str, key: str, kind: str) -> Violation:
-    """The diagnostic of a value at `loc.key` that is not of `kind`."""
-    return Violation("malformed-structure", f"{loc}.{key}", f"'{key}' must be {kind}")
-
-
-def _get(obj: dict, key: str, kind: str, default: Any, loc: str, diags: list[Violation]) -> Any:
-    """`obj[key]` when it is of `kind`; `default` when it is absent or null,
-    or, with a diagnostic at `loc.key`, when it is of another kind."""
+def _get(
+    obj: dict, key: str, t: Union[type, str], default: Any, loc: str, diags: list[Violation]
+) -> Any:
+    """`obj[key]` when its JSON type is exactly `t`, so that a bool is not an
+    integer, or, for `t` `_STRINGS`, when it is a list of strings, and for
+    `_IDS`, a string or a list of strings. `default` when it is absent or
+    null; for any other value, `default` and a diagnostic at `loc.key` that
+    names `t` as `_JSON_NAMES` does."""
     value = obj.get(key)
     if value is None:
         return default
-    if _KINDS[kind](value):
+    if (
+        type(value) is t
+        or (t is _IDS and type(value) is str)
+        or (t in (_STRINGS, _IDS) and type(value) is list and all(type(v) is str for v in value))
+    ):
         return value
-    diags.append(_malformed(loc, key, kind))
+    kind = _JSON_NAMES.get(t, t)
+    diags.append(Violation("malformed-structure", f"{loc}.{key}", f"'{key}' must be {kind}"))
     return default
 
 
 def _tag(obj: dict, key: str, absent: str, loc: str, diags: list[Violation]) -> Optional[str]:
     """The tag name `obj[key]`: `absent` if absent or null, None if not a string (see `_get`)."""
-    value = obj.get(key)
-    if value is None:
-        return absent
-    if type(value) is str:
-        return value
-    diags.append(_malformed(loc, key, "a string"))
-    return None
+    return absent if obj.get(key) is None else _get(obj, key, str, None, loc, diags)
 
 
 def parse_corpus(text: str) -> list[Discourse]:
@@ -347,7 +339,7 @@ def build_discourse(r: RawDiscourse, item: Any) -> tuple[Optional[Discourse], li
     `r`: the discourse built (None for an element that is not an object) and
     its diagnostics, a repeated id last."""
     diags: list[Violation] = []
-    d = _parse_discourse(item, r.loc, diags)
+    d = _parse_discourse(item, r.loc, r.id, diags)
     if r.repeated:
         diags.append(repeated_id(r.loc, r.id))
     return d, diags
@@ -368,32 +360,34 @@ def _discourse_id(item: Any, loc: str) -> Optional[str]:
     return did if isinstance(did, str) and did else f"<anonymous {loc}>"
 
 
-def _parse_discourse(item: Any, loc: str, diags: list[Violation]) -> Optional[Discourse]:
-    """Build one discourse, adding its diagnostics and, under `loc`, its
-    `validate_discourse` violations. A bad field or tag takes a placeholder
-    so the rest is still checked; an element that is not an object is
-    dropped, and then validation is skipped, as positions would not match."""
-    if not isinstance(item, dict):
+def _parse_discourse(
+    item: Any, loc: str, did: Optional[str], diags: list[Violation]
+) -> Optional[Discourse]:
+    """Build one discourse under the id `did` of `_discourse_id`, adding its
+    diagnostics and, under `loc`, its `validate_discourse` violations. A bad
+    field or tag takes a placeholder so the rest is still checked; an
+    element that is not an object is dropped, and then validation is
+    skipped, as positions would not match."""
+    if did is None:
         diags.append(Violation("malformed-structure", loc, "discourse must be an object"))
         return None
-    did = _discourse_id(item, loc)
     if did != item.get("id"):
         diags.append(Violation("malformed-structure", f"{loc}.id", "missing discourse id"))
     complete = True
 
     entities: list[DiscourseEntity] = []
-    for j, ent in enumerate(_get(item, "entities", "a list", [], loc, diags)):
+    for j, ent in enumerate(_get(item, "entities", list, [], loc, diags)):
         eloc = f"{loc}.entities[{j}]"
         if not isinstance(ent, dict) or not isinstance(ent.get("id"), str):
             diags.append(Violation("malformed-structure", eloc, "entity needs an 'id'"))
             complete = False
             continue
-        types = _get(ent, "types", "a list of strings", [], eloc, diags)
-        card = _get(ent, "cardinality", "an integer", 1, eloc, diags)
+        types = _get(ent, "types", _STRINGS, [], eloc, diags)
+        card = _get(ent, "cardinality", int, 1, eloc, diags)
         entities.append(DiscourseEntity(ent["id"], frozenset(types), card))
 
     utterances: list[Utterance] = []
-    for j, utt in enumerate(_get(item, "utterances", "a list", [], loc, diags)):
+    for j, utt in enumerate(_get(item, "utterances", list, [], loc, diags)):
         uloc = f"{loc}.utterances[{j}]"
         if not isinstance(utt, dict):
             diags.append(Violation("malformed-structure", uloc, "utterance must be an object"))
@@ -407,7 +401,7 @@ def _parse_discourse(item: Any, loc: str, diags: list[Violation]) -> Optional[Di
             )
             tense = Tense.NONPAST
         expressions = []
-        for k, expr in enumerate(_get(utt, "expressions", "a list", [], uloc, diags)):
+        for k, expr in enumerate(_get(utt, "expressions", list, [], uloc, diags)):
             parsed = _parse_expression(expr, f"{uloc}.expressions[{k}]", diags)
             if parsed is None:
                 complete = False
@@ -416,10 +410,10 @@ def _parse_discourse(item: Any, loc: str, diags: list[Violation]) -> Optional[Di
         # positional, in declaration order, which keeps the diagnostics' order
         utterances.append(
             Utterance(
-                _get(utt, "index", "an integer", j, uloc, diags),
+                _get(utt, "index", int, j, uloc, diags),
                 tuple(expressions),
                 tense,
-                _get(utt, "text", "a string", None, uloc, diags),
+                _get(utt, "text", str, None, uloc, diags),
             )
         )
     discourse = Discourse(id=did, entities=tuple(entities), utterances=tuple(utterances))
@@ -451,58 +445,23 @@ def _parse_expression(
         diags.append(Violation("unknown-form", f"{loc}.form", message))
         form = Form.ZERO
 
-    # The other keys are read once each and checked here, in the order of
-    # their diagnostics, as `_get` would (`type(v) is int` rejects a bool).
-    entity = expr.get("entity")
-    if entity is not None and type(entity) is not str:
-        diags.append(_malformed(loc, "entity", "a string"))
-        entity = None
-    constraints = expr.get("constraints")
-    if type(constraints) is dict:
-        constraints = _parse_constraints(constraints, loc, diags)
-    elif constraints is not None:
-        diags.append(_malformed(loc, "constraints", "an object"))
-        constraints = None
-    pos = expr.get("pos")
-    if type(pos) is not int:
-        if pos is not None:
-            diags.append(_malformed(loc, "pos", "an integer"))
-        pos = 0
-    wa = expr.get("wa")
-    if type(wa) is not bool:
-        if wa is not None:
-            diags.append(_malformed(loc, "wa", "a boolean"))
-        wa = False
-    ga = expr.get("ga")
-    if type(ga) is not bool:
-        if ga is not None:
-            diags.append(_malformed(loc, "ga", "a boolean"))
-        ga = False
-    # positional, in declaration order
+    entity = _get(expr, "entity", str, None, loc, diags)
+    constraints = _get(expr, "constraints", dict, None, loc, diags)
+    if constraints is not None:
+        cloc = f"{loc}.constraints"
+        # positional, in declaration order, which keeps the diagnostics' order
+        constraints = ResolutionConstraints(
+            _get(constraints, "types", _STRINGS, (), cloc, diags),
+            _get(constraints, "cardinality", int, None, cloc, diags),
+            _get(constraints, "gold", _IDS, None, cloc, diags),
+        )
     return ReferringExpression(
-        None if entity == "?" else entity, form, role, pos, wa, ga, constraints
+        None if entity == "?" else entity, form, role,
+        _get(expr, "pos", int, 0, loc, diags),
+        _get(expr, "wa", bool, False, loc, diags),
+        _get(expr, "ga", bool, False, loc, diags),
+        constraints,
     )
-
-
-def _parse_constraints(
-    raw: dict, loc: str, diags: list[Violation]
-) -> ResolutionConstraints:
-    """The constraints object of the expression at `loc`, its keys read and
-    checked as in `_parse_expression`."""
-    types = raw.get("types")
-    if types is not None and not _strings(types):
-        diags.append(_malformed(f"{loc}.constraints", "types", "a list of strings"))
-        types = None
-    cardinality = raw.get("cardinality")
-    if cardinality is not None and type(cardinality) is not int:
-        diags.append(_malformed(f"{loc}.constraints", "cardinality", "an integer"))
-        cardinality = None
-    gold = raw.get("gold")
-    if gold is not None and type(gold) is not str and not _strings(gold):
-        diags.append(_malformed(f"{loc}.constraints", "gold", "an id or a list of ids"))
-        gold = None
-    # positional, in declaration order
-    return ResolutionConstraints(types or (), cardinality, gold)
 
 
 # -- reports ---------------------------------------------------------------

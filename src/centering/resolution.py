@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterator, Mapping, Optional, Sequence
+from typing import AbstractSet, Mapping, Optional, Sequence
 
 from ._record import record
 from .model import (
@@ -98,7 +98,10 @@ def form_set_candidates(
     one semantic type, with member cardinalities summing to the requirement.
     Membership in `cf_prev` refreshes an entity's recency to the predecessor
     utterance. Result is ordered by recency of the least-recent member (most
-    recent first); each set is a tuple in recency order.
+    recent first); each set is a tuple in recency order. The search relies
+    on positive cardinalities, which `validate_discourse` requires, to cut
+    the branches that cannot reach the requirement, so that it costs about
+    what its listing costs.
     """
     if required_cardinality < 2:
         raise ValueError("set-valued antecedents need required_cardinality >= 2")
@@ -112,38 +115,30 @@ def form_set_candidates(
         recency[entry.entity_id] = rec
 
     pool = sorted(recency, key=lambda eid: (-recency[eid], eid))
-    found = list(_subsets(pool, entities, required_cardinality, 0, [], 0))
+    mapped = [(eid, e) for eid in pool if (e := entities.get(eid)) is not None]
+    found: list[tuple[str, ...]] = []
+    # Depth first, in pool order: each branch is the index of the next
+    # member to try, the members chosen, their cardinality, and the types
+    # they all share (every type before the first). A branch whose members
+    # to come can no longer reach the requirement, or that overshoots it,
+    # is cut.
+    branches = [(0, (), 0, frozenset().union(*(e.semantic_types for _, e in mapped)))]
+    while branches:
+        start, chosen, total, shared = branches.pop()
+        fit = [
+            (i, eid, e)
+            for i, (eid, e) in enumerate(mapped[start:], start)
+            if shared & e.semantic_types
+        ]
+        rest = sum(e.cardinality for _, _, e in fit)
+        for i, eid, e in fit:
+            if total + rest < required_cardinality:
+                break
+            rest -= e.cardinality
+            size = total + e.cardinality
+            if size == required_cardinality and chosen:
+                found.append((*chosen, eid))
+            elif size < required_cardinality:
+                branches.append((i + 1, (*chosen, eid), size, shared & e.semantic_types))
     found.sort(key=lambda members: (-min(recency[m] for m in members), members))
     return found
-
-
-def _subsets(
-    pool: Sequence[str],
-    entities: Mapping[str, DiscourseEntity],
-    required: int,
-    start: int,
-    chosen: list[str],
-    total: int,
-) -> Iterator[tuple[str, ...]]:
-    """The sets of two or more type-sharing members of `pool[start:]` that
-    extend `chosen` (of cardinality `total`) to `required`, depth first in
-    pool order. A module function, not a closure: a recursive closure is a
-    reference cycle that only the garbage collector frees."""
-    if total == required and len(chosen) >= 2:
-        yield tuple(chosen)
-    if total >= required:
-        return
-    for i in range(start, len(pool)):
-        eid = pool[i]
-        entity = entities.get(eid)
-        if entity is None:
-            continue
-        if chosen:
-            shared = entities[chosen[0]].semantic_types
-            for cid in chosen[1:]:
-                shared = shared & entities[cid].semantic_types
-            if not (shared & entity.semantic_types):
-                continue
-        yield from _subsets(
-            pool, entities, required, i + 1, chosen + [eid], total + entity.cardinality
-        )

@@ -237,6 +237,26 @@ class TestResolve:
             '"discourse": "device-lineup", "pos": 0, "utterance": 5}'
         )
 
+    def test_a_set_of_a_thousand_former_centers(self, tmp_path, capsys):
+        # each utterance makes the last one's subject its Cb; the plural
+        # zero then needs all 1000 former centers, found without recursion
+        n = 1000
+        utterances = [{"index": 0, "expressions": [{"entity": "e0", "role": "subject"}]}]
+        for k in range(1, n + 1):
+            subject = {"entity": f"e{k}", "role": "subject", "pos": 0}
+            previous = {"entity": f"e{k - 1}", "role": "object", "pos": 1}
+            utterances.append({"index": k, "expressions": [subject, previous]})
+        constraints = {"types": ["thing"], "cardinality": n}
+        zero = {"form": "zero", "role": "subject", "constraints": constraints}
+        utterances.append({"index": n + 1, "expressions": [zero]})
+        entities = [{"id": f"e{k}", "types": ["thing"]} for k in range(n + 1)]
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps([{"id": "d", "entities": entities, "utterances": utterances}]))
+        code, out, err = run_cli(capsys, "resolve", "--format", "machine", str(path))
+        assert (code, err) == (0, "")
+        last = json.loads(out.splitlines()[-1])
+        assert last["antecedent"] == sorted(f"e{k}" for k in range(n))
+
 
 class TestValidateAndErrors:
     def test_valid_corpus_exit_zero(self, corpus_file, capsys):

@@ -222,10 +222,30 @@ class TestTagDiagnostics:
         assert parse_corpus(text) == parse_corpus(_one_expression())
 
 
+#: A value of each JSON type but null, which reads as absent.
+WRONG_VALUES = {
+    "string": "1", "integer": 1, "float": 1.0, "boolean": True,
+    "list": [1], "object": {"a": 1},
+}
+
+#: The keys of a discourse, an entity and an utterance: where the key sits,
+#: its kind, and the types of `WRONG_VALUES` that are of that kind.
+CONTAINER_KEYS = {
+    "entities": ("discourses[0]", "a list", {"list"}),
+    "utterances": ("discourses[0]", "a list", {"list"}),
+    "types": ("discourses[0].entities[0]", "a list of strings", set()),
+    "cardinality": ("discourses[0].entities[0]", "an integer", {"integer"}),
+    "index": ("discourses[0].utterances[0]", "an integer", {"integer"}),
+    "text": ("discourses[0].utterances[0]", "a string", {"string"}),
+    "expressions": ("discourses[0].utterances[0]", "a list", {"list"}),
+}
+
+
 class TestKeyDiagnostics:
-    """Every other key of an expression has one type too. A value of another
-    type gives one malformed-structure diagnostic at its key, and the key
-    reads as absent; several bad keys are listed in a fixed order."""
+    """Every other key of a discourse, an entity, an utterance or an
+    expression has one type too. A value of another type gives one
+    malformed-structure diagnostic at its key, and the key reads as absent;
+    several bad keys are listed in a fixed order."""
 
     EXPR = "discourses[0].utterances[0].expressions[0]"
 
@@ -291,6 +311,36 @@ class TestKeyDiagnostics:
         absent["discourses"][0]["utterances"][0]["expressions"][0].pop(key, None)
         null = _one_expression(expression={"form": "zero", key: None})
         assert parse_corpus(null) == parse_corpus(json.dumps(absent))
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            (key, value)
+            for key, (_, _, ok) in CONTAINER_KEYS.items()
+            for value in WRONG_VALUES
+            if value not in ok
+        ],
+        ids=lambda x: x,
+    )
+    def test_a_container_key_of_the_wrong_type_is_malformed(self, key, value):
+        where, kind, _ = CONTAINER_KEYS[key]
+        entity = {"id": "a", "types": ["person"], "cardinality": 1}
+        utterance = {"index": 0, "tense": "past", "text": "t", "expressions": []}
+        discourse = {"id": "d", "entities": [entity], "utterances": [utterance]}
+        owner = {
+            "discourses[0]": discourse,
+            "discourses[0].entities[0]": entity,
+            "discourses[0].utterances[0]": utterance,
+        }
+        owner[where][key] = WRONG_VALUES[value]
+        with pytest.raises(CorpusFormatError) as err:
+            parse_corpus(json.dumps({"discourses": [discourse]}))
+        got = [(d.code, d.location, d.message) for d in err.value.diagnostics]
+        malformed = [g for g in got if g[0] == "malformed-structure"]
+        assert malformed == [("malformed-structure", f"{where}.{key}", f"'{key}' must be {kind}")]
+        # an entity without types is also invalid; nothing else follows
+        others = [g[0] for g in got if g[0] != "malformed-structure"]
+        assert others == (["empty-semantic-types"] if key == "types" else [])
 
 
 class TestRoundTrips:

@@ -434,6 +434,35 @@ def test_plain_zeros_resolve_locally_and_by_retrieval():
     assert (r.position, r.value, r.cues, r.candidates) == (2, "taro", (CUE_TENSE,), ("book", "taro"))
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="global_retrieve offers entities that the utterance realizes overtly "
+    "and antecedents that other zeros of the reading have claimed",
+)
+def test_retrieval_skips_overt_and_claimed_entities():
+    """Local resolution passes over the entities an utterance realizes overtly
+    and those other zeros of the same reading have claimed; retrieval should
+    too. In u3, the first zero claims book, the one local candidate, and the
+    second goes to the former centers book and taro: only taro is left."""
+
+    def expr(role, pos, entity=None):
+        form = {"entity": entity} if entity else {"form": "zero"}
+        return {**form, "role": role, "pos": pos}
+
+    utterances = [
+        [expr("subject", 0, "taro"), expr("object", 1, "hanako")],
+        [expr("subject", 0), expr("object", 1, "book")],
+        [expr("subject", 0, "book")],
+        [expr("subject", 0, "hanako"), expr("others", 1), expr("others", 2)],
+    ]
+    utterances = [{"index": i, "expressions": x} for i, x in enumerate(utterances)]
+    entities = [{"id": e, "types": ["thing"]} for e in ("taro", "hanako", "book")]
+    text = json.dumps([{"id": "plain", "entities": entities, "utterances": utterances}])
+    (d,) = parse_corpus(text)
+    last = run_discourse(d).utterances[3]
+    assert last.resolutions == ((1, "book"), (2, "taro"))
+
+
 @pytest.mark.parametrize(
     "given, name",
     [

@@ -1,5 +1,8 @@
 """Compatibility checks, local resolution, and set-candidate formation."""
 
+import itertools
+from collections.abc import Mapping
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -154,8 +157,6 @@ class TestFormSetCandidates:
 
     def test_oracle_agreement_on_random_pools(self):
         # independent oracle: nested loops over all index pairs
-        import itertools
-
         h = history(("rie", 9), ("cvd", 7), ("etching", 4), ("s-metal", 2))
         got = form_set_candidates(h, [], 2, self.ENTITIES, 10)
         oracle = set()
@@ -181,3 +182,68 @@ class TestFormSetCandidates:
         h = history(("pair", 3), ("solo", 2), ("trio", 1))
         got = form_set_candidates(h, [], 3, pool, 4)
         assert got == [("pair", "solo")]
+
+
+def all_sets(history, cf_prev, required, entities, current_index):
+    """Brute force: every combination of two or more mapped former centers
+    that shares a type and sums to `required`, in the documented order."""
+    recency = {}
+    for e in history:
+        refreshed = e.entity_id in cf_prev
+        recency[e.entity_id] = max(e.index, current_index - 1) if refreshed else e.index
+    pool = sorted((eid for eid in recency if eid in entities), key=lambda eid: (-recency[eid], eid))
+    found = [
+        members
+        for size in range(2, len(pool) + 1)
+        for members in itertools.combinations(pool, size)
+        if sum(entities[m].cardinality for m in members) == required
+        and frozenset.intersection(*(entities[m].semantic_types for m in members))
+    ]
+    return sorted(found, key=lambda members: (-min(recency[m] for m in members), members))
+
+
+@st.composite
+def set_searches(draw):
+    ids = draw(st.lists(st.sampled_from("abcdefghi"), unique=True, max_size=8))
+    history = tuple(CbHistoryEntry(eid, draw(st.integers(0, 9))) for eid in ids)
+    types = st.lists(st.sampled_from(["person", "device", "place"]), min_size=1, unique=True)
+    entities = {
+        eid: entity(eid, *draw(types), cardinality=draw(st.integers(1, 3)))
+        for eid in ids
+        if draw(st.booleans()) or draw(st.booleans())  # about one in four left out
+    }
+    cf_prev = draw(st.lists(st.sampled_from("abcdefghij"), unique=True, max_size=4))
+    return history, cf_prev, draw(st.integers(2, 7)), entities, 10
+
+
+class CountedEntities(Mapping):
+    """A read-only entity map that counts its lookups."""
+
+    def __init__(self, entities):
+        self.entities, self.lookups = entities, 0
+
+    def __getitem__(self, eid):
+        self.lookups += 1
+        return self.entities[eid]
+
+    def __iter__(self):
+        return iter(self.entities)
+
+    def __len__(self):
+        return len(self.entities)
+
+
+class TestSetSearch:
+    @given(set_searches())
+    def test_equals_brute_force(self, search):
+        assert form_set_candidates(*search) == all_sets(*search)
+
+    def test_all_of_n_costs_a_listing_not_a_subset_walk(self):
+        # the one set of all 16 same-typed centers; a search that cannot
+        # see that a branch falls short walks about 2^16 branches
+        n = 16
+        entities = CountedEntities({f"e{k:02}": entity(f"e{k:02}", "device") for k in range(n)})
+        h = history(*((f"e{k:02}", n - k) for k in range(n)))
+        got = form_set_candidates(h, [], n, entities, n + 1)
+        assert got == [tuple(f"e{k:02}" for k in range(n))]
+        assert entities.lookups <= 4 * n * n
