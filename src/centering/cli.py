@@ -10,7 +10,7 @@ Every command spreads a large corpus over the CPUs in the process's
 affinity mask. The parent only sizes the files: it stats each one, and
 reads a file that is not regular, such as a pipe, once; it opens no regular
 file. Forked workers, one per CPU and per `_BYTES_PER_PART` bytes of
-corpus, each take a contiguous part of the corpus by position. A worker
+corpus, each take a contiguous part of the corpus by byte position. A worker
 opens each regular file by path, checks that it is the file the parent
 sized, and walks every file once (`corpus.walk`), holding a small window of
 it and one decoded discourse at a time: it builds, validates, runs and

@@ -6,6 +6,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
 from .model import (
+    _ZERO,
     CfList,
     EffectiveRole,
     Resolution,
@@ -34,7 +35,7 @@ def rank_cf(
     # best (role, position) seen per realized entity
     best: dict[str, tuple[int, int]] = {}
     for expr in u.expressions:
-        if expr.is_zero:
+        if expr.form is _ZERO:
             value = resolutions.get(expr.surface_position)
             if value is None:
                 continue
@@ -43,12 +44,15 @@ def rank_cf(
             members = (expr.entity_ref,)
         else:
             continue
-        seen = (expr.role.rank, expr.surface_position)
+        seen = (int(expr.role), expr.surface_position)
         for member in members:
             cur = best.get(member)
             if cur is None or seen < cur:
                 best[member] = seen
 
+    if len(best) == 1:
+        ((entity_id, (rank, _pos)),) = best.items()
+        return ((entity_id, _ROLE_OF_RANK[rank]),)
     ordered = sorted(best.items(), key=itemgetter(1))
     return tuple([(entity_id, _ROLE_OF_RANK[rank]) for entity_id, (rank, _pos) in ordered])
 

@@ -146,7 +146,7 @@ class RawDiscourse(NamedTuple):
     """A discourse of a document as the walk meets it, not yet built: its
     location; its id, None for an element that is not an object; whether an
     earlier discourse of the same list has that id; and where its middle
-    lies in the document, in characters."""
+    lies in the document, in bytes of UTF-8."""
 
     loc: str
     id: Optional[str]
@@ -170,14 +170,15 @@ _READ = 64 * 1024
 
 class _Window:
     """A JSON document as the walk sees it: `text`, the part of it in hand;
-    `at`, the walk's position there; and `base`, the characters before the
-    window. A text is in hand whole. A binary stream is read from its start
-    through a window: the walk takes each read of it as it passes the end of
-    the window, which then drops what the walk has passed."""
+    `at`, the walk's position there; and `mark`, a position there at or
+    before `at`, with `offset`, the bytes of the document before it. A text
+    is in hand whole. A binary stream is read from its start through a
+    window: the walk takes each read of it as it passes the end of the
+    window, which then drops what the walk has passed."""
 
     def __init__(self, source: Union[str, BinaryIO]):
         self.source = source
-        self.at = self.base = 0
+        self.at = self.mark = self.offset = 0
         if type(source) is str:
             self.text, self.done = source, True
         else:
@@ -192,7 +193,7 @@ class _Window:
         the walk has passed; False at the end of the document."""
         if self.done:
             return False
-        self.base += self.at
+        self.position()  # counts the bytes the window drops
         rest = self.text[self.at :]
         self.text = ""
         size = max(self.step, len(rest))
@@ -200,8 +201,22 @@ class _Window:
         self.done = len(data) < size  # a file or a buffer reads short only at its end
         piece = self.decoder.decode(data, self.done)
         del data
-        self.text, self.at = rest + piece, 0
+        self.text, self.at, self.mark = rest + piece, 0, 0
         return True
+
+    def position(self) -> int:
+        """The walk's position in bytes of UTF-8 from the start of the
+        document, which moves `mark` there. Each stretch between two marks
+        is encoded once, and an ASCII window (`str.isascii`, which reads a
+        flag of the string) not at all."""
+        text, at = self.text, self.at
+        if text.isascii():
+            self.offset += at - self.mark
+        else:
+            # a text handed in may hold a lone surrogate, which counts 3
+            self.offset += len(text[self.mark : at].encode("utf-8", "surrogatepass"))
+        self.mark = at
+        return self.offset
 
     def skip(self) -> str:
         """Move past JSON whitespace, and return the character there, or ""
@@ -315,10 +330,10 @@ def _discourses(src: _Window) -> Iterator[_Walked]:
 def _discourse(src: _Window, loc: str, seen_ids: set[str]) -> _Walked:
     """The discourse at the walk's position, at `loc`, and its JSON."""
     src.skip()
-    start = src.base + src.at
+    start = src.position()
     item = src.value()
     did = _discourse_id(item, loc)
-    raw = RawDiscourse(loc, did, did in seen_ids, (start + src.base + src.at) // 2)
+    raw = RawDiscourse(loc, did, did in seen_ids, (start + src.position()) // 2)
     if did is not None:
         seen_ids.add(did)
     return raw, item

@@ -19,7 +19,6 @@ from .hypotheses import (
     rank_key,
 )
 from .model import (
-    _ZTA_CONTINUE,
     CbHistory,
     CbHistoryEntry,
     CenteringHypothesis,
@@ -42,17 +41,25 @@ from .resolution import (
     local_resolution,
 )
 
+#: The preference ranks that gate retrieval (`coherence_step`).
+_RETAIN_RANK = TransitionLabel.RETAIN.preference_rank
+_ROUGH_SHIFT_RANK = TransitionLabel.ROUGH_SHIFT.preference_rank
+
 
 def push_cb(history: CbHistory, cb: str, index: int, past_tense: bool = False) -> CbHistory:
     """Record `cb` as the center of utterance `index`.
 
     Returns a new history with the entry at the front; an older entry for the
-    same entity collapses into it (keeping a sticky past-tense flag).
+    same entity collapses into it (keeping a sticky past-tense flag). The
+    entries of `history` name distinct entities, as this function leaves
+    them, so a Cb already at the front is the only entry for it.
     """
-    if history and index < history[0].index:
-        raise ValueError(
-            f"history indices must be non-decreasing: {index} after {history[0].index}"
-        )
+    if history:
+        head = history[0]
+        if index < head.index:
+            raise ValueError(f"history indices must be non-decreasing: {index} after {head.index}")
+        if head.entity_id == cb:
+            return (CbHistoryEntry(cb, index, past_tense or head.past_tense), *history[1:])
     flag = past_tense
     kept = []
     for entry in history:
@@ -234,6 +241,10 @@ def _view(h: CenteringHypothesis) -> HypothesisView:
     )
 
 
+#: The outcome of every reading of an utterance without zeros.
+_NO_ZEROS = ResolutionOutcome()
+
+
 def _resolve_locally(
     parent: CenteringHypothesis,
     u: Utterance,
@@ -242,7 +253,13 @@ def _resolve_locally(
 ) -> ResolutionOutcome:
     """Resolve `zeros`, the zeros of `u` most salient first, against the
     parent's Cf, each claim excluding earlier ones."""
+    if not zeros:
+        return _NO_ZEROS
     cf_prev = parent.cf_ids
+    if len(zeros) == 1:
+        zero = zeros[0]
+        res = local_resolution(zero, cf_prev, u, entities)
+        return ResolutionOutcome(((zero.surface_position, res.entity_id),), res.exhausted)
     assigned: dict[int, Resolution] = {}
     anomalous = False
     claimed: set[str] = set()
@@ -318,20 +335,23 @@ def coherence_step(state: DiscourseState, u: Utterance) -> DiscourseState:
     if not state.hypotheses:
         survivors = [_seed_hypothesis(u)]
     else:
-        zeros = sorted(u.zeros, key=lambda z: (z.role.rank, z.surface_position))
+        zeros = u.zeros
+        if len(zeros) > 1:
+            zeros = sorted(zeros, key=lambda z: (z.role.rank, z.surface_position))
         outcomes = [_resolve_locally(parent, u, zeros, entities) for parent in state.hypotheses]
         children = expand_hypotheses(
             state.hypotheses, u, outcomes, zta_enabled=config.zta_enabled
         )
 
-        # Local Coherence Check: retrieval is gated on the best available reading.
-        best_label = min(
-            (c.transition for c in children), key=lambda t: t.preference_rank
-        )
-        zta_available = any(c.transition is _ZTA_CONTINUE for c in children)
-        needs_global = best_label is TransitionLabel.ROUGH_SHIFT or (
-            best_label is TransitionLabel.RETAIN and not zta_available
-        )
+        # Local Coherence Check: retrieval is gated on the best available
+        # reading, a ROUGH-SHIFT, or a RETAIN with no promoted continue; a
+        # promoted reading ranks as a continue, so with one the best is not
+        # a RETAIN.
+        if len(children) == 1:
+            best = children[0].transition.preference_rank
+        else:
+            best = min([c.transition.preference_rank for c in children])
+        needs_global = best == _ROUGH_SHIFT_RANK or best == _RETAIN_RANK
 
         if needs_global and config.global_enabled:
             # the previous utterance by position: indices may have gaps
@@ -355,7 +375,7 @@ def coherence_step(state: DiscourseState, u: Utterance) -> DiscourseState:
 
         survivors = prune_hypotheses(children, beam=config.beam)
 
-    accepted = _accepted(survivors)
+    accepted = survivors[0] if len(survivors) == 1 else _accepted(survivors)
     history = state.history
     if accepted.cb is not None:
         history = push_cb(history, accepted.cb, u.index, u.tense is Tense.PAST)
@@ -365,10 +385,8 @@ def coherence_step(state: DiscourseState, u: Utterance) -> DiscourseState:
 
 
 def _accepted(survivors: Sequence[CenteringHypothesis]) -> CenteringHypothesis:
-    """Current best reading; preference ties resolve to the plain (fewest
-    promotions) branch for bookkeeping purposes."""
-    if len(survivors) == 1:
-        return survivors[0]
+    """Current best reading of two or more; preference ties resolve to the
+    plain (fewest promotions) branch for bookkeeping purposes."""
     keys = [rank_key(h) for h in survivors]
     tied = [
         (h.zta_count, key, i)

@@ -40,6 +40,11 @@ def _has_wa_competitor(u: Utterance) -> bool:
     return any(e.wa_marked and not e.is_zero for e in u.expressions)
 
 
+#: A child before it is built: the arguments of `CenteringHypothesis`, in
+#: declaration order.
+_Spec = tuple
+
+
 def expand_hypotheses(
     prev_set: Sequence[CenteringHypothesis],
     u: Utterance,
@@ -57,92 +62,99 @@ def expand_hypotheses(
     Children of a dampened branch point (the promotion competed with a
     wa-marked topic) tie in preference and share an ambiguity key.
     Duplicated readings from different parents collapse to the lowest-ZTA
-    ancestry. Result is sorted best-first.
+    ancestry before any is built. Result is sorted best-first.
 
     Parents that resolved the zeros alike share one plain Cf, so it is
-    ranked once per distinct assignment.
+    ranked once per distinct assignment. The parents' dense ranks, the
+    hosts of a promotion and its branch point are computed only when some
+    child needs them.
     """
-    # (eff_pref, parent_rank) orders prev_set by full chain preference
-    parent_keys = sorted({(p.eff_pref, p.parent_rank) for p in prev_set})
-    dense_rank = {key: rank for rank, key in enumerate(parent_keys)}
-    hosts = [z.surface_position for z in u.zeros if z.role in ARGUMENT_ROLES]
-    wa_competitor = _has_wa_competitor(u)
-    branch_point = frozenset({f"u{u.index}"})
+    index = u.index
+    several = len(prev_set) > 1
+    if several:
+        # (eff_pref, parent_rank) orders prev_set by full chain preference
+        parent_keys = sorted({(p.eff_pref, p.parent_rank) for p in prev_set})
+        dense_rank = {key: rank for rank, key in enumerate(parent_keys)}
+    hosts = None  # positions of the argument-role zeros, found on the first RETAIN
+    branch_point = None  # found on the first promotion; empty without a wa topic
     ranked: dict[tuple, tuple[dict[int, Resolution], CfList, set[str]]] = {}
-    children: list[CenteringHypothesis] = []
+    specs: list[_Spec] = []
 
     for parent, outcome in zip(prev_set, outcomes, strict=True):
-        shared = ranked.get(outcome.assignments)
+        assignments = outcome.assignments
+        shared = ranked.get(assignments)
         if shared is None:
-            resolutions = dict(outcome.assignments)
+            resolutions = dict(assignments)
             plain_cf = rank_cf(u, resolutions)
             shared = (resolutions, plain_cf, {eid for eid, _ in plain_cf})
-            ranked[outcome.assignments] = shared
+            ranked[assignments] = shared
         resolutions, plain_cf, realized = shared
         cb = compute_cb(parent.cf_ids, realized)
         plain_label = classify_transition(parent.cb, cb, plain_cf[0][0] if plain_cf else None)
         plain_pref = plain_label.preference_rank
+        rank = dense_rank[(parent.eff_pref, parent.parent_rank)] if several else 0
+        anomalous = outcome.anomalous
 
-        promote = (
-            zta_enabled
-            and plain_label is TransitionLabel.RETAIN
-            and any(resolutions.get(pos) == cb for pos in hosts)
-        )
-        dampened = promote and wa_competitor
+        promote = dampened = False
         keys = parent.ambiguity_keys
-        if dampened:
-            keys = keys | branch_point
-
-        rank = dense_rank[(parent.eff_pref, parent.parent_rank)]
-        # positional, in declaration order
-        children.append(
-            CenteringHypothesis(
-                u.index, cb, plain_cf, plain_label, plain_pref, dampened,
-                outcome.anomalous, outcome.assignments, (), parent, keys, rank,
-            )
-        )
+        if zta_enabled and plain_label is TransitionLabel.RETAIN:
+            if hosts is None:
+                hosts = [z.surface_position for z in u.zeros if z.role in ARGUMENT_ROLES]
+            promote = any(resolutions.get(pos) == cb for pos in hosts)
+        if promote:
+            if branch_point is None:
+                branch_point = frozenset({f"u{index}"} if _has_wa_competitor(u) else ())
+            if branch_point:
+                dampened = True
+                keys = keys | branch_point
+        specs.append((
+            index, cb, plain_cf, plain_label, plain_pref, dampened, anomalous,
+            assignments, (), parent, keys, rank,
+        ))
         if promote:
             zta_cf = ((cb, EffectiveRole.ZERO_TOP), *(e for e in plain_cf if e[0] != cb))
             # a dampened promotion ties with its plain sibling
             zta_pref = plain_pref if dampened else _ZTA_CONTINUE.preference_rank
-            children.append(
-                CenteringHypothesis(
-                    u.index, cb, zta_cf, _ZTA_CONTINUE, zta_pref, dampened,
-                    outcome.anomalous, outcome.assignments, (), parent, keys, rank,
-                )
-            )
+            specs.append((
+                index, cb, zta_cf, _ZTA_CONTINUE, zta_pref, dampened, anomalous,
+                assignments, (), parent, keys, rank,
+            ))
 
-    children = _dedupe(children)
+    if len(specs) == 1:
+        return [CenteringHypothesis(*specs[0])]
+    if several:
+        specs = _dedupe(specs)
+    children = [CenteringHypothesis(*spec) for spec in specs]
     children.sort(key=rank_key)
     return children
 
 
-def _dedupe(children: list[CenteringHypothesis]) -> list[CenteringHypothesis]:
+def _dedupe(specs: list[_Spec]) -> list[_Spec]:
     """Collapse identical readings spawned by different parents, keeping the
-    ancestry with fewest promotions (and best chain preference)."""
-    if len(children) < 2:
-        return children
-    by_key: dict[tuple, CenteringHypothesis] = {}
-    for child in children:
-        key = child.identity_key()
+    ancestry with fewest promotions (and best chain preference), the first
+    of a tie, under the union of their ambiguity keys. Each reading keeps
+    the place where it first appeared.
+
+    Readings are identical when their `CenteringHypothesis.identity_key`
+    is. Among the children of one utterance that holds when their Cb,
+    label, resolutions and anomaly are: the Cf follows from the resolutions
+    and, for a promoted reading, its Cb. Identical readings share their
+    label, so their parents' promotions order theirs.
+    """
+    by_key: dict[tuple, list] = {}
+    for spec in specs:
+        _, cb, _, label, pref, _, anomalous, assignments, _, parent, keys, rank = spec
+        order = (parent.zta_count, pref, rank)
+        key = (cb, label, assignments, anomalous)
         cur = by_key.get(key)
         if cur is None:
-            by_key[key] = child
+            by_key[key] = [order, spec, keys]
             continue
-        better = min(
-            (cur, child),
-            key=lambda h: (h.zta_count, h.eff_pref, h.parent_rank),
-        )
-        merged_keys = cur.ambiguity_keys | child.ambiguity_keys
-        if merged_keys != better.ambiguity_keys:
-            h = better
-            # positional, in declaration order
-            better = CenteringHypothesis(
-                h.utterance_index, h.cb, h.cf, h.transition, h.eff_pref, h.dampened,
-                h.anomalous, h.resolutions, h.cues, h.parent, merged_keys, h.parent_rank,
-            )
-        by_key[key] = better
-    return list(by_key.values())
+        if order < cur[0]:
+            cur[0], cur[1] = order, spec
+        if keys is not cur[2]:
+            cur[2] = cur[2] | keys
+    return [(*spec[:10], keys, spec[11]) for _, spec, keys in by_key.values()]
 
 
 def rank_key(h: CenteringHypothesis) -> tuple:
@@ -168,6 +180,8 @@ def prune_hypotheses(
     """
     if beam < 1:
         raise ValueError("beam must be >= 1")
+    if len(hypotheses) == 1:
+        return [hypotheses[0]]
     ordered = sorted(hypotheses, key=rank_key)
     compatible = [h for h in ordered if not h.anomalous]
     if compatible:

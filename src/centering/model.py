@@ -79,6 +79,10 @@ class Form(Enum):
 
 _ZERO = Form.ZERO
 
+#: How `__post_init__` sets a field, bound once rather than looked up on
+#: `object` at each call.
+_set = object.__setattr__
+
 
 class Tense(Enum):
     PAST = "past"
@@ -131,7 +135,7 @@ class DiscourseEntity:
     cardinality: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "semantic_types", frozenset(self.semantic_types))
+        _set(self, "semantic_types", frozenset(self.semantic_types))
 
 
 #: Gold annotation for a zero: a single entity id or a set of ids.
@@ -153,8 +157,8 @@ class ResolutionConstraints:
     gold_antecedent: Optional[GoldAntecedent] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "compatible_types", frozenset(self.compatible_types))
-        object.__setattr__(self, "gold_antecedent", decode_resolution(self.gold_antecedent))
+        _set(self, "compatible_types", frozenset(self.compatible_types))
+        _set(self, "gold_antecedent", decode_resolution(self.gold_antecedent))
 
 
 @record
@@ -201,15 +205,17 @@ class Utterance:
 
     def __post_init__(self) -> None:
         expressions = tuple(self.expressions)
-        object.__setattr__(self, "expressions", expressions)
-        object.__setattr__(self, "zeros", tuple([e for e in expressions if e.form is _ZERO]))
+        _set(self, "expressions", expressions)
+        _set(self, "zeros", tuple([e for e in expressions if e.form is _ZERO]))
 
     @property
     def overt_entities(self) -> frozenset[str]:
         return frozenset(
-            e.entity_ref
-            for e in self.expressions
-            if not e.is_zero and e.entity_ref is not None
+            [
+                e.entity_ref
+                for e in self.expressions
+                if e.form is not _ZERO and e.entity_ref is not None
+            ]
         )
 
     @property
@@ -232,9 +238,9 @@ class Discourse:
     entity_map: Mapping[str, DiscourseEntity] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entities", tuple(self.entities))
-        object.__setattr__(self, "utterances", tuple(self.utterances))
-        object.__setattr__(self, "entity_map", MappingProxyType({e.id: e for e in self.entities}))
+        _set(self, "entities", tuple(self.entities))
+        _set(self, "utterances", tuple(self.utterances))
+        _set(self, "entity_map", MappingProxyType({e.id: e for e in self.entities}))
 
 
 #: A Cf list: entities in salience order with their effective roles.
@@ -303,8 +309,8 @@ class CenteringHypothesis:
 
     def __post_init__(self) -> None:
         inherited = self.parent.zta_count if self.parent is not None else 0
-        object.__setattr__(self, "zta_count", inherited + (self.transition is _ZTA_CONTINUE))
-        object.__setattr__(self, "cf_ids", tuple([eid for eid, _ in self.cf]))
+        _set(self, "zta_count", inherited + (self.transition is _ZTA_CONTINUE))
+        _set(self, "cf_ids", tuple([eid for eid, _ in self.cf]))
 
     @property
     def seed(self) -> bool:

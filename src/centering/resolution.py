@@ -72,6 +72,7 @@ def local_resolution(
     candidates.
     """
     overt = u.overt_entities
+    constrained = zero.constraints is not None
     had_candidate = False
     for entity_id in cf_prev:
         if entity_id in exclude or entity_id in overt:
@@ -79,10 +80,11 @@ def local_resolution(
         entity = entities.get(entity_id)
         if entity is None:
             continue
+        # a zero without constraints fits its first candidate
+        if not constrained or check_compatibility(zero, [entity]) is None:
+            return LocalResolution(entity_id, False)
         had_candidate = True
-        if check_compatibility(zero, [entity]) is None:
-            return LocalResolution(entity_id, exhausted=False)
-    return LocalResolution(None, exhausted=had_candidate)
+    return LocalResolution(None, had_candidate)
 
 
 def form_set_candidates(

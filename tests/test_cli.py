@@ -841,6 +841,28 @@ class TestWorkers:
                 before += sum(len(json.dumps(items[int(did[1:])])) for did in ids)
                 assert before <= (part + 1) * total / parts + 300
 
+    def test_parts_of_multi_byte_text_hold_equal_shares(self, tmp_path):
+        # a position counts bytes, so a file of 3-byte characters splits
+        # as evenly as an ASCII one: each part within one discourse (30
+        # utterances) of an equal share of the 3,000
+        gen = load_corpus_gen()
+        data = gen.build_corpus("topic_cues", 1)
+        for discourse in data["discourses"]:
+            for utterance in discourse["utterances"]:
+                utterance["text"] = "日本語の文です。"
+        path = tmp_path / "japanese.json"
+        path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+        files = [cli_mod._size(str(path))]
+        total = sum(len(d["utterances"]) for d in data["discourses"])
+        assert total == 3000
+        for parts in (2, 3):
+            counts = [
+                sum(cli_mod._part(files, part, parts, lambda d: len(d.utterances))[1])
+                for part in range(parts)
+            ]
+            assert sum(counts) == total
+            assert all(abs(count - total / parts) <= 30 for count in counts), counts
+
     def test_fork_returns_every_head_then_the_results_in_order(self, monkeypatch):
         monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
         parts = [[1], [2, 3], [4, 5, 6]]

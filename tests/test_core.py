@@ -74,6 +74,74 @@ class TestRankCf:
         assert rank_cf(u) == cf  # deterministic
 
 
+def reference_rank_cf(u, resolutions):
+    """rank_cf as one sort, whatever the number of entities."""
+    best = {}
+    for expr in u.expressions:
+        if expr.is_zero:
+            value = resolutions.get(expr.surface_position)
+            if value is None:
+                continue
+            members = (value,) if isinstance(value, str) else sorted(value)
+        else:
+            members = (expr.entity_ref,)
+        for member in members:
+            seen = (expr.role.rank, expr.surface_position)
+            if member not in best or seen < best[member]:
+                best[member] = seen
+    ordered = sorted(best.items(), key=lambda item: item[1])
+    return tuple((eid, EffectiveRole(rank)) for eid, (rank, _) in ordered)
+
+
+class TestRankCfShortcut:
+    def test_one_entity_through_a_zero(self):
+        u = utterance(
+            3,
+            zero(GrammaticalRole.OBJECT, 0),
+            zero(GrammaticalRole.SUBJECT, 1),
+        )
+        # an unresolved zero and a resolved one; a one-member set counts
+        # as one entity too
+        for value in ("a", frozenset({"a"})):
+            cf = rank_cf(u, {1: value})
+            assert cf == (("a", EffectiveRole.SUBJECT),)
+            assert type(cf) is tuple and type(cf[0][1]) is EffectiveRole
+        assert rank_cf(u, {0: "a", 1: "a"}) == (("a", EffectiveRole.SUBJECT),)
+
+    def test_set_valued_zero_lists_its_members_in_sorted_order(self):
+        u = utterance(
+            3,
+            zero(GrammaticalRole.SUBJECT, 0, cardinality=2),
+            overt("c", GrammaticalRole.OBJECT, 1),
+        )
+        assert rank_cf(u, {0: frozenset({"b", "a"})}) == (
+            ("a", EffectiveRole.SUBJECT),
+            ("b", EffectiveRole.SUBJECT),
+            ("c", EffectiveRole.OBJECT),
+        )
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.sampled_from(GrammaticalRole),
+                st.sampled_from(["a", "b", "c", None, frozenset({"a", "b"}), frozenset({"c"})]),
+            ),
+            max_size=4,
+        )
+    )
+    def test_matches_one_sort(self, slots):
+        exprs, resolutions = [], {}
+        for pos, (is_zero, role, value) in enumerate(slots):
+            if is_zero:
+                exprs.append(zero(role, pos))
+                resolutions[pos] = value
+            elif isinstance(value, str):
+                exprs.append(overt(value, role, pos))
+        u = utterance(0, *exprs)
+        assert rank_cf(u, resolutions) == reference_rank_cf(u, resolutions)
+
+
 class TestComputeCb:
     def test_highest_realized_wins(self):
         assert (

@@ -4,7 +4,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from centering import (
@@ -23,10 +23,21 @@ from centering.engine import (
     CUE_TENSE,
     DiscourseState,
     Retrieval,
+    _resolve_locally,
     coherence_step,
     finalize,
 )
-from centering.model import CbHistoryEntry
+from centering.hypotheses import ResolutionOutcome
+from centering.model import (
+    CbHistoryEntry,
+    CenteringHypothesis,
+    EffectiveRole,
+    Form,
+    ReferringExpression,
+    ResolutionConstraints,
+    TransitionLabel,
+)
+from centering.resolution import local_resolution
 from synth import random_discourse
 
 from conftest import discourse, entity, overt, utterance, zero
@@ -82,6 +93,52 @@ class TestPushCb:
         # strictly descending indices
         indices = [e.index for e in h]
         assert indices == sorted(indices, reverse=True)
+
+
+def reference_push_cb(history, cb, index, past_tense=False):
+    """push_cb as one loop over every entry, with no shortcut for a Cb
+    already at the front."""
+    if history and index < history[0].index:
+        raise ValueError(
+            f"history indices must be non-decreasing: {index} after {history[0].index}"
+        )
+    flag = past_tense
+    kept = []
+    for entry in history:
+        if entry.entity_id == cb:
+            flag = flag or entry.past_tense
+        else:
+            kept.append(entry)
+    return (CbHistoryEntry(cb, index, flag), *kept)
+
+
+#: (Cb, index step, past tense) of one push; a negative step goes back.
+PUSHES = st.tuples(st.sampled_from("abcd"), st.integers(-1, 3), st.booleans())
+
+
+class TestPushCbShortcut:
+    @given(st.lists(PUSHES, max_size=25))
+    # the Cb at the front again, its past flag sticky; one further back;
+    # a new one; and an index that goes back
+    @example([("a", 0, True), ("a", 1, False)])
+    @example([("a", 0, True), ("b", 1, False), ("a", 0, False)])
+    @example([("a", 0, False), ("c", 2, True)])
+    @example([("a", 2, False), ("a", -1, True)])
+    def test_matches_the_reference_loop(self, pushes):
+        history, index = (), 0
+        for cb, step, past in pushes:
+            index += step
+            try:
+                want = reference_push_cb(history, cb, index, past)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    push_cb(history, cb, index, past)
+                assert str(got.value) == str(exc)
+                index -= step
+                continue
+            history = push_cb(history, cb, index, past)
+            assert history == want
+            assert all(type(e.past_tense) is bool for e in history)
 
 
 ENTITIES = {
@@ -583,3 +640,80 @@ def test_history_length_bounded_by_distinct_cbs():
         rep = run_discourse(d)
         distinct = {u.cb for u in rep.utterances if u.cb is not None}
         assert len(rep.history) <= len(distinct) if distinct else len(rep.history) == 0
+
+
+def reference_resolve_locally(parent, u, zeros, entities):
+    """_resolve_locally as one claims loop, whatever the number of zeros."""
+    assigned = {}
+    anomalous = False
+    claimed = set()
+    for z in zeros:
+        res = local_resolution(z, parent.cf_ids, u, entities, claimed)
+        assigned[z.surface_position] = res.entity_id
+        if res.entity_id is not None:
+            claimed.add(res.entity_id)
+        anomalous = anomalous or res.exhausted
+    return ResolutionOutcome(tuple(sorted(assigned.items())), anomalous)
+
+
+LOCAL_ENTITIES = {
+    "p": entity("p", "person"),
+    "q": entity("q", "person"),
+    "d": entity("d", "device"),
+    "o": entity("o", "organization", "person"),
+}
+
+#: What a zero asks of its antecedent: nothing at all, an empty restriction,
+#: or a type.
+CONSTRAINTS = st.sampled_from(
+    [
+        None,
+        ResolutionConstraints(),
+        ResolutionConstraints(frozenset({"person"})),
+        ResolutionConstraints(frozenset({"device"})),
+    ]
+)
+
+
+@st.composite
+def local_cases(draw, zero_count):
+    # the parent's Cf may name an undeclared entity, which is no candidate
+    known = sorted(LOCAL_ENTITIES)
+    cf_ids = draw(st.lists(st.sampled_from([*known, "ghost"]), unique=True, max_size=5))
+    parent = CenteringHypothesis(
+        0,
+        cf_ids[0] if cf_ids else None,
+        tuple((eid, EffectiveRole.SUBJECT) for eid in cf_ids),
+        TransitionLabel.CONTINUE,
+        1,
+    )
+    overt_ids = draw(st.lists(st.sampled_from(known), unique=True, max_size=2))
+    roles = draw(
+        st.lists(st.sampled_from(GrammaticalRole), min_size=zero_count, max_size=zero_count)
+    )
+    exprs = [overt(eid, GrammaticalRole.OBJECT, pos) for pos, eid in enumerate(overt_ids)]
+    for k, role in enumerate(roles):
+        pos = len(overt_ids) + k
+        exprs.append(ReferringExpression(None, Form.ZERO, role, pos, constraints=draw(CONSTRAINTS)))
+    u = utterance(1, *exprs)
+    # most salient first, as coherence_step hands them over
+    zeros = tuple(sorted(u.zeros, key=lambda z: (z.role.rank, z.surface_position)))
+    return parent, u, zeros
+
+
+class TestResolveLocallyShortcuts:
+    @pytest.mark.parametrize("zero_count", [0, 1, 3])
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_matches_the_reference_claims_loop(self, zero_count, data):
+        parent, u, zeros = data.draw(local_cases(zero_count))
+        got = _resolve_locally(parent, u, zeros, LOCAL_ENTITIES)
+        assert got == reference_resolve_locally(parent, u, zeros, LOCAL_ENTITIES)
+
+    def test_an_utterance_without_zeros_shares_one_outcome(self):
+        cf = (("p", EffectiveRole.SUBJECT),)
+        parent = CenteringHypothesis(0, "p", cf, TransitionLabel.CONTINUE, 1)
+        u = utterance(1, overt("p", GrammaticalRole.SUBJECT, 0))
+        first = _resolve_locally(parent, u, (), LOCAL_ENTITIES)
+        assert first == ResolutionOutcome((), False)
+        assert _resolve_locally(parent, u, (), LOCAL_ENTITIES) is first

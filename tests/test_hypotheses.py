@@ -1,6 +1,8 @@
 """Zero topic promotion, hypothesis expansion, dampening, and pruning."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import centering.engine as engine
 import centering.hypotheses as hypotheses
@@ -11,8 +13,14 @@ from centering import (
     prune_hypotheses,
     run_corpus,
 )
-from centering.hypotheses import rank_key
-from centering.model import CenteringHypothesis, EffectiveRole, TransitionLabel
+from centering.core import classify_transition, compute_cb, rank_cf
+from centering.hypotheses import ResolutionOutcome, rank_key
+from centering.model import (
+    ARGUMENT_ROLES,
+    CenteringHypothesis,
+    EffectiveRole,
+    TransitionLabel,
+)
 
 from conftest import outcomes, overt, utterance, zero
 from test_golden import topic_cue_text
@@ -286,3 +294,179 @@ class TestPruneHypotheses:
     def test_beam_must_be_positive(self):
         with pytest.raises(ValueError):
             prune_hypotheses([hyp(TransitionLabel.CONTINUE)], beam=0)
+
+    @pytest.mark.parametrize("beam", [1, 2, 3, 4])
+    @pytest.mark.parametrize("anomalous", [False, True])
+    def test_one_reading_is_kept_as_it_is(self, beam, anomalous):
+        only = hyp(TransitionLabel.ROUGH_SHIFT, anomalous=anomalous)
+        kept = prune_hypotheses([only], beam=beam)
+        assert kept == [only] and kept[0] is only
+        # what sorting and the veto keep of it
+        ordered = sorted([only], key=rank_key)
+        compatible = [h for h in ordered if not h.anomalous]
+        assert kept == (compatible[:beam] if compatible else ordered[:1])
+
+
+def reference_expand(prev_set, u, outcomes, zta_enabled=True):
+    """expand_hypotheses as it was before it collapsed readings ahead of
+    building them: every child is built, and `reference_dedupe` collapses
+    the built ones."""
+    parent_keys = sorted({(p.eff_pref, p.parent_rank) for p in prev_set})
+    dense_rank = {key: rank for rank, key in enumerate(parent_keys)}
+    hosts = [z.surface_position for z in u.zeros if z.role in ARGUMENT_ROLES]
+    wa_competitor = any(e.wa_marked and not e.is_zero for e in u.expressions)
+    branch_point = frozenset({f"u{u.index}"})
+    children = []
+    for parent, outcome in zip(prev_set, outcomes, strict=True):
+        resolutions = dict(outcome.assignments)
+        plain_cf = rank_cf(u, resolutions)
+        cb = compute_cb(parent.cf_ids, {eid for eid, _ in plain_cf})
+        plain_label = classify_transition(parent.cb, cb, plain_cf[0][0] if plain_cf else None)
+        plain_pref = plain_label.preference_rank
+        promote = (
+            zta_enabled
+            and plain_label is TransitionLabel.RETAIN
+            and any(resolutions.get(pos) == cb for pos in hosts)
+        )
+        dampened = promote and wa_competitor
+        keys = parent.ambiguity_keys | branch_point if dampened else parent.ambiguity_keys
+        rank = dense_rank[(parent.eff_pref, parent.parent_rank)]
+        children.append(
+            CenteringHypothesis(
+                u.index, cb, plain_cf, plain_label, plain_pref, dampened,
+                outcome.anomalous, outcome.assignments, (), parent, keys, rank,
+            )
+        )
+        if promote:
+            zta_cf = ((cb, EffectiveRole.ZERO_TOP), *(e for e in plain_cf if e[0] != cb))
+            zta = TransitionLabel.ZTA_CONTINUE
+            zta_pref = plain_pref if dampened else zta.preference_rank
+            children.append(
+                CenteringHypothesis(
+                    u.index, cb, zta_cf, zta, zta_pref, dampened,
+                    outcome.anomalous, outcome.assignments, (), parent, keys, rank,
+                )
+            )
+    children = reference_dedupe(children)
+    children.sort(key=rank_key)
+    return children
+
+
+def reference_dedupe(children):
+    """The collapse of built readings: the fewest promotions, then the best
+    chain preference, win, the earlier on a tie, under the union of the
+    ambiguity keys."""
+    if len(children) < 2:
+        return children
+    by_key = {}
+    for child in children:
+        key = child.identity_key()
+        cur = by_key.get(key)
+        if cur is None:
+            by_key[key] = child
+            continue
+        better = min((cur, child), key=lambda h: (h.zta_count, h.eff_pref, h.parent_rank))
+        merged_keys = cur.ambiguity_keys | child.ambiguity_keys
+        if merged_keys != better.ambiguity_keys:
+            h = better
+            better = CenteringHypothesis(
+                h.utterance_index, h.cb, h.cf, h.transition, h.eff_pref, h.dampened,
+                h.anomalous, h.resolutions, h.cues, h.parent, merged_keys, h.parent_rank,
+            )
+        by_key[key] = better
+    return list(by_key.values())
+
+
+def built(children):
+    """Every field of each reading, and which parent object it hangs from."""
+    return [(h, h.zta_count, h.ambiguity_keys, id(h.parent)) for h in children]
+
+
+IDS = ["a", "b", "c", "d"]
+
+
+@st.composite
+def live_sets(draw):
+    """A live set over a small pool of Cfs and keys, so that parents often
+    spawn the same reading, with its expansion's utterance and outcomes."""
+    grand = [
+        CenteringHypothesis(0, "a", (("a", EffectiveRole.SUBJECT),), label, 1)
+        for label in (TransitionLabel.CONTINUE, TransitionLabel.ZTA_CONTINUE)
+    ]
+    parents = []
+    for _ in range(draw(st.integers(1, 5))):
+        cf_ids = draw(st.sampled_from([("a", "b"), ("a", "b", "c"), ("b", "a"), ("c",), ()]))
+        parents.append(
+            CenteringHypothesis(
+                1,
+                draw(st.sampled_from([None, *cf_ids[:1], "d"])),
+                tuple((eid, EffectiveRole.SUBJECT) for eid in cf_ids),
+                TransitionLabel.CONTINUE,
+                draw(st.integers(1, 3)),
+                parent=draw(st.sampled_from(grand)),
+                ambiguity_keys=draw(
+                    st.sampled_from([frozenset(), frozenset({"u0"}), frozenset({"u0", "u1"})])
+                ),
+                parent_rank=draw(st.integers(0, 1)),
+            )
+        )
+    exprs = []
+    if draw(st.booleans()):
+        exprs.append(overt("d", GrammaticalRole.TOPIC, 0, wa=True))
+    else:
+        exprs.append(overt("d", GrammaticalRole.SUBJECT, 0, ga=True))
+    roles = draw(st.lists(st.sampled_from(GrammaticalRole), min_size=0, max_size=2))
+    exprs += [zero(role, k + 1) for k, role in enumerate(roles)]
+    u = utterance(2, *exprs)
+    picks = st.sampled_from([None, *IDS, frozenset({"a", "b"})])
+    outs = [
+        ResolutionOutcome(
+            tuple((z.surface_position, draw(picks)) for z in u.zeros), draw(st.booleans())
+        )
+        for _ in parents
+    ]
+    return parents, u, outs
+
+
+class TestCollapseBeforeBuilding:
+    @settings(max_examples=300)
+    @given(live_sets(), st.booleans())
+    def test_matches_building_every_child(self, case, zta_enabled):
+        parents, u, outs = case
+        got = expand_hypotheses(parents, u, outs, zta_enabled=zta_enabled)
+        want = reference_expand(parents, u, outs, zta_enabled=zta_enabled)
+        assert built(got) == built(want)
+
+    def test_a_tie_keeps_the_first_parent_under_merged_keys(self):
+        # two parents alike but for their ambiguity keys, so their children
+        # tie on promotions and chain preference
+        first = CenteringHypothesis(
+            1, "hanako", PREV.cf, TransitionLabel.CONTINUE, 1, ambiguity_keys=frozenset({"u0"})
+        )
+        second = CenteringHypothesis(
+            1, "hanako", PREV.cf, TransitionLabel.CONTINUE, 1, ambiguity_keys=frozenset({"u1"})
+        )
+        outs = outcomes({1: "hanako"}, {1: "hanako"})
+        got = expand_hypotheses([first, second], ASK_WA, outs)
+        assert built(got) == built(reference_expand([first, second], ASK_WA, outs))
+        assert [c.transition for c in got] == [
+            TransitionLabel.ZTA_CONTINUE,
+            TransitionLabel.RETAIN,
+        ]
+        assert all(c.parent is first for c in got)
+        assert all(c.ambiguity_keys == {"u0", "u1", "u2"} for c in got)
+
+    def test_fewer_promotions_win_over_an_earlier_parent(self):
+        promoted = CenteringHypothesis(0, "hanako", PREV.cf, TransitionLabel.ZTA_CONTINUE, 1)
+        plain = CenteringHypothesis(0, "hanako", PREV.cf, TransitionLabel.CONTINUE, 1)
+        parents = [replace_parent(PREV, promoted), replace_parent(PREV, plain)]
+        outs = outcomes({1: "hanako"}, {1: "hanako"})
+        got = expand_hypotheses(parents, ASK_GA, outs)
+        assert built(got) == built(reference_expand(parents, ASK_GA, outs))
+        assert all(c.parent is parents[1] for c in got)
+
+
+def replace_parent(h, parent):
+    return CenteringHypothesis(
+        h.utterance_index, h.cb, h.cf, h.transition, h.eff_pref, parent=parent
+    )

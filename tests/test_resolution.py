@@ -6,13 +6,14 @@ from collections.abc import Mapping
 from hypothesis import given
 from hypothesis import strategies as st
 
+import centering.resolution as resolution
 from centering import (
     GrammaticalRole,
     check_compatibility,
     form_set_candidates,
     local_resolution,
 )
-from centering.model import CbHistoryEntry
+from centering.model import CbHistoryEntry, Form, ReferringExpression, ResolutionConstraints
 from centering.resolution import CUE_AGREEMENT, CUE_LEXICAL
 
 from conftest import entity, overt, utterance, zero
@@ -123,6 +124,44 @@ class TestResolveZeroLocal:
         u = utterance(1, zero(GrammaticalRole.SUBJECT, 0, types=("organization",)))
         res = local_resolution(u.expressions[0], [], u, self.ENTITIES)
         assert res.entity_id is None and not res.exhausted
+
+    def test_a_zero_without_constraints_takes_its_first_candidate(self, monkeypatch):
+        # overt mentions, claimed antecedents and undeclared ids are passed
+        # over; the first left is taken without a compatibility check
+        def no_check(*args):
+            raise AssertionError("a zero without constraints needs no check")
+
+        monkeypatch.setattr(resolution, "check_compatibility", no_check)
+        bare = ReferringExpression(None, Form.ZERO, GrammaticalRole.OBJECT, 1)
+        u = utterance(2, overt("hanako", GrammaticalRole.SUBJECT, 0), bare)
+        cf_prev = ["hanako", "ghost", "exam", "mitiko", "system"]
+        cases = [
+            (frozenset(), "exam"),
+            ({"exam"}, "mitiko"),
+            ({"exam", "mitiko", "system"}, None),
+        ]
+        for claimed, want in cases:
+            res = local_resolution(bare, cf_prev, u, self.ENTITIES, claimed)
+            # with no candidate left, none was vetoed
+            assert (res.entity_id, res.exhausted) == (want, False)
+
+    @given(
+        st.lists(st.sampled_from(["hanako", "exam", "mitiko", "ghost"]), unique=True),
+        st.sets(st.sampled_from(["hanako", "exam", "mitiko"])),
+        st.sets(st.sampled_from(["hanako", "exam", "mitiko"])),
+    )
+    def test_no_constraints_resolve_as_empty_ones(self, cf_prev, overt_ids, claimed):
+        # the general path, through check_compatibility, with a restriction
+        # that rules nothing out
+        exprs = [overt(eid, GrammaticalRole.OBJECT, k) for k, eid in enumerate(sorted(overt_ids))]
+        pos = len(exprs)
+        bare = ReferringExpression(None, Form.ZERO, GrammaticalRole.SUBJECT, pos)
+        empty = ReferringExpression(
+            None, Form.ZERO, GrammaticalRole.SUBJECT, pos, constraints=ResolutionConstraints()
+        )
+        u = utterance(1, *exprs, bare)
+        got = local_resolution(bare, cf_prev, u, self.ENTITIES, claimed)
+        assert got == local_resolution(empty, cf_prev, u, self.ENTITIES, claimed)
 
 
 def history(*pairs):

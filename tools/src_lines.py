@@ -4,17 +4,23 @@ A code line is one that is not blank, not a comment and not part of a
 docstring (of the module, a class or a function, found with `ast`). Run
 from anywhere, with the standard library only:
 
-    python3 tools/src_lines.py [PACKAGE_DIR]
+    python3 tools/src_lines.py [PACKAGE_DIR] [--against REF]
 
 It prints one row per module and a total row; PACKAGE_DIR defaults to the
-repository's `src/centering`.
+repository's `src/centering`. With `--against REF`, each row also gives the
+change of both counts since the git revision REF, whose modules are read
+with `git show REF:path`; a module that one side lacks counts 0 lines
+there.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
+import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 
 def docstring_lines(tree: ast.AST) -> set[int]:
@@ -30,9 +36,11 @@ def docstring_lines(tree: ast.AST) -> set[int]:
     return lines
 
 
-def count(path: Path) -> tuple[int, int]:
-    """The raw and code line counts of the module at `path`."""
-    text = path.read_text(encoding="utf-8")
+def count_text(text: Optional[str]) -> tuple[int, int]:
+    """The raw and code line counts of a module's source; (0, 0) for a
+    module that does not exist (None)."""
+    if text is None:
+        return 0, 0
     docs = docstring_lines(ast.parse(text))
     lines = text.splitlines()
     code = sum(
@@ -43,16 +51,58 @@ def count(path: Path) -> tuple[int, int]:
     return len(lines), code
 
 
+def delta(before: Optional[str], after: Optional[str]) -> tuple[int, int, int, int]:
+    """The raw and code counts of the source `after`, and their changes
+    from the source `before`; either is None for a module that side lacks."""
+    raw_before, code_before = count_text(before)
+    raw, code = count_text(after)
+    return raw, code, raw - raw_before, code - code_before
+
+
+def _git(root: Path, *args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=root, check=True, capture_output=True, text=True
+    ).stdout
+
+
+def modules_at(root: Path, ref: str) -> dict[str, str]:
+    """The source of each module of the package directory `root` at the git
+    revision `ref`, by file name."""
+    names = _git(root, "ls-tree", "--name-only", ref, "./").split()
+    return {n: _git(root, "show", f"{ref}:./{n}") for n in names if n.endswith(".py")}
+
+
 def main(argv: list[str]) -> int:
-    root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "centering"
-    total_raw = total_code = 0
-    print(f"{'module':<16} {'raw':>6} {'code':>6}")
-    for path in sorted(root.glob("*.py")):
-        raw, code = count(path)
-        total_raw += raw
-        total_code += code
-        print(f"{path.name:<16} {raw:>6} {code:>6}")
-    print(f"{'total':<16} {total_raw:>6} {total_code:>6}")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "package",
+        nargs="?",
+        type=Path,
+        default=Path(__file__).resolve().parent.parent / "src" / "centering",
+    )
+    parser.add_argument("--against", metavar="REF", help="git revision to compare with")
+    args = parser.parse_args(argv)
+    root = args.package
+
+    current = {p.name: p.read_text(encoding="utf-8") for p in sorted(root.glob("*.py"))}
+    header = ["raw", "code"]
+    if args.against is None:
+        rows = {name: count_text(text) for name, text in current.items()}
+    else:
+        try:
+            before = modules_at(root, args.against)
+        except subprocess.CalledProcessError as exc:
+            parser.error(f"cannot read {args.against}: {exc.stderr.strip()}")
+        rows = {
+            name: delta(before.get(name), current.get(name))
+            for name in sorted(current.keys() | before.keys())
+        }
+        header += ["d_raw", "d_code"]
+    rows["total"] = tuple(sum(row[k] for row in rows.values()) for k in range(len(header)))
+    print(f"{'module':<16} " + " ".join(f"{h:>6}" for h in header))
+    for name, row in rows.items():
+        counts = [f"{n:>6}" for n in row[:2]] + [f"{n:>+6}" for n in row[2:]]
+        print(f"{name:<16} " + " ".join(counts))
     return 0
 
 
