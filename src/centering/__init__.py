@@ -27,6 +27,7 @@ from .engine import (
     push_cb,
     run_corpus,
     run_discourse,
+    stream_discourse,
 )
 from .hypotheses import expand_hypotheses, prune_hypotheses
 from .model import (
@@ -55,6 +56,7 @@ __all__ = [
     "Violation",
     "load_fixture",
     "run_discourse",
+    "stream_discourse",
     "run_corpus",
     "EngineConfig",
     "serialize_reports",

@@ -10,21 +10,24 @@ Every command spreads a large corpus over the CPUs in the process's
 affinity mask. The parent only sizes the files: it stats each one, and
 reads a file that is not regular, such as a pipe, once; it opens no regular
 file. Forked workers, one per CPU and per `_BYTES_PER_PART` bytes of
-corpus, each take a contiguous part of the corpus by byte position. A worker
-opens each regular file by path, checks that it is the file the parent
-sized, and walks every file once (`corpus.walk`), holding a small window of
-it and one decoded discourse at a time: it builds, validates, runs and
-finishes each discourse whose middle falls in its part, and drops it before
-the next. Each worker streams its reply back over a pipe: a head with every
-file as it walked it (its read error and its discourses' ids) and its own
-discourses' diagnostics (or its exception), and how many results follow,
-then the results, each pickled on its own. The parent reads every head
-before any result, so a diagnostic anywhere stops the command before it
-writes a byte, and then unpickles one result at a time, in input order,
-which the command writes or folds and drops; a worker done early waits on
-its full pipe until its turn. The output, errors included, does not depend
-on the CPU count. A corpus too small for two parts, or a single CPU, runs
-the same function over its one part in process.
+corpus, each take a contiguous part of the corpus by byte position. A
+worker opens each regular file by path, checks that it is the file the
+parent sized, and walks every file once (`corpus.walk`), holding a small
+window of it and one decoded discourse at a time: it builds, validates,
+runs and finishes each discourse whose middle falls in its part, and drops
+it before the next. `analyze` renders each utterance's report as the engine
+hands it on (`engine.stream_discourse`), so a part holds each discourse's
+rendered text, in pieces, not its states or reports. Each worker streams its
+reply back over a pipe: a head with every file as it walked it (its read error
+and its discourses' ids) and its own discourses' diagnostics (or its
+exception), and how many results follow, then the results, each pickled on
+its own. The parent reads every head before any result, so a diagnostic
+anywhere stops the command before it writes a byte, and then unpickles one
+result at a time, in input order, which the command writes or folds and
+drops; a worker done early waits on its full pipe until its turn. The
+output, errors included, does not depend on the CPU count. A corpus too
+small for two parts, or a single CPU, runs the same function over its one
+part in process.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import sys
 from typing import Any, BinaryIO, Callable, Iterator, NoReturn, Optional, Sequence, Union
 
 from . import analysis, corpus as corpus_io
-from .engine import DiscourseReport, EngineConfig, run_corpus
+from .engine import DiscourseReport, EngineConfig, run_corpus, stream_discourse
 from .hypotheses import DEFAULT_BEAM
 from .model import Discourse, Violation, format_resolution
 
@@ -394,25 +397,50 @@ def _run_engine(
     """Run the engine on the discourses of the files, one at a time (see
     `_run_parts`), and iterate over `finish(reports, discourses)` of each
     discourse, with its one report, in input order."""
-    config = EngineConfig(
-        beam=args.beam, zta_enabled=not args.no_zta, global_enabled=not args.no_global
-    )
+    config = _config(args)
     return _run_parts(args.files, lambda d: finish(run_corpus([d], config), (d,)))
 
 
-#: The characters of each piece of a block that `analyze` writes: the text
-#: stream encodes what it is given whole, so a long block written at once
-#: would be held twice, as text and as bytes.
-_WRITE = 64 * 1024
+def _config(args: argparse.Namespace) -> EngineConfig:
+    return EngineConfig(
+        beam=args.beam, zta_enabled=not args.no_zta, global_enabled=not args.no_global
+    )
+
+
+#: The characters of each piece of a discourse's output that `analyze` holds
+#: and writes: a short discourse's block is one string, and a long one's is
+#: never held twice, as lines and joined, nor as text and as the bytes the
+#: stream encodes it to.
+_PIECE = 64 * 1024
+
+
+def _pieces(lines: Iterator[str]) -> list[str]:
+    """`lines` joined into pieces of about `_PIECE` characters each."""
+    pieces: list[str] = []
+    piece: list[str] = []
+    size = 0
+    for line in lines:
+        piece.append(line)
+        size += len(line)
+        if size >= _PIECE:
+            pieces.append("".join(piece))
+            piece, size = [], 0
+    if piece:
+        pieces.append("".join(piece))
+    return pieces
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    blocks = _run_engine(args, lambda reports, _: corpus_io.report_blocks(reports, args.format))
+    config = _config(args)
+    blocks = _run_parts(
+        args.files,
+        lambda d: _pieces(corpus_io.report_lines(stream_discourse(d, config), args.format)),
+    )
     write = sys.stdout.write
     write(corpus_io.report_head(args.format))
-    for block in blocks:
-        for at in range(0, len(block), _WRITE):
-            write(block[at : at + _WRITE])
+    for pieces in blocks:
+        for piece in pieces:
+            write(piece)
     return 0
 
 

@@ -488,30 +488,50 @@ def serialize_reports(reports: Sequence[DiscourseReport], format: str = "text") 
     "machine" is line-delimited JSON that round-trips through read_reports;
     "text" is the human trace. Both are deterministic and line-stable.
     """
-    return report_head(format) + report_blocks(reports, format)
+    head = report_head(format)
+    return head + "".join([line for rep in reports for line in report_lines((rep,), format)])
 
 
 def report_head(format: str) -> str:
     """The lines that open a report of `format` before its first block."""
-    return _renderer(format)[0]
+    return _TEXT_HEAD if _is_text(format) else ""
 
 
-def report_blocks(reports: Sequence[DiscourseReport], format: str) -> str:
-    """The rendering of `reports` after the head: one block per report, so
-    the blocks of a list are the blocks of its slices joined in order."""
-    return "".join(map(_renderer(format)[1], reports))
+def report_lines(
+    stream: typing.Iterable[Union[UtteranceReport, DiscourseReport]], format: str
+) -> Iterator[str]:
+    """The block of one discourse, line by line, each line ending in a
+    newline, rendered from its stream (`engine.stream_discourse`) as the
+    stream hands each item on: each utterance's report, and last the
+    discourse's, whose utterances come before its closing line. A whole
+    `DiscourseReport` is a stream of one."""
+    text = _is_text(format)
+    encode = RECORD_ENCODER.encode
+    count = 0
+    for k, item in enumerate(stream):
+        if text and not k:
+            yield f"== discourse {item.discourse_id} ==\n"
+        for u in (item,) if type(item) is UtteranceReport else item.utterances:
+            count += 1
+            if text:
+                yield from _text_lines(u)
+            else:
+                yield encode(_UTTERANCE_OBJECT(u)) + "\n"
+    if text:
+        amb = "yes" if item.unresolved_ambiguity else "no"
+        yield f"  summary: utterances={count} unresolved-ambiguity={amb}\n"
+    else:
+        yield encode(_DISCOURSE_OBJECT(item)) + "\n"
 
 
 _TEXT_HEAD = "# centering trace: cb | cf | transition | zero resolutions | cues\n"
 
 
-def _renderer(format: str) -> tuple[str, Callable[[DiscourseReport], str]]:
-    """The head and the block renderer of a report format."""
-    if format == "machine":
-        return "", _machine_block
-    if format == "text":
-        return _TEXT_HEAD, _text_block
-    raise ValueError(f"unknown report format '{format}'")
+def _is_text(format: str) -> bool:
+    """Whether `format` is the text trace rather than the machine report."""
+    if format not in ("text", "machine"):
+        raise ValueError(f"unknown report format '{format}'")
+    return format == "text"
 
 
 #: Machine-report keys that differ from the field names they carry.
@@ -619,14 +639,6 @@ _DISCOURSE_OBJECT = _writer(DiscourseReport, "discourse")
 RECORD_ENCODER = json.JSONEncoder(default=encode_resolution, check_circular=False)
 
 
-def _machine_block(rep: DiscourseReport) -> str:
-    encode = RECORD_ENCODER.encode
-    lines = [encode(_UTTERANCE_OBJECT(u)) for u in rep.utterances]
-    lines.append(encode(_DISCOURSE_OBJECT(rep)))
-    lines.append("")  # the block's last newline, without copying the block again
-    return "\n".join(lines)
-
-
 _OBJECT: _Shape = {dict: None}
 
 
@@ -695,40 +707,36 @@ def _fmt_cf(cf: Sequence[tuple[str, str]]) -> str:
     return "[" + ", ".join(f"{eid}/{role}" for eid, role in cf) + "]"
 
 
-def _text_block(rep: DiscourseReport) -> str:
-    lines = [f"== discourse {rep.discourse_id} =="]
-    for u in rep.utterances:
-        bits = [f"u{u.index}"]
-        if u.seed:
-            bits.append("[seed]")
-        bits.append(u.tense)
-        bits.append(f"cb={u.cb if u.cb is not None else '-'}")
-        bits.append(f"cf={_fmt_cf(u.cf)}")
-        bits.append(u.label.upper())
-        if u.resolutions:
-            shown = ", ".join(f"{p}->{format_resolution(v)}" for p, v in u.resolutions)
-            bits.append(f"zeros: {shown}")
-        if u.cues:
-            bits.append("cue=" + "+".join(u.cues))
-        if u.ambiguous:
-            bits.append("AMBIGUOUS")
-        lines.append("  " + " | ".join(bits))
-        if len(u.hypotheses) > 1:
-            for n, h in enumerate(u.hypotheses, start=1):
-                flags = []
-                if h.dampened:
-                    flags.append("dampened")
-                if h.anomalous:
-                    flags.append("anomalous")
-                suffix = f" ({', '.join(flags)})" if flags else ""
-                lines.append(
-                    f"      Cf{n}: {h.transition.upper()} cb="
-                    f"{h.cb if h.cb is not None else '-'} cf={_fmt_cf(h.cf)}{suffix}"
-                )
-    amb = "yes" if rep.unresolved_ambiguity else "no"
-    lines.append(f"  summary: utterances={len(rep.utterances)} unresolved-ambiguity={amb}")
-    lines.append("")
-    return "\n".join(lines)
+def _text_lines(u: UtteranceReport) -> list[str]:
+    """The text trace lines of one utterance."""
+    bits = [f"u{u.index}"]
+    if u.seed:
+        bits.append("[seed]")
+    bits.append(u.tense)
+    bits.append(f"cb={u.cb if u.cb is not None else '-'}")
+    bits.append(f"cf={_fmt_cf(u.cf)}")
+    bits.append(u.label.upper())
+    if u.resolutions:
+        shown = ", ".join(f"{p}->{format_resolution(v)}" for p, v in u.resolutions)
+        bits.append(f"zeros: {shown}")
+    if u.cues:
+        bits.append("cue=" + "+".join(u.cues))
+    if u.ambiguous:
+        bits.append("AMBIGUOUS")
+    lines = ["  " + " | ".join(bits) + "\n"]
+    if len(u.hypotheses) > 1:
+        for n, h in enumerate(u.hypotheses, start=1):
+            flags = []
+            if h.dampened:
+                flags.append("dampened")
+            if h.anomalous:
+                flags.append("anomalous")
+            suffix = f" ({', '.join(flags)})" if flags else ""
+            lines.append(
+                f"      Cf{n}: {h.transition.upper()} cb="
+                f"{h.cb if h.cb is not None else '-'} cf={_fmt_cf(h.cf)}{suffix}\n"
+            )
+    return lines
 
 
 # -- bundled sample corpora --------------------------------------------------

@@ -1,13 +1,18 @@
 """Discourse-level engine: Cb history, global retrieval, coherence steps.
 
-One mutable-looking `DiscourseState` is threaded per discourse, advanced
-strictly by utterance index; every value inside is immutable, so distinct
-discourses can run in parallel with no shared state.
+One `DiscourseState` is threaded per discourse, advanced strictly by
+utterance index; `coherence_step` changes no state or reading it is given,
+so distinct discourses can run in parallel with no shared state.
+`stream_discourse` hands on each utterance's report once every live reading
+agrees on it and cuts what lies behind, so a discourse runs in memory
+bounded by the beam and the history, not by its length; `run_discourse`
+collects that stream.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from itertools import repeat
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from ._record import field, record, replace
 from .core import rank_cf
@@ -40,6 +45,17 @@ from .resolution import (
     form_set_candidates,
     local_resolution,
 )
+
+_set = object.__setattr__
+
+#: How many states `stream_discourse` lets wait before it looks for a step
+#: to settle: reports built in runs cost less CPU than one built after each
+#: step, and a discourse shorter than this is reported by `finalize` alone.
+_SETTLE_AFTER = 32
+
+#: The ambiguity key that stands for those of a settled reading
+#: (`stream_discourse`); a branch point's key is "u" and an index.
+_SETTLED_KEYS = frozenset({"settled"})
 
 #: The preference ranks that gate retrieval (`coherence_step`).
 _RETAIN_RANK = TransitionLabel.RETAIN.preference_rank
@@ -216,8 +232,11 @@ class DiscourseState:
     former Cbs up to it; `prev` is the state before it. The initial state
     has no utterance and no `prev`. States form an append-only list through
     `prev` (newest first), so a step adds its record in O(1) and earlier
-    states stay valid. `prev` is left out of repr, equality and hashing,
-    which would otherwise recurse down the whole list.
+    states stay valid: `coherence_step` never changes one. Only
+    `stream_discourse` cuts the list, and the readings' parent links, behind
+    the utterances it has reported, in the states it made itself. `prev` is
+    left out of repr, equality and hashing, which would otherwise recurse
+    down the whole list.
     """
 
     discourse: Discourse
@@ -399,90 +418,151 @@ def _accepted(survivors: Sequence[CenteringHypothesis]) -> CenteringHypothesis:
 def run_discourse(
     discourse: Discourse, config: Optional[EngineConfig] = None
 ) -> DiscourseReport:
-    """Process a whole discourse and return its finalized report."""
-    config = config or EngineConfig()
-    state = DiscourseState(discourse=discourse, config=config)
+    """Process a whole discourse and return its report: the stream of
+    `stream_discourse`, collected."""
+    *reports, tail = stream_discourse(discourse, config)
+    if not reports:
+        return tail
+    return DiscourseReport(
+        tail.discourse_id, (*reports, *tail.utterances), tail.unresolved_ambiguity, tail.history
+    )
+
+
+def stream_discourse(
+    discourse: Discourse, config: Optional[EngineConfig] = None
+) -> Iterator[Union[UtteranceReport, DiscourseReport]]:
+    """Process a discourse, handing on the report of each utterance, in
+    order, once every live reading agrees on it; the last item is
+    `finalize`'s report of the final state, which holds the utterances not
+    handed on.
+
+    Once every live reading shares its node at some step, no later step can
+    change the report of that step or of one before it: the final stats path
+    runs through that node, no two readings differ there, and the step's
+    views and retrievals are its own. So once `_SETTLE_AFTER` states wait,
+    each step reports the prefix up to the newest such step, with the shared
+    node as the chosen reading, and cuts the states and parent links behind
+    it, after each reading's `seed` flag is read; `finalize` then walks only
+    the rest. Every live reading then holds the ambiguity keys of the shared
+    node, as every later reading will, so they are folded into one
+    (`_SETTLED_KEYS`): finalize's tie test reads the same, and the keys stop
+    growing with the discourse. Only states and readings made here are cut
+    or folded, and nothing else holds them.
+    """
+    state = DiscourseState(discourse, config or EngineConfig())
+    pending: list[DiscourseState] = []  # the states not yet reported, oldest first
     for u in discourse.utterances:
         state = coherence_step(state, u)
-    return finalize(state)
+        pending.append(state)
+        if len(pending) < _SETTLE_AFTER:
+            continue
+        # walk the live readings back in step until they meet
+        nodes, lag = state.hypotheses, 0
+        while len(nodes) > 1 and any(h is not nodes[0] for h in nodes):
+            nodes, lag = [h.parent for h in nodes], lag + 1
+        settled = len(pending) - lag
+        if not settled:
+            continue
+        # the shared node's ancestry, newest first, one node per state settled
+        shared = nodes[0]
+        chosen = [shared]
+        while len(chosen) < settled:
+            chosen.append(chosen[-1].parent)
+        reports = [_report(step, h, False) for step, h in zip(pending, reversed(chosen))]
+        _set(shared, "parent", None)
+        _set(pending[settled - 1], "prev", None)
+        del pending[:settled], chosen
+        keys = shared.ambiguity_keys
+        if keys and keys != _SETTLED_KEYS:
+            for h in state.hypotheses:
+                _set(h, "ambiguity_keys", h.ambiguity_keys - keys | _SETTLED_KEYS)
+        yield from reports
+    yield finalize(state)
+
+
+def _report(
+    step: DiscourseState, chosen: CenteringHypothesis, ambiguous: bool
+) -> UtteranceReport:
+    """The report of the utterance of `step` under its reading `chosen`."""
+    u = step.utterance
+    views = tuple([_view(h) for h in step.hypotheses])
+    # the chosen reading is one of the step's, and its view holds its Cf
+    cf = next(view.cf for h, view in zip(step.hypotheses, views) if h is chosen)
+    retrievals = step.retrievals
+    if retrievals:
+        # one per position, the last made there
+        by_pos = {r.position: r for r in retrievals}
+        retrievals = tuple([by_pos[p] for p in sorted(by_pos)])
+    # positional, in declaration order
+    return UtteranceReport(
+        step.discourse.id,
+        u.index,
+        u.tense.value,
+        u.text,
+        chosen.seed,
+        u.has_zero,
+        chosen.transition.display,
+        chosen.cb,
+        cf,
+        chosen.resolutions,
+        chosen.cues,
+        retrievals,
+        views,
+        ambiguous,
+    )
 
 
 def finalize(state: DiscourseState) -> DiscourseReport:
-    """Turn the chain of step states into the final report.
+    """Report the utterances of the states from `state` back to the newest
+    one without `prev`, left out: for a state that `coherence_step` built up
+    from an initial state, the whole discourse; in `stream_discourse`, the
+    utterances not yet handed on. The history is the state's own.
 
     Statistical labels come from the final best hypothesis's ancestry; on a
     final preference tie (a dampened ambiguity that never resolved) the
     plain-most path wins and the tied readings are compared: utterances where
     their zero resolutions differ are flagged ambiguous.
     """
-    discourse = state.discourse
-    if state.prev is None:
-        return DiscourseReport(discourse.id, (), False, ())
-
-    # prune_hypotheses leaves the live set best-first
-    best = state.hypotheses[0]
-    best_key = rank_key(best)[:2]
-    readings = [
-        h
-        for h in state.hypotheses
-        if rank_key(h)[:2] == best_key
-        or (h.ambiguity_keys & best.ambiguity_keys and not h.anomalous)
-    ]
-    stats_path = min(readings, key=lambda h: (h.zta_count, rank_key(h)))
-
     # steps, the stats path and every reading's ancestry all run newest
-    # first, one entry per utterance
+    # first, one entry per utterance; an ancestry cut in `stream_discourse`
+    # runs one node past the steps, to the node all readings share
     steps: list[DiscourseState] = []
     node = state
     while node.prev is not None:
         steps.append(node)
         node = node.prev
-    if len(readings) > 1:
-        ambiguous = [
-            len({h.resolutions for h in nodes}) > 1
-            for nodes in zip(*(r.ancestry() for r in readings), strict=True)
-        ]
-    else:
-        ambiguous = [False] * len(steps)
 
     reports: list[UtteranceReport] = []
-    for step, chosen, flag in zip(
-        steps, stats_path.ancestry(), ambiguous, strict=True
-    ):
-        u = step.utterance
-        views = tuple([_view(h) for h in step.hypotheses])
-        # the chosen reading is one of the step's, and its view holds its Cf
-        cf = next(view.cf for h, view in zip(step.hypotheses, views) if h is chosen)
-        retrievals = step.retrievals
-        if retrievals:
-            # one per position, the last made there
-            by_pos = {r.position: r for r in retrievals}
-            retrievals = tuple([by_pos[p] for p in sorted(by_pos)])
-        # positional, in declaration order
-        reports.append(
-            UtteranceReport(
-                discourse.id,
-                u.index,
-                u.tense.value,
-                u.text,
-                chosen.seed,
-                u.has_zero,
-                chosen.transition.display,
-                chosen.cb,
-                cf,
-                chosen.resolutions,
-                chosen.cues,
-                retrievals,
-                views,
-                flag,
-            )
-        )
-    reports.reverse()
+    unresolved = False
+    if steps:
+        # prune_hypotheses leaves the live set best-first
+        best = state.hypotheses[0]
+        best_key = rank_key(best)[:2]
+        readings = [
+            h
+            for h in state.hypotheses
+            if rank_key(h)[:2] == best_key
+            or (h.ambiguity_keys & best.ambiguity_keys and not h.anomalous)
+        ]
+        stats_path = min(readings, key=lambda h: (h.zta_count, rank_key(h)))
+        flags: Iterable[bool] = repeat(False)
+        if len(readings) > 1:
+            # the node that all readings share is never flagged
+            flags = [
+                len({h.resolutions for h in nodes}) > 1
+                for nodes in zip(*(r.ancestry() for r in readings))
+            ]
+            unresolved = any(flags)
+        reports = [
+            _report(step, chosen, flag)
+            for step, chosen, flag in zip(steps, stats_path.ancestry(), flags)
+        ]
+        reports.reverse()
 
     return DiscourseReport(
-        discourse_id=discourse.id,
+        discourse_id=state.discourse.id,
         utterances=tuple(reports),
-        unresolved_ambiguity=any(ambiguous),
+        unresolved_ambiguity=unresolved,
         history=tuple((e.entity_id, e.index) for e in state.history),
     )
 
@@ -490,4 +570,5 @@ def finalize(state: DiscourseState) -> DiscourseReport:
 def run_corpus(
     discourses: Sequence[Discourse], config: Optional[EngineConfig] = None
 ) -> list[DiscourseReport]:
+    """The report of each discourse, by `run_discourse`."""
     return [run_discourse(d, config) for d in discourses]

@@ -289,7 +289,10 @@ class CenteringHypothesis:
     parent and recomputed whenever the hypothesis is rebuilt; `cf_ids`, the
     ids of `cf` in order, is built with it and left out of repr, equality
     and hashing, as `cf` already takes part. `parent` is left out of them
-    too, which would otherwise recurse down the whole chain.
+    too, which would otherwise recurse down the whole chain. No engine step
+    changes a reading; only `engine.stream_discourse`, in readings it made
+    and never hands out, cuts `parent` behind an utterance it has reported
+    and folds the ambiguity keys that every live reading shares.
     """
 
     utterance_index: int

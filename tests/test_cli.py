@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -25,8 +26,9 @@ from centering.cli import main
 from centering.corpus import (
     FIXTURE_NAMES,
     fixture_text,
-    report_blocks,
+    report_lines,
 )
+from centering.engine import stream_discourse
 from synth import serialize_corpus
 
 from test_golden import load_corpus_gen, synth_corpus
@@ -470,7 +472,7 @@ class TestValidateAndErrors:
         def boom(*args, **kwargs):
             raise RuntimeError("engine fault")
 
-        monkeypatch.setattr(cli_mod, "run_corpus", boom)
+        monkeypatch.setattr(cli_mod, "stream_discourse", boom)
         code, _, err = run_cli(capsys, "analyze", corpus_file("classroom_exam"))
         assert code == 2
         assert "internal error" in err
@@ -637,15 +639,15 @@ class TestWorkers:
         assert outputs[0] == outputs[1]
 
     def test_worker_fault_exit_two_and_prints_nothing(self, pool_corpus, monkeypatch, capsys):
-        real, parent = cli_mod.run_corpus, os.getpid()
+        real, parent = cli_mod.stream_discourse, os.getpid()
 
-        def fail_on_last_group(discourses, config):
+        def fail_on_last_group(discourse, config):
             # raises only in a worker, so the groups must run in workers
-            if discourses[-1].id == "device-lineup" and os.getpid() != parent:
+            if discourse.id == "device-lineup" and os.getpid() != parent:
                 raise RuntimeError("engine fault")
-            return real(discourses, config)
+            return real(discourse, config)
 
-        monkeypatch.setattr(cli_mod, "run_corpus", fail_on_last_group)
+        monkeypatch.setattr(cli_mod, "stream_discourse", fail_on_last_group)
         with_cpus(monkeypatch, 3)
         code, out, err = run_cli(capsys, "analyze", *pool_corpus)
         assert (code, out) == (2, "")
@@ -656,12 +658,12 @@ class TestWorkers:
         proc = run_python(
             "import os, sys\n"
             "import centering.cli as cli\n"
-            "real, parent = cli.run_corpus, os.getpid()\n"
-            "def die(discourses, config):\n"
+            "real, parent = cli.stream_discourse, os.getpid()\n"
+            "def die(discourse, config):\n"
             "    if os.getpid() != parent:\n"
             "        os._exit(3)\n"
-            "    return real(discourses, config)\n"
-            "cli.run_corpus = die\n"
+            "    return real(discourse, config)\n"
+            "cli.stream_discourse = die\n"
             "cli._BYTES_PER_PART = 1\n"
             "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
             "os.sched_setaffinity = lambda pid, cpus: None\n"
@@ -673,15 +675,16 @@ class TestWorkers:
     def test_worker_dead_after_its_head_exit_two(self, pool_corpus, monkeypatch, capsys):
         with_cpus(monkeypatch, 3)
         _, full, _ = run_cli(capsys, "analyze", *pool_corpus)
-        real = cli_mod.corpus_io.report_blocks
+        real = cli_mod._pieces
 
-        def dies_when_sent(reports, format):
+        def dies_when_sent(lines):
+            pieces = real(lines)
             # device-lineup is in the last part, whose head is sent by then
-            if reports[0].discourse_id == "device-lineup":
+            if pieces[0].startswith("== discourse device-lineup =="):
                 return DiesWhenSent()
-            return real(reports, format)
+            return pieces
 
-        monkeypatch.setattr(cli_mod.corpus_io, "report_blocks", dies_when_sent)
+        monkeypatch.setattr(cli_mod, "_pieces", dies_when_sent)
         code, out, err = run_cli(capsys, "analyze", *pool_corpus)
         assert code == 2
         assert "internal error" in err and "exit status 4" in err
@@ -771,16 +774,17 @@ class TestWorkers:
             fails = json.dumps({"id": "fails", "entities": [], "utterances": []})
             body = json.dumps(data["discourses"])
             lineup.write_text(f'{{"discourses": [{fails}], "discourses": {body}}}', "utf-8")
-        real, doomed = cli_mod.run_corpus, "fails" if later == "replacing-key" else "golden-0"
+        real = cli_mod.stream_discourse
+        doomed = "fails" if later == "replacing-key" else "golden-0"
 
-        def fail(discourses, config):
-            if discourses[0].id == doomed:
+        def fail(discourse, config):
+            if discourse.id == doomed:
                 raise RuntimeError("engine fault")
-            return real(discourses, config)
+            return real(discourse, config)
 
         paths = [synth, etching, str(lineup)]
         want = run_cli(capsys, "analyze", *pool_corpus)
-        monkeypatch.setattr(cli_mod, "run_corpus", fail)
+        monkeypatch.setattr(cli_mod, "stream_discourse", fail)
         with_cpus(monkeypatch, cpus)
         code, out, err = run_cli(capsys, "analyze", *paths)
         if later == "replacing-key":
@@ -1104,6 +1108,43 @@ def test_memory_grows_with_the_text_not_the_decoded_corpus(tmp_path, monkeypatch
         assert growth <= 0.5, f"peak grew {growth:.2f} bytes per input byte, peaks {peaks}"
 
 
+def test_analyze_holds_no_more_than_the_walk_of_a_long_discourse(tmp_path, monkeypatch):
+    # In process, analyze renders each utterance's report as the engine
+    # hands it on and keeps only the rendered text, in pieces, which takes
+    # less room than the decoded discourse the walk dropped. Holding the discourse's states,
+    # its whole report and its block as lines and joined, analyze peaked at
+    # 11.33 MB against 8.56 MB for the walk.
+    monkeypatch.setattr(cli_mod, "_cpus", lambda: [0])
+    gen = load_corpus_gen()
+    data = gen.random_discourse(random.Random(7), "long", 4800, 6, 0.35)
+    path = tmp_path / "long.centering.json"
+    path.write_text(gen.corpus_text({"discourses": [data]}), encoding="utf-8")
+
+    def walk_and_build():
+        with open(path, "rb") as fh:
+            for r, item in cli_mod.corpus_io.walk(fh):
+                cli_mod.corpus_io.build_discourse(r, item)
+
+    def analyze():
+        with open(os.devnull, "w", encoding="utf-8") as sink:
+            stdout, sys.stdout = sys.stdout, sink
+            try:
+                assert main(["analyze", "--format", "machine", str(path)]) == 0
+            finally:
+                sys.stdout = stdout
+
+    walk_and_build()  # first-use caches out of the measurement
+    peaks = []
+    for run in (walk_and_build, analyze):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.15 * peaks[0], f"peaks {peaks}"
+
+
 def test_the_parent_holds_one_worker_result_at_a_time(pool_corpus, monkeypatch):
     # Each worker keeps its results until the parent reads them, so the
     # parent's peak is about one result, not the 44 of the corpus (8.8 MB).
@@ -1150,8 +1191,9 @@ class TestCollector:
             for text in texts:
                 discourses = parse_corpus(text)
                 reports = run_corpus(discourses)
-                for format in ("text", "machine"):
-                    report_blocks(reports, format)
+                for d in discourses:
+                    for format in ("text", "machine"):
+                        list(report_lines(stream_discourse(d), format))
                 tabulate_transitions(reports)
                 tabulate_disambiguation(reports)
                 evaluate_gold(reports, discourses)
