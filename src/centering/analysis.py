@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 from ._record import record
-from .engine import DiscourseReport
+from .engine import DiscourseReport, UtteranceReport
 from .model import Discourse, Resolution, TransitionLabel, decode_resolution
 from .resolution import CUE_AGREEMENT, CUE_LEXICAL, CUE_TENSE
 
@@ -21,6 +21,11 @@ _COLUMN_OF = {
     TransitionLabel.SMOOTH_SHIFT.display: "smooth-shift",
     TransitionLabel.ROUGH_SHIFT.display: "rough-shift",
 }
+
+
+#: What the tables count: discourse reports, or a stream of
+#: `engine.stream_discourse`.
+_Reports = Iterable[Union[DiscourseReport, UtteranceReport]]
 
 
 @record
@@ -56,20 +61,32 @@ class TransitionTable:
         return a, b, c, d
 
 
-def tabulate_transitions(reports: Iterable[DiscourseReport]) -> TransitionTable:
-    """Count per-utterance transitions split by zero use, excluding
-    discourse-initial seeds."""
-    rows = {"with": dict.fromkeys(COLUMNS, 0), "without": dict.fromkeys(COLUMNS, 0)}
-    for rep in reports:
-        for u in rep.utterances:
+def tabulate(reports: _Reports) -> tuple[TransitionTable, dict[str, int]]:
+    """`tabulate_transitions` and `tabulate_disambiguation` of `reports`,
+    counted in one pass over their utterance reports as they come."""
+    rows = {True: dict.fromkeys(COLUMNS, 0), False: dict.fromkeys(COLUMNS, 0)}
+    counts = {CUE_LEXICAL: 0, CUE_TENSE: 0, CUE_AGREEMENT: 0}
+    for item in reports:
+        for u in (item,) if type(item) is UtteranceReport else item.utterances:
             if u.seed:
                 continue
             col = _COLUMN_OF[u.label]
-            rows["with" if u.has_zero else "without"][col] += 1
-    return TransitionTable(
-        with_zero=tuple(rows["with"][c] for c in COLUMNS),
-        without_zero=tuple(rows["without"][c] for c in COLUMNS),
+            rows[u.has_zero][col] += 1
+            if u.has_zero and col == "rough-shift":
+                for cue in set(u.cues):
+                    if cue in counts:
+                        counts[cue] += 1
+    table = TransitionTable(
+        with_zero=tuple(rows[True][c] for c in COLUMNS),
+        without_zero=tuple(rows[False][c] for c in COLUMNS),
     )
+    return table, counts
+
+
+def tabulate_transitions(reports: _Reports) -> TransitionTable:
+    """Count per-utterance transitions split by zero use, excluding
+    discourse-initial seeds."""
+    return tabulate(reports)[0]
 
 
 def chi_square_2x2(a: int, b: int, c: int, d: int) -> Optional[float]:
@@ -91,21 +108,11 @@ def chi_square_2x2(a: int, b: int, c: int, d: int) -> Optional[float]:
     return num / den
 
 
-def tabulate_disambiguation(reports: Iterable[DiscourseReport]) -> dict[str, int]:
+def tabulate_disambiguation(reports: _Reports) -> dict[str, int]:
     """Cue counts over rough-shift utterances with zeros resolved by former-Cb
     retrieval. One utterance may increment several cues, so the total can
     exceed the number of such utterances."""
-    counts = {CUE_LEXICAL: 0, CUE_TENSE: 0, CUE_AGREEMENT: 0}
-    for rep in reports:
-        for u in rep.utterances:
-            if u.seed or not u.has_zero:
-                continue
-            if _COLUMN_OF[u.label] != "rough-shift":
-                continue
-            for cue in set(u.cues):
-                if cue in counts:
-                    counts[cue] += 1
-    return counts
+    return tabulate(reports)[1]
 
 
 @record

@@ -13,21 +13,24 @@ file. Forked workers, one per CPU and per `_BYTES_PER_PART` bytes of
 corpus, each take a contiguous part of the corpus by byte position. A
 worker opens each regular file by path, checks that it is the file the
 parent sized, and walks every file once (`corpus.walk`), holding a small
-window of it and one decoded discourse at a time: it builds, validates,
-runs and finishes each discourse whose middle falls in its part, and drops
-it before the next. `analyze` renders each utterance's report as the engine
-hands it on (`engine.stream_discourse`), so a part holds each discourse's
-rendered text, in pieces, not its states or reports. Each worker streams its
-reply back over a pipe: a head with every file as it walked it (its read error
-and its discourses' ids) and its own discourses' diagnostics (or its
-exception), and how many results follow, then the results, each pickled on
-its own. The parent reads every head before any result, so a diagnostic
-anywhere stops the command before it writes a byte, and then unpickles one
-result at a time, in input order, which the command writes or folds and
-drops; a worker done early waits on its full pipe until its turn. The
-output, errors included, does not depend on the CPU count. A corpus too
-small for two parts, or a single CPU, runs the same function over its one
-part in process.
+window of it and one discourse at a time, whose decoded JSON shrinks as the
+discourse is built from it (`corpus.build_discourse`): it builds,
+validates, runs and finishes each discourse whose middle falls in its part,
+and drops it before the next. `analyze`, `stats` and `resolve` fold each
+utterance's report as the engine hands it on (`engine.stream_discourse`),
+so a part holds what each discourse gave, not its states or reports:
+`analyze` its rendered text, in pieces, `stats` its counts and `resolve`
+its lines. `eval` pairs each discourse's whole report with it
+(`run_corpus`). Each worker streams its reply back over a pipe: a head with
+every file as it walked it (its read error and its discourses' ids) and its
+own discourses' diagnostics (or its exception), and how many results
+follow, then the results, each pickled on its own. The parent reads every
+head before any result, so a diagnostic anywhere stops the command before
+it writes a byte, and then unpickles one result at a time, in input order,
+which the command writes or folds and drops; a worker done early waits on
+its full pipe until its turn. The output, errors included, does not depend
+on the CPU count. A corpus too small for two parts, or a single CPU, runs
+the same function over its one part in process.
 """
 
 from __future__ import annotations
@@ -39,10 +42,10 @@ import json
 import os
 import stat
 import sys
-from typing import Any, BinaryIO, Callable, Iterator, NoReturn, Optional, Sequence, Union
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, NoReturn, Optional, Sequence, Union
 
 from . import analysis, corpus as corpus_io
-from .engine import DiscourseReport, EngineConfig, run_corpus, stream_discourse
+from .engine import DiscourseReport, EngineConfig, UtteranceReport, run_corpus, stream_discourse
 from .hypotheses import DEFAULT_BEAM
 from .model import Discourse, Violation, format_resolution
 
@@ -445,21 +448,29 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_resolve(args: argparse.Namespace) -> int:
-    for lines in _run_engine(args, lambda reports, _: _resolution_lines(reports, args.format)):
+    config = _config(args)
+    blocks = _run_parts(
+        args.files, lambda d: _resolution_lines(stream_discourse(d, config), args.format)
+    )
+    for lines in blocks:
         sys.stdout.writelines(f"{line}\n" for line in lines)
     return 0
 
 
-def _resolution_lines(reports: list[DiscourseReport], format: str) -> list[str]:
+def _resolution_lines(
+    reports: Iterable[Union[UtteranceReport, DiscourseReport]], format: str
+) -> list[str]:
+    """The resolve lines of every zero of `reports`, discourse reports or
+    the stream of `stream_discourse`, folded as the reports come."""
     lines = []
-    for rep in reports:
-        for u in rep.utterances:
+    for item in reports:
+        for u in (item,) if type(item) is UtteranceReport else item.utterances:
             for pos, value in u.resolutions:
                 if format == "machine":
                     record = {
                         "antecedent": value,
                         "cues": u.cues,
-                        "discourse": rep.discourse_id,
+                        "discourse": u.discourse_id,
                         "pos": pos,
                         "utterance": u.index,
                     }
@@ -467,7 +478,7 @@ def _resolution_lines(reports: list[DiscourseReport], format: str) -> list[str]:
                 else:
                     cue = f"  cue={'+'.join(u.cues)}" if u.cues else ""
                     lines.append(
-                        f"{rep.discourse_id} u{u.index} zero@{pos} -> "
+                        f"{u.discourse_id} u{u.index} zero@{pos} -> "
                         f"{format_resolution(value)}{cue}"
                     )
     return lines
@@ -478,15 +489,9 @@ def _fmt_row(label: str, cells: Sequence[Any]) -> str:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    parts = _run_engine(
-        args,
-        lambda reports, _: (
-            analysis.tabulate_transitions(reports),
-            analysis.tabulate_disambiguation(reports),
-        ),
-    )
-    table = analysis.tabulate_transitions(())
-    cues = analysis.tabulate_disambiguation(())
+    config = _config(args)
+    parts = _run_parts(args.files, lambda d: analysis.tabulate(stream_discourse(d, config)))
+    table, cues = analysis.tabulate(())
     for part, counts in parts:
         table += part
         for name, n in counts.items():

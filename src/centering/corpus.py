@@ -108,8 +108,9 @@ def parse_corpus(text: str) -> list[Discourse]:
 
 #: The tokens of JSON that bear on nesting and on integer literals. Strings
 #: are matched whole, so that nothing inside them counts, and an unclosed
-#: one runs to the end, so that the scan stays linear.
-_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"?|[\[{]|[\]}]|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?', re.S)
+#: one runs to the end, so that the scan stays linear. Only a document that
+#: `json.loads` fails on is scanned, so it is compiled only then.
+_JSON_TOKEN = r'"(?:[^"\\]|\\.)*"?|[\[{]|[\]}]|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?'
 
 
 def _loads(text: str) -> Any:
@@ -123,7 +124,7 @@ def _loads(text: str) -> Any:
         raise
     except RecursionError as exc:
         depth = deepest = at = 0
-        for token in _JSON_TOKEN.finditer(text):
+        for token in re.finditer(_JSON_TOKEN, text, re.S):
             if token.group() in ("[", "{"):
                 depth += 1
                 if depth > deepest:
@@ -134,7 +135,7 @@ def _loads(text: str) -> Any:
         raise json.JSONDecodeError(message, text, at) from exc
     except ValueError as exc:
         limit = sys.get_int_max_str_digits()
-        for token in _JSON_TOKEN.finditer(text):
+        for token in re.finditer(_JSON_TOKEN, text, re.S):
             digits = token.group().lstrip("-")
             if digits.isdigit() and len(digits) > limit:
                 message = f"integer of {len(digits)} digits, more than {limit}"
@@ -174,7 +175,8 @@ class _Window:
     before `at`, with `offset`, the bytes of the document before it. A text
     is in hand whole. A binary stream is read from its start through a
     window: the walk takes each read of it as it passes the end of the
-    window, which then drops what the walk has passed."""
+    window, which then drops what the walk has passed, as it may after a
+    discourse (`_discourse`)."""
 
     def __init__(self, source: Union[str, BinaryIO]):
         self.source = source
@@ -193,16 +195,20 @@ class _Window:
         the walk has passed; False at the end of the document."""
         if self.done:
             return False
-        self.position()  # counts the bytes the window drops
-        rest = self.text[self.at :]
-        self.text = ""
-        size = max(self.step, len(rest))
+        self.cut()
+        size = max(self.step, len(self.text))
         data = self.source.read(size)
         self.done = len(data) < size  # a file or a buffer reads short only at its end
         piece = self.decoder.decode(data, self.done)
         del data
-        self.text, self.at, self.mark = rest + piece, 0, 0
+        self.text += piece
         return True
+
+    def cut(self) -> None:
+        """Drop the part of the window that the walk has passed, counting
+        its bytes."""
+        self.position()
+        self.text, self.at, self.mark = self.text[self.at :], 0, 0
 
     def position(self) -> int:
         """The walk's position in bytes of UTF-8 from the start of the
@@ -328,7 +334,11 @@ def _discourses(src: _Window) -> Iterator[_Walked]:
 
 
 def _discourse(src: _Window, loc: str, seen_ids: set[str]) -> _Walked:
-    """The discourse at the walk's position, at `loc`, and its JSON."""
+    """The discourse at the walk's position, at `loc`, and its JSON. The
+    window of a stream first drops what the walk has passed, once that is at
+    least half the window, so that the caller does not build the discourse
+    beside its text; each character is then copied at most once more. A
+    text handed in is the caller's, and is never copied."""
     src.skip()
     start = src.position()
     item = src.value()
@@ -336,6 +346,8 @@ def _discourse(src: _Window, loc: str, seen_ids: set[str]) -> _Walked:
     raw = RawDiscourse(loc, did, did in seen_ids, (start + src.position()) // 2)
     if did is not None:
         seen_ids.add(did)
+    if type(src.source) is not str and 2 * src.at >= len(src.text):
+        src.cut()
     return raw, item
 
 
@@ -352,7 +364,9 @@ def _next(src: _Window, close: str) -> bool:
 def build_discourse(r: RawDiscourse, item: Any) -> tuple[Optional[Discourse], list[Violation]]:
     """Build and validate the discourse `item` that the walk handed over as
     `r`: the discourse built (None for an element that is not an object) and
-    its diagnostics, a repeated id last."""
+    its diagnostics, a repeated id last. It takes `item` over: it empties
+    the list of decoded utterances there, dropping each as it is built, so
+    that the decoded discourse shrinks as the built one grows."""
     diags: list[Violation] = []
     d = _parse_discourse(item, r.loc, r.id, diags)
     if r.repeated:
@@ -402,7 +416,10 @@ def _parse_discourse(
         entities.append(DiscourseEntity(ent["id"], frozenset(types), card))
 
     utterances: list[Utterance] = []
-    for j, utt in enumerate(_get(item, "utterances", list, [], loc, diags)):
+    decoded = _get(item, "utterances", list, [], loc, diags)
+    for j in range(len(decoded)):
+        # the decoded utterance is dropped as it is built
+        utt, decoded[j] = decoded[j], None
         uloc = f"{loc}.utterances[{j}]"
         if not isinstance(utt, dict):
             diags.append(Violation("malformed-structure", uloc, "utterance must be an object"))
@@ -431,6 +448,7 @@ def _parse_discourse(
                 _get(utt, "text", str, None, uloc, diags),
             )
         )
+    decoded.clear()
     discourse = Discourse(id=did, entities=tuple(entities), utterances=tuple(utterances))
     if complete:
         diags.extend(

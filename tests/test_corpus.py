@@ -664,6 +664,33 @@ class TestReader:
         assert len(raw) == 120
         assert peak < 0.3 * len(text), f"peak {peak / len(text):.2f}x the text"
 
+    @pytest.mark.parametrize("whole", [True, False], ids=["one-read", "windows"])
+    def test_the_walk_holds_no_text_it_passed_while_a_discourse_is_built(self, whole):
+        # the window of a stream drops the text it has passed before it
+        # hands a discourse over, so the caller holds the built discourse
+        # beside no more text than a walk of the text in hand does; read in
+        # one piece or through doubling windows, it held the whole 242 KB
+        gen = load_corpus_gen()
+        data = gen.random_discourse(random.Random(5), "long", 1200, 6, 0.35)
+        text = gen.corpus_text({"discourses": [data]})
+
+        def held(source):
+            """What is held, the built discourse with it, once the first
+            discourse is built and its JSON dropped, while the walk waits."""
+            tracemalloc.start()
+            try:
+                for r, item in walk(source):
+                    built = build_discourse(r, item)  # held while measured
+                    del item
+                    return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        in_hand = held(text)  # a text handed in is the caller's, not traced
+        with mock.patch.object(corpus_mod, "_WHOLE", corpus_mod._WHOLE if whole else 0):
+            streamed = held(io.BytesIO(text.encode()))
+        assert streamed - in_hand < 0.1 * len(text), (streamed, in_hand, len(text))
+
     @pytest.mark.parametrize("source", ["text", "stream"])
     def test_the_walk_holds_no_discourse_it_handed_over(self, source):
         # while the caller builds and runs a discourse, the decoded JSON is

@@ -1,6 +1,7 @@
 """The streamed run: each utterance's report is handed on once every live
 reading agrees on it, and the reports equal those of the whole-chain
-finalize that the engine used before it streamed."""
+finalize that the engine used before it streamed. What the commands fold
+from the stream equals what they made from the whole reports."""
 
 import random
 
@@ -9,7 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import centering.engine as engine
-from centering import EngineConfig, load_fixture, parse_corpus, run_corpus, run_discourse
+from centering import (
+    EngineConfig,
+    load_fixture,
+    parse_corpus,
+    run_corpus,
+    run_discourse,
+    tabulate_disambiguation,
+    tabulate_transitions,
+)
+from centering.analysis import tabulate
+from centering.cli import _resolution_lines
 from centering.corpus import FIXTURE_NAMES, report_lines, serialize_reports
 from centering.engine import (
     DiscourseReport,
@@ -221,3 +232,36 @@ def test_lines_rendered_from_the_stream_are_the_serialized_report(format):
     assert all(line.endswith("\n") and "\n" not in line[:-1] for line in lines)
     whole = serialize_reports(run_corpus(corpus), format)
     assert whole == serialize_reports([], format) + "".join(lines)
+
+
+def fold_corpus():
+    """Random discourses of 64 to 120 utterances, long enough that the
+    stream hands them on in several runs, and topic-cue discourses."""
+    rng = random.Random(13)
+    corpus = [
+        random_discourse(rng, f"fold-{k}", n_utts=n, zero_rate=0.5)
+        for k, n in enumerate([64, 90, 120])
+    ]
+    return corpus + [topic_cue_discourse(k, n) for k, n in enumerate([30, 70, 100])]
+
+
+FOLD_CORPUS = fold_corpus()
+
+
+@pytest.mark.parametrize("beam", [1, 2, 4])
+def test_stats_and_resolve_fold_the_stream_as_the_whole_reports(beam):
+    # stats and resolve fold each discourse's stream (cli); what they fold
+    # must be what run_corpus's whole reports give
+    config = EngineConfig(beam=beam)
+    for d in FOLD_CORPUS:
+        if len(d.utterances) >= 64:
+            # handed on before it ends, so the folds meet utterance reports
+            assert type(next(stream_discourse(d, config))) is UtteranceReport
+        reports = run_corpus([d], config)
+        assert tabulate(stream_discourse(d, config)) == (
+            tabulate_transitions(reports),
+            tabulate_disambiguation(reports),
+        )
+        for format in ("text", "machine"):
+            got = _resolution_lines(stream_discourse(d, config), format)
+            assert got == _resolution_lines(reports, format)
