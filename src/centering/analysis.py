@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from ._record import record
 from .engine import DiscourseReport, UtteranceReport
@@ -173,52 +173,64 @@ class GoldSummary:
         return self.scored > 0
 
 
+def zero_outcomes(discourse: Discourse, reports: _Reports) -> list[ZeroOutcome]:
+    """The outcome of each zero of `discourse`, in order, scored from
+    `reports`, its report or the stream of `stream_discourse`, as the
+    utterance reports come: one per utterance, paired by position; a
+    count, discourse id or utterance index that disagrees with its partner
+    raises ValueError. Gold is read from the corpus only here; resolution
+    never sees it."""
+
+    def utterance_reports() -> Iterator[UtteranceReport]:
+        for item in reports:
+            if item.discourse_id != discourse.id:
+                raise ValueError(
+                    f"report of '{item.discourse_id}' paired with discourse '{discourse.id}'"
+                )
+            yield from (item,) if type(item) is UtteranceReport else item.utterances
+
+    details: list[ZeroOutcome] = []
+    for ur, utt in zip(utterance_reports(), discourse.utterances, strict=True):
+        if ur.index != utt.index:
+            raise ValueError(
+                f"discourse '{discourse.id}': report of u{ur.index} paired with u{utt.index}"
+            )
+        predicted = ur.resolution_map
+        for zero in utt.zeros:
+            cons = zero.constraints
+            gold = cons.gold_antecedent if cons is not None else None
+            value = decode_resolution(predicted.get(zero.surface_position))
+            if gold is None:
+                status = "ungolded"
+            elif value is None:
+                status = "unresolved"
+            elif value == gold:
+                status = "correct"
+            else:
+                status = "incorrect"
+            details.append(
+                ZeroOutcome(
+                    discourse_id=discourse.id,
+                    utterance_index=ur.index,
+                    label=ur.label,
+                    position=zero.surface_position,
+                    gold=gold,
+                    predicted=value,
+                    status=status,
+                )
+            )
+    return details
+
+
 def evaluate_gold(
     reports: Sequence[DiscourseReport], corpus: Sequence[Discourse]
 ) -> GoldSummary:
     """Compare resolved zeros against gold annotations.
 
-    `reports[i]` is the report of `corpus[i]`, one utterance report per
-    utterance, as `run_corpus` returns them; a length, discourse id or
-    utterance index that disagrees with its partner raises ValueError.
-    Zeros without a gold annotation are counted separately and never affect
-    accuracy. Gold is read from the corpus only here; resolution never sees
-    it.
+    `reports[i]` is the report of `corpus[i]`, as `run_corpus` returns
+    them, and is scored by `zero_outcomes`; lists of different lengths
+    raise ValueError. Zeros without a gold annotation are counted
+    separately and never affect accuracy.
     """
-    details: list[ZeroOutcome] = []
-    for rep, discourse in zip(reports, corpus, strict=True):
-        if rep.discourse_id != discourse.id:
-            raise ValueError(
-                f"report of '{rep.discourse_id}' paired with discourse '{discourse.id}'"
-            )
-        for ur, utt in zip(rep.utterances, discourse.utterances, strict=True):
-            if ur.index != utt.index:
-                raise ValueError(
-                    f"discourse '{discourse.id}': report of u{ur.index} "
-                    f"paired with u{utt.index}"
-                )
-            predicted = ur.resolution_map
-            for zero in utt.zeros:
-                cons = zero.constraints
-                gold = cons.gold_antecedent if cons is not None else None
-                value = decode_resolution(predicted.get(zero.surface_position))
-                if gold is None:
-                    status = "ungolded"
-                elif value is None:
-                    status = "unresolved"
-                elif value == gold:
-                    status = "correct"
-                else:
-                    status = "incorrect"
-                details.append(
-                    ZeroOutcome(
-                        discourse_id=rep.discourse_id,
-                        utterance_index=ur.index,
-                        label=ur.label,
-                        position=zero.surface_position,
-                        gold=gold,
-                        predicted=value,
-                        status=status,
-                    )
-                )
-    return GoldSummary(tuple(details))
+    pairs = zip(reports, corpus, strict=True)
+    return GoldSummary(tuple(o for rep, d in pairs for o in zero_outcomes(d, (rep,))))

@@ -16,21 +16,24 @@ parent sized, and walks every file once (`corpus.walk`), holding a small
 window of it and one discourse at a time, whose decoded JSON shrinks as the
 discourse is built from it (`corpus.build_discourse`): it builds,
 validates, runs and finishes each discourse whose middle falls in its part,
-and drops it before the next. `analyze`, `stats` and `resolve` fold each
-utterance's report as the engine hands it on (`engine.stream_discourse`),
-so a part holds what each discourse gave, not its states or reports:
-`analyze` its rendered text, in pieces, `stats` its counts and `resolve`
-its lines. `eval` pairs each discourse's whole report with it
-(`run_corpus`). Each worker streams its reply back over a pipe: a head with
-every file as it walked it (its read error and its discourses' ids) and its
-own discourses' diagnostics (or its exception), and how many results
-follow, then the results, each pickled on its own. The parent reads every
-head before any result, so a diagnostic anywhere stops the command before
-it writes a byte, and then unpickles one result at a time, in input order,
-which the command writes or folds and drops; a worker done early waits on
-its full pipe until its turn. The output, errors included, does not depend
-on the CPU count. A corpus too small for two parts, or a single CPU, runs
-the same function over its one part in process.
+and drops it before the next. Every engine command folds each utterance's
+report as the engine hands it on (`engine.stream_discourse`), so a part
+holds what each discourse gave, not its states or reports: `analyze` its
+rendered text, in pieces, `stats` its counts, `resolve` its lines and
+`eval` the outcome of each of its zeros. Each worker streams its reply back
+over a pipe: a head with every file as it walked it (its read error and
+its discourses' ids), its own discourses' diagnostics and the first
+exception a job raised (or, instead, its own exception), and how many
+results follow, then the results, each pickled on its own. The parent
+reads every head before any result and alone decides what ends the
+command, in this order: a process's own exception, then every diagnostic
+(exit 1), then the first exception a job raised, in input order (exit
+2). So a problem anywhere stops the command before it writes a byte. It
+then unpickles one result at a time, in input order, which the command
+writes or folds and drops; a worker done early waits on its full pipe
+until its turn. The output, errors included, does not depend on the CPU
+count. A corpus too small for two parts, or a single CPU, runs the same
+function over its one part in process.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import sys
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, NoReturn, Optional, Sequence, Union
 
 from . import analysis, corpus as corpus_io
-from .engine import DiscourseReport, EngineConfig, UtteranceReport, run_corpus, stream_discourse
+from .engine import DiscourseReport, EngineConfig, UtteranceReport, stream_discourse
 from .hypotheses import DEFAULT_BEAM
 from .model import Discourse, Violation, format_resolution
 
@@ -127,8 +130,9 @@ _Sized = tuple[str, int, Union[bytes, tuple[int, ...]]]
 _File = tuple[str, list[Violation], list[tuple[str, Optional[str]]]]
 
 #: What a process reports before its results: every file as it walked it,
-#: and the diagnostics of each discourse it built.
-_Head = tuple[list[_File], list[list[Violation]]]
+#: the diagnostics of each discourse it built, and the first exception a
+#: job raised (None if none did).
+_Head = tuple[list[_File], list[list[Violation]], Optional[Exception]]
 
 
 def _size(path: str) -> _Sized:
@@ -191,19 +195,18 @@ def _part(
     """Walk every file once, and build and validate each discourse whose
     middle falls in part `part` of `parts` equal parts of the corpus by
     position, one at a time, dropping each before the next; run `job` on
-    each while no file, id or discourse before it had a problem. The head,
-    and the job's results.
+    each until the part meets a read error, a diagnostic or a job's
+    exception, after which no result would be written. The head, and the
+    job's results.
 
     A file whose walk fails, or whose discourses a later "discourses" key
     replaces, keeps none of the discourses walked before, nor what they
-    gave. A job's exception is raised once every file is walked, unless a
-    file failed or an id repeats: their diagnostics then stand, as if no
-    job had run."""
+    gave. The head only records what the part met: which problem ends the
+    command is for `_results` to decide."""
     total = max(sum(size for _, size, _ in files), 1)
     read: list[_File] = []
     found: list[list[Violation]] = []
     results: list[Any] = []
-    seen_ids: set[Optional[str]] = set()  # the ids of the files before
     run, fault, base = True, None, 0
     for path, size, known in files:
         failure: list[Violation] = []
@@ -218,7 +221,6 @@ def _part(
                         run, fault = kept[2:]
                         continue
                     discourses.append((r.loc, r.id))
-                    run = run and not r.repeated and r.id not in seen_ids
                     if min(parts - 1, (base + r.middle) * parts // total) != part:
                         del item
                         continue
@@ -241,20 +243,17 @@ def _part(
             discourses, run = [], False
             del found[kept[0] :], results[kept[1] :]
         read.append((path, failure, discourses))
-        seen_ids.update(did for _, did in discourses)
         base += size
-    ids = [did for _, _, discourses in read for _, did in discourses]
-    if fault and not any(failure for _, failure, _ in read) and len(set(ids)) == len(ids):
-        raise fault
-    return (read, found), results
+    return (read, found, fault), results
 
 
 def _run_parts(paths: Sequence[str], job: Callable[[Discourse], Any]) -> Iterator[Any]:
     """Size the files and return an iterator over `job(discourse)` of each
     of their discourses in input order (the stream of the module
-    docstring); raise CorpusFormatError with every diagnostic of every file
-    instead, before any result, if there is one. Closed early, the iterator
-    reaps every worker.
+    docstring). Before any result, it raises instead, in this order: a
+    process's own exception; CorpusFormatError with every diagnostic of
+    every file, if there is one; the first exception a job raised, in input
+    order. Closed early, the iterator reaps every worker.
 
     The cyclic garbage collector is off from the sizing of the files to the
     last result read, or the iterator's close, and the caller's setting is
@@ -287,9 +286,12 @@ def _results(paths: Sequence[str], job: Callable[[Discourse], Any]) -> Iterator[
         stream = _fork(parts, cpus, work) if parts > 1 else _in_process(work)
         try:
             heads = next(stream)  # every process walked every file
-            diags = _diagnostics(heads[0][0], [per for _, found in heads for per in found])
+            diags = _diagnostics(heads[0][0], [per for _, found, _ in heads for per in found])
             if diags:
                 raise corpus_io.CorpusFormatError(diags)
+            for _, _, fault in heads:
+                if fault is not None:
+                    raise fault
             yield None
             yield from stream
         finally:
@@ -319,11 +321,13 @@ def _fork(
     inherits the sized files instead of receiving them pickled.
 
     Before anything is yielded, the exception of the first worker that
-    sent one is raised; a worker that died before its head is a
-    RuntimeError naming its exit status, raised ahead of any exception. A
-    worker that dies after its head is the same RuntimeError when its
-    results run short; the caller may then have written a prefix of the
-    output, but never a result out of order.
+    sent one instead of its head is raised. Only a process's own exception
+    is raised ahead of the diagnostics: a job's goes in the head (`_part`).
+    A worker that died before its head is a RuntimeError naming its exit
+    status, raised ahead of any exception. A worker that dies after its
+    head is the same RuntimeError when its results run short; the caller
+    may then have written a prefix of the output, but never a result out
+    of order.
 
     Every worker is reaped on every path: its pipe is closed first, so that
     a worker blocked on a write ends too."""
@@ -395,19 +399,15 @@ def _fork(
 
 def _run_engine(
     args: argparse.Namespace,
-    finish: Callable[[list[DiscourseReport], Sequence[Discourse]], Any],
+    fold: Callable[[Discourse, Iterator[Union[UtteranceReport, DiscourseReport]]], Any],
 ) -> Iterator[Any]:
     """Run the engine on the discourses of the files, one at a time (see
-    `_run_parts`), and iterate over `finish(reports, discourses)` of each
-    discourse, with its one report, in input order."""
-    config = _config(args)
-    return _run_parts(args.files, lambda d: finish(run_corpus([d], config), (d,)))
-
-
-def _config(args: argparse.Namespace) -> EngineConfig:
-    return EngineConfig(
+    `_run_parts`), and iterate over `fold(discourse, stream)` of each, in
+    input order, where `stream` is its `stream_discourse`."""
+    config = EngineConfig(
         beam=args.beam, zta_enabled=not args.no_zta, global_enabled=not args.no_global
     )
+    return _run_parts(args.files, lambda d: fold(d, stream_discourse(d, config)))
 
 
 #: The characters of each piece of a discourse's output that `analyze` holds
@@ -434,10 +434,8 @@ def _pieces(lines: Iterator[str]) -> list[str]:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    config = _config(args)
-    blocks = _run_parts(
-        args.files,
-        lambda d: _pieces(corpus_io.report_lines(stream_discourse(d, config), args.format)),
+    blocks = _run_engine(
+        args, lambda d, reports: _pieces(corpus_io.report_lines(reports, args.format))
     )
     write = sys.stdout.write
     write(corpus_io.report_head(args.format))
@@ -448,10 +446,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_resolve(args: argparse.Namespace) -> int:
-    config = _config(args)
-    blocks = _run_parts(
-        args.files, lambda d: _resolution_lines(stream_discourse(d, config), args.format)
-    )
+    blocks = _run_engine(args, lambda d, reports: _resolution_lines(reports, args.format))
     for lines in blocks:
         sys.stdout.writelines(f"{line}\n" for line in lines)
     return 0
@@ -489,8 +484,7 @@ def _fmt_row(label: str, cells: Sequence[Any]) -> str:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    config = _config(args)
-    parts = _run_parts(args.files, lambda d: analysis.tabulate(stream_discourse(d, config)))
+    parts = _run_engine(args, lambda d, reports: analysis.tabulate(reports))
     table, cues = analysis.tabulate(())
     for part, counts in parts:
         table += part
@@ -552,8 +546,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    parts = _run_engine(args, analysis.evaluate_gold)
-    summary = analysis.GoldSummary(tuple(d for part in parts for d in part.details))
+    parts = _run_engine(args, analysis.zero_outcomes)
+    summary = analysis.GoldSummary(tuple(d for part in parts for d in part))
     if args.format == "machine":
         sys.stdout.write(
             json.dumps(

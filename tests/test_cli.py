@@ -585,9 +585,9 @@ def with_cpus(monkeypatch, n):
 
 
 def engine_pids(paths):
-    """The processes that ran the engine on the groups of `paths`."""
+    """The processes that ran the fold of each discourse of `paths`."""
     args = cli_mod._build_parser().parse_args(["analyze", *paths])
-    return set(cli_mod._run_engine(args, lambda reports, _: os.getpid()))
+    return set(cli_mod._run_engine(args, lambda discourse, stream: os.getpid()))
 
 
 #: Faulty inputs for the workers, each with the one error line it gives
@@ -754,44 +754,67 @@ class TestWorkers:
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("cpus", [1, 3])
-    @pytest.mark.parametrize("later", ["bad-json", "repeated-id", "replacing-key"])
+    @pytest.mark.parametrize(
+        "other",
+        ["bad-json", "repeated-id", "replacing-key", "bad-tag-after", "bad-tag-before"],
+    )
     def test_a_job_fault_gives_way_to_what_a_later_file_holds(
-        self, later, cpus, pool_corpus, tmp_path, monkeypatch, capsys
+        self, other, cpus, pool_corpus, tmp_path, monkeypatch, capsys
     ):
         # the job raises on a discourse before the walk reaches the end of
-        # the last file: a read error or a repeated id there stands as if no
-        # job had run, and so does a "discourses" key that replaces the one
-        # the discourse was in
+        # the last file: a read error, a repeated id or a bad role tag there
+        # stands as if no job had run, and so does a "discourses" key that
+        # replaces the one the discourse was in; a bad role tag in the first
+        # discourse stands too, whichever process meets the fault
         synth, etching, _ = pool_corpus
         lineup = tmp_path / "device_lineup.centering.json"
         data = json.loads(fixture_text("device_lineup"))
-        if later == "bad-json":
+        doomed = "golden-0"
+        if other == "bad-json":
             lineup.write_text('{"discourses": [', encoding="utf-8")
-        elif later == "repeated-id":
+        elif other == "repeated-id":
             data["discourses"][0]["id"] = "golden-0"
             lineup.write_text(json.dumps(data), encoding="utf-8")
-        else:
+        elif other == "replacing-key":
             fails = json.dumps({"id": "fails", "entities": [], "utterances": []})
             body = json.dumps(data["discourses"])
             lineup.write_text(f'{{"discourses": [{fails}], "discourses": {body}}}', "utf-8")
+            doomed = "fails"
+        elif other == "bad-tag-after":
+            data["discourses"][0]["utterances"][-1]["expressions"][0]["role"] = "subjekt"
+            lineup.write_text(json.dumps(data), encoding="utf-8")
+        else:
+            lineup.write_text(json.dumps(data), encoding="utf-8")
+            first = json.loads(Path(synth).read_text(encoding="utf-8"))
+            first["discourses"][0]["utterances"][0]["expressions"][0]["role"] = "subjekt"
+            synth = tmp_path / "synth.centering.json"
+            synth.write_text(json.dumps(first), encoding="utf-8")
+            doomed = "device-lineup"
         real = cli_mod.stream_discourse
-        doomed = "fails" if later == "replacing-key" else "golden-0"
 
         def fail(discourse, config):
             if discourse.id == doomed:
                 raise RuntimeError("engine fault")
             return real(discourse, config)
 
-        paths = [synth, etching, str(lineup)]
+        paths = [str(synth), etching, str(lineup)]
         want = run_cli(capsys, "analyze", *pool_corpus)
         monkeypatch.setattr(cli_mod, "stream_discourse", fail)
         with_cpus(monkeypatch, cpus)
         code, out, err = run_cli(capsys, "analyze", *paths)
-        if later == "replacing-key":
+        if other == "replacing-key":
             assert (code, out, err) == want
         else:
             assert (code, out) == (1, "") and err.startswith("error: ")
             assert "internal error" not in err
+        tagged = {
+            "bad-tag-after": "device_lineup.centering.json: discourses[0].utterances[5]",
+            "bad-tag-before": "synth.centering.json: discourses[0].utterances[0]",
+        }
+        if other in tagged:
+            tag = ".expressions[0].role: unknown role tag 'subjekt' [unknown-role]"
+            errors = [line.split(os.sep)[-1] for line in err.splitlines()]
+            assert errors == [tagged[other] + tag]
 
     @pytest.mark.parametrize("fault", sorted(WORKER_FAULTS))
     def test_input_errors_do_not_depend_on_cpu_count(
@@ -832,11 +855,11 @@ class TestWorkers:
         for parts in (1, 2, 3, 4, 7):
             got = []
             for part in range(parts):
-                (read, found), ids = cli_mod._part(files, part, parts, lambda d: d.id)
+                (read, found, fault), ids = cli_mod._part(files, part, parts, lambda d: d.id)
                 assert [did for _, _, discourses in read for _, did in discourses] == [
                     f"d{i}" for i in range(5)
                 ]
-                assert len(found) == len(ids) and not any(found)
+                assert len(found) == len(ids) and not any(found) and fault is None
                 got.append(ids)
             assert [did for ids in got for did in ids] == [f"d{i}" for i in range(5)]
             # no part ends more than a discourse past its share of the corpus
@@ -908,8 +931,8 @@ class TestWorkers:
 
         monkeypatch.setattr(cli_mod.corpus_io, "build_discourse", build)
         files = [cli_mod._size(path) for path in pool_corpus]
-        (_, found), ids = cli_mod._part(files, 0, 1, job)
-        assert len(ids) == 44 and not any(found)
+        (_, found, fault), ids = cli_mod._part(files, 0, 1, job)
+        assert len(ids) == 44 and not any(found) and fault is None
         assert counts == [2] * 44
 
     def test_a_worker_per_part_of_bytes(self, pool_corpus, monkeypatch):
@@ -929,8 +952,11 @@ class TestWorkers:
     def test_workers_run_on_cpus_of_their_own(self, pool_corpus, monkeypatch):
         monkeypatch.setattr(cli_mod, "_BYTES_PER_PART", 1)
         args = cli_mod._build_parser().parse_args(["analyze", *pool_corpus])
+        # each pair is made by the worker that ran the fold
         masks = dict(
-            cli_mod._run_engine(args, lambda reports, _: (os.getpid(), os.sched_getaffinity(0)))
+            cli_mod._run_engine(
+                args, lambda discourse, stream: (os.getpid(), os.sched_getaffinity(0))
+            )
         )
         assert all(len(mask) == 1 for mask in masks.values())
         assert len(set(map(frozenset, masks.values()))) == len(masks)
@@ -1224,7 +1250,10 @@ class TestCollector:
     def test_jobs_run_with_the_collector_off(self, cpus, pool_corpus, monkeypatch):
         with_cpus(monkeypatch, cpus)
         args = cli_mod._build_parser().parse_args(["analyze", *pool_corpus])
-        results = cli_mod._run_engine(args, lambda reports, _: (os.getpid(), gc.isenabled()))
+        # each pair is made by the process that ran the fold
+        results = cli_mod._run_engine(
+            args, lambda discourse, stream: (os.getpid(), gc.isenabled())
+        )
         states = [next(results)]
         # off until the last result is read, and the caller's setting after
         assert not gc.isenabled()

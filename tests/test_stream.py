@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import centering.engine as engine
 from centering import (
     EngineConfig,
+    evaluate_gold,
     load_fixture,
     parse_corpus,
     run_corpus,
@@ -19,7 +20,8 @@ from centering import (
     tabulate_disambiguation,
     tabulate_transitions,
 )
-from centering.analysis import tabulate
+from centering._record import replace
+from centering.analysis import tabulate, zero_outcomes
 from centering.cli import _resolution_lines
 from centering.corpus import FIXTURE_NAMES, report_lines, serialize_reports
 from centering.engine import (
@@ -248,10 +250,42 @@ def fold_corpus():
 FOLD_CORPUS = fold_corpus()
 
 
+def check_pairing_errors(discourse, other, config):
+    """A stream of `discourse`'s reports paired wrongly, by a wrong
+    discourse id, a missing report or a wrong index, raises the ValueError
+    that evaluate_gold gives for the whole report."""
+    whole = run_corpus([discourse], config)[0]
+    reports = whole.utterances
+    wrong_index = replace(reports[1], index=reports[1].index + 1)
+    cases = {
+        "wrong discourse": (other, reports),
+        "missing first": (discourse, reports[1:]),
+        "missing last": (discourse, reports[:-1]),
+        "wrong index": (discourse, (reports[0], wrong_index, *reports[2:])),
+    }
+    messages = {}
+    for case, (paired, utterances) in cases.items():
+        # handed on but for the last few, which the tail holds
+        stream = [*utterances[:-5], replace(whole, utterances=utterances[-5:])]
+        with pytest.raises(ValueError) as streamed:
+            zero_outcomes(paired, iter(stream))
+        with pytest.raises(ValueError) as collected:
+            evaluate_gold([replace(whole, utterances=utterances)], [paired])
+        assert str(streamed.value) == str(collected.value), case
+        messages[case] = str(streamed.value)
+    assert messages == {
+        "wrong discourse": f"report of '{discourse.id}' paired with discourse '{other.id}'",
+        "missing first": f"discourse '{discourse.id}': report of u1 paired with u0",
+        "missing last": "zip() argument 2 is longer than argument 1",
+        "wrong index": f"discourse '{discourse.id}': report of u2 paired with u1",
+    }
+
+
 @pytest.mark.parametrize("beam", [1, 2, 4])
 def test_stats_and_resolve_fold_the_stream_as_the_whole_reports(beam):
-    # stats and resolve fold each discourse's stream (cli); what they fold
-    # must be what run_corpus's whole reports give
+    # stats, resolve and eval fold each discourse's stream (cli); what they
+    # fold must be what run_corpus's whole reports give, and eval's pairing
+    # of a stream must fail as it does for the whole reports
     config = EngineConfig(beam=beam)
     for d in FOLD_CORPUS:
         if len(d.utterances) >= 64:
@@ -265,3 +299,6 @@ def test_stats_and_resolve_fold_the_stream_as_the_whole_reports(beam):
         for format in ("text", "machine"):
             got = _resolution_lines(stream_discourse(d, config), format)
             assert got == _resolution_lines(reports, format)
+        got = zero_outcomes(d, stream_discourse(d, config))
+        assert tuple(got) == evaluate_gold(reports, [d]).details
+    check_pairing_errors(FOLD_CORPUS[0], FOLD_CORPUS[1], config)
