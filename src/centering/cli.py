@@ -330,10 +330,11 @@ def _fork(
     of order.
 
     Every worker is reaped on every path: its pipe is closed first, so that
-    a worker blocked on a write ends too."""
-    # Imported here, so that a run in process never pays for the import.
-    import pickle
+    a worker blocked on a write ends too.
 
+    `pickle` is imported only after the forks: by each worker for itself,
+    and by the parent, while the workers run, just before it reads the
+    heads. A run in process never imports it."""
     workers: list[tuple[int, Any]] = []
     codes: dict[int, int] = {}  # the exit code of each worker reaped, by position
 
@@ -368,6 +369,8 @@ def _fork(
                     for _, pipe in workers:  # no worker holds another's pipe
                         os.close(pipe.fileno())
                     os.sched_setaffinity(0, {cpu})
+                    import pickle
+
                     try:
                         head, results = work(part)
                         reply = (True, head, len(results))
@@ -382,6 +385,8 @@ def _fork(
                     os._exit(status)
             os.close(write_end)
             workers.append((pid, open(read_end, "rb")))
+        import pickle
+
         heads = [load(at) for at in range(len(workers))]
         for ok, value, _ in heads:
             if not ok:
@@ -469,7 +474,7 @@ def _resolution_lines(
                         "pos": pos,
                         "utterance": u.index,
                     }
-                    lines.append(corpus_io.RECORD_ENCODER.encode(record))
+                    lines.append(corpus_io.encode_record(record))
                 else:
                     cue = f"  cue={'+'.join(u.cues)}" if u.cues else ""
                     lines.append(

@@ -49,6 +49,7 @@ class CorpusFormatError(ValueError):
 _ROLES = {role.name.lower(): role for role in GrammaticalRole}
 _FORMS = {"overt": Form.OVERT_NP, "overt_np": Form.OVERT_NP, "zero": Form.ZERO}
 _TENSES = {"past": Tense.PAST, "nonpast": Tense.NONPAST}
+_OTHERS, _OVERT, _ZERO, _NONPAST = GrammaticalRole.OTHERS, Form.OVERT_NP, Form.ZERO, Tense.NONPAST
 
 
 #: The two kinds of key that are not one JSON type, named as in diagnostics.
@@ -56,31 +57,34 @@ _STRINGS = "a list of strings"
 _IDS = "an id or a list of ids"
 
 
-def _get(
-    obj: dict, key: str, t: Union[type, str], default: Any, loc: str, diags: list[Violation]
+def _mistyped(
+    value: Any, default: Any, loc: str, key: str, t: Union[type, str], diags: list[Violation]
 ) -> Any:
-    """`obj[key]` when its JSON type is exactly `t`, so that a bool is not an
-    integer, or, for `t` `_STRINGS`, when it is a list of strings, and for
-    `_IDS`, a string or a list of strings. `default` when it is absent or
-    null; for any other value, `default` and a diagnostic at `loc.key` that
-    names `t` as `_JSON_NAMES` does."""
-    value = obj.get(key)
-    if value is None:
-        return default
-    if (
-        type(value) is t
-        or (t is _IDS and type(value) is str)
-        or (t in (_STRINGS, _IDS) and type(value) is list and all(type(v) is str for v in value))
-    ):
-        return value
-    kind = _JSON_NAMES.get(t, t)
-    diags.append(Violation("malformed-structure", f"{loc}.{key}", f"'{key}' must be {kind}"))
+    """`default` in place of `value`, read at `key` of the object at `loc`
+    and not of the kind `t` that the key takes: a JSON type, matched
+    exactly, so that a bool is not an integer, or `_STRINGS`, a list of
+    strings, or `_IDS`, a string or a list of strings. A null `value`, as an
+    absent key, takes `default` silently; any other adds a diagnostic at
+    `loc.key` that names `t` as `_JSON_NAMES` does.
+
+    The reader reads each key with one `dict.get` and tests its type
+    inline, and calls this, and builds `loc`, only when the test fails."""
+    if value is not None:
+        kind = _JSON_NAMES.get(t, t)
+        diags.append(Violation("malformed-structure", f"{loc}.{key}", f"'{key}' must be {kind}"))
     return default
 
 
-def _tag(obj: dict, key: str, absent: str, loc: str, diags: list[Violation]) -> Optional[str]:
-    """The tag name `obj[key]`: `absent` if absent or null, None if not a string (see `_get`)."""
-    return absent if obj.get(key) is None else _get(obj, key, str, None, loc, diags)
+def _strings(value: Any) -> bool:
+    """Whether `value` is a list of strings."""
+    return type(value) is list and all([type(v) is str for v in value])
+
+
+def _where(loc: str, j: int, k: Optional[int] = None, tail: str = "") -> str:
+    """The location of utterance `j` of the discourse at `loc`, or of its
+    expression `k`, followed by `tail`."""
+    at = f"{loc}.utterances[{j}]"
+    return (at if k is None else f"{at}.expressions[{k}]") + tail
 
 
 def parse_corpus(text: str) -> list[Discourse]:
@@ -396,7 +400,8 @@ def _parse_discourse(
     diagnostics and, under `loc`, its `validate_discourse` violations. A bad
     field or tag takes a placeholder so the rest is still checked; an
     element that is not an object is dropped, and then validation is
-    skipped, as positions would not match."""
+    skipped, as positions would not match. Each object's diagnostics come
+    in the order of its keys below."""
     if did is None:
         diags.append(Violation("malformed-structure", loc, "discourse must be an object"))
         return None
@@ -405,49 +410,64 @@ def _parse_discourse(
     complete = True
 
     entities: list[DiscourseEntity] = []
-    for j, ent in enumerate(_get(item, "entities", list, [], loc, diags)):
+    decoded = item.get("entities")
+    if type(decoded) is not list:
+        decoded = _mistyped(decoded, [], loc, "entities", list, diags)
+    for j, ent in enumerate(decoded):
         eloc = f"{loc}.entities[{j}]"
         if not isinstance(ent, dict) or not isinstance(ent.get("id"), str):
             diags.append(Violation("malformed-structure", eloc, "entity needs an 'id'"))
             complete = False
             continue
-        types = _get(ent, "types", _STRINGS, [], eloc, diags)
-        card = _get(ent, "cardinality", int, 1, eloc, diags)
+        types = ent.get("types")
+        if not _strings(types):
+            types = _mistyped(types, [], eloc, "types", _STRINGS, diags)
+        card = ent.get("cardinality")
+        if type(card) is not int:
+            card = _mistyped(card, 1, eloc, "cardinality", int, diags)
         entities.append(DiscourseEntity(ent["id"], frozenset(types), card))
 
     utterances: list[Utterance] = []
-    decoded = _get(item, "utterances", list, [], loc, diags)
+    decoded = item.get("utterances")
+    if type(decoded) is not list:
+        decoded = _mistyped(decoded, [], loc, "utterances", list, diags)
     for j in range(len(decoded)):
         # the decoded utterance is dropped as it is built
         utt, decoded[j] = decoded[j], None
-        uloc = f"{loc}.utterances[{j}]"
         if not isinstance(utt, dict):
-            diags.append(Violation("malformed-structure", uloc, "utterance must be an object"))
+            message = "utterance must be an object"
+            diags.append(Violation("malformed-structure", _where(loc, j), message))
             complete = False
             continue
-        tense_raw = _tag(utt, "tense", "nonpast", uloc, diags)
-        tense = Tense.NONPAST if tense_raw is None else _TENSES.get(tense_raw.lower())
+        tense = utt.get("tense")
         if tense is None:
-            diags.append(
-                Violation("unknown-tense", f"{uloc}.tense", f"unknown tense '{tense_raw}'")
-            )
-            tense = Tense.NONPAST
+            tense = _NONPAST
+        elif type(tense) is not str:
+            tense = _mistyped(tense, _NONPAST, _where(loc, j), "tense", str, diags)
+        else:
+            raw, tense = tense, _TENSES.get(tense.lower())
+            if tense is None:
+                message = f"unknown tense '{raw}'"
+                diags.append(Violation("unknown-tense", _where(loc, j, tail=".tense"), message))
+                tense = _NONPAST
+        exprs = utt.get("expressions")
+        if type(exprs) is not list:
+            exprs = _mistyped(exprs, [], _where(loc, j), "expressions", list, diags)
         expressions = []
-        for k, expr in enumerate(_get(utt, "expressions", list, [], uloc, diags)):
-            parsed = _parse_expression(expr, f"{uloc}.expressions[{k}]", diags)
+        for k, expr in enumerate(exprs):
+            parsed = _parse_expression(expr, loc, j, k, diags)
             if parsed is None:
                 complete = False
             else:
                 expressions.append(parsed)
-        # positional, in declaration order, which keeps the diagnostics' order
-        utterances.append(
-            Utterance(
-                _get(utt, "index", int, j, uloc, diags),
-                tuple(expressions),
-                tense,
-                _get(utt, "text", str, None, uloc, diags),
-            )
-        )
+        index = utt.get("index")
+        if type(index) is not int:
+            index = _mistyped(index, j, _where(loc, j), "index", int, diags)
+        text = utt.get("text")
+        if text is not None and type(text) is not str:
+            text = _mistyped(text, None, _where(loc, j), "text", str, diags)
+        # positional, in declaration order
+        utterances.append(Utterance(index, tuple(expressions), tense, text))
     decoded.clear()
     discourse = Discourse(id=did, entities=tuple(entities), utterances=tuple(utterances))
     if complete:
@@ -459,41 +479,72 @@ def _parse_discourse(
 
 
 def _parse_expression(
-    expr: Any, loc: str, diags: list[Violation]
+    expr: Any, loc: str, j: int, k: int, diags: list[Violation]
 ) -> Optional[ReferringExpression]:
+    """Build expression `k` of utterance `j` of the discourse at `loc`."""
     if not isinstance(expr, dict):
-        diags.append(Violation("malformed-structure", loc, "expression must be an object"))
+        message = "expression must be an object"
+        diags.append(Violation("malformed-structure", _where(loc, j, k), message))
         return None
-    role_raw = _tag(expr, "role", "", loc, diags)
-    role = GrammaticalRole.OTHERS if role_raw is None else _ROLES.get(role_raw.lower())
+    role = expr.get("role")
     if role is None:
-        message = f"unknown role tag '{role_raw.lower()}'"
-        diags.append(Violation("unknown-role", f"{loc}.role", message))
-        role = GrammaticalRole.OTHERS
-    form_raw = _tag(expr, "form", "overt", loc, diags)
+        role = ""
+    if type(role) is not str:
+        role = _mistyped(role, _OTHERS, _where(loc, j, k), "role", str, diags)
+    else:
+        raw, role = role, _ROLES.get(role.lower())
+        if role is None:
+            message = f"unknown role tag '{raw.lower()}'"
+            diags.append(Violation("unknown-role", _where(loc, j, k, ".role"), message))
+            role = _OTHERS
     # A zero draws none of the follow-on violations of an overt NP.
-    form = Form.ZERO if form_raw is None else _FORMS.get(form_raw.lower())
+    form = expr.get("form")
     if form is None:
-        message = f"unknown form '{form_raw.lower()}'"
-        diags.append(Violation("unknown-form", f"{loc}.form", message))
-        form = Form.ZERO
-
-    entity = _get(expr, "entity", str, None, loc, diags)
-    constraints = _get(expr, "constraints", dict, None, loc, diags)
+        form = _OVERT
+    elif type(form) is not str:
+        form = _mistyped(form, _ZERO, _where(loc, j, k), "form", str, diags)
+    else:
+        raw, form = form, _FORMS.get(form.lower())
+        if form is None:
+            message = f"unknown form '{raw.lower()}'"
+            diags.append(Violation("unknown-form", _where(loc, j, k, ".form"), message))
+            form = _ZERO
+    entity = expr.get("entity")
+    if entity is not None and type(entity) is not str:
+        entity = _mistyped(entity, None, _where(loc, j, k), "entity", str, diags)
+    constraints = expr.get("constraints")
     if constraints is not None:
-        cloc = f"{loc}.constraints"
-        # positional, in declaration order, which keeps the diagnostics' order
-        constraints = ResolutionConstraints(
-            _get(constraints, "types", _STRINGS, (), cloc, diags),
-            _get(constraints, "cardinality", int, None, cloc, diags),
-            _get(constraints, "gold", _IDS, None, cloc, diags),
-        )
+        if type(constraints) is not dict:
+            at = _where(loc, j, k)
+            constraints = _mistyped(constraints, None, at, "constraints", dict, diags)
+        else:
+            types = constraints.get("types")
+            if types is None:
+                types = ()
+            elif not _strings(types):
+                at = _where(loc, j, k, ".constraints")
+                types = _mistyped(types, (), at, "types", _STRINGS, diags)
+            card = constraints.get("cardinality")
+            if card is not None and type(card) is not int:
+                at = _where(loc, j, k, ".constraints")
+                card = _mistyped(card, None, at, "cardinality", int, diags)
+            gold = constraints.get("gold")
+            if gold is not None and type(gold) is not str and not _strings(gold):
+                at = _where(loc, j, k, ".constraints")
+                gold = _mistyped(gold, None, at, "gold", _IDS, diags)
+            # positional, in declaration order
+            constraints = ResolutionConstraints(types, card, gold)
+    pos = expr.get("pos")
+    if type(pos) is not int:
+        pos = _mistyped(pos, 0, _where(loc, j, k), "pos", int, diags)
+    wa = expr.get("wa", False)
+    if type(wa) is not bool:
+        wa = _mistyped(wa, False, _where(loc, j, k), "wa", bool, diags)
+    ga = expr.get("ga", False)
+    if type(ga) is not bool:
+        ga = _mistyped(ga, False, _where(loc, j, k), "ga", bool, diags)
     return ReferringExpression(
-        None if entity == "?" else entity, form, role,
-        _get(expr, "pos", int, 0, loc, diags),
-        _get(expr, "wa", bool, False, loc, diags),
-        _get(expr, "ga", bool, False, loc, diags),
-        constraints,
+        None if entity == "?" else entity, form, role, pos, wa, ga, constraints
     )
 
 
@@ -524,7 +575,7 @@ def report_lines(
     discourse's, whose utterances come before its closing line. A whole
     `DiscourseReport` is a stream of one."""
     text = _is_text(format)
-    encode = RECORD_ENCODER.encode
+    encode = encode_record
     count = 0
     for k, item in enumerate(stream):
         if text and not k:
@@ -650,11 +701,33 @@ def _writer(cls: type, kind: Optional[str] = None) -> Callable[[Any], dict]:
 _UTTERANCE_OBJECT = _writer(UtteranceReport, "utterance")
 _DISCOURSE_OBJECT = _writer(DiscourseReport, "discourse")
 
-#: The encoder of every machine line, of `analyze` and of `resolve`, built
-#: once. The objects come with their keys sorted and hold no cycle, so it
-#: neither sorts nor checks; its hook only turns resolution sets into sorted
-#: lists.
+#: The settings of every machine line, of `analyze` and of `resolve`. The
+#: objects come with their keys sorted and hold no cycle, so it neither
+#: sorts nor checks; its hook only turns resolution sets into sorted lists.
 RECORD_ENCODER = json.JSONEncoder(default=encode_resolution, check_circular=False)
+
+#: `RECORD_ENCODER` as one C encoder, made once per process, in the call
+#: that `JSONEncoder.iterencode` makes: `JSONEncoder.encode` makes a new one,
+#: and a closure, on every call. None where the C accelerator is missing.
+_C_ENCODER = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    None,  # no cycle check
+    RECORD_ENCODER.default,
+    json.encoder.encode_basestring_ascii,
+    None,  # no indent
+    RECORD_ENCODER.key_separator,
+    RECORD_ENCODER.item_separator,
+    RECORD_ENCODER.sort_keys,
+    RECORD_ENCODER.skipkeys,
+    RECORD_ENCODER.allow_nan,
+)
+
+
+def encode_record(obj: dict) -> str:
+    """The machine line of `obj` without its newline, as
+    `RECORD_ENCODER.encode(obj)` writes it."""
+    if _C_ENCODER is None:
+        return RECORD_ENCODER.encode(obj)
+    return "".join(_C_ENCODER(obj, 0))
 
 
 _OBJECT: _Shape = {dict: None}

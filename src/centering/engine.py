@@ -61,6 +61,8 @@ _SETTLED_KEYS = frozenset({"settled"})
 _RETAIN_RANK = TransitionLabel.RETAIN.preference_rank
 _ROUGH_SHIFT_RANK = TransitionLabel.ROUGH_SHIFT.preference_rank
 
+_ZTA_CONTINUE = TransitionLabel.ZTA_CONTINUE
+
 
 def push_cb(history: CbHistory, cb: str, index: int, past_tense: bool = False) -> CbHistory:
     """Record `cb` as the center of utterance `index`.
@@ -249,12 +251,13 @@ class DiscourseState:
 
 
 def _view(h: CenteringHypothesis) -> HypothesisView:
+    transition = h.transition
     # positional, in declaration order
     return HypothesisView(
         h.cb,
         tuple([(eid, role.display) for eid, role in h.cf]),
-        h.transition.display,
-        h.zta_applied,
+        transition.display,
+        transition is _ZTA_CONTINUE,
         h.dampened,
         h.anomalous,
     )
@@ -442,12 +445,13 @@ def stream_discourse(
     views and retrievals are its own. So once `_SETTLE_AFTER` states wait,
     each step reports the prefix up to the newest such step, with the shared
     node as the chosen reading, and cuts the states and parent links behind
-    it, after each reading's `seed` flag is read; `finalize` then walks only
-    the rest. Every live reading then holds the ambiguity keys of the shared
-    node, as every later reading will, so they are folded into one
-    (`_SETTLED_KEYS`): finalize's tie test reads the same, and the keys stop
-    growing with the discourse. Only states and readings made here are cut
-    or folded, and nothing else holds them.
+    it, after each report has read whether its reading is a seed (`parent
+    is None`); `finalize` then walks only the rest. Every live reading then
+    holds the ambiguity keys of the shared node, as every later reading
+    will, so they are folded into one (`_SETTLED_KEYS`): finalize's tie test
+    reads the same, and the keys stop growing with the discourse. Only
+    states and readings made here are cut or folded, and nothing else holds
+    them.
     """
     state = DiscourseState(discourse, config or EngineConfig())
     pending: list[DiscourseState] = []  # the states not yet reported, oldest first
@@ -485,22 +489,27 @@ def _report(
 ) -> UtteranceReport:
     """The report of the utterance of `step` under its reading `chosen`."""
     u = step.utterance
-    views = tuple([_view(h) for h in step.hypotheses])
-    # the chosen reading is one of the step's, and its view holds its Cf
-    cf = next(view.cf for h, view in zip(step.hypotheses, views) if h is chosen)
+    hypotheses = step.hypotheses
+    if len(hypotheses) == 1:
+        # the chosen reading is the step's one, and its view holds its Cf
+        views: tuple[HypothesisView, ...] = (_view(hypotheses[0]),)
+        cf = views[0].cf
+    else:
+        views = tuple([_view(h) for h in hypotheses])
+        cf = next(view.cf for h, view in zip(hypotheses, views) if h is chosen)
     retrievals = step.retrievals
     if retrievals:
         # one per position, the last made there
         by_pos = {r.position: r for r in retrievals}
         retrievals = tuple([by_pos[p] for p in sorted(by_pos)])
-    # positional, in declaration order
+    # positional, in declaration order; `parent is None` marks the seed
     return UtteranceReport(
         step.discourse.id,
         u.index,
-        u.tense.value,
+        u.tense.display,
         u.text,
-        chosen.seed,
-        u.has_zero,
+        chosen.parent is None,
+        u.zeros != (),
         chosen.transition.display,
         chosen.cb,
         cf,

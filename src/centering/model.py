@@ -78,6 +78,7 @@ class Form(Enum):
 
 
 _ZERO = Form.ZERO
+_TOPIC = GrammaticalRole.TOPIC
 
 #: How `__post_init__` sets a field, bound once rather than looked up on
 #: `object` at each call.
@@ -87,6 +88,10 @@ _set = object.__setattr__
 class Tense(Enum):
     PAST = "past"
     NONPAST = "nonpast"
+
+    def __init__(self, value: str) -> None:
+        #: Tag of the reports: the value, read as a plain attribute.
+        self.display = value
 
 
 _PREFERENCE = {
@@ -217,10 +222,6 @@ class Utterance:
                 if e.form is not _ZERO and e.entity_ref is not None
             ]
         )
-
-    @property
-    def has_zero(self) -> bool:
-        return bool(self.zeros)
 
 
 @record
@@ -413,40 +414,52 @@ def validate_discourse(discourse: Discourse) -> list[Violation]:
             out.append(Violation(code, f"utterances[{j}].index", message))
         last_index = utt.index
 
-        topics = sum(e.role is GrammaticalRole.TOPIC for e in utt.expressions)
-        if topics > 1:
-            out.append(Violation("double-topic", f"utterances[{j}]", f"{topics} TOPIC expressions"))
-
+        # one pass over the expressions; a double topic, found only at its
+        # end, is listed ahead of the expressions' violations
+        topics_at = len(out)
+        topics = 0
         last_pos: Optional[int] = None
         for k, expr in enumerate(utt.expressions):
-            if last_pos is not None and expr.surface_position <= last_pos:
+            pos = expr.surface_position
+            if last_pos is not None and pos <= last_pos:
                 message = "surface positions must be strictly increasing"
                 out.append(Violation("position-order", _at(j, k, ".pos"), message))
-            last_pos = expr.surface_position
-            if expr.wa_marked and expr.ga_marked:
+            last_pos = pos
+            wa = expr.wa_marked
+            if wa and expr.ga_marked:
                 out.append(Violation("wa-ga-conflict", _at(j, k), "wa and ga marking both set"))
-            if expr.role is GrammaticalRole.TOPIC and not expr.wa_marked:
-                message = "TOPIC role requires wa marking"
-                out.append(Violation("topic-not-wa", _at(j, k, ".wa"), message))
-            if not expr.is_zero:
-                if expr.entity_ref is None:
+            if expr.role is _TOPIC:
+                topics += 1
+                if not wa:
+                    message = "TOPIC role requires wa marking"
+                    out.append(Violation("topic-not-wa", _at(j, k, ".wa"), message))
+            entity = expr.entity_ref
+            cons = expr.constraints
+            if expr.form is not _ZERO:
+                if entity is None:
                     message = "overt NP without entity reference"
                     out.append(Violation("unresolved-overt", _at(j, k, ".entity"), message))
-                if expr.constraints is not None:
+                if cons is not None:
                     message = "resolution constraints on an overt NP"
                     out.append(Violation("overt-constraints", _at(j, k, ".constraints"), message))
-            if expr.entity_ref is not None and expr.entity_ref not in known:
-                message = f"unknown entity id '{expr.entity_ref}'"
+            if entity is not None and entity not in known:
+                message = f"unknown entity id '{entity}'"
                 out.append(Violation("unknown-entity", _at(j, k, ".entity"), message))
-            cons = expr.constraints
             if cons is not None:
-                if cons.required_cardinality is not None and cons.required_cardinality < 1:
-                    message = f"required_cardinality {cons.required_cardinality} < 1"
+                card = cons.required_cardinality
+                if card is not None and card < 1:
+                    message = f"required_cardinality {card} < 1"
                     where = _at(j, k, ".constraints.cardinality")
                     out.append(Violation("bad-required-cardinality", where, message))
                 gold = cons.gold_antecedent
-                undeclared = ({gold} if isinstance(gold, str) else set(gold or ())) - known
-                for gid in sorted(undeclared):
+                if isinstance(gold, str):
+                    undeclared = () if gold in known else (gold,)
+                else:
+                    undeclared = sorted(gold - known) if gold else ()
+                for gid in undeclared:
                     message = f"gold antecedent '{gid}' not declared"
                     out.append(Violation("unknown-gold", _at(j, k, ".constraints.gold"), message))
+        if topics > 1:
+            message = f"{topics} TOPIC expressions"
+            out.insert(topics_at, Violation("double-topic", f"utterances[{j}]", message))
     return out

@@ -23,12 +23,14 @@ from centering import (
     tabulate_transitions,
 )
 from centering.cli import main
+import centering.corpus as corpus_mod
 from centering.corpus import (
     FIXTURE_NAMES,
     fixture_text,
     report_lines,
 )
 from centering.engine import stream_discourse
+from centering.model import encode_resolution
 from synth import serialize_corpus
 
 from test_golden import load_corpus_gen, synth_corpus
@@ -1261,3 +1263,62 @@ class TestCollector:
         assert gc.isenabled()
         assert len(states) == 44 and not any(enabled for _, enabled in states)
         assert len({pid for pid, _ in states}) == (1 if cpus == 1 else 3)
+
+
+def japanese_topic_cue_text():
+    """Six topic-cue discourses whose utterances carry Japanese text: plural
+    zeros resolve to sets, and retrievals record their member order."""
+    gen = load_corpus_gen()
+    rng = random.Random(7)
+    data = {"discourses": [gen.topic_cue_discourse(rng, f"jp-{k}", 30) for k in range(6)]}
+    for d in data["discourses"]:
+        for k, u in enumerate(d["utterances"]):
+            u["text"] = "試験は難しかった。太郎が答案を出した。"[k % 9 :]
+    return json.dumps(data, ensure_ascii=False)
+
+
+@pytest.mark.parametrize("encoder", ["once built", "JSONEncoder.encode"])
+def test_machine_lines_are_what_json_dumps_writes(encoder, tmp_path, capsys, monkeypatch):
+    text = japanese_topic_cue_text()
+    reports = run_corpus(parse_corpus(text))
+    utts = [u for rep in reports for u in rep.utterances]
+    assert any(type(v) is frozenset for u in utts for _, v in u.resolutions)
+    assert any(r.member_order for u in utts for r in u.retrievals)
+    assert all(not u.text.isascii() for u in utts)
+
+    def dumps(obj):
+        return json.dumps(obj, default=encode_resolution) + "\n"
+
+    blocks = [
+        [dumps(corpus_mod._UTTERANCE_OBJECT(u)) for u in rep.utterances]
+        + [dumps(corpus_mod._DISCOURSE_OBJECT(rep))]
+        for rep in reports
+    ]
+    resolved = [
+        dumps(
+            {
+                "antecedent": value,
+                "cues": u.cues,
+                "discourse": u.discourse_id,
+                "pos": pos,
+                "utterance": u.index,
+            }
+        )
+        for u in utts
+        for pos, value in u.resolutions
+    ]
+    path = tmp_path / "japanese.json"
+    path.write_text(text, encoding="utf-8")
+
+    if encoder == "JSONEncoder.encode":
+        # as where the C accelerator is missing
+        monkeypatch.setattr(corpus_mod, "_C_ENCODER", None)
+    made = []
+    make = json.encoder.c_make_encoder
+    if make is not None:
+        monkeypatch.setattr(json.encoder, "c_make_encoder", lambda *a: made.append(a) or make(*a))
+    assert [list(report_lines((rep,), "machine")) for rep in reports] == blocks
+    code, out, _ = run_cli(capsys, "resolve", "--format", "machine", str(path))
+    assert code == 0 and out.splitlines(keepends=True) == resolved
+    # only JSONEncoder.encode makes a C encoder, one per line
+    assert bool(made) == (encoder == "JSONEncoder.encode" and make is not None)

@@ -22,7 +22,10 @@ from centering._record import fields, replace
 from centering.engine import (
     CUE_TENSE,
     DiscourseState,
+    HypothesisView,
     Retrieval,
+    UtteranceReport,
+    _report,
     _resolve_locally,
     coherence_step,
     finalize,
@@ -41,6 +44,7 @@ from centering.resolution import local_resolution
 from synth import random_discourse
 
 from conftest import discourse, entity, overt, utterance, zero
+from test_golden import load_corpus_gen
 
 
 class TestPushCb:
@@ -717,3 +721,87 @@ class TestResolveLocallyShortcuts:
         first = _resolve_locally(parent, u, (), LOCAL_ENTITIES)
         assert first == ResolutionOutcome((), False)
         assert _resolve_locally(parent, u, (), LOCAL_ENTITIES) is first
+
+
+# -- _report against its reference copy -------------------------------------
+
+
+def reference_view(h):
+    """_view as it was before it read the transition directly."""
+    # positional, in declaration order
+    return HypothesisView(
+        h.cb,
+        tuple([(eid, role.display) for eid, role in h.cf]),
+        h.transition.display,
+        h.zta_applied,
+        h.dampened,
+        h.anomalous,
+    )
+
+
+def reference_report(step, chosen, ambiguous):
+    """_report as it was before its lean path, kept verbatim but for
+    `bool(u.zeros)`, which the dropped `Utterance.has_zero` property read:
+    every view built in a tuple of a generator's list, the chosen Cf found
+    by a search, and the seed, zero and tense flags read through properties
+    and `Enum.value`."""
+    u = step.utterance
+    views = tuple([reference_view(h) for h in step.hypotheses])
+    # the chosen reading is one of the step's, and its view holds its Cf
+    cf = next(view.cf for h, view in zip(step.hypotheses, views) if h is chosen)
+    retrievals = step.retrievals
+    if retrievals:
+        # one per position, the last made there
+        by_pos = {r.position: r for r in retrievals}
+        retrievals = tuple([by_pos[p] for p in sorted(by_pos)])
+    # positional, in declaration order
+    return UtteranceReport(
+        step.discourse.id,
+        u.index,
+        u.tense.value,
+        u.text,
+        chosen.seed,
+        bool(u.zeros),
+        chosen.transition.display,
+        chosen.cb,
+        cf,
+        chosen.resolutions,
+        chosen.cues,
+        retrievals,
+        views,
+        ambiguous,
+    )
+
+
+def report_cases():
+    """Random discourses, two of which (seeds 36 and 37) retrieve twice at
+    one position at beam 4, and topic-cue discourses, with plural zeros,
+    retrieval and several live readings."""
+    for seed in range(40):
+        yield random_discourse(random.Random(seed), f"r-{seed}", n_utts=40, zero_rate=0.6)
+    gen = load_corpus_gen()
+    for seed in range(12):
+        data = gen.topic_cue_discourse(random.Random(seed), f"tc-{seed}", 30)
+        yield parse_corpus(gen.corpus_text({"discourses": [data]}))[0]
+
+
+def test_reports_match_their_reference_copy():
+    seen = {"one reading": 0, "several readings": 0, "repeated position": 0, "set value": 0}
+    for d in report_cases():
+        for beam in (1, 4, 64):
+            state = DiscourseState(d, EngineConfig(beam=beam))
+            for u in d.utterances:
+                state = coherence_step(state, u)
+                for chosen in state.hypotheses:
+                    for ambiguous in (False, True):
+                        got = _report(state, chosen, ambiguous)
+                        want = reference_report(state, chosen, ambiguous)
+                        # repr tells a bool from an int that equals it
+                        assert got == want and repr(got) == repr(want)
+                    if any(type(v) is frozenset for _, v in chosen.resolutions):
+                        seen["set value"] += 1
+                many = len(state.hypotheses) > 1
+                seen["several readings" if many else "one reading"] += 1
+                positions = [r.position for r in state.retrievals]
+                seen["repeated position"] += len(positions) > len(set(positions))
+    assert all(seen.values()), seen

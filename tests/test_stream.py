@@ -89,7 +89,7 @@ def reference_finalize(state):
                 tense=u.tense.value,
                 text=u.text,
                 seed=chosen.seed,
-                has_zero=u.has_zero,
+                has_zero=bool(u.zeros),
                 label=chosen.transition.display,
                 cb=chosen.cb,
                 cf=cf,
