@@ -10,30 +10,32 @@ Every command spreads a large corpus over the CPUs in the process's
 affinity mask. The parent only sizes the files: it stats each one, and
 reads a file that is not regular, such as a pipe, once; it opens no regular
 file. Forked workers, one per CPU and per `_BYTES_PER_PART` bytes of
-corpus, each take a contiguous part of the corpus by byte position. A
-worker opens each regular file by path, checks that it is the file the
-parent sized, and walks every file once (`corpus.walk`), holding a small
-window of it and one discourse at a time, whose decoded JSON shrinks as the
-discourse is built from it (`corpus.build_discourse`): it builds,
-validates, runs and finishes each discourse whose middle falls in its part,
-and drops it before the next. Every engine command folds each utterance's
-report as the engine hands it on (`engine.stream_discourse`), so a part
-holds what each discourse gave, not its states or reports: `analyze` its
-rendered text, in pieces, `stats` its counts, `resolve` its lines and
-`eval` the outcome of each of its zeros. Each worker streams its reply back
-over a pipe: a head with every file as it walked it (its read error and
-its discourses' ids), its own discourses' diagnostics and the first
-exception a job raised (or, instead, its own exception), and how many
-results follow, then the results, each pickled on its own. The parent
-reads every head before any result and alone decides what ends the
-command, in this order: a process's own exception, then every diagnostic
-(exit 1), then the first exception a job raised, in input order (exit
-2). So a problem anywhere stops the command before it writes a byte. It
-then unpickles one result at a time, in input order, which the command
-writes or folds and drops; a worker done early waits on its full pipe
-until its turn. The output, errors included, does not depend on the CPU
-count. A corpus too small for two parts, or a single CPU, runs the same
-function over its one part in process.
+corpus, take the discourses in turn: of P parts, part k takes each
+discourse whose ordinal, its place in input order across the files, is k
+mod P. A worker opens each regular file by path, checks that it is the file
+the parent sized, and walks every file once (`corpus.walk`), so every
+process counts the same ordinals, holding a small window of each file and
+one discourse at a time, whose decoded JSON shrinks as the discourse is
+built from it (`corpus.build_discourse`): it builds, validates, runs and
+finishes each discourse of its part, and drops it before the next. Every
+engine command folds each utterance's report as the engine hands it on
+(`engine.stream_discourse`), so a part holds what each discourse gave, not
+its states or reports: `analyze` its rendered text, in pieces, `stats` its
+counts, `resolve` its lines and `eval` the outcome of each of its zeros.
+Each worker streams its reply back over a pipe: a head with every file as
+it walked it (its read error and its discourses' ids), its own discourses'
+diagnostics and the first exception a job raised, with its ordinal (or,
+instead, its own exception), and how many results follow, then the results,
+each pickled on its own. The parent reads every head before any result and
+alone decides what ends the command, in this order: a process's own
+exception, then every diagnostic (exit 1), then the exception a job raised
+on the discourse of least ordinal (exit 2). So a problem anywhere stops the
+command before it writes a byte. It then unpickles one result at a time, in
+input order, result i from worker i mod P, which the command writes or
+folds and drops; a worker ahead of the others waits on its full pipe until
+its turn. The output, errors included, does not depend on the CPU count. A
+corpus too small for two parts, or a single CPU, runs the same function
+over its one part in process.
 """
 
 from __future__ import annotations
@@ -130,9 +132,9 @@ _Sized = tuple[str, int, Union[bytes, tuple[int, ...]]]
 _File = tuple[str, list[Violation], list[tuple[str, Optional[str]]]]
 
 #: What a process reports before its results: every file as it walked it,
-#: the diagnostics of each discourse it built, and the first exception a
-#: job raised (None if none did).
-_Head = tuple[list[_File], list[list[Violation]], Optional[Exception]]
+#: the diagnostics of each discourse it built, and the ordinal of the first
+#: discourse on which a job raised, with the exception (None if none did).
+_Head = tuple[list[_File], list[list[Violation]], Optional[tuple[int, Exception]]]
 
 
 def _size(path: str) -> _Sized:
@@ -193,22 +195,20 @@ def _part(
     files: list[_Sized], part: int, parts: int, job: Callable[[Discourse], Any]
 ) -> tuple[_Head, list[Any]]:
     """Walk every file once, and build and validate each discourse whose
-    middle falls in part `part` of `parts` equal parts of the corpus by
-    position, one at a time, dropping each before the next; run `job` on
-    each until the part meets a read error, a diagnostic or a job's
-    exception, after which no result would be written. The head, and the
-    job's results.
+    ordinal is `part` mod `parts`, one at a time, dropping each before the
+    next; run `job` on each until the part meets a read error, a diagnostic
+    or a job's exception, after which no result would be written. The
+    head, and the job's results.
 
     A file whose walk fails, or whose discourses a later "discourses" key
     replaces, keeps none of the discourses walked before, nor what they
-    gave. The head only records what the part met: which problem ends the
-    command is for `_results` to decide."""
-    total = max(sum(size for _, size, _ in files), 1)
+    gave, nor their ordinals. The head only records what the part met:
+    which problem ends the command is for `_results` to decide."""
     read: list[_File] = []
     found: list[list[Violation]] = []
     results: list[Any] = []
-    run, fault, base = True, None, 0
-    for path, size, known in files:
+    run, fault, before = True, None, 0  # before: the discourses of the files read
+    for path, _, known in files:
         failure: list[Violation] = []
         discourses: list[tuple[str, Optional[str]]] = []
         kept = len(found), len(results), run, fault
@@ -220,8 +220,9 @@ def _part(
                         del found[kept[0] :], results[kept[1] :]
                         run, fault = kept[2:]
                         continue
+                    ordinal = before + len(discourses)
                     discourses.append((r.loc, r.id))
-                    if min(parts - 1, (base + r.middle) * parts // total) != part:
+                    if ordinal % parts != part:
                         del item
                         continue
                     discourse, diags = corpus_io.build_discourse(r, item)
@@ -232,7 +233,7 @@ def _part(
                         try:
                             results.append(job(discourse))
                         except Exception as exc:
-                            run, fault = False, exc
+                            run, fault = False, (ordinal, exc)
                     del discourse
         except UnicodeDecodeError as exc:
             message = f"not UTF-8: {exc.reason}"
@@ -243,7 +244,7 @@ def _part(
             discourses, run = [], False
             del found[kept[0] :], results[kept[1] :]
         read.append((path, failure, discourses))
-        base += size
+        before += len(discourses)
     return (read, found, fault), results
 
 
@@ -252,8 +253,9 @@ def _run_parts(paths: Sequence[str], job: Callable[[Discourse], Any]) -> Iterato
     of their discourses in input order (the stream of the module
     docstring). Before any result, it raises instead, in this order: a
     process's own exception; CorpusFormatError with every diagnostic of
-    every file, if there is one; the first exception a job raised, in input
-    order. Closed early, the iterator reaps every worker.
+    every file, if there is one; the exception a job raised on the
+    discourse of least ordinal. Closed early, the iterator reaps every
+    worker.
 
     The cyclic garbage collector is off from the sizing of the files to the
     last result read, or the iterator's close, and the caller's setting is
@@ -271,7 +273,8 @@ def _run_parts(paths: Sequence[str], job: Callable[[Discourse], Any]) -> Iterato
 
 def _results(paths: Sequence[str], job: Callable[[Discourse], Any]) -> Iterator[Any]:
     """The generator behind `_run_parts`: it yields None once the
-    diagnostics are checked, and then the results."""
+    diagnostics are checked, and then the results. The diagnostics of the
+    discourse of ordinal i are entry i // P of part i mod P's."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -286,12 +289,14 @@ def _results(paths: Sequence[str], job: Callable[[Discourse], Any]) -> Iterator[
         stream = _fork(parts, cpus, work) if parts > 1 else _in_process(work)
         try:
             heads = next(stream)  # every process walked every file
-            diags = _diagnostics(heads[0][0], [per for _, found, _ in heads for per in found])
+            founds = [found for _, found, _ in heads]
+            found = [founds[i % parts][i // parts] for i in range(sum(map(len, founds)))]
+            diags = _diagnostics(heads[0][0], found)
             if diags:
                 raise corpus_io.CorpusFormatError(diags)
-            for _, _, fault in heads:
-                if fault is not None:
-                    raise fault
+            faults = [fault for _, _, fault in heads if fault is not None]
+            if faults:
+                raise min(faults, key=lambda fault: fault[0])[1]
             yield None
             yield from stream
         finally:
@@ -314,38 +319,36 @@ def _fork(
 ) -> Iterator[Any]:
     """The stream of the module docstring for `work(part) = (head,
     results)` of each part: first the list of every part's head, then the
-    results of all the parts in order, one at a time. Each part runs in a
-    forked worker pinned to a CPU of its own (left to the scheduler, forked
-    workers were woken on one CPU and ran no faster than one process).
-    Fork, not spawn: the command starts no thread, and a forked worker
-    inherits the sized files instead of receiving them pickled.
+    results of all the parts taken in turn, one at a time: result i is the
+    next of part i mod `parts`. Each part runs in a forked worker pinned to
+    a CPU of its own (left to the scheduler, forked workers were woken on
+    one CPU and ran no faster than one process). Fork, not spawn: the
+    command starts no thread, and a forked worker inherits the sized files
+    instead of receiving them pickled.
 
     Before anything is yielded, the exception of the first worker that
     sent one instead of its head is raised. Only a process's own exception
     is raised ahead of the diagnostics: a job's goes in the head (`_part`).
     A worker that died before its head is a RuntimeError naming its exit
     status, raised ahead of any exception. A worker that dies after its
-    head is the same RuntimeError when its results run short; the caller
-    may then have written a prefix of the output, but never a result out
-    of order.
+    head is the same RuntimeError when its results run short, or else once
+    every result is read; the caller may then have written a prefix of the
+    output, or all of it, but never a result out of order.
 
     Every worker is reaped on every path: its pipe is closed first, so that
-    a worker blocked on a write ends too.
+    a worker blocked on a write ends too."""
+    import pickle
 
-    `pickle` is imported only after the forks: by each worker for itself,
-    and by the parent, while the workers run, just before it reads the
-    heads. A run in process never imports it."""
     workers: list[tuple[int, Any]] = []
-    codes: dict[int, int] = {}  # the exit code of each worker reaped, by position
+    codes: list[int] = []  # the exit code of each worker reaped, in order
 
-    def reap(upto: int) -> None:
-        """Reap each worker before `upto` not yet reaped, closing every
-        pipe before waiting on any."""
-        for _, pipe in workers[:upto]:
+    def reap() -> None:
+        """Reap every worker not yet reaped, closing every pipe before
+        waiting on any."""
+        for _, pipe in workers:
             pipe.close()
-        for at, (pid, _) in enumerate(workers[:upto]):
-            if at not in codes:
-                codes[at] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        for pid, _ in workers[len(codes) :]:
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 
     def load(at: int) -> Any:
         """The next object worker `at` sent; where its stream breaks, every
@@ -353,7 +356,7 @@ def _fork(
         try:
             return pickle.load(workers[at][1])
         except (EOFError, pickle.UnpicklingError):
-            reap(len(workers))
+            reap()
             if codes[at]:
                 raise RuntimeError(f"worker ended with exit status {codes[at]}") from None
             raise
@@ -369,8 +372,6 @@ def _fork(
                     for _, pipe in workers:  # no worker holds another's pipe
                         os.close(pipe.fileno())
                     os.sched_setaffinity(0, {cpu})
-                    import pickle
-
                     try:
                         head, results = work(part)
                         reply = (True, head, len(results))
@@ -385,21 +386,19 @@ def _fork(
                     os._exit(status)
             os.close(write_end)
             workers.append((pid, open(read_end, "rb")))
-        import pickle
-
         heads = [load(at) for at in range(len(workers))]
         for ok, value, _ in heads:
             if not ok:
                 raise value
         yield [value for _, value, _ in heads]
-        for at, (_, _, count) in enumerate(heads):
-            for _ in range(count):
-                yield load(at)
-            reap(at + 1)
-            if codes[at]:
-                raise RuntimeError(f"worker ended with exit status {codes[at]}")
+        for i in range(sum(count for _, _, count in heads)):
+            yield load(i % parts)
+        reap()
+        for code in codes:
+            if code:
+                raise RuntimeError(f"worker ended with exit status {code}")
     finally:
-        reap(len(workers))
+        reap()
 
 
 def _run_engine(

@@ -149,14 +149,12 @@ def _loads(text: str) -> Any:
 
 class RawDiscourse(NamedTuple):
     """A discourse of a document as the walk meets it, not yet built: its
-    location; its id, None for an element that is not an object; whether an
-    earlier discourse of the same list has that id; and where its middle
-    lies in the document, in bytes of UTF-8."""
+    location; its id, None for an element that is not an object; and whether
+    an earlier discourse of the same list has that id."""
 
     loc: str
     id: Optional[str]
     repeated: bool
-    middle: int
 
 
 #: JSON's whitespace, as `json.loads` skips it.
@@ -174,17 +172,15 @@ _READ = 64 * 1024
 
 
 class _Window:
-    """A JSON document as the walk sees it: `text`, the part of it in hand;
-    `at`, the walk's position there; and `mark`, a position there at or
-    before `at`, with `offset`, the bytes of the document before it. A text
-    is in hand whole. A binary stream is read from its start through a
-    window: the walk takes each read of it as it passes the end of the
-    window, which then drops what the walk has passed, as it may after a
-    discourse (`_discourse`)."""
+    """A JSON document as the walk sees it: `text`, the part of it in hand,
+    and `at`, the walk's position there. A text is in hand whole. A binary
+    stream is read from its start through a window: the walk takes each
+    read of it as it passes the end of the window, which then drops what the
+    walk has passed, as it may after a discourse (`_discourse`)."""
 
     def __init__(self, source: Union[str, BinaryIO]):
         self.source = source
-        self.at = self.mark = self.offset = 0
+        self.at = 0
         if type(source) is str:
             self.text, self.done = source, True
         else:
@@ -209,24 +205,8 @@ class _Window:
         return True
 
     def cut(self) -> None:
-        """Drop the part of the window that the walk has passed, counting
-        its bytes."""
-        self.position()
-        self.text, self.at, self.mark = self.text[self.at :], 0, 0
-
-    def position(self) -> int:
-        """The walk's position in bytes of UTF-8 from the start of the
-        document, which moves `mark` there. Each stretch between two marks
-        is encoded once, and an ASCII window (`str.isascii`, which reads a
-        flag of the string) not at all."""
-        text, at = self.text, self.at
-        if text.isascii():
-            self.offset += at - self.mark
-        else:
-            # a text handed in may hold a lone surrogate, which counts 3
-            self.offset += len(text[self.mark : at].encode("utf-8", "surrogatepass"))
-        self.mark = at
-        return self.offset
+        """Drop the part of the window that the walk has passed."""
+        self.text, self.at = self.text[self.at :], 0
 
     def skip(self) -> str:
         """Move past JSON whitespace, and return the character there, or ""
@@ -343,11 +323,9 @@ def _discourse(src: _Window, loc: str, seen_ids: set[str]) -> _Walked:
     least half the window, so that the caller does not build the discourse
     beside its text; each character is then copied at most once more. A
     text handed in is the caller's, and is never copied."""
-    src.skip()
-    start = src.position()
     item = src.value()
     did = _discourse_id(item, loc)
-    raw = RawDiscourse(loc, did, did in seen_ids, (start + src.position()) // 2)
+    raw = RawDiscourse(loc, did, did in seen_ids)
     if did is not None:
         seen_ids.add(did)
     if type(src.source) is not str and 2 * src.at >= len(src.text):

@@ -704,8 +704,9 @@ class TestWorkers:
         code, out, err = run_cli(capsys, "analyze", *pool_corpus)
         assert code == 2
         assert "internal error" in err and "exit status 5" in err
-        # every result of the first worker was read and written
-        assert out and full.startswith(out) and out != full
+        # the workers are reaped once every result is read: what was
+        # written is in input order, and may be the whole output
+        assert out and full.startswith(out)
 
     @pytest.mark.parametrize(
         "case",
@@ -818,6 +819,29 @@ class TestWorkers:
             errors = [line.split(os.sep)[-1] for line in err.splitlines()]
             assert errors == [tagged[other] + tag]
 
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_the_job_fault_of_least_ordinal_ends_the_command(
+        self, cpus, pool_corpus, monkeypatch, capsys
+    ):
+        # of three parts, golden-3 (ordinal 3) falls in part 0 and golden-1
+        # (ordinal 1) in part 1: the earlier discourse's fault is raised,
+        # though a lower-numbered part met the other
+        files = [cli_mod._size(path) for path in pool_corpus]
+        ids = [cli_mod._part(files, part, 3, lambda d: d.id)[1] for part in range(3)]
+        assert "golden-3" in ids[0] and "golden-1" in ids[1]
+        real = cli_mod.stream_discourse
+
+        def fail(discourse, config):
+            if discourse.id in ("golden-1", "golden-3"):
+                raise RuntimeError(f"engine fault on {discourse.id}")
+            return real(discourse, config)
+
+        monkeypatch.setattr(cli_mod, "stream_discourse", fail)
+        with_cpus(monkeypatch, cpus)
+        code, out, err = run_cli(capsys, "analyze", *pool_corpus)
+        assert (code, out) == (2, "")
+        assert "engine fault on golden-1" in err and "golden-3" not in err
+
     @pytest.mark.parametrize("fault", sorted(WORKER_FAULTS))
     def test_input_errors_do_not_depend_on_cpu_count(
         self, fault, pool_corpus, tmp_path, monkeypatch, capsys
@@ -843,32 +867,27 @@ class TestWorkers:
         assert errors[0] == errors[1]
         assert [line.split(os.sep)[-1] for line in errors[0].splitlines()] == [WORKER_FAULTS[fault]]
 
-    def test_parts_are_contiguous_and_split_by_position(self, tmp_path):
-        # five discourses of about 100, 100, 200, 300 and 100 characters:
-        # each goes to the part its middle falls in, and every part walks
-        # every file
-        items = [{"id": f"d{i}", "pad": "x" * (n - 20)} for i, n in enumerate([100, 100, 200])]
-        items += [{"id": "d3", "pad": "x" * 280}, {"id": "d4", "pad": "x" * 80}]
+    def test_parts_take_discourses_by_ordinal(self, tmp_path):
+        # five discourses over two files, after a file whose later
+        # "discourses" key replaces its three with none: part k of P takes
+        # each discourse whose ordinal, counted over the discourses kept, is
+        # k mod P, and every part walks every file
+        items = [{"id": f"d{i}"} for i in range(5)]
+        replaced = tmp_path / "replaced.json"
+        dropped = json.dumps([{"id": f"x{i}"} for i in range(3)])
+        replaced.write_text(f'{{"discourses": {dropped}, "discourses": []}}', encoding="utf-8")
         first, second = tmp_path / "first.json", tmp_path / "second.json"
         first.write_text(json.dumps(items[:3]), encoding="utf-8")
         second.write_text(json.dumps(items[3:]), encoding="utf-8")
-        files = [cli_mod._size(str(first)), cli_mod._size(str(second))]
-        total = sum(size for _, size, _ in files)
+        files = [cli_mod._size(str(path)) for path in (replaced, first, second)]
         for parts in (1, 2, 3, 4, 7):
-            got = []
             for part in range(parts):
                 (read, found, fault), ids = cli_mod._part(files, part, parts, lambda d: d.id)
                 assert [did for _, _, discourses in read for _, did in discourses] == [
                     f"d{i}" for i in range(5)
                 ]
+                assert ids == [f"d{i}" for i in range(5) if i % parts == part]
                 assert len(found) == len(ids) and not any(found) and fault is None
-                got.append(ids)
-            assert [did for ids in got for did in ids] == [f"d{i}" for i in range(5)]
-            # no part ends more than a discourse past its share of the corpus
-            before = 0
-            for part, ids in enumerate(got):
-                before += sum(len(json.dumps(items[int(did[1:])])) for did in ids)
-                assert before <= (part + 1) * total / parts + 300
 
     def test_parts_of_multi_byte_text_hold_equal_shares(self, tmp_path):
         # a position counts bytes, so a file of 3-byte characters splits
@@ -894,14 +913,15 @@ class TestWorkers:
 
     def test_fork_returns_every_head_then_the_results_in_order(self, monkeypatch):
         monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
-        parts = [[1], [2, 3], [4, 5, 6]]
+        parts = [[0, 3, 6], [1, 4], [2, 5]]
         stream = cli_mod._fork(
             3, [0, 1, 2], lambda k: (sum(parts[k]), [(os.getpid(), n) for n in parts[k]])
         )
-        # every worker's head first, then each result in input order
-        assert next(stream) == [1, 5, 15]
+        # every worker's head first, then the results taken from the
+        # workers in turn: result i is the next of worker i mod 3
+        assert next(stream) == [9, 5, 7]
         got = list(stream)
-        assert [n for _, n in got] == [1, 2, 3, 4, 5, 6]
+        assert [n for _, n in got] == [0, 1, 2, 3, 4, 5, 6]
         assert len({pid for pid, _ in got}) == 3 and os.getpid() not in {pid for pid, _ in got}
 
     def test_the_parent_keeps_no_decoded_discourse(self, pool_corpus):
