@@ -19,23 +19,26 @@ one discourse at a time, whose decoded JSON shrinks as the discourse is
 built from it (`corpus.build_discourse`): it builds, validates, runs and
 finishes each discourse of its part, and drops it before the next. Every
 engine command folds each utterance's report as the engine hands it on
-(`engine.stream_discourse`), so a part holds what each discourse gave, not
-its states or reports: `analyze` its rendered text, in pieces, `stats` its
-counts, `resolve` its lines and `eval` the outcome of each of its zeros.
-Each worker streams its reply back over a pipe: a head with every file as
-it walked it (its read error and its discourses' ids), its own discourses'
-diagnostics and the first exception a job raised, with its ordinal (or,
-instead, its own exception), and how many results follow, then the results,
-each pickled on its own. The parent reads every head before any result and
-alone decides what ends the command, in this order: a process's own
-exception, then every diagnostic (exit 1), then the exception a job raised
-on the discourse of least ordinal (exit 2). So a problem anywhere stops the
-command before it writes a byte. It then unpickles one result at a time, in
-input order, result i from worker i mod P, which the command writes or
-folds and drops; a worker ahead of the others waits on its full pipe until
-its turn. The output, errors included, does not depend on the CPU count. A
+(`engine.stream_discourse`), and each discourse's job yields what it gave
+as pieces: `analyze` its rendered text, in pieces of about 32 KiB, and
+`resolve` its lines, `stats` its two rows and cue counts and `eval` the
+fields of each of its zeros' outcomes, each as one piece. A part writes
+each piece, in `marshal`'s format, to a spool of its own, an anonymous
+temporary file (`_Spool`), as soon as the job yields it, so no process
+holds more than one piece of the output. Each worker then sends its head
+back, pickled, over a pipe: every file as it walked it (its read error and
+its discourses' ids), its own discourses' diagnostics and piece counts, and
+the first exception a job raised, with its ordinal (or, instead, its own
+exception). The parent reads every head and reaps every worker before it
+reads a piece, and alone decides what ends the command, in this order: a
+worker that ended badly or a process's own exception, then every diagnostic
+(exit 1), then the exception a job raised on the discourse of least ordinal
+(exit 2). So a problem anywhere stops the command before it writes a byte.
+It then reads the pieces one at a time, in input order, those of result i
+from the spool of part i mod P, and the command writes or folds each and
+drops it. The output, errors included, does not depend on the CPU count. A
 corpus too small for two parts, or a single CPU, runs the same function
-over its one part in process.
+over its one part in process, whose spool is made on its first piece.
 """
 
 from __future__ import annotations
@@ -44,12 +47,15 @@ import argparse
 import gc
 import io
 import json
+import marshal
+import operator
 import os
 import stat
 import sys
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, NoReturn, Optional, Sequence, Union
 
 from . import analysis, corpus as corpus_io
+from ._record import fields
 from .engine import DiscourseReport, EngineConfig, UtteranceReport, stream_discourse
 from .hypotheses import DEFAULT_BEAM
 from .model import Discourse, Violation, format_resolution
@@ -131,10 +137,49 @@ _Sized = tuple[str, int, Union[bytes, tuple[int, ...]]]
 #: discourses.
 _File = tuple[str, list[Violation], list[tuple[str, Optional[str]]]]
 
-#: What a process reports before its results: every file as it walked it,
-#: the diagnostics of each discourse it built, and the ordinal of the first
+#: What a process reports once its pieces are spooled: every file as it
+#: walked it, the diagnostics of each discourse it built, how many pieces
+#: the job yielded for each discourse it ran, and the ordinal of the first
 #: discourse on which a job raised, with the exception (None if none did).
-_Head = tuple[list[_File], list[list[Violation]], Optional[tuple[int, Exception]]]
+_Head = tuple[list[_File], list[list[Violation]], list[int], Optional[tuple[int, Exception]]]
+
+#: What runs on each discourse: the pieces it yields are what the discourse
+#: gave (see `_Spool`).
+_Job = Callable[[Discourse], Iterable[Any]]
+
+
+class _Spool:
+    """The pieces a part's jobs yield, held in an anonymous temporary file
+    until the parent knows the last diagnostic: each in `marshal`'s format
+    after its length, so that it is read back in two reads (`marshal.load`
+    reads a file one field at a time: 9 us for an `eval` outcome, where
+    `get` takes 1.7 us). The file
+    is made `now`, as the parent makes each worker's before it forks, or
+    else on the first piece, and an empty buffer stands in for it until
+    then, so a part that yields nothing makes none. A piece put after a
+    `file.seek` back replaces what follows, which is never read: the head
+    counts the pieces."""
+
+    def __init__(self, now: bool = False) -> None:
+        self.file: BinaryIO = io.BytesIO()
+        if now:
+            self.make()
+
+    def make(self) -> None:
+        import tempfile
+
+        self.file = tempfile.TemporaryFile()
+
+    def put(self, piece: Any) -> None:
+        if type(self.file) is io.BytesIO:
+            self.make()
+        data = marshal.dumps(piece)
+        self.file.write(len(data).to_bytes(8, "little"))
+        self.file.write(data)
+
+    def get(self) -> Any:
+        """The next piece."""
+        return marshal.loads(self.file.read(int.from_bytes(self.file.read(8), "little")))
 
 
 def _size(path: str) -> _Sized:
@@ -191,14 +236,13 @@ def _cpus() -> list[int]:
     return [0]
 
 
-def _part(
-    files: list[_Sized], part: int, parts: int, job: Callable[[Discourse], Any]
-) -> tuple[_Head, list[Any]]:
+def _part(files: list[_Sized], part: int, parts: int, job: _Job, spool: _Spool) -> _Head:
     """Walk every file once, and build and validate each discourse whose
     ordinal is `part` mod `parts`, one at a time, dropping each before the
     next; run `job` on each until the part meets a read error, a diagnostic
-    or a job's exception, after which no result would be written. The
-    head, and the job's results.
+    or a job's exception, after which nothing would be written, and put
+    each piece the job yields in `spool` as it comes. The head, once the
+    spool's file holds every piece.
 
     A file whose walk fails, or whose discourses a later "discourses" key
     replaces, keeps none of the discourses walked before, nor what they
@@ -206,19 +250,20 @@ def _part(
     which problem ends the command is for `_results` to decide."""
     read: list[_File] = []
     found: list[list[Violation]] = []
-    results: list[Any] = []
+    counts: list[int] = []  # the pieces of each discourse run
     run, fault, before = True, None, 0  # before: the discourses of the files read
     for path, _, known in files:
         failure: list[Violation] = []
         discourses: list[tuple[str, Optional[str]]] = []
-        kept = len(found), len(results), run, fault
+        kept = len(found), len(counts), spool.file.tell(), run, fault
         try:
             with _open(path, known) as stream:
                 for r, item in corpus_io.walk(stream):
                     if r is None:  # a later "discourses" key replaces those before
                         discourses = []
-                        del found[kept[0] :], results[kept[1] :]
-                        run, fault = kept[2:]
+                        del found[kept[0] :], counts[kept[1] :]
+                        spool.file.seek(kept[2])
+                        run, fault = kept[3:]
                         continue
                     ordinal = before + len(discourses)
                     discourses.append((r.loc, r.id))
@@ -230,8 +275,11 @@ def _part(
                     found.append(diags)
                     run = run and not diags
                     if run:
+                        counts.append(0)
                         try:
-                            results.append(job(discourse))
+                            for piece in job(discourse):
+                                spool.put(piece)
+                                counts[-1] += 1
                         except Exception as exc:
                             run, fault = False, (ordinal, exc)
                     del discourse
@@ -242,23 +290,24 @@ def _part(
             failure = exc.diagnostics
         if failure:
             discourses, run = [], False
-            del found[kept[0] :], results[kept[1] :]
+            del found[kept[0] :]
         read.append((path, failure, discourses))
         before += len(discourses)
-    return (read, found, fault), results
+    spool.file.flush()  # a worker ends with os._exit, which flushes nothing
+    return read, found, counts, fault
 
 
-def _run_parts(paths: Sequence[str], job: Callable[[Discourse], Any]) -> Iterator[Any]:
-    """Size the files and return an iterator over `job(discourse)` of each
-    of their discourses in input order (the stream of the module
-    docstring). Before any result, it raises instead, in this order: a
-    process's own exception; CorpusFormatError with every diagnostic of
-    every file, if there is one; the exception a job raised on the
-    discourse of least ordinal. Closed early, the iterator reaps every
-    worker.
+def _run_parts(paths: Sequence[str], job: _Job) -> Iterator[Any]:
+    """Size the files and return an iterator over the pieces that
+    `job(discourse)` yields for each of their discourses, in input order
+    (the stream of the module docstring). Before any piece, it raises
+    instead, in this order: a process's own exception; CorpusFormatError
+    with every diagnostic of every file, if there is one; the exception a
+    job raised on the discourse of least ordinal. Closed early, the
+    iterator closes every spool; no worker outlives the first piece.
 
     The cyclic garbage collector is off from the sizing of the files to the
-    last result read, or the iterator's close, and the caller's setting is
+    last piece read, or the iterator's close, and the caller's setting is
     restored after; forked workers inherit it off and end with `os._exit`.
     Nothing this path makes forms a reference cycle, so reference counting
     alone frees it all, and the collector would only walk the live objects
@@ -267,100 +316,69 @@ def _run_parts(paths: Sequence[str], job: Callable[[Discourse], Any]) -> Iterato
     collection at exit then skips the frozen objects.
     """
     results = _results(paths, job)
-    next(results)  # runs up to the first result, so every error is raised here
+    next(results)  # runs up to the first piece, so every error is raised here
     return results
 
 
-def _results(paths: Sequence[str], job: Callable[[Discourse], Any]) -> Iterator[Any]:
-    """The generator behind `_run_parts`: it yields None once the
-    diagnostics are checked, and then the results. The diagnostics of the
-    discourse of ordinal i are entry i // P of part i mod P's."""
+def _results(paths: Sequence[str], job: _Job) -> Iterator[Any]:
+    """The generator behind `_run_parts`: it yields None once every part is
+    run and the diagnostics are checked, and then the pieces. The
+    diagnostics and the piece count of the discourse of ordinal i are entry
+    i // P of part i mod P's, and its pieces are the next in that part's
+    spool."""
     enabled = gc.isenabled()
     gc.disable()
+    spools: list[_Spool] = []
     try:
         files = [_size(path) for path in paths]
         cpus = _cpus()
         parts = max(1, min(len(cpus), sum(size for _, size, _ in files) // _BYTES_PER_PART))
+        spools = [_Spool(now=parts > 1) for _ in range(parts)]
 
-        def work(part: int) -> tuple[_Head, list[Any]]:
-            return _part(files, part, parts, job)
+        def work(part: int) -> _Head:
+            return _part(files, part, parts, job, spools[part])
 
         gc.freeze()
-        stream = _fork(parts, cpus, work) if parts > 1 else _in_process(work)
-        try:
-            heads = next(stream)  # every process walked every file
-            founds = [found for _, found, _ in heads]
-            found = [founds[i % parts][i // parts] for i in range(sum(map(len, founds)))]
-            diags = _diagnostics(heads[0][0], found)
-            if diags:
-                raise corpus_io.CorpusFormatError(diags)
-            faults = [fault for _, _, fault in heads if fault is not None]
-            if faults:
-                raise min(faults, key=lambda fault: fault[0])[1]
-            yield None
-            yield from stream
-        finally:
-            stream.close()
+        heads = _fork(parts, cpus, work) if parts > 1 else [work(0)]
+        founds = [found for _, found, _, _ in heads]
+        found = [founds[i % parts][i // parts] for i in range(sum(map(len, founds)))]
+        diags = _diagnostics(heads[0][0], found)
+        if diags:
+            raise corpus_io.CorpusFormatError(diags)
+        faults = [fault for *_, fault in heads if fault is not None]
+        if faults:
+            raise min(faults, key=lambda fault: fault[0])[1]
+        yield None
+        for spool in spools:
+            spool.file.seek(0)
+        for i in range(len(found)):
+            for _ in range(heads[i % parts][2][i // parts]):
+                yield spools[i % parts].get()
     finally:
+        for spool in spools:
+            spool.file.close()
         if enabled:
             gc.enable()
 
 
-def _in_process(work: Callable[[int], tuple[Any, list[Any]]]) -> Iterator[Any]:
-    """The stream of `_fork` for the one part of a corpus, run in this
-    process."""
-    head, results = work(0)
-    yield [head]
-    yield from results
+def _fork(parts: int, cpus: list[int], work: Callable[[int], Any]) -> list[Any]:
+    """`work(part)` of each part, run in a forked worker pinned to a CPU of
+    its own (left to the scheduler, forked workers were woken on one CPU
+    and ran no faster than one process), which sends it back pickled over
+    a pipe. Fork, not spawn: the command starts no thread, and a forked
+    worker inherits the sized files and the spools instead of receiving
+    them pickled.
 
-
-def _fork(
-    parts: int, cpus: list[int], work: Callable[[int], tuple[Any, list[Any]]]
-) -> Iterator[Any]:
-    """The stream of the module docstring for `work(part) = (head,
-    results)` of each part: first the list of every part's head, then the
-    results of all the parts taken in turn, one at a time: result i is the
-    next of part i mod `parts`. Each part runs in a forked worker pinned to
-    a CPU of its own (left to the scheduler, forked workers were woken on
-    one CPU and ran no faster than one process). Fork, not spawn: the
-    command starts no thread, and a forked worker inherits the sized files
-    instead of receiving them pickled.
-
-    Before anything is yielded, the exception of the first worker that
-    sent one instead of its head is raised. Only a process's own exception
-    is raised ahead of the diagnostics: a job's goes in the head (`_part`).
-    A worker that died before its head is a RuntimeError naming its exit
-    status, raised ahead of any exception. A worker that dies after its
-    head is the same RuntimeError when its results run short, or else once
-    every result is read; the caller may then have written a prefix of the
-    output, or all of it, but never a result out of order.
-
-    Every worker is reaped on every path: its pipe is closed first, so that
-    a worker blocked on a write ends too."""
+    Every worker is reaped before it returns, on every path: the pipes are
+    closed first, so that a worker blocked on a write ends too. A worker
+    that ended badly, before or after its head, is a RuntimeError naming
+    its exit status, raised ahead of any exception; then the exception of
+    the first worker that sent one instead of its head is raised. Only a
+    process's own exception is raised ahead of the diagnostics: a job's
+    goes in the head (`_part`)."""
     import pickle
 
     workers: list[tuple[int, Any]] = []
-    codes: list[int] = []  # the exit code of each worker reaped, in order
-
-    def reap() -> None:
-        """Reap every worker not yet reaped, closing every pipe before
-        waiting on any."""
-        for _, pipe in workers:
-            pipe.close()
-        for pid, _ in workers[len(codes) :]:
-            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-
-    def load(at: int) -> Any:
-        """The next object worker `at` sent; where its stream breaks, every
-        worker is reaped, and one that ended badly is named."""
-        try:
-            return pickle.load(workers[at][1])
-        except (EOFError, pickle.UnpicklingError):
-            reap()
-            if codes[at]:
-                raise RuntimeError(f"worker ended with exit status {codes[at]}") from None
-            raise
-
     try:
         for part, cpu in zip(range(parts), cpus):
             read_end, write_end = os.pipe()
@@ -373,84 +391,79 @@ def _fork(
                         os.close(pipe.fileno())
                     os.sched_setaffinity(0, {cpu})
                     try:
-                        head, results = work(part)
-                        reply = (True, head, len(results))
+                        reply = True, work(part)
                     except Exception as exc:
-                        reply, results = (False, exc, 0), []
+                        reply = False, exc
                     with open(write_end, "wb") as pipe:
                         pickle.dump(reply, pipe)
-                        for result in results:
-                            pickle.dump(result, pipe)
                     status = 0
                 finally:
                     os._exit(status)
             os.close(write_end)
             workers.append((pid, open(read_end, "rb")))
-        heads = [load(at) for at in range(len(workers))]
-        for ok, value, _ in heads:
-            if not ok:
-                raise value
-        yield [value for _, value, _ in heads]
-        for i in range(sum(count for _, _, count in heads)):
-            yield load(i % parts)
-        reap()
-        for code in codes:
-            if code:
-                raise RuntimeError(f"worker ended with exit status {code}")
+        replies = [pickle.load(pipe) for _, pipe in workers]
+    except (EOFError, pickle.UnpicklingError) as exc:
+        replies = [(False, exc)]  # a worker's reply broke off: its exit status says why
     finally:
-        reap()
+        for _, pipe in workers:
+            pipe.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in workers]
+    for code in codes:
+        if code:
+            raise RuntimeError(f"worker ended with exit status {code}")
+    for ok, value in replies:
+        if not ok:
+            raise value
+    return [value for _, value in replies]
 
 
 def _run_engine(
     args: argparse.Namespace,
-    fold: Callable[[Discourse, Iterator[Union[UtteranceReport, DiscourseReport]]], Any],
+    fold: Callable[[Discourse, Iterator[Union[UtteranceReport, DiscourseReport]]], Iterable[Any]],
 ) -> Iterator[Any]:
     """Run the engine on the discourses of the files, one at a time (see
-    `_run_parts`), and iterate over `fold(discourse, stream)` of each, in
-    input order, where `stream` is its `stream_discourse`."""
+    `_run_parts`), and iterate over the pieces of `fold(discourse, stream)`
+    of each, in input order, where `stream` is its `stream_discourse`."""
     config = EngineConfig(
         beam=args.beam, zta_enabled=not args.no_zta, global_enabled=not args.no_global
     )
     return _run_parts(args.files, lambda d: fold(d, stream_discourse(d, config)))
 
 
-#: The characters of each piece of a discourse's output that `analyze` holds
-#: and writes: a short discourse's block is one string, and a long one's is
-#: never held twice, as lines and joined, nor as text and as the bytes the
-#: stream encodes it to.
-_PIECE = 64 * 1024
+#: The characters of each piece of a discourse's output that `analyze`
+#: holds and spools: a short discourse's block is one string, and a long
+#: one's is never held whole, as lines and joined, nor as text and as the
+#: bytes it is spooled or written as.
+_PIECE = 32 * 1024
 
 
-def _pieces(lines: Iterator[str]) -> list[str]:
+def _pieces(lines: Iterator[str]) -> Iterator[str]:
     """`lines` joined into pieces of about `_PIECE` characters each."""
-    pieces: list[str] = []
     piece: list[str] = []
     size = 0
     for line in lines:
         piece.append(line)
         size += len(line)
         if size >= _PIECE:
-            pieces.append("".join(piece))
+            yield "".join(piece)
             piece, size = [], 0
     if piece:
-        pieces.append("".join(piece))
-    return pieces
+        yield "".join(piece)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    blocks = _run_engine(
+    pieces = _run_engine(
         args, lambda d, reports: _pieces(corpus_io.report_lines(reports, args.format))
     )
     write = sys.stdout.write
     write(corpus_io.report_head(args.format))
-    for pieces in blocks:
-        for piece in pieces:
-            write(piece)
+    for piece in pieces:
+        write(piece)
     return 0
 
 
 def _cmd_resolve(args: argparse.Namespace) -> int:
-    blocks = _run_engine(args, lambda d, reports: _resolution_lines(reports, args.format))
+    blocks = _run_engine(args, lambda d, reports: [_resolution_lines(reports, args.format)])
     for lines in blocks:
         sys.stdout.writelines(f"{line}\n" for line in lines)
     return 0
@@ -487,11 +500,16 @@ def _fmt_row(label: str, cells: Sequence[Any]) -> str:
     return f"{label:>14} | " + " | ".join(f"{c:>12}" for c in cells)
 
 
+def _rows(table: analysis.TransitionTable, cues: dict[str, int]) -> Iterator[tuple]:
+    """A discourse's `analysis.tabulate` as the one piece `stats` spools."""
+    yield table.with_zero, table.without_zero, cues
+
+
 def _cmd_stats(args: argparse.Namespace) -> int:
-    parts = _run_engine(args, lambda d, reports: analysis.tabulate(reports))
+    rows = _run_engine(args, lambda d, reports: _rows(*analysis.tabulate(reports)))
     table, cues = analysis.tabulate(())
-    for part, counts in parts:
-        table += part
+    for with_zero, without_zero, counts in rows:
+        table += analysis.TransitionTable(with_zero, without_zero)
         for name, n in counts.items():
             cues[name] += n
     a, b, c, d = table.continue_vs_rest()
@@ -534,7 +552,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     violations: list[Violation] = []
     try:
-        count = sum(1 for _ in _run_parts(args.files, lambda discourse: None))
+        count = sum(_run_parts(args.files, lambda discourse: (1,)))
         summary = f"{count} discourse(s), 0 violation(s)"
     except corpus_io.CorpusFormatError as exc:
         violations = exc.diagnostics
@@ -549,9 +567,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 1 if violations else 0
 
 
+#: A gold outcome's fields, in `ZeroOutcome`'s order: a discourse's
+#: outcomes are spooled together, as one piece.
+_OUTCOME = operator.attrgetter(*(f.name for f in fields(analysis.ZeroOutcome)))
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
-    parts = _run_engine(args, analysis.zero_outcomes)
-    summary = analysis.GoldSummary(tuple(d for part in parts for d in part))
+    parts = _run_engine(
+        args, lambda d, reports: [tuple(map(_OUTCOME, analysis.zero_outcomes(d, reports)))]
+    )
+    summary = analysis.GoldSummary(tuple(analysis.ZeroOutcome(*o) for part in parts for o in part))
     if args.format == "machine":
         sys.stdout.write(
             json.dumps(

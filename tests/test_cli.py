@@ -589,7 +589,19 @@ def with_cpus(monkeypatch, n):
 def engine_pids(paths):
     """The processes that ran the fold of each discourse of `paths`."""
     args = cli_mod._build_parser().parse_args(["analyze", *paths])
-    return set(cli_mod._run_engine(args, lambda discourse, stream: os.getpid()))
+    return set(cli_mod._run_engine(args, lambda discourse, stream: [os.getpid()]))
+
+
+def part_pieces(files, part, parts, job):
+    """The head of part `part` of `parts` run in process, and the pieces
+    its spool holds, in order."""
+    spool = cli_mod._Spool()
+    try:
+        head = cli_mod._part(files, part, parts, job, spool)
+        spool.file.seek(0)
+        return head, [spool.get() for _ in range(sum(head[2]))]
+    finally:
+        spool.file.close()
 
 
 #: Faulty inputs for the workers, each with the one error line it gives
@@ -602,14 +614,6 @@ WORKER_FAULTS = {
     "bad-json-in-second-file": "etching_factory.centering.json: line 1, column 17: "
     "Expecting value [malformed-json]",
 }
-
-
-class DiesWhenSent:
-    """A result whose pickling ends the worker that sends it, with exit
-    status 4: after its head, which holds only a count of results."""
-
-    def __reduce__(self):
-        os._exit(4)
 
 
 class BrokenStdout:
@@ -676,22 +680,24 @@ class TestWorkers:
 
     def test_worker_dead_after_its_head_exit_two(self, pool_corpus, monkeypatch, capsys):
         with_cpus(monkeypatch, 3)
-        _, full, _ = run_cli(capsys, "analyze", *pool_corpus)
-        real = cli_mod._pieces
+        real_pieces, real_exit = cli_mod._pieces, os._exit
+        held = []  # set only in the worker that renders device-lineup
 
-        def dies_when_sent(lines):
-            pieces = real(lines)
-            # device-lineup is in the last part, whose head is sent by then
-            if pieces[0].startswith("== discourse device-lineup =="):
-                return DiesWhenSent()
-            return pieces
+        def marking(lines):
+            for piece in real_pieces(lines):
+                if piece.startswith("== discourse device-lineup =="):
+                    held.append(piece)
+                yield piece
 
-        monkeypatch.setattr(cli_mod, "_pieces", dies_when_sent)
+        monkeypatch.setattr(cli_mod, "_pieces", marking)
+        # inherited by the forked workers: the one that spooled device-lineup
+        # sends its head, and then ends with exit status 4
+        monkeypatch.setattr(os, "_exit", lambda status: real_exit(4 if held else status))
         code, out, err = run_cli(capsys, "analyze", *pool_corpus)
         assert code == 2
         assert "internal error" in err and "exit status 4" in err
-        # the results read before it stand, in order
-        assert out and full.startswith(out) and out != full
+        # every worker is reaped before a piece is read: nothing is written
+        assert out == "" and not held
 
     def test_worker_failing_after_its_last_result_exit_two(
         self, pool_corpus, monkeypatch, capsys
@@ -704,9 +710,9 @@ class TestWorkers:
         code, out, err = run_cli(capsys, "analyze", *pool_corpus)
         assert code == 2
         assert "internal error" in err and "exit status 5" in err
-        # the workers are reaped once every result is read: what was
-        # written is in input order, and may be the whole output
-        assert out and full.startswith(out)
+        # every worker is reaped before a piece is read: nothing is written,
+        # where the whole output was
+        assert full and out == ""
 
     @pytest.mark.parametrize(
         "case",
@@ -728,7 +734,7 @@ class TestWorkers:
                     raise ValueError("engine fault")
                 if case == "dies-before-head":
                     os._exit(3)
-            return discourse.id
+            return [discourse.id]
 
         if case == "diagnostic-in-last-share":
             data = json.loads(fixture_text("device_lineup"))
@@ -827,7 +833,7 @@ class TestWorkers:
         # (ordinal 1) in part 1: the earlier discourse's fault is raised,
         # though a lower-numbered part met the other
         files = [cli_mod._size(path) for path in pool_corpus]
-        ids = [cli_mod._part(files, part, 3, lambda d: d.id)[1] for part in range(3)]
+        ids = [part_pieces(files, part, 3, lambda d: [d.id])[1] for part in range(3)]
         assert "golden-3" in ids[0] and "golden-1" in ids[1]
         real = cli_mod.stream_discourse
 
@@ -871,7 +877,8 @@ class TestWorkers:
         # five discourses over two files, after a file whose later
         # "discourses" key replaces its three with none: part k of P takes
         # each discourse whose ordinal, counted over the discourses kept, is
-        # k mod P, and every part walks every file
+        # k mod P, and every part walks every file; the pieces of the three
+        # replaced discourses are dropped from the spool
         items = [{"id": f"d{i}"} for i in range(5)]
         replaced = tmp_path / "replaced.json"
         dropped = json.dumps([{"id": f"x{i}"} for i in range(3)])
@@ -880,49 +887,68 @@ class TestWorkers:
         first.write_text(json.dumps(items[:3]), encoding="utf-8")
         second.write_text(json.dumps(items[3:]), encoding="utf-8")
         files = [cli_mod._size(str(path)) for path in (replaced, first, second)]
+
+        def job(discourse):  # two pieces: the id and the number in it
+            return [discourse.id, int(discourse.id[1:])]
+
         for parts in (1, 2, 3, 4, 7):
             for part in range(parts):
-                (read, found, fault), ids = cli_mod._part(files, part, parts, lambda d: d.id)
+                (read, found, counts, fault), pieces = part_pieces(files, part, parts, job)
                 assert [did for _, _, discourses in read for _, did in discourses] == [
                     f"d{i}" for i in range(5)
                 ]
-                assert ids == [f"d{i}" for i in range(5) if i % parts == part]
-                assert len(found) == len(ids) and not any(found) and fault is None
+                mine = [i for i in range(5) if i % parts == part]
+                assert pieces == [piece for i in mine for piece in (f"d{i}", i)]
+                assert counts == [2] * len(mine)
+                assert len(found) == len(mine) and not any(found) and fault is None
 
-    def test_parts_of_multi_byte_text_hold_equal_shares(self, tmp_path):
-        # a position counts bytes, so a file of 3-byte characters splits
-        # as evenly as an ASCII one: each part within one discourse (30
-        # utterances) of an equal share of the 3,000
+    def test_parts_of_mixed_text_take_discourses_by_ordinal(self, tmp_path):
+        # every third discourse carries Japanese text, several bytes a
+        # character in UTF-8, so that the discourses differ in bytes: part
+        # k of P still holds exactly the discourses whose ordinal is k mod P
         gen = load_corpus_gen()
         data = gen.build_corpus("topic_cues", 1)
-        for discourse in data["discourses"]:
+        for discourse in data["discourses"][::3]:
             for utterance in discourse["utterances"]:
                 utterance["text"] = "日本語の文です。"
-        path = tmp_path / "japanese.json"
+        path = tmp_path / "mixed.json"
         path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
         files = [cli_mod._size(str(path))]
-        total = sum(len(d["utterances"]) for d in data["discourses"])
-        assert total == 3000
+        ids = [d["id"] for d in data["discourses"]]
         for parts in (2, 3):
-            counts = [
-                sum(cli_mod._part(files, part, parts, lambda d: len(d.utterances))[1])
-                for part in range(parts)
-            ]
-            assert sum(counts) == total
-            assert all(abs(count - total / parts) <= 30 for count in counts), counts
+            for part in range(parts):
+                _, got = part_pieces(files, part, parts, lambda d: [d.id])
+                assert got == ids[part::parts]
 
     def test_fork_returns_every_head_then_the_results_in_order(self, monkeypatch):
         monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
         parts = [[0, 3, 6], [1, 4], [2, 5]]
-        stream = cli_mod._fork(
-            3, [0, 1, 2], lambda k: (sum(parts[k]), [(os.getpid(), n) for n in parts[k]])
-        )
-        # every worker's head first, then the results taken from the
-        # workers in turn: result i is the next of worker i mod 3
-        assert next(stream) == [9, 5, 7]
-        got = list(stream)
+        spools = [cli_mod._Spool(now=True) for _ in parts]
+
+        def work(k):
+            for n in parts[k]:
+                spools[k].put((os.getpid(), n))
+            spools[k].file.flush()
+            return sum(parts[k])
+
+        try:
+            # every worker's head, each worker reaped before it returns
+            assert cli_mod._fork(3, [0, 1, 2], work) == [9, 5, 7]
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            # then the results taken from the spools in turn: result i is
+            # the next of worker i mod 3's
+            for spool in spools:
+                spool.file.seek(0)
+            got = [spools[i % 3].get() for i in range(7)]
+        finally:
+            for spool in spools:
+                spool.file.close()
         assert [n for _, n in got] == [0, 1, 2, 3, 4, 5, 6]
         assert len({pid for pid, _ in got}) == 3 and os.getpid() not in {pid for pid, _ in got}
+        assert [{pid for pid, n in got if n in part} for part in parts] == [
+            {pid} for pid, _ in got[:3]
+        ]
 
     def test_the_parent_keeps_no_decoded_discourse(self, pool_corpus):
         # it only sizes the files: a regular file by its identity, which
@@ -949,11 +975,11 @@ class TestWorkers:
 
         def job(discourse):
             counts.append(sys.getrefcount(items[-1]))
-            return discourse.id
+            return [discourse.id]
 
         monkeypatch.setattr(cli_mod.corpus_io, "build_discourse", build)
         files = [cli_mod._size(path) for path in pool_corpus]
-        (_, found, fault), ids = cli_mod._part(files, 0, 1, job)
+        (_, found, _, fault), ids = part_pieces(files, 0, 1, job)
         assert len(ids) == 44 and not any(found) and fault is None
         assert counts == [2] * 44
 
@@ -977,7 +1003,7 @@ class TestWorkers:
         # each pair is made by the worker that ran the fold
         masks = dict(
             cli_mod._run_engine(
-                args, lambda discourse, stream: (os.getpid(), os.sched_getaffinity(0))
+                args, lambda discourse, stream: [(os.getpid(), os.sched_getaffinity(0))]
             )
         )
         assert all(len(mask) == 1 for mask in masks.values())
@@ -995,6 +1021,8 @@ class TestWorkers:
         # the fixtures' loader for importlib.resources
         unused = ["multiprocessing", "pickle", "dataclasses", "inspect"]
         unused += ["importlib.resources", "pathlib"]
+        if not fixtures:  # no discourse yields a piece, so no spool is made
+            unused.append("tempfile")
         proc = run_python(
             "import sys\n"
             "from centering.cli import main\n"
@@ -1064,7 +1092,7 @@ def test_no_descriptor_is_left_open(case, cpus, pool_corpus, tmp_path, monkeypat
         with pytest.raises(Boom):
             cli_mod._run_parts(paths, boom)
     else:
-        results = cli_mod._run_parts(paths, lambda discourse: discourse.id)
+        results = cli_mod._run_parts(paths, lambda discourse: [discourse.id])
         assert next(results) == "golden-0"
         results.close()
     assert open_descriptors() == before
@@ -1194,12 +1222,13 @@ def test_analyze_holds_no_more_than_the_walk_of_a_long_discourse(tmp_path, monke
 
 
 def test_the_parent_holds_one_worker_result_at_a_time(pool_corpus, monkeypatch):
-    # Each worker keeps its results until the parent reads them, so the
-    # parent's peak is about one result, not the 44 of the corpus (8.8 MB).
+    # Each worker spools its results, and the parent reads them from the
+    # spools one at a time, so the parent's peak is about one result, not
+    # the 44 of the corpus (8.8 MB).
     with_cpus(monkeypatch, 3)
     tracemalloc.start()
     try:
-        results = cli_mod._run_parts(pool_corpus, lambda discourse: "x" * 200_000)
+        results = cli_mod._run_parts(pool_corpus, lambda discourse: ["x" * 200_000])
         # from here on: reading the files peaks at their first windows
         tracemalloc.reset_peak()
         sizes = []
@@ -1274,7 +1303,7 @@ class TestCollector:
         args = cli_mod._build_parser().parse_args(["analyze", *pool_corpus])
         # each pair is made by the process that ran the fold
         results = cli_mod._run_engine(
-            args, lambda discourse, stream: (os.getpid(), gc.isenabled())
+            args, lambda discourse, stream: [(os.getpid(), gc.isenabled())]
         )
         states = [next(results)]
         # off until the last result is read, and the caller's setting after

@@ -3,13 +3,16 @@ and several times n, must run at flat cost. The engine's axes measure its
 tracemalloc peak while its caller drops each report as it comes.
 
 Axes: utterances per discourse, distinct former centers (a chain in which
-every utterance makes a new entity its center), and the decoded JSON beside
+every utterance makes a new entity its center), the decoded JSON beside
 the built discourse (building a long discourse read from a corpus document
-against walking it alone)."""
+against walking it alone), and discourses per file (`analyze` in process
+on a file of 100 topic-cue discourses against one of 400)."""
 
 import gc
 import io
+import os
 import random
+import sys
 import tracemalloc
 
 from centering import (
@@ -20,6 +23,7 @@ from centering import (
     ReferringExpression,
     Utterance,
 )
+import centering.cli as cli_mod
 from centering.corpus import build_discourse, walk
 from centering.engine import stream_discourse
 from synth import random_discourse
@@ -117,3 +121,47 @@ def test_a_discourse_is_not_built_beside_its_decoded_json():
         data = gen.corpus_text({"discourses": [d]}).encode()
         ratios[n] = round(walk_peak(data, True) / walk_peak(data, False), 3)
     assert all(ratio <= 1.1 for ratio in ratios.values()), ratios
+
+
+def analyze_peak(path, monkeypatch):
+    """The tracemalloc peak of `analyze --format machine` on `path` in
+    process, its output sent to the null device. A full collection before
+    each discourse clears the interpreter's free lists, as in
+    `engine_peak`: the heap is frozen by the command, so each collection
+    only walks what the run made."""
+    real = cli_mod.stream_discourse
+
+    def collecting(discourse, config):
+        gc.collect()
+        return real(discourse, config)
+
+    monkeypatch.setattr(cli_mod, "_cpus", lambda: [0])
+    monkeypatch.setattr(cli_mod, "stream_discourse", collecting)
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            assert cli_mod.main(["analyze", "--format", "machine", str(path)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            monkeypatch.undo()
+
+
+def test_analyze_grows_by_a_head_entry_per_discourse_not_its_text(tmp_path, monkeypatch):
+    # Each discourse's rendered text is spooled to a temporary file as it
+    # comes, so a file of more discourses costs only what each one leaves
+    # in the head and in the walk's set of ids: about 390 bytes (0.23 MB at
+    # 100, 0.35 MB at 400). Holding every discourse's text until the last
+    # diagnostic was known, the peak grew by 6.1 KB per discourse, from
+    # 0.72 MB at 100 to 2.56 MB at 400.
+    gen = load_corpus_gen()
+    rng = random.Random("discourses-per-file")
+    discourses = [gen.topic_cue_discourse(rng, f"tc-{k}", 10) for k in range(400)]
+    peaks = {}
+    for n in (10, 100, 400):  # 10: first-use caches out of the measurement
+        path = tmp_path / f"topic-cues-{n}.centering.json"
+        path.write_text(gen.corpus_text({"discourses": discourses[:n]}), encoding="utf-8")
+        peaks[n] = analyze_peak(path, monkeypatch)
+    per_discourse = (peaks[400] - peaks[100]) / 300
+    assert per_discourse <= 1024, (peaks, per_discourse)
