@@ -74,25 +74,6 @@ class TestRankCf:
         assert rank_cf(u) == cf  # deterministic
 
 
-def reference_rank_cf(u, resolutions):
-    """rank_cf as one sort, whatever the number of entities."""
-    best = {}
-    for expr in u.expressions:
-        if expr.is_zero:
-            value = resolutions.get(expr.surface_position)
-            if value is None:
-                continue
-            members = (value,) if isinstance(value, str) else sorted(value)
-        else:
-            members = (expr.entity_ref,)
-        for member in members:
-            seen = (expr.role.rank, expr.surface_position)
-            if member not in best or seen < best[member]:
-                best[member] = seen
-    ordered = sorted(best.items(), key=lambda item: item[1])
-    return tuple((eid, EffectiveRole(rank)) for eid, (rank, _) in ordered)
-
-
 class TestRankCfShortcut:
     def test_one_entity_through_a_zero(self):
         u = utterance(
@@ -119,27 +100,6 @@ class TestRankCfShortcut:
             ("b", EffectiveRole.SUBJECT),
             ("c", EffectiveRole.OBJECT),
         )
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.booleans(),
-                st.sampled_from(GrammaticalRole),
-                st.sampled_from(["a", "b", "c", None, frozenset({"a", "b"}), frozenset({"c"})]),
-            ),
-            max_size=4,
-        )
-    )
-    def test_matches_one_sort(self, slots):
-        exprs, resolutions = [], {}
-        for pos, (is_zero, role, value) in enumerate(slots):
-            if is_zero:
-                exprs.append(zero(role, pos))
-                resolutions[pos] = value
-            elif isinstance(value, str):
-                exprs.append(overt(value, role, pos))
-        u = utterance(0, *exprs)
-        assert rank_cf(u, resolutions) == reference_rank_cf(u, resolutions)
 
 
 class TestComputeCb:

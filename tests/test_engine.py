@@ -4,28 +4,23 @@ import json
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centering import (
     EngineConfig,
     GrammaticalRole,
     Tense,
-    form_set_candidates,
     global_retrieve,
     parse_corpus,
     push_cb,
     run_discourse,
     validate_discourse,
 )
-from centering._record import fields, replace
+from centering._record import replace
 from centering.engine import (
     CUE_TENSE,
     DiscourseState,
-    HypothesisView,
-    Retrieval,
-    UtteranceReport,
-    _report,
     _resolve_locally,
     coherence_step,
     finalize,
@@ -35,16 +30,11 @@ from centering.model import (
     CbHistoryEntry,
     CenteringHypothesis,
     EffectiveRole,
-    Form,
-    ReferringExpression,
-    ResolutionConstraints,
     TransitionLabel,
 )
-from centering.resolution import local_resolution
 from synth import random_discourse
 
 from conftest import discourse, entity, overt, utterance, zero
-from test_golden import load_corpus_gen
 
 
 class TestPushCb:
@@ -97,52 +87,6 @@ class TestPushCb:
         # strictly descending indices
         indices = [e.index for e in h]
         assert indices == sorted(indices, reverse=True)
-
-
-def reference_push_cb(history, cb, index, past_tense=False):
-    """push_cb as one loop over every entry, with no shortcut for a Cb
-    already at the front."""
-    if history and index < history[0].index:
-        raise ValueError(
-            f"history indices must be non-decreasing: {index} after {history[0].index}"
-        )
-    flag = past_tense
-    kept = []
-    for entry in history:
-        if entry.entity_id == cb:
-            flag = flag or entry.past_tense
-        else:
-            kept.append(entry)
-    return (CbHistoryEntry(cb, index, flag), *kept)
-
-
-#: (Cb, index step, past tense) of one push; a negative step goes back.
-PUSHES = st.tuples(st.sampled_from("abcd"), st.integers(-1, 3), st.booleans())
-
-
-class TestPushCbShortcut:
-    @given(st.lists(PUSHES, max_size=25))
-    # the Cb at the front again, its past flag sticky; one further back;
-    # a new one; and an index that goes back
-    @example([("a", 0, True), ("a", 1, False)])
-    @example([("a", 0, True), ("b", 1, False), ("a", 0, False)])
-    @example([("a", 0, False), ("c", 2, True)])
-    @example([("a", 2, False), ("a", -1, True)])
-    def test_matches_the_reference_loop(self, pushes):
-        history, index = (), 0
-        for cb, step, past in pushes:
-            index += step
-            try:
-                want = reference_push_cb(history, cb, index, past)
-            except ValueError as exc:
-                with pytest.raises(ValueError) as got:
-                    push_cb(history, cb, index, past)
-                assert str(got.value) == str(exc)
-                index -= step
-                continue
-            history = push_cb(history, cb, index, past)
-            assert history == want
-            assert all(type(e.past_tense) is bool for e in history)
 
 
 ENTITIES = {
@@ -256,96 +200,6 @@ class TestGlobalRetrieve:
         u = utterance(60, zero(GrammaticalRole.SUBJECT, 0, types=("organization",)))
         got = global_retrieve(h, u.expressions[0], u, ENTITIES)
         assert got.value == first
-
-
-
-def reference_retrieve(history, zero, u, entities, cf_prev, prev_tense):
-    """Former-Cb retrieval as two bodies, one for singular and one for plural
-    zeros, each with its own agreement and lexical filters: the reference
-    that `global_retrieve` must agree with."""
-    wanted = zero.constraints.compatible_types if zero.constraints else frozenset()
-
-    def compatible(members):
-        if wanted and any(not (m.semantic_types & wanted) for m in members):
-            return False
-        required = zero.required_cardinality
-        return required is None or sum(m.cardinality for m in members) == required
-
-    position = zero.surface_position
-    required = zero.required_cardinality
-    if required is not None and required >= 2:
-        cues = ["AGREEMENT"]
-        sets = form_set_candidates(history, cf_prev, required, entities, u.index)
-        considered = tuple("+".join(s) for s in sets)
-        kept = [s for s in sets if compatible([entities[m] for m in s])]
-        if len(kept) < len(sets):
-            cues.append("LEXICAL")
-        if not kept:
-            return Retrieval(position, None, tuple(cues), considered)
-        return Retrieval(position, frozenset(kept[0]), tuple(cues), considered, kept[0])
-
-    cues = []
-    candidates = [e for e in history if e.entity_id in entities]
-    considered = tuple(e.entity_id for e in candidates)
-    if required is not None:
-        kept = [e for e in candidates if entities[e.entity_id].cardinality == required]
-        if len(kept) < len(candidates):
-            cues.append("AGREEMENT")
-        candidates = kept
-    if wanted:
-        kept = [e for e in candidates if entities[e.entity_id].semantic_types & wanted]
-        if len(kept) < len(candidates):
-            cues.append("LEXICAL")
-        candidates = kept
-    if u.tense is Tense.PAST and prev_tense is Tense.NONPAST:
-        reordered = [e for e in candidates if e.past_tense] + [
-            e for e in candidates if not e.past_tense
-        ]
-        if reordered[:1] != candidates[:1]:
-            cues.append("TENSE")
-        candidates = reordered
-    value = candidates[0].entity_id if candidates else None
-    return Retrieval(position, value, tuple(cues), considered)
-
-
-ZERO_TYPES = st.sets(st.sampled_from("pqr"), max_size=2)
-ENTITY_TYPES = st.sets(st.sampled_from("pqr"), min_size=1, max_size=2)
-TENSES = st.sampled_from([Tense.NONPAST, Tense.PAST])
-
-
-@st.composite
-def retrieval_inputs(draw):
-    names = "abcdef"
-    # a former Cb with no entity drops out of the pool
-    missing = draw(st.sets(st.sampled_from(names), max_size=1))
-    entities = {
-        eid: entity(eid, *draw(ENTITY_TYPES), cardinality=draw(st.integers(1, 3)))
-        for eid in names
-        if eid not in missing
-    }
-    # most recent first, one entry per entity, as push_cb builds it
-    cbs = draw(st.permutations(names))[: draw(st.integers(1, len(names)))]
-    history = tuple(
-        CbHistoryEntry(eid, len(cbs) - k, draw(st.booleans()))
-        for k, eid in enumerate(cbs)
-    )
-    cf_prev = draw(st.lists(st.sampled_from(names), unique=True, max_size=3))
-    cardinality = draw(st.sampled_from([None, 1, 2, 3]))
-    u = utterance(
-        len(cbs) + 1,
-        zero(GrammaticalRole.SUBJECT, 0, types=draw(ZERO_TYPES), cardinality=cardinality),
-        tense=draw(TENSES),
-    )
-    return history, u.expressions[0], u, entities, cf_prev, draw(TENSES)
-
-
-@settings(max_examples=400, deadline=None)
-@given(retrieval_inputs())
-def test_global_retrieve_matches_reference(args):
-    got = global_retrieve(*args)
-    want = reference_retrieve(*args)
-    for f in fields(Retrieval):
-        assert getattr(got, f.name) == getattr(want, f.name), f.name
 
 
 class TestEngineMechanics:
@@ -646,162 +500,12 @@ def test_history_length_bounded_by_distinct_cbs():
         assert len(rep.history) <= len(distinct) if distinct else len(rep.history) == 0
 
 
-def reference_resolve_locally(parent, u, zeros, entities):
-    """_resolve_locally as one claims loop, whatever the number of zeros."""
-    assigned = {}
-    anomalous = False
-    claimed = set()
-    for z in zeros:
-        res = local_resolution(z, parent.cf_ids, u, entities, claimed)
-        assigned[z.surface_position] = res.entity_id
-        if res.entity_id is not None:
-            claimed.add(res.entity_id)
-        anomalous = anomalous or res.exhausted
-    return ResolutionOutcome(tuple(sorted(assigned.items())), anomalous)
-
-
-LOCAL_ENTITIES = {
-    "p": entity("p", "person"),
-    "q": entity("q", "person"),
-    "d": entity("d", "device"),
-    "o": entity("o", "organization", "person"),
-}
-
-#: What a zero asks of its antecedent: nothing at all, an empty restriction,
-#: or a type.
-CONSTRAINTS = st.sampled_from(
-    [
-        None,
-        ResolutionConstraints(),
-        ResolutionConstraints(frozenset({"person"})),
-        ResolutionConstraints(frozenset({"device"})),
-    ]
-)
-
-
-@st.composite
-def local_cases(draw, zero_count):
-    # the parent's Cf may name an undeclared entity, which is no candidate
-    known = sorted(LOCAL_ENTITIES)
-    cf_ids = draw(st.lists(st.sampled_from([*known, "ghost"]), unique=True, max_size=5))
-    parent = CenteringHypothesis(
-        0,
-        cf_ids[0] if cf_ids else None,
-        tuple((eid, EffectiveRole.SUBJECT) for eid in cf_ids),
-        TransitionLabel.CONTINUE,
-        1,
-    )
-    overt_ids = draw(st.lists(st.sampled_from(known), unique=True, max_size=2))
-    roles = draw(
-        st.lists(st.sampled_from(GrammaticalRole), min_size=zero_count, max_size=zero_count)
-    )
-    exprs = [overt(eid, GrammaticalRole.OBJECT, pos) for pos, eid in enumerate(overt_ids)]
-    for k, role in enumerate(roles):
-        pos = len(overt_ids) + k
-        exprs.append(ReferringExpression(None, Form.ZERO, role, pos, constraints=draw(CONSTRAINTS)))
-    u = utterance(1, *exprs)
-    # most salient first, as coherence_step hands them over
-    zeros = tuple(sorted(u.zeros, key=lambda z: (z.role.rank, z.surface_position)))
-    return parent, u, zeros
-
-
 class TestResolveLocallyShortcuts:
-    @pytest.mark.parametrize("zero_count", [0, 1, 3])
-    @settings(max_examples=150)
-    @given(data=st.data())
-    def test_matches_the_reference_claims_loop(self, zero_count, data):
-        parent, u, zeros = data.draw(local_cases(zero_count))
-        got = _resolve_locally(parent, u, zeros, LOCAL_ENTITIES)
-        assert got == reference_resolve_locally(parent, u, zeros, LOCAL_ENTITIES)
-
     def test_an_utterance_without_zeros_shares_one_outcome(self):
         cf = (("p", EffectiveRole.SUBJECT),)
         parent = CenteringHypothesis(0, "p", cf, TransitionLabel.CONTINUE, 1)
         u = utterance(1, overt("p", GrammaticalRole.SUBJECT, 0))
-        first = _resolve_locally(parent, u, (), LOCAL_ENTITIES)
+        entities = {"p": entity("p", "person")}
+        first = _resolve_locally(parent, u, (), entities)
         assert first == ResolutionOutcome((), False)
-        assert _resolve_locally(parent, u, (), LOCAL_ENTITIES) is first
-
-
-# -- _report against its reference copy -------------------------------------
-
-
-def reference_view(h):
-    """_view as it was before it read the transition directly."""
-    # positional, in declaration order
-    return HypothesisView(
-        h.cb,
-        tuple([(eid, role.display) for eid, role in h.cf]),
-        h.transition.display,
-        h.zta_applied,
-        h.dampened,
-        h.anomalous,
-    )
-
-
-def reference_report(step, chosen, ambiguous):
-    """_report as it was before its lean path, kept verbatim but for
-    `bool(u.zeros)`, which the dropped `Utterance.has_zero` property read:
-    every view built in a tuple of a generator's list, the chosen Cf found
-    by a search, and the seed, zero and tense flags read through properties
-    and `Enum.value`."""
-    u = step.utterance
-    views = tuple([reference_view(h) for h in step.hypotheses])
-    # the chosen reading is one of the step's, and its view holds its Cf
-    cf = next(view.cf for h, view in zip(step.hypotheses, views) if h is chosen)
-    retrievals = step.retrievals
-    if retrievals:
-        # one per position, the last made there
-        by_pos = {r.position: r for r in retrievals}
-        retrievals = tuple([by_pos[p] for p in sorted(by_pos)])
-    # positional, in declaration order
-    return UtteranceReport(
-        step.discourse.id,
-        u.index,
-        u.tense.value,
-        u.text,
-        chosen.seed,
-        bool(u.zeros),
-        chosen.transition.display,
-        chosen.cb,
-        cf,
-        chosen.resolutions,
-        chosen.cues,
-        retrievals,
-        views,
-        ambiguous,
-    )
-
-
-def report_cases():
-    """Random discourses, two of which (seeds 36 and 37) retrieve twice at
-    one position at beam 4, and topic-cue discourses, with plural zeros,
-    retrieval and several live readings."""
-    for seed in range(40):
-        yield random_discourse(random.Random(seed), f"r-{seed}", n_utts=40, zero_rate=0.6)
-    gen = load_corpus_gen()
-    for seed in range(12):
-        data = gen.topic_cue_discourse(random.Random(seed), f"tc-{seed}", 30)
-        yield parse_corpus(gen.corpus_text({"discourses": [data]}))[0]
-
-
-def test_reports_match_their_reference_copy():
-    seen = {"one reading": 0, "several readings": 0, "repeated position": 0, "set value": 0}
-    for d in report_cases():
-        for beam in (1, 4, 64):
-            state = DiscourseState(d, EngineConfig(beam=beam))
-            for u in d.utterances:
-                state = coherence_step(state, u)
-                for chosen in state.hypotheses:
-                    for ambiguous in (False, True):
-                        got = _report(state, chosen, ambiguous)
-                        want = reference_report(state, chosen, ambiguous)
-                        # repr tells a bool from an int that equals it
-                        assert got == want and repr(got) == repr(want)
-                    if any(type(v) is frozenset for _, v in chosen.resolutions):
-                        seen["set value"] += 1
-                many = len(state.hypotheses) > 1
-                seen["several readings" if many else "one reading"] += 1
-                positions = [r.position for r in state.retrievals]
-                seen["repeated position"] += len(positions) > len(set(positions))
-    assert all(seen.values()), seen
+        assert _resolve_locally(parent, u, (), entities) is first

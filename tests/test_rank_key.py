@@ -1,8 +1,9 @@
 """The constant-size rank key against the full preference chain it replaces.
 
-The oracle is the lexicographic key over the whole parent chain: compatible
-before anomalous, then the effective preference of the hypothesis and of
-every ancestor (current utterance first), then the promoted reading first.
+The oracle is `chain_key` of the executable spec (`tests/spec.py`), the
+lexicographic key over the whole parent chain: compatible before anomalous,
+then the effective preference of the hypothesis and of every ancestor
+(current utterance first), then the promoted reading first.
 On long synthetic discourses, every set the engine prunes and every live set
 it keeps must be ordered the same way by `rank_key` and by the oracle, and
 the inherited `zta_count` must equal a count over the ancestry.
@@ -16,15 +17,8 @@ import pytest
 import centering.engine as engine
 from centering.engine import DiscourseState, EngineConfig, coherence_step
 from centering.hypotheses import rank_key
+from spec import chain_key
 from synth import random_discourse
-
-
-def chain_key(h):
-    return (
-        1 if h.anomalous else 0,
-        tuple(a.eff_pref for a in h.ancestry()),
-        0 if h.zta_applied else 1,
-    )
 
 
 def _sign(a, b):

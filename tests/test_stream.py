@@ -1,13 +1,11 @@
 """The streamed run: each utterance's report is handed on once every live
-reading agrees on it, and the reports equal those of the whole-chain
-finalize that the engine used before it streamed. What the commands fold
-from the stream equals what they made from the whole reports."""
+reading agrees on it, and the reports equal the whole report of the
+executable spec (`tests/spec.py`). What the commands fold from the stream
+equals what they made from the whole reports."""
 
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import centering.engine as engine
 from centering import (
@@ -28,85 +26,16 @@ from centering.engine import (
     DiscourseReport,
     DiscourseState,
     UtteranceReport,
-    _view,
     coherence_step,
     stream_discourse,
 )
-from centering.hypotheses import rank_key
+from spec import run as spec_run
 from synth import random_discourse
 
 from test_golden import load_corpus_gen
 
-#: Every beam the engine is run at here, and both ablations.
+#: Every beam the engine is run at.
 BEAMS = [1, 2, 4, 64]
-SWITCHES = [{}, {"zta_enabled": False}, {"global_enabled": False}]
-
-
-def reference_finalize(state):
-    """The whole-chain finalize, as the engine had it before it streamed:
-    it walks every state back to the initial one and every reading back to
-    the seed."""
-    discourse = state.discourse
-    if state.prev is None:
-        return DiscourseReport(discourse.id, (), False, ())
-
-    best = state.hypotheses[0]
-    best_key = rank_key(best)[:2]
-    readings = [
-        h
-        for h in state.hypotheses
-        if rank_key(h)[:2] == best_key
-        or (h.ambiguity_keys & best.ambiguity_keys and not h.anomalous)
-    ]
-    stats_path = min(readings, key=lambda h: (h.zta_count, rank_key(h)))
-
-    steps = []
-    node = state
-    while node.prev is not None:
-        steps.append(node)
-        node = node.prev
-    if len(readings) > 1:
-        ambiguous = [
-            len({h.resolutions for h in nodes}) > 1
-            for nodes in zip(*(r.ancestry() for r in readings), strict=True)
-        ]
-    else:
-        ambiguous = [False] * len(steps)
-
-    reports = []
-    for step, chosen, flag in zip(steps, stats_path.ancestry(), ambiguous, strict=True):
-        u = step.utterance
-        views = tuple(_view(h) for h in step.hypotheses)
-        cf = next(view.cf for h, view in zip(step.hypotheses, views) if h is chosen)
-        retrievals = step.retrievals
-        if retrievals:
-            by_pos = {r.position: r for r in retrievals}
-            retrievals = tuple(by_pos[p] for p in sorted(by_pos))
-        reports.append(
-            UtteranceReport(
-                discourse_id=discourse.id,
-                index=u.index,
-                tense=u.tense.value,
-                text=u.text,
-                seed=chosen.seed,
-                has_zero=bool(u.zeros),
-                label=chosen.transition.display,
-                cb=chosen.cb,
-                cf=cf,
-                resolutions=chosen.resolutions,
-                cues=chosen.cues,
-                retrievals=retrievals,
-                hypotheses=views,
-                ambiguous=flag,
-            )
-        )
-    reports.reverse()
-    return DiscourseReport(
-        discourse_id=discourse.id,
-        utterances=tuple(reports),
-        unresolved_ambiguity=any(ambiguous),
-        history=tuple((e.entity_id, e.index) for e in state.history),
-    )
 
 
 def reference_states(discourse, config):
@@ -133,13 +62,14 @@ def streamed(discourse, config):
         return [(item, len(steps)) for item in stream_discourse(discourse, config)]
 
 
-def check_stream(discourse, config):
-    """The streamed reports equal the reference's, none is handed on before
-    every live reading shares its node, and the tail report holds the rest.
-    Returns the reference report and the number of utterances that the tail
-    held."""
+def check_stream(discourse, config, want=None):
+    """The streamed reports equal `want`, by default the spec's report, none
+    is handed on before every live reading shares its node, and the tail
+    report holds the rest. Returns `want` and the number of utterances that
+    the tail held."""
     states = reference_states(discourse, config)
-    want = reference_finalize(states[-1])
+    if want is None:
+        want = spec_run(discourse, config.beam, config.zta_enabled, config.global_enabled)
     items = streamed(discourse, config)
     tail, done = items.pop()
     assert type(tail) is DiscourseReport and done == len(discourse.utterances)
@@ -169,32 +99,6 @@ def topic_cue_discourse(seed, n_utts):
     return parse_corpus(gen.corpus_text({"discourses": [data]}))[0]
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n_utts=st.integers(0, 120),
-    zero_rate=st.sampled_from([0.35, 0.6]),
-    beam=st.sampled_from(BEAMS),
-    switches=st.sampled_from(SWITCHES),
-)
-def test_random_discourses_stream_the_reference_reports(
-    seed, n_utts, zero_rate, beam, switches
-):
-    d = random_discourse(random.Random(seed), f"r-{seed}", n_utts=n_utts, zero_rate=zero_rate)
-    check_stream(d, EngineConfig(beam=beam, **switches))
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n_utts=st.integers(1, 120),
-    beam=st.sampled_from(BEAMS),
-    switches=st.sampled_from(SWITCHES),
-)
-def test_topic_cue_discourses_stream_the_reference_reports(seed, n_utts, beam, switches):
-    check_stream(topic_cue_discourse(seed, n_utts), EngineConfig(beam=beam, **switches))
-
-
 @pytest.mark.parametrize("beam", [4, 64])
 def test_an_unresolved_tie_at_the_end_is_reported_by_the_tail(beam):
     # topic-cue stories dampen nearly every promotion, and at a beam that
@@ -221,7 +125,7 @@ def test_a_long_discourse_is_handed_on_before_it_ends():
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 @pytest.mark.parametrize("beam", BEAMS)
-def test_fixtures_stream_the_reference_reports(name, beam):
+def test_fixtures_stream_the_spec_reports(name, beam):
     check_stream(load_fixture(name), EngineConfig(beam=beam))
 
 
