@@ -15,30 +15,31 @@ discourse whose ordinal, its place in input order across the files, is k
 mod P. A worker opens each regular file by path, checks that it is the file
 the parent sized, and walks every file once (`corpus.walk`), so every
 process counts the same ordinals, holding a small window of each file and
-one discourse at a time, whose decoded JSON shrinks as the discourse is
-built from it (`corpus.build_discourse`): it builds, validates, runs and
-finishes each discourse of its part, and drops it before the next. Every
-engine command folds each utterance's report as the engine hands it on
-(`engine.stream_discourse`), and each discourse's job yields what it gave
-as pieces: `analyze` its rendered text, in pieces of about 32 KiB, and
-`resolve` its lines, `stats` its two rows and cue counts and `eval` the
-fields of each of its zeros' outcomes, each as one piece. A part writes
-each piece, in `marshal`'s format, to a spool of its own, an anonymous
-temporary file (`_Spool`), as soon as the job yields it, so no process
-holds more than one piece of the output. Each worker then sends its head
-back, pickled, over a pipe: every file as it walked it (its read error and
-its discourses' ids), its own discourses' diagnostics and piece counts, and
-the first exception a job raised, with its ordinal (or, instead, its own
-exception). The parent reads every head and reaps every worker before it
-reads a piece, and alone decides what ends the command, in this order: a
-worker that ended badly or a process's own exception, then every diagnostic
-(exit 1), then the exception a job raised on the discourse of least ordinal
-(exit 2). So a problem anywhere stops the command before it writes a byte.
-It then reads the pieces one at a time, in input order, those of result i
-from the spool of part i mod P, and the command writes or folds each and
-drops it. The output, errors included, does not depend on the CPU count. A
-corpus too small for two parts, or a single CPU, runs the same function
-over its one part in process, whose spool is made on its first piece.
+one decoded utterance at a time, which the walk hands to the builder
+(`corpus.build_discourse`) or, in a discourse of another part, drops: it
+builds, validates, runs and finishes each discourse of its part, and drops
+it before the next. Every engine command folds each utterance's report as
+the engine hands it on (`engine.stream_discourse`), and each discourse's
+job yields what it gave as pieces: `analyze` its rendered text, in pieces
+of about 32 KiB, and `resolve` its lines, `stats` its two rows and cue
+counts and `eval` the fields of each of its zeros' outcomes, each as one
+piece. A part writes each piece, in `marshal`'s format, to a spool of its
+own, an anonymous temporary file (`_Spool`), as soon as the job yields it,
+so no process holds more than one piece of the output. Each worker then
+sends its head back, pickled, over a pipe: every file as it walked it (its
+read error and its discourses' ids), the diagnostics of its own discourses
+that have any, by ordinal, their piece counts, and the first exception a
+job raised, with its ordinal (or, instead, its own exception). The parent
+reads every head and reaps every worker before it reads a piece, and alone
+decides what ends the command, in this order: a worker that ended badly or
+a process's own exception, then every diagnostic (exit 1), then the
+exception a job raised on the discourse of least ordinal (exit 2). So a
+problem anywhere stops the command before it writes a byte. It then reads
+the pieces one at a time, in input order, those of result i from the spool
+of part i mod P, and the command writes or folds each and drops it. The
+output, errors included, does not depend on the CPU count. A corpus too
+small for two parts, or a single CPU, runs the same function over its one
+part in process, whose spool is made on its first piece.
 """
 
 from __future__ import annotations
@@ -133,15 +134,17 @@ def _build_parser() -> argparse.ArgumentParser:
 _Sized = tuple[str, int, Union[bytes, tuple[int, ...]]]
 
 #: A file as a process walked it: its path, the diagnostic that stopped its
-#: reading (none if it was read), and the location and id of each of its
-#: discourses.
-_File = tuple[str, list[Violation], list[tuple[str, Optional[str]]]]
+#: reading (none if it was read), and the id of each of its discourses.
+_File = tuple[str, list[Violation], list[Optional[str]]]
 
 #: What a process reports once its pieces are spooled: every file as it
-#: walked it, the diagnostics of each discourse it built, how many pieces
-#: the job yielded for each discourse it ran, and the ordinal of the first
-#: discourse on which a job raised, with the exception (None if none did).
-_Head = tuple[list[_File], list[list[Violation]], list[int], Optional[tuple[int, Exception]]]
+#: walked it, the ordinal and diagnostics of each discourse it built that
+#: has any, how many pieces the job yielded for each discourse it ran, and
+#: the ordinal of the first discourse on which a job raised, with the
+#: exception (None if none did).
+_Head = tuple[
+    list[_File], list[tuple[int, list[Violation]]], list[int], Optional[tuple[int, Exception]]
+]
 
 #: What runs on each discourse: the pieces it yields are what the discourse
 #: gave (see `_Spool`).
@@ -209,21 +212,21 @@ def _open(path: str, known: Union[bytes, tuple[int, ...]]) -> BinaryIO:
     return fh
 
 
-def _diagnostics(files: list[_File], found: list[list[Violation]]) -> list[Violation]:
+def _diagnostics(files: list[_File], found: dict[int, list[Violation]]) -> list[Violation]:
     """Every file's diagnostics, in file order, each location prefixed with
     its file's path: what stopped its reading, or what its discourses
-    `found`, or, for a file with neither, each discourse id that a file
-    before it without diagnostics has."""
+    `found`, by ordinal, or, for a file with neither, each discourse id
+    that a file before it without diagnostics has."""
     diags: list[Violation] = []
     seen_ids: set[Optional[str]] = set()
     at = 0
-    for path, failure, discourses in files:
-        mine = failure + [v for per in found[at : at + len(discourses)] for v in per]
-        at += len(discourses)
+    for path, failure, ids in files:
+        mine = failure + [v for i in range(at, at + len(ids)) if i in found for v in found[i]]
+        at += len(ids)
         if not mine:
-            for loc, did in discourses:
+            for k, did in enumerate(ids):
                 if did in seen_ids:
-                    mine.append(corpus_io.repeated_id(loc, did))
+                    mine.append(corpus_io.repeated_id(f"discourses[{k}]", did))
                 seen_ids.add(did)
         diags.extend(Violation(v.code, f"{path}: {v.location}", v.message) for v in mine)
     return diags
@@ -249,31 +252,34 @@ def _part(files: list[_Sized], part: int, parts: int, job: _Job, spool: _Spool) 
     gave, nor their ordinals. The head only records what the part met:
     which problem ends the command is for `_results` to decide."""
     read: list[_File] = []
-    found: list[list[Violation]] = []
+    found: list[tuple[int, list[Violation]]] = []
     counts: list[int] = []  # the pieces of each discourse run
     run, fault, before = True, None, 0  # before: the discourses of the files read
     for path, _, known in files:
         failure: list[Violation] = []
-        discourses: list[tuple[str, Optional[str]]] = []
+        ids: list[Optional[str]] = []
         kept = len(found), len(counts), spool.file.tell(), run, fault
         try:
             with _open(path, known) as stream:
-                for r, item in corpus_io.walk(stream):
+                walked = corpus_io.walk(
+                    stream, corpus_io.build_discourse, lambda k: (before + k) % parts == part
+                )
+                for r, built in walked:
                     if r is None:  # a later "discourses" key replaces those before
-                        discourses = []
+                        ids = []
                         del found[kept[0] :], counts[kept[1] :]
                         spool.file.seek(kept[2])
                         run, fault = kept[3:]
                         continue
-                    ordinal = before + len(discourses)
-                    discourses.append((r.loc, r.id))
-                    if ordinal % parts != part:
-                        del item
+                    ordinal = before + len(ids)
+                    ids.append(r.id)
+                    if built is None:
                         continue
-                    discourse, diags = corpus_io.build_discourse(r, item)
-                    del item
-                    found.append(diags)
-                    run = run and not diags
+                    discourse, diags = built
+                    del built
+                    if diags:
+                        found.append((ordinal, diags))
+                        run = False
                     if run:
                         counts.append(0)
                         try:
@@ -289,10 +295,10 @@ def _part(files: list[_Sized], part: int, parts: int, job: _Job, spool: _Spool) 
         except corpus_io.CorpusFormatError as exc:
             failure = exc.diagnostics
         if failure:
-            discourses, run = [], False
+            ids, run = [], False
             del found[kept[0] :]
-        read.append((path, failure, discourses))
-        before += len(discourses)
+        read.append((path, failure, ids))
+        before += len(ids)
     spool.file.flush()  # a worker ends with os._exit, which flushes nothing
     return read, found, counts, fault
 
@@ -340,9 +346,7 @@ def _results(paths: Sequence[str], job: _Job) -> Iterator[Any]:
 
         gc.freeze()
         heads = _fork(parts, cpus, work) if parts > 1 else [work(0)]
-        founds = [found for _, found, _, _ in heads]
-        found = [founds[i % parts][i // parts] for i in range(sum(map(len, founds)))]
-        diags = _diagnostics(heads[0][0], found)
+        diags = _diagnostics(heads[0][0], dict(pair for _, found, _, _ in heads for pair in found))
         if diags:
             raise corpus_io.CorpusFormatError(diags)
         faults = [fault for *_, fault in heads if fault is not None]
@@ -351,7 +355,7 @@ def _results(paths: Sequence[str], job: _Job) -> Iterator[Any]:
         yield None
         for spool in spools:
             spool.file.seek(0)
-        for i in range(len(found)):
+        for i in range(sum(len(counts) for _, _, counts, _ in heads)):
             for _ in range(heads[i % parts][2][i // parts]):
                 yield spools[i % parts].get()
     finally:

@@ -11,10 +11,10 @@ from __future__ import annotations
 import codecs
 import functools
 import json
-import os
 import re
 import sys
 import typing
+from types import GeneratorType
 from typing import Any, BinaryIO, Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from ._record import fields, is_record
@@ -97,11 +97,11 @@ def parse_corpus(text: str) -> list[Discourse]:
     """
     discourses: list[Discourse] = []
     diags: list[Violation] = []
-    for r, item in walk(text):
+    for r, built in walk(text, build_discourse):
         if r is None:  # a later "discourses" key replaces the discourses before
             discourses, diags = [], []
             continue
-        d, found = build_discourse(r, item)
+        d, found = built
         if d is not None:
             discourses.append(d)
         diags.extend(found)
@@ -148,27 +148,31 @@ def _loads(text: str) -> Any:
 
 
 class RawDiscourse(NamedTuple):
-    """A discourse of a document as the walk meets it, not yet built: its
-    location; its id, None for an element that is not an object; and whether
-    an earlier discourse of the same list has that id."""
+    """A discourse of a document as the walk met it: its location; its id,
+    None for an element that is not an object; and whether an earlier
+    discourse of the same list has that id."""
 
     loc: str
     id: Optional[str]
     repeated: bool
 
 
-#: JSON's whitespace, as `json.loads` skips it.
+#: JSON's whitespace, as `json.loads` skips it, and a list's separator or
+#: end within it.
 _SPACE = re.compile(r"[ \t\n\r]*")
+_SEPARATOR = re.compile(r"[ \t\n\r]*([,\]])[ \t\n\r]*")
 
 _DECODER = json.JSONDecoder()
 
-#: A stream shorter than `_WHOLE` bytes is read in one piece, so that a
-#: discourse of it is decoded once; a longer one `_READ` bytes at a time. A
-#: value that the window cannot hold makes the next read as long as the part
-#: of the window the walk has not passed, so the window doubles until the
-#: value fits.
-_WHOLE = 256 * 1024
+#: A stream is read `_READ` bytes at a time. A value that the window cannot
+#: hold makes the next read as long as the part of the window the walk has
+#: not passed, so the window doubles until the value fits.
 _READ = 64 * 1024
+
+#: How near the end of a window a decode may fail for want of what follows
+#: the window: a token cut by its edge fails within a few characters of it,
+#: the longest, a surrogate pair of escapes, within 12.
+_EDGE = 16
 
 
 class _Window:
@@ -185,9 +189,6 @@ class _Window:
             self.text, self.done = source, True
         else:
             self.text, self.done = "", False
-            size = source.seek(0, os.SEEK_END)
-            source.seek(0)
-            self.step = size + 1 if size < _WHOLE else _READ
             self.decoder = codecs.getincrementaldecoder("utf-8")()
 
     def more(self) -> bool:
@@ -196,7 +197,7 @@ class _Window:
         if self.done:
             return False
         self.cut()
-        size = max(self.step, len(self.text))
+        size = max(_READ, len(self.text))
         data = self.source.read(size)
         self.done = len(data) < size  # a file or a buffer reads short only at its end
         piece = self.decoder.decode(data, self.done)
@@ -218,13 +219,22 @@ class _Window:
 
     def value(self) -> Any:
         """Decode the JSON value after any whitespace, and move past it. A
-        value that fails, or ends within two characters of the end of a
-        window that is not the last, is decoded again over a longer window:
-        a number cut after its '.', 'e' or exponent sign decodes without them."""
+        value that ends within two characters of the end of a window that
+        is not the last is decoded again over a longer window: a number cut
+        after its '.', 'e' or exponent sign decodes without them. So is one
+        that fails where a longer window could change the outcome: in an
+        unterminated string, within `_EDGE` characters of that end, or on an
+        integer too long to convert, which the error does not locate. Any
+        other failure is raised at once."""
         self.skip()
         while True:
             try:
                 item, end = _DECODER.raw_decode(self.text, self.at)
+            except json.JSONDecodeError as exc:
+                edge = exc.pos + _EDGE >= len(self.text)
+                if (edge or exc.msg.startswith("Unterminated string")) and self.more():
+                    continue
+                raise
             except ValueError:
                 if self.more():
                     continue
@@ -233,18 +243,63 @@ class _Window:
                 self.at = end
                 return item
 
+    def elements(self) -> Iterator[Any]:
+        """Each element of the list that opens at the walk's position,
+        decoded, as the walk moves past it; after the last, the walk moves
+        past the list. An element that a separator follows in the window
+        is decoded in one step; any other, as `value` decodes it."""
+        self.at += 1
+        closed = self.skip() == "]"
+        self.at += closed
+        scan, separator = _DECODER.scan_once, _SEPARATOR.match
+        while not closed:
+            text = self.text
+            try:  # the decoder's scanner, without the wrapper that words its errors
+                item, end = scan(text, self.at)
+                sep = separator(text, end)
+            except (StopIteration, ValueError):
+                sep = None
+            if sep is None:
+                yield self.value()
+                closed = _next(self, "]")
+                self.skip()  # to the next element, where the scanner starts
+            else:
+                self.at = sep.end()
+                closed = sep.group(1) == "]"
+                yield item
 
-#: What the walk hands over: a discourse and its decoded JSON, or (None,
-#: None) where a later "discourses" key replaces the discourses before.
+
+#: The members of a discourse object as the walk meets them: (key, value),
+#: each value decoded whole but for a list of "utterances", which comes as
+#: a generator of its decoded utterances.
+_Members = Iterator[tuple[str, Any]]
+
+#: What makes something of each discourse as the walk meets it, from its
+#: location and its members (None for an element that is not an object):
+#: a discourse and its diagnostics, to which the walk adds a repeated id,
+#: or None.
+_Build = Callable[[str, Optional[_Members]], Optional[tuple[Optional[Discourse], list[Violation]]]]
+
+#: What the walk hands over: a discourse and what `build` made of it, or
+#: (None, None) where a later "discourses" key replaces the discourses before.
 _Walked = tuple[Optional[RawDiscourse], Any]
 
 
-def walk(source: Union[str, BinaryIO]) -> Iterator[_Walked]:
+def walk(
+    source: Union[str, BinaryIO],
+    build: Optional[_Build] = None,
+    own: Optional[Callable[[int], bool]] = None,
+) -> Iterator[_Walked]:
     """The discourses of a corpus document, a text or a seekable binary
-    stream, each handed over as it is decoded: the top-level list, or the
-    "discourses" list of the top-level object, the last one if it repeats
-    (json.loads keeps the last value of a key). The walk keeps no reference
-    to a decoded discourse once it has handed it over.
+    stream, each handed over once walked, with what `build` made of it: the
+    top-level list, or the "discourses" list of the top-level object, the
+    last one if it repeats (json.loads keeps the last value of a key). The
+    members of each discourse go to `build` as the walk meets them, and its
+    utterances one at a time, so the walk holds one decoded utterance, or
+    one other member, at a time, and none that it has handed over. A
+    discourse that `own`, given its index in its list, does not own is not
+    built, and what `build` leaves, and every discourse without `build`,
+    the walk decodes and drops the same way.
 
     A document that the walk does not take ends it with CorpusFormatError,
     and a stream that is not UTF-8 with UnicodeDecodeError at the byte where
@@ -258,27 +313,19 @@ def walk(source: Union[str, BinaryIO]) -> Iterator[_Walked]:
         top = src.skip()
         listed = top == "["
         if listed:
-            yield from _discourses(src)
+            yield from _discourses(src, build, own)
         elif top == "{":
-            src.at += 1
-            closed = src.skip() == "}"
-            src.at += closed
-            while not closed:
-                key = src.value()
-                if type(key) is not str or src.skip() != ":":
-                    raise ValueError("expected a key and a colon")
-                src.at += 1
+            for key in _keys(src):
                 if key != "discourses":
                     src.value()
+                    continue
+                if listed:
+                    yield None, None
+                listed = src.skip() == "["
+                if listed:
+                    yield from _discourses(src, build, own)
                 else:
-                    if listed:
-                        yield None, None
-                    listed = src.skip() == "["
-                    if listed:
-                        yield from _discourses(src)
-                    else:
-                        src.value()
-                closed = _next(src, "}")
+                    src.value()
         elif top:
             src.value()
         if src.skip():
@@ -302,35 +349,88 @@ def walk(source: Union[str, BinaryIO]) -> Iterator[_Walked]:
         raise CorpusFormatError([Violation("malformed-structure", "$", message)])
 
 
-def _discourses(src: _Window) -> Iterator[_Walked]:
-    """The discourses of the list that opens at the walk's position, which
-    then moves past the list. Each is made by a call, so that this frame
-    holds none while it waits."""
-    seen_ids: set[str] = set()
-    count = 0
+def _keys(src: _Window) -> Iterator[str]:
+    """Each key of the object that opens at the walk's position, handed
+    over with the walk at its value, which the caller moves past before the
+    next; after the last, the walk moves past the object."""
+    src.at += 1
+    closed = src.skip() == "}"
+    src.at += closed
+    while not closed:
+        key = src.value()
+        if type(key) is not str or src.skip() != ":":
+            raise ValueError("expected a key and a colon")
+        src.at += 1
+        yield key
+        closed = _next(src, "}")
+
+
+def _elements(src: _Window) -> Iterator[int]:
+    """The index of each element of the list that opens at the walk's
+    position, handed over with the walk at the element, which the caller
+    moves past before the next; after the last, the walk moves past the
+    list."""
     src.at += 1
     closed = src.skip() == "]"
     src.at += closed
+    k = 0
     while not closed:
-        yield _discourse(src, f"discourses[{count}]", seen_ids)
-        count += 1
+        yield k
+        k += 1
         closed = _next(src, "]")
 
 
-def _discourse(src: _Window, loc: str, seen_ids: set[str]) -> _Walked:
-    """The discourse at the walk's position, at `loc`, and its JSON. The
-    window of a stream first drops what the walk has passed, once that is at
-    least half the window, so that the caller does not build the discourse
-    beside its text; each character is then copied at most once more. A
-    text handed in is the caller's, and is never copied."""
-    item = src.value()
-    did = _discourse_id(item, loc)
-    raw = RawDiscourse(loc, did, did in seen_ids)
-    if did is not None:
+def _discourses(
+    src: _Window, build: Optional[_Build], own: Optional[Callable[[int], bool]]
+) -> Iterator[_Walked]:
+    """The discourses of the list that opens at the walk's position. Each
+    is made by a call, so that this frame holds none while it waits."""
+    seen_ids: set[str] = set()
+    for k in _elements(src):
+        mine = build if own is None or own(k) else None
+        yield _discourse(src, f"discourses[{k}]", seen_ids, mine)
+
+
+def _discourse(src: _Window, loc: str, seen_ids: set[str], build: Optional[_Build]) -> _Walked:
+    """The discourse at the walk's position, at `loc`, and what `build`
+    made of it. The window of a stream then drops what the walk has passed,
+    once that is at least half the window, so that the caller does not run
+    the discourse beside its text; each character is then copied at most
+    once more. A text handed in is the caller's, and is never copied."""
+    if src.skip() != "{":
+        src.value()
+        raw, built = RawDiscourse(loc, None, False), build and build(loc, None)
+    else:
+        named = [None]  # the last "id"
+        members = _members(src, named)
+        built = build and build(loc, members)
+        for _ in members:  # what `build` left
+            pass
+        did = _discourse_id(named[0], loc)
+        raw = RawDiscourse(loc, did, did in seen_ids)
         seen_ids.add(did)
+        if built and raw.repeated:
+            built[1].append(repeated_id(loc, did))
     if type(src.source) is not str and 2 * src.at >= len(src.text):
         src.cut()
-    return raw, item
+    return raw, built
+
+
+def _members(src: _Window, named: list) -> _Members:
+    """The members of the discourse object at the walk's position, as
+    `_Members`, each "id" also put in `named[0]`. A generator of utterances
+    drains what its caller leaves of it before the next member."""
+    for key in _keys(src):
+        if key == "utterances" and src.skip() == "[":
+            utterances = src.elements()
+            yield key, utterances
+            for _ in utterances:
+                pass
+        else:
+            value = src.value()
+            if key == "id":
+                named[0] = value
+            yield key, value
 
 
 def _next(src: _Window, close: str) -> bool:
@@ -343,59 +443,94 @@ def _next(src: _Window, close: str) -> bool:
     return sep == close
 
 
-def build_discourse(r: RawDiscourse, item: Any) -> tuple[Optional[Discourse], list[Violation]]:
-    """Build and validate the discourse `item` that the walk handed over as
-    `r`: the discourse built (None for an element that is not an object) and
-    its diagnostics, a repeated id last. It takes `item` over: it empties
-    the list of decoded utterances there, dropping each as it is built, so
-    that the decoded discourse shrinks as the built one grows."""
-    diags: list[Violation] = []
-    d = _parse_discourse(item, r.loc, r.id, diags)
-    if r.repeated:
-        diags.append(repeated_id(r.loc, r.id))
-    return d, diags
-
-
 def repeated_id(loc: str, did: str) -> Violation:
     """The diagnostic of a discourse id met before, at `loc`."""
     return Violation("duplicate-discourse-id", loc, f"discourse id '{did}' repeated")
 
 
-def _discourse_id(item: Any, loc: str) -> Optional[str]:
-    """The id a discourse object is built under: a placeholder unique to
-    `loc` when it has none, and None for an element that is not an object,
-    which is not built."""
-    if not isinstance(item, dict):
-        return None
-    did = item.get("id")
-    return did if isinstance(did, str) and did else f"<anonymous {loc}>"
+def _discourse_id(named: Any, loc: str) -> str:
+    """The id a discourse object whose "id" is `named` is built under: a
+    placeholder unique to `loc` when it has none."""
+    return named if isinstance(named, str) and named else f"<anonymous {loc}>"
 
 
-def _parse_discourse(
-    item: Any, loc: str, did: Optional[str], diags: list[Violation]
-) -> Optional[Discourse]:
-    """Build one discourse under the id `did` of `_discourse_id`, adding its
-    diagnostics and, under `loc`, its `validate_discourse` violations. A bad
-    field or tag takes a placeholder so the rest is still checked; an
-    element that is not an object is dropped, and then validation is
-    skipped, as positions would not match. Each object's diagnostics come
-    in the order of its keys below."""
-    if did is None:
-        diags.append(Violation("malformed-structure", loc, "discourse must be an object"))
-        return None
-    if did != item.get("id"):
+def build_discourse(
+    loc: str, members: Optional[_Members]
+) -> tuple[Optional[Discourse], list[Violation]]:
+    """Build and validate the discourse at `loc` from its members as the
+    walk hands them on, each decoded utterance dropped as it is built: the
+    discourse, None for an element that is not an object, and its
+    diagnostics, adding under `loc` its `validate_discourse` violations.
+    A bad field or tag takes a placeholder so the rest is still checked;
+    where an element is dropped, validation is skipped, as positions would
+    not match. A repeated key counts by its last value alone, as in
+    json.loads. The diagnostics come in the order of the keys below, each
+    object's keys too: the id, the entities, the utterances, then
+    validation."""
+    if members is None:
+        return None, [Violation("malformed-structure", loc, "discourse must be an object")]
+    named = decoded = None
+    utterances: list[Utterance] = []
+    found: list[Violation] = []  # the utterances' diagnostics
+    whole = True  # no utterance or entity dropped
+    for key, value in members:
+        if key == "id":
+            named = value
+        elif key == "entities":
+            decoded = value
+        elif key == "utterances":
+            utterances, found, whole = [], [], True
+            if type(value) is not GeneratorType:  # not a list
+                value = _mistyped(value, (), loc, "utterances", list, found)
+            for j, utt in enumerate(value):
+                if not isinstance(utt, dict):
+                    message = "utterance must be an object"
+                    found.append(Violation("malformed-structure", _where(loc, j), message))
+                    whole = False
+                    continue
+                tense = utt.get("tense")
+                if tense is None:
+                    tense = _NONPAST
+                elif type(tense) is not str:
+                    tense = _mistyped(tense, _NONPAST, _where(loc, j), "tense", str, found)
+                else:
+                    raw, tense = tense, _TENSES.get(tense.lower())
+                    if tense is None:
+                        message = f"unknown tense '{raw}'"
+                        at = _where(loc, j, tail=".tense")
+                        found.append(Violation("unknown-tense", at, message))
+                        tense = _NONPAST
+                exprs = utt.get("expressions")
+                if type(exprs) is not list:
+                    exprs = _mistyped(exprs, [], _where(loc, j), "expressions", list, found)
+                expressions = []
+                for k, expr in enumerate(exprs):
+                    parsed = _parse_expression(expr, loc, j, k, found)
+                    if parsed is None:
+                        whole = False
+                    else:
+                        expressions.append(parsed)
+                index = utt.get("index")
+                if type(index) is not int:
+                    index = _mistyped(index, j, _where(loc, j), "index", int, found)
+                text = utt.get("text")
+                if text is not None and type(text) is not str:
+                    text = _mistyped(text, None, _where(loc, j), "text", str, found)
+                # positional, in declaration order
+                utterances.append(Utterance(index, tuple(expressions), tense, text))
+
+    diags: list[Violation] = []
+    did = _discourse_id(named, loc)
+    if did != named:
         diags.append(Violation("malformed-structure", f"{loc}.id", "missing discourse id"))
-    complete = True
-
     entities: list[DiscourseEntity] = []
-    decoded = item.get("entities")
     if type(decoded) is not list:
         decoded = _mistyped(decoded, [], loc, "entities", list, diags)
     for j, ent in enumerate(decoded):
         eloc = f"{loc}.entities[{j}]"
         if not isinstance(ent, dict) or not isinstance(ent.get("id"), str):
             diags.append(Violation("malformed-structure", eloc, "entity needs an 'id'"))
-            complete = False
+            whole = False
             continue
         types = ent.get("types")
         if not _strings(types):
@@ -404,56 +539,14 @@ def _parse_discourse(
         if type(card) is not int:
             card = _mistyped(card, 1, eloc, "cardinality", int, diags)
         entities.append(DiscourseEntity(ent["id"], frozenset(types), card))
-
-    utterances: list[Utterance] = []
-    decoded = item.get("utterances")
-    if type(decoded) is not list:
-        decoded = _mistyped(decoded, [], loc, "utterances", list, diags)
-    for j in range(len(decoded)):
-        # the decoded utterance is dropped as it is built
-        utt, decoded[j] = decoded[j], None
-        if not isinstance(utt, dict):
-            message = "utterance must be an object"
-            diags.append(Violation("malformed-structure", _where(loc, j), message))
-            complete = False
-            continue
-        tense = utt.get("tense")
-        if tense is None:
-            tense = _NONPAST
-        elif type(tense) is not str:
-            tense = _mistyped(tense, _NONPAST, _where(loc, j), "tense", str, diags)
-        else:
-            raw, tense = tense, _TENSES.get(tense.lower())
-            if tense is None:
-                message = f"unknown tense '{raw}'"
-                diags.append(Violation("unknown-tense", _where(loc, j, tail=".tense"), message))
-                tense = _NONPAST
-        exprs = utt.get("expressions")
-        if type(exprs) is not list:
-            exprs = _mistyped(exprs, [], _where(loc, j), "expressions", list, diags)
-        expressions = []
-        for k, expr in enumerate(exprs):
-            parsed = _parse_expression(expr, loc, j, k, diags)
-            if parsed is None:
-                complete = False
-            else:
-                expressions.append(parsed)
-        index = utt.get("index")
-        if type(index) is not int:
-            index = _mistyped(index, j, _where(loc, j), "index", int, diags)
-        text = utt.get("text")
-        if text is not None and type(text) is not str:
-            text = _mistyped(text, None, _where(loc, j), "text", str, diags)
-        # positional, in declaration order
-        utterances.append(Utterance(index, tuple(expressions), tense, text))
-    decoded.clear()
+    diags += found
     discourse = Discourse(id=did, entities=tuple(entities), utterances=tuple(utterances))
-    if complete:
+    if whole:
         diags.extend(
             Violation(v.code, f"{loc}.{v.location}", v.message)
             for v in validate_discourse(discourse)
         )
-    return discourse
+    return discourse, diags
 
 
 def _parse_expression(

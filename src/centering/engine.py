@@ -544,14 +544,14 @@ def finalize(state: DiscourseState) -> DiscourseReport:
     reports: list[UtteranceReport] = []
     unresolved = False
     if steps:
-        # prune_hypotheses leaves the live set best-first
+        # prune_hypotheses leaves the live set best-first, and holds an
+        # anomalous reading only when it holds nothing else
         best = state.hypotheses[0]
         best_key = rank_key(best)[:2]
         readings = [
             h
             for h in state.hypotheses
-            if rank_key(h)[:2] == best_key
-            or (h.ambiguity_keys & best.ambiguity_keys and not h.anomalous)
+            if rank_key(h)[:2] == best_key or h.ambiguity_keys & best.ambiguity_keys
         ]
         stats_path = min(readings, key=lambda h: (h.zta_count, rank_key(h)))
         flags: Iterable[bool] = repeat(False)

@@ -365,7 +365,7 @@ def report(discourse, run) -> DiscourseReport:
         for h in run[-1].live
         if chain_key(h)[:2] == chain_key(best)[:2]
         # item 16: compatible readings that share a key with the best but lost on preference
-        or (h.ambiguity_keys & best.ambiguity_keys and not h.anomalous)
+        or h.ambiguity_keys & best.ambiguity_keys
     ]
     path = list(min(readings, key=lambda h: (h.zta_count, chain_key(h))).ancestry())[::-1]
     chains = [list(h.ancestry())[::-1] for h in readings]

@@ -894,13 +894,11 @@ class TestWorkers:
         for parts in (1, 2, 3, 4, 7):
             for part in range(parts):
                 (read, found, counts, fault), pieces = part_pieces(files, part, parts, job)
-                assert [did for _, _, discourses in read for _, did in discourses] == [
-                    f"d{i}" for i in range(5)
-                ]
+                assert [did for _, _, ids in read for did in ids] == [f"d{i}" for i in range(5)]
                 mine = [i for i in range(5) if i % parts == part]
                 assert pieces == [piece for i in mine for piece in (f"d{i}", i)]
                 assert counts == [2] * len(mine)
-                assert len(found) == len(mine) and not any(found) and fault is None
+                assert found == [] and fault is None
 
     def test_parts_of_mixed_text_take_discourses_by_ordinal(self, tmp_path):
         # every third discourse carries Japanese text, several bytes a
@@ -964,24 +962,30 @@ class TestWorkers:
         assert files[-1][2] == b"[]"
 
     def test_raw_json_is_dropped_before_the_job_runs(self, pool_corpus, monkeypatch):
-        # the item the walk decoded is held by nothing but the test's own
-        # list once the discourse is built: the walk and the caller dropped it
-        items, counts = [], []
+        # each utterance the walk decoded is held by nothing but the test's
+        # own list once the discourse is built: the walk and the builder
+        # dropped it
+        handed, counts = [], []
         real = cli_mod.corpus_io.build_discourse
 
-        def build(r, item):
-            items.append(item)
-            return real(r, item)
+        def build(loc, members):
+            def tapped():
+                for key, value in members:
+                    if key == "utterances":
+                        value = (handed.append(u) or u for u in value)
+                    yield key, value
+
+            return real(loc, tapped())
 
         def job(discourse):
-            counts.append(sys.getrefcount(items[-1]))
+            counts.append(set(map(sys.getrefcount, handed)))
             return [discourse.id]
 
         monkeypatch.setattr(cli_mod.corpus_io, "build_discourse", build)
         files = [cli_mod._size(path) for path in pool_corpus]
         (_, found, _, fault), ids = part_pieces(files, 0, 1, job)
-        assert len(ids) == 44 and not any(found) and fault is None
-        assert counts == [2] * 44
+        assert len(ids) == 44 and not found and fault is None
+        assert len(handed) > 44 and counts == [{2}] * 44
 
     def test_a_worker_per_part_of_bytes(self, pool_corpus, monkeypatch):
         size = sum(os.path.getsize(path) for path in pool_corpus)
@@ -1198,8 +1202,8 @@ def test_analyze_holds_no_more_than_the_walk_of_a_long_discourse(tmp_path, monke
 
     def walk_and_build():
         with open(path, "rb") as fh:
-            for r, item in cli_mod.corpus_io.walk(fh):
-                cli_mod.corpus_io.build_discourse(r, item)
+            for _, built in cli_mod.corpus_io.walk(fh, cli_mod.corpus_io.build_discourse):
+                pass
 
     def analyze():
         with open(os.devnull, "w", encoding="utf-8") as sink:

@@ -124,6 +124,19 @@ class TestParseCorpus:
             parse_corpus(text)
         assert any(d.code == "duplicate-utterance-index" for d in err.value.diagnostics)
 
+    def test_a_repeated_id_is_diagnosed_last_in_its_discourse(self):
+        bad = {"index": 0, "expressions": [{"role": "subjekt", "entity": "a", "pos": 0}]}
+        text = json.dumps([{"id": "d"}, {"id": "d", "entities": [], "utterances": [bad]}])
+        with pytest.raises(CorpusFormatError) as err:
+            parse_corpus(text)
+        assert list(map(str, err.value.diagnostics)) == [
+            "discourses[1].utterances[0].expressions[0].role: unknown role tag 'subjekt' "
+            "[unknown-role]",
+            "discourses[1].utterances[0].expressions[0].entity: unknown entity id 'a' "
+            "[unknown-entity]",
+            "discourses[1]: discourse id 'd' repeated [duplicate-discourse-id]",
+        ]
+
     def test_malformed_json_carries_line_and_column(self):
         with pytest.raises(CorpusFormatError) as err:
             parse_corpus('{"discourses": [}')
@@ -668,41 +681,53 @@ class TestReader:
     def test_the_walk_holds_no_text_it_passed_while_a_discourse_is_built(self, whole):
         # the window of a stream drops the text it has passed before it
         # hands a discourse over, so the caller holds the built discourse
-        # beside no more text than a walk of the text in hand does; read in
-        # one piece or through doubling windows, it held the whole 242 KB
+        # beside no more text than a walk of the text in hand does, whether
+        # the stream is read in one piece or through windows; read in one
+        # piece or through doubling windows, it held the whole 242 KB
         gen = load_corpus_gen()
         data = gen.random_discourse(random.Random(5), "long", 1200, 6, 0.35)
         text = gen.corpus_text({"discourses": [data]})
 
         def held(source):
             """What is held, the built discourse with it, once the first
-            discourse is built and its JSON dropped, while the walk waits."""
+            discourse is built, while the walk waits."""
             tracemalloc.start()
             try:
-                for r, item in walk(source):
-                    built = build_discourse(r, item)  # held while measured
-                    del item
+                for _, built in walk(source, build_discourse):  # held while measured
                     return tracemalloc.get_traced_memory()[0]
             finally:
                 tracemalloc.stop()
 
         in_hand = held(text)  # a text handed in is the caller's, not traced
-        with mock.patch.object(corpus_mod, "_WHOLE", corpus_mod._WHOLE if whole else 0):
+        step = 2 * len(text) if whole else corpus_mod._READ
+        with mock.patch.object(corpus_mod, "_READ", step):
             streamed = held(io.BytesIO(text.encode()))
         assert streamed - in_hand < 0.1 * len(text), (streamed, in_hand, len(text))
 
     @pytest.mark.parametrize("source", ["text", "stream"])
     def test_the_walk_holds_no_discourse_it_handed_over(self, source):
-        # while the caller builds and runs a discourse, the decoded JSON is
-        # held by the caller's own name and getrefcount's argument alone
+        # while the builder builds an utterance, and while the caller runs
+        # a discourse, each decoded utterance handed over before is held by
+        # the test's own list and getrefcount's argument alone
         text = topic_cues_text(5)
-        counts = []
-        for r, item in walk(text if source == "text" else io.BytesIO(text.encode())):
-            discourse, _ = build_discourse(r, item)
-            counts.append(sys.getrefcount(item))
+        handed, counts = [], []
+
+        def build(loc, members):
+            def tapped():
+                for key, value in members:
+                    if key == "utterances":
+                        value = (handed.append(u) or u for u in value)
+                    yield key, value
+
+            return build_discourse(loc, tapped())
+
+        source = text if source == "text" else io.BytesIO(text.encode())
+        for _, (discourse, _) in walk(source, build):
+            counts.append(set(map(sys.getrefcount, handed)))
             run_corpus([discourse])
-            counts.append(sys.getrefcount(item))
-        assert counts == [2] * 10
+            counts.append(set(map(sys.getrefcount, handed)))
+        assert len(handed) == 150
+        assert counts == [{2}] * 10
 
 
 #: Utterance texts whose UTF-8 takes three bytes a character.
@@ -784,10 +809,7 @@ def walked(source):
     what building it gives; or (None, None) where the discourses before are
     replaced; or the error that ends the walk."""
     try:
-        return "read", [
-            (None, None) if r is None else (r, build_discourse(r, item))
-            for r, item in walk(source)
-        ]
+        return "read", list(walk(source, build_discourse))
     except UnicodeDecodeError as exc:
         return "not UTF-8", exc.start, exc.reason
     except CorpusFormatError as exc:
@@ -809,16 +831,15 @@ def read_as_text(path):
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(data=corpus_files(), whole=st.integers(0, 64), step=st.integers(1, 48))
-def test_a_file_reads_through_any_window_as_its_text_reads(data, whole, step, tmp_path):
-    # windows of a few dozen bytes, so that discourses and characters of
-    # several bytes straddle their edges; a file and a buffer alike
+@given(data=corpus_files(), step=st.integers(1, 48))
+def test_a_file_reads_through_any_window_as_its_text_reads(data, step, tmp_path):
+    # windows of a few dozen bytes, so that discourses, utterances and
+    # characters of several bytes straddle their edges; a file and a
+    # buffer alike
     path = tmp_path / "corpus.centering.json"
     path.write_bytes(data)
     want = read_as_text(path)
-    with mock.patch.object(corpus_mod, "_WHOLE", whole), mock.patch.object(
-        corpus_mod, "_READ", step
-    ):
+    with mock.patch.object(corpus_mod, "_READ", step):
         with open(path, "rb", buffering=0) as fh:
             assert walked(fh) == want
         assert walked(io.BytesIO(data)) == want
@@ -827,9 +848,7 @@ def test_a_file_reads_through_any_window_as_its_text_reads(data, whole, step, tm
 def walk_by_window(path, step):
     """The discourses of the file at `path`, walked through windows of
     `step` bytes."""
-    with mock.patch.object(corpus_mod, "_WHOLE", 0), mock.patch.object(
-        corpus_mod, "_READ", step
-    ):
+    with mock.patch.object(corpus_mod, "_READ", step):
         with open(path, "rb", buffering=0) as fh:
             return [r for r, _ in walk(fh)]
 
@@ -881,14 +900,209 @@ def test_a_bad_top_level_key_is_malformed(text, diag, tmp_path):
         assert list(map(str, exc.value.diagnostics)) == want, step
 
 
+def test_an_utterance_takes_one_scanner_call_but_at_a_window_edge():
+    # each utterance that a separator follows in the window is decoded in
+    # one call of the scanner; `_Window.value` decodes only the keys, the
+    # members other than utterances and what a window's edge cuts
+    gen = load_corpus_gen()
+    data = gen.random_discourse(random.Random(3), "long", 1200, 6, 0.35)
+    data = gen.corpus_text({"discourses": [data]}).encode()
+    windows = len(data) // corpus_mod._READ + 1
+    real = corpus_mod._Window.value
+    with mock.patch.object(corpus_mod._Window, "value", autospec=True, side_effect=real) as value:
+        assert len(list(walk(io.BytesIO(data), build_discourse))) == 1
+    assert value.call_count <= 6 + windows, (value.call_count, windows)
+
+
+def _malformed_discourses():
+    """Two short discourses whose texts need escapes in JSON: a surrogate
+    pair, a control character, a quote and a backslash."""
+    discourses = [dict(d) for d in WINDOW_DISCOURSES[:2]]
+    discourses[0]["utterances"] = [
+        {**u, "text": "😀 \t\"\\ 試験"} for u in discourses[0]["utterances"]
+    ]
+    return discourses
+
+
+MALFORMED_DISCOURSES = _malformed_discourses()
+
+
+@st.composite
+def malformed_files(draw):
+    """The bytes of a corpus document with one edit that breaks it as JSON,
+    most of the time: a byte dropped, or a bracket, quote, comma, colon,
+    backslash or letter put in, anywhere."""
+    ascii_only = draw(st.booleans())  # escapes, or characters of several bytes
+    text = json.dumps({"discourses": MALFORMED_DISCOURSES}, ensure_ascii=ascii_only)
+    data = text.encode("utf-8")
+    at = draw(st.integers(0, len(data) - 1))
+    if draw(st.booleans()):
+        return data[:at] + data[at + 1 :]
+    byte = draw(st.sampled_from([b"[", b"]", b"{", b"}", b'"', b",", b":", b"\\", b"x"]))
+    return data[:at] + byte + data[at:]
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=malformed_files(), step=st.integers(1, 48))
+def test_a_malformed_file_reads_through_any_window_as_its_text_reads(data, step, tmp_path):
+    # a decode that fails away from a window's edge is raised at once, and
+    # the diagnostic is the one of the document read whole
+    path = tmp_path / "corpus.centering.json"
+    path.write_bytes(data)
+    want = read_as_text(path)
+    with mock.patch.object(corpus_mod, "_READ", step):
+        assert walked(io.BytesIO(data)) == want
+
+
+def _nested_in_an_utterance(n):
+    """A corpus document whose one utterance's text is `n` nested lists,
+    five levels below the top."""
+    utterance = '{"index": 0, "expressions": [], "text": ' + "[" * n + "]" * n + "}"
+    return '{"discourses": [{"id": "d", "entities": [], "utterances": [' + utterance + "]}]}"
+
+
+#: How many levels past the deepest text that `json.loads` takes, called
+#: from the same frame, a text nested inside an utterance still reads
+#: through `parse_corpus`, by Python version: the decoder's limit counts
+#: the frames below the call on 3.11, but not on 3.12 and 3.13. The walk
+#: decodes each utterance on its own, four levels below the top, two
+#: frames nearer the walk than it decoded a discourse whole, two levels
+#: below the top, which read to -2 on 3.11. `validate` in process, many
+#: frames deeper, reads up to -7 or -6 on 3.11 by what ran before it (0 on
+#: 3.12 and 3.13), so only its one boundary is checked.
+NESTING_READS = {(3, 11): 0, (3, 12): 2, (3, 13): 2}
+
+
+def test_nesting_inside_an_utterance_reads_to_one_depth(tmp_path, monkeypatch, capsys):
+    with_cpus(monkeypatch, 1)
+    path = tmp_path / "nested.centering.json"
+
+    def decodes(n):
+        try:
+            json.loads(_nested_in_an_utterance(n))
+        except RecursionError:
+            return False
+        return True
+
+    def parsed(n):
+        try:
+            parse_corpus(_nested_in_an_utterance(n))
+        except CorpusFormatError as exc:
+            return list(map(str, exc.diagnostics))
+
+    def validated(n):
+        path.write_text(_nested_in_an_utterance(n), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "validate", str(path))
+        assert code == 1
+        return [line.removeprefix(f"{path}: ") for line in out.splitlines()[:-1]]
+
+    low, high = 1, 2
+    while decodes(high):
+        low, high = high, 2 * high
+    while high - low > 1:  # the deepest text json.loads takes lies in [low, high)
+        mid = (low + high) // 2
+        low, high = (mid, high) if decodes(mid) else (low, mid)
+    read = ["discourses[0].utterances[0].text: 'text' must be a string [malformed-structure]"]
+
+    def rejected(n):
+        col = _nested_in_an_utterance(n).rindex("[") + 1  # the text's deepest bracket
+        message = f"nested {n + 5} deep, past the decoder's limit"
+        return [f"line 1, column {col}: {message} [malformed-json]"]
+
+    depths = range(low - 12, low + 7)
+    got = {"parse": [parsed(n) for n in depths], "validate": [validated(n) for n in depths]}
+    for reader, outcomes in got.items():
+        assert all(o == read or o == rejected(n) for n, o in zip(depths, outcomes)), reader
+        # one boundary, within the depths tried
+        assert outcomes == sorted(outcomes, key=lambda o: o != read), reader
+        assert outcomes[0] == read and outcomes[-1] != read, reader
+    if sys.version_info[:2] in NESTING_READS:
+        past = NESTING_READS[sys.version_info[:2]]
+        assert got["parse"] == [read if n <= low + past else rejected(n) for n in depths]
+
+
+def _key_documents():
+    """Discourse objects whose keys repeat or come in another order, each
+    with the discourse that `json.loads` makes of it, written in the order
+    id, entities, utterances."""
+    a, b = WINDOW_DISCOURSES[:2]
+    bad = [{"index": 0, "expressions": [{"role": "subjekt", "entity": "ghost"}]}, 7]
+    entities, utterances = (json.dumps(a[key], ensure_ascii=False) for key in a if key != "id")
+    return {
+        "utterances-repeated": (
+            f'{{"id": "{a["id"]}", "entities": {entities}, "utterances": {json.dumps(bad)}, '
+            f'"utterances": {utterances}}}',
+            a,
+        ),
+        "entities-repeated": (
+            f'{{"id": "{a["id"]}", "entities": [3, {{"id": 4}}], "utterances": {utterances}, '
+            f'"entities": {entities}}}',
+            a,
+        ),
+        "utterances-replaced-by-a-number": (
+            f'{{"id": "{a["id"]}", "utterances": {utterances}, "entities": {entities}, '
+            '"utterances": 5}',
+            {"id": a["id"], "entities": a["entities"], "utterances": 5},
+        ),
+        "id-and-entities-last": (
+            f'{{"utterances": {utterances}, "notes": [1, {{"id": "x"}}], "entities": {entities}, '
+            f'"id": "{a["id"]}"}}',
+            {**a, "notes": [1, {"id": "x"}]},
+        ),
+        "every-kind-of-diagnostic": (
+            f'{{"utterances": {json.dumps([*bad, *b["utterances"]])}, '
+            f'"entities": [{{"types": ["x"]}}, 3], "id": 3}}',
+            {"id": 3, "entities": [{"types": ["x"]}, 3], "utterances": [*bad, *b["utterances"]]},
+        ),
+        "validation-last": (
+            f'{{"utterances": {json.dumps(b["utterances"][:1] * 2)}, '
+            f'"entities": {json.dumps(b["entities"])}, "id": ""}}',
+            {"id": "", "entities": b["entities"], "utterances": b["utterances"][:1] * 2},
+        ),
+    }
+
+
+KEY_DOCUMENTS = _key_documents()
+
+
+@pytest.mark.parametrize("case", KEY_DOCUMENTS)
+def test_the_keys_of_a_discourse_read_as_json_loads_reads_them(case):
+    # a repeated key counts by its last value alone, none of an earlier
+    # value's diagnostics kept, and the diagnostics come in one order,
+    # whatever the order of the keys: id, entities, utterances, validation
+    text, loaded = KEY_DOCUMENTS[case]
+    assert json.loads(text) == loaded
+    want = walked(json.dumps({"discourses": [loaded]}, ensure_ascii=False))
+    data = f'{{"discourses": [{text}]}}'.encode("utf-8")
+    for step in range(1, 9):
+        with mock.patch.object(corpus_mod, "_READ", step):
+            assert walked(io.BytesIO(data)) == want, step
+    if case == "every-kind-of-diagnostic":
+        (_, (_, diags)), = want[1]
+        keys = [v.location.split(".")[1].split("[")[0] for v in diags]
+        assert keys == ["id", "entities", "entities", "utterances", "utterances"]
+    if case == "validation-last":
+        (_, (_, diags)), = want[1]
+        assert [v.code for v in diags] == ["malformed-structure", "duplicate-utterance-index"]
+
+
 class CountedReads(io.BytesIO):
-    """A buffer that counts the reads of its whole rest."""
+    """A buffer that counts the reads of its whole rest, and keeps how far
+    it was read before the first of them."""
 
     whole_reads = 0
+    reach = 0
 
     def read(self, size=-1):
         self.whole_reads += size is None or size < 0
-        return super().read(size)
+        data = super().read(size)
+        if not self.whole_reads:
+            self.reach = self.tell()
+        return data
 
 
 @pytest.mark.parametrize("case", ["truncated", "utf8-bom", "no-discourses"])
@@ -914,6 +1128,29 @@ def test_a_rejected_file_is_walked_once(case, tmp_path):
         assert [v.code for v in exc.value.diagnostics] == ["malformed-json"]
         # read whole, once, to name the error
         assert stream.whole_reads == 1
+
+
+def test_a_bad_utterance_stops_the_walk_within_two_windows():
+    # a key without its colon in an utterance 30 KB into a file of more
+    # than 1 MB: the walk stops reading within two windows of the error,
+    # where it read to the end of the file first, and names it as the file
+    # read whole does
+    gen = load_corpus_gen()
+    rng = random.Random("bad-utterance")
+    discourses = [gen.topic_cue_discourse(rng, f"tc-{k}", 30) for k in range(120)]
+    text = gen.corpus_text({"discourses": discourses})
+    at = text.index('"index": ', 30_000) + len('"index"')
+    data = (text[:at] + text[at + 1 :]).encode("utf-8")
+    assert len(data) > 1_000_000 and at < corpus_mod._READ
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(data)
+    stream = CountedReads(data)
+    with pytest.raises(CorpusFormatError) as exc:
+        list(walk(stream, build_discourse))
+    where = f"line {want.value.lineno}, column {want.value.colno}"
+    assert list(map(str, exc.value.diagnostics)) == [f"{where}: {want.value.msg} [malformed-json]"]
+    assert stream.whole_reads == 1
+    assert stream.reach <= at + 2 * corpus_mod._READ, (stream.reach, at)
 
 
 def test_a_fault_of_the_window_walk_is_raised(tmp_path, monkeypatch, capsys):
