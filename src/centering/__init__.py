@@ -12,7 +12,6 @@ from .analysis import (
     tabulate_disambiguation,
     tabulate_transitions,
 )
-from .core import classify_transition, compute_cb, rank_cf
 from .corpus import (
     CorpusFormatError,
     load_fixture,
@@ -23,13 +22,10 @@ from .corpus import (
 from .engine import (
     EngineConfig,
     coherence_step,
-    global_retrieve,
-    push_cb,
     run_corpus,
     run_discourse,
     stream_discourse,
 )
-from .hypotheses import expand_hypotheses, prune_hypotheses
 from .model import (
     Discourse,
     DiscourseEntity,
@@ -42,12 +38,12 @@ from .model import (
     Violation,
     validate_discourse,
 )
-from .resolution import check_compatibility, form_set_candidates, local_resolution
 
 __version__ = "0.1.0"
 
-# The API the README documents. Report, history and enum types, cue names
-# and the fixture list stay importable from the modules that define them.
+# The API the README documents. Report, state, history and enum types, cue
+# names, the fixture list and the parts of a step stay importable from the
+# modules that define them, but only what is listed here is promised.
 __all__ = [
     # the pipeline
     "parse_corpus",
@@ -65,17 +61,7 @@ __all__ = [
     "tabulate_disambiguation",
     "chi_square_2x2",
     "evaluate_gold",
-    # lower-level pieces
-    "rank_cf",
-    "compute_cb",
-    "classify_transition",
-    "expand_hypotheses",
-    "prune_hypotheses",
-    "check_compatibility",
-    "local_resolution",
-    "form_set_candidates",
-    "push_cb",
-    "global_retrieve",
+    # the step; its state, DiscourseState, and finalize import from centering.engine
     "coherence_step",
     # the value types of a discourse built in code
     "Discourse",

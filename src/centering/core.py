@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional
+from typing import AbstractSet, Iterable, Mapping, Optional
 
 from .model import (
     _ZERO,
@@ -57,12 +57,11 @@ def rank_cf(
     return tuple([(entity_id, _ROLE_OF_RANK[rank]) for entity_id, (rank, _pos) in ordered])
 
 
-def compute_cb(cf_prev: Iterable[str], realized: Iterable[str]) -> Optional[str]:
+def compute_cb(cf_prev: Iterable[str], realized: AbstractSet[str]) -> Optional[str]:
     """Backward-looking center: the highest-ranked element of the previous
     Cf realized in the current utterance, or None when none is."""
-    realized_set = set(realized)
     for entity_id in cf_prev:
-        if entity_id in realized_set:
+        if entity_id in realized:
             return entity_id
     return None
 

@@ -64,7 +64,7 @@ _ROUGH_SHIFT_RANK = TransitionLabel.ROUGH_SHIFT.preference_rank
 _ZTA_CONTINUE = TransitionLabel.ZTA_CONTINUE
 
 
-def push_cb(history: CbHistory, cb: str, index: int, past_tense: bool = False) -> CbHistory:
+def push_cb(history: CbHistory, cb: str, index: int, past_tense: bool) -> CbHistory:
     """Record `cb` as the center of utterance `index`.
 
     Returns a new history with the entry at the front; an older entry for the
@@ -109,8 +109,8 @@ def global_retrieve(
     zero: ReferringExpression,
     u: Utterance,
     entities: Mapping[str, DiscourseEntity],
-    cf_prev: Sequence[str] = (),
-    prev_tense: Optional[Tense] = None,
+    cf_prev: Sequence[str],
+    prev_tense: Tense,
 ) -> Retrieval:
     """Search the former-Cb list for an antecedent of a locally unresolved
     zero.
@@ -361,9 +361,7 @@ def coherence_step(state: DiscourseState, u: Utterance) -> DiscourseState:
         if len(zeros) > 1:
             zeros = sorted(zeros, key=lambda z: (z.role.rank, z.surface_position))
         outcomes = [_resolve_locally(parent, u, zeros, entities) for parent in state.hypotheses]
-        children = expand_hypotheses(
-            state.hypotheses, u, outcomes, zta_enabled=config.zta_enabled
-        )
+        children = expand_hypotheses(state.hypotheses, u, outcomes, config.zta_enabled)
 
         # Local Coherence Check: retrieval is gated on the best available
         # reading, a ROUGH-SHIFT, or a RETAIN with no promoted continue; a
@@ -395,7 +393,7 @@ def coherence_step(state: DiscourseState, u: Utterance) -> DiscourseState:
                 retrievals.extend(got)
             children = updated
 
-        survivors = prune_hypotheses(children, beam=config.beam)
+        survivors = prune_hypotheses(children, config.beam)
 
     accepted = survivors[0] if len(survivors) == 1 else _accepted(survivors)
     history = state.history

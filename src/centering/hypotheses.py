@@ -49,7 +49,7 @@ def expand_hypotheses(
     prev_set: Sequence[CenteringHypothesis],
     u: Utterance,
     outcomes: Sequence[ResolutionOutcome],
-    zta_enabled: bool = True,
+    zta_enabled: bool,
 ) -> list[CenteringHypothesis]:
     """Spawn the children of every live hypothesis for utterance `u`, given
     each parent's local resolution outcome (one per parent, in order).
@@ -135,11 +135,10 @@ def _dedupe(specs: list[_Spec]) -> list[_Spec]:
     of a tie, under the union of their ambiguity keys. Each reading keeps
     the place where it first appeared.
 
-    Readings are identical when their `CenteringHypothesis.identity_key`
-    is. Among the children of one utterance that holds when their Cb,
-    label, resolutions and anomaly are: the Cf follows from the resolutions
-    and, for a promoted reading, its Cb. Identical readings share their
-    label, so their parents' promotions order theirs.
+    Readings are identical when their Cb, label, local assignments and
+    anomaly are: among the children of one utterance, the Cf follows from
+    the assignments and, for a promoted reading, its Cb. Identical readings
+    share their label, so their parents' promotions order theirs.
     """
     by_key: dict[tuple, list] = {}
     for spec in specs:
@@ -170,16 +169,15 @@ def rank_key(h: CenteringHypothesis) -> tuple:
 
 
 def prune_hypotheses(
-    hypotheses: Sequence[CenteringHypothesis], beam: int = DEFAULT_BEAM
+    hypotheses: Sequence[CenteringHypothesis], beam: int
 ) -> list[CenteringHypothesis]:
-    """Keep the beam-best hypotheses.
+    """Keep the `beam` best hypotheses; `EngineConfig` holds the beam to 1
+    or more.
 
     Readings stamped anomalous are vetoed: an anomalous reading never
     outranks a compatible one. Never prunes to empty: if everything is
     vetoed, the least-bad reading survives, still flagged.
     """
-    if beam < 1:
-        raise ValueError("beam must be >= 1")
     if len(hypotheses) == 1:
         return [hypotheses[0]]
     ordered = sorted(hypotheses, key=rank_key)

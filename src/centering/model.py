@@ -317,11 +317,6 @@ class CenteringHypothesis:
         _set(self, "cf_ids", tuple([eid for eid, _ in self.cf]))
 
     @property
-    def seed(self) -> bool:
-        """The reading of a discourse's first utterance, which has no parent."""
-        return self.parent is None
-
-    @property
     def zta_applied(self) -> bool:
         """Whether this reading promoted a zero to topic."""
         return self.transition is _ZTA_CONTINUE
@@ -336,17 +331,6 @@ class CenteringHypothesis:
         while node is not None:
             yield node
             node = node.parent
-
-    def identity_key(self) -> tuple:
-        """Key for collapsing duplicate readings spawned by different parents."""
-        return (
-            self.utterance_index,
-            self.cb,
-            self.cf,
-            self.transition,
-            self.resolutions,
-            self.anomalous,
-        )
 
 
 @record

@@ -24,13 +24,11 @@ def check_compatibility(
     for a single one), against a zero's cue annotations.
 
     Returns None when the candidate fits, or else the cue that rules it out:
-    CUE_AGREEMENT when there is no member or the total cardinality differs
-    from an annotated required_cardinality; failing that, CUE_LEXICAL when a
-    member's semantic types miss the slot's selectional restriction (an
-    empty restriction is unconstrained).
+    CUE_AGREEMENT when the total cardinality differs from an annotated
+    required_cardinality; failing that, CUE_LEXICAL when a member's semantic
+    types miss the slot's selectional restriction (an empty restriction is
+    unconstrained). Every caller passes at least one member.
     """
-    if not members:
-        return CUE_AGREEMENT
     constraints = zero.constraints
     if constraints is None:
         return None
@@ -94,7 +92,8 @@ def form_set_candidates(
     entities: Mapping[str, DiscourseEntity],
     current_index: int,
 ) -> list[tuple[str, ...]]:
-    """Enumerate candidate antecedent sets for a plural-constrained zero.
+    """Enumerate candidate antecedent sets for a plural-constrained zero, one
+    whose `required_cardinality` is 2 or more.
 
     Sets are drawn from former Cbs, restricted to entities sharing at least
     one semantic type, with member cardinalities summing to the requirement.
@@ -105,9 +104,6 @@ def form_set_candidates(
     the branches that cannot reach the requirement, so that it costs about
     what its listing costs.
     """
-    if required_cardinality < 2:
-        raise ValueError("set-valued antecedents need required_cardinality >= 2")
-
     cf_members = set(cf_prev)
     recency: dict[str, int] = {}
     for entry in history:

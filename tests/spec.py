@@ -1,7 +1,8 @@
 """An executable spec of the whole run: one plain, slow implementation of
 what `run_discourse` computes, written from the README's rules and the
 engine's documented behaviour. `tests/test_spec.py` holds the engine to it,
-run by run and, for inputs that no run builds, part by part.
+run by run, and its expansion part to `expand` on live sets that no run
+builds.
 
 It shares no code with the engine: it imports only value and report types
 from `centering` and calls no function of `core`, `resolution`,
@@ -144,7 +145,7 @@ def resolve_locally(parent, u, entities) -> tuple:
     return tuple(sorted(assigned.items())), anomalous
 
 
-def expand(live, u, outcomes, zta_enabled=True) -> list:
+def expand(live, u, outcomes, zta_enabled) -> list:
     """Every child of every live reading, given each one's local outcome,
     duplicates collapsed, best first.
 
@@ -219,7 +220,7 @@ def set_candidates(former, cf_prev, required, entities, index) -> list:
     return sorted(sets, key=order)
 
 
-def retrieve(history, zero, u, entities, cf_prev=(), prev_tense=None) -> Retrieval:
+def retrieve(history, zero, u, entities, cf_prev, prev_tense) -> Retrieval:
     """Search the former Cbs, most recent first, for an antecedent of an
     unresolved zero; a zero that needs two or more searches the entity sets
     of `set_candidates` instead. Candidates that fail the zero's cues drop
@@ -286,13 +287,9 @@ def accepted(live) -> Reading:
     return min(tied, key=lambda h: (h.zta_count, chain_key(h)))
 
 
-def push(history, cb, index, past_tense=False) -> tuple:
-    """The history with `cb` at the front as the Cb of utterance `index`,
-    which may not go back; an older entry for it is dropped, and its
-    past-tense flag is sticky."""
-    if history and index < history[0].index:
-        message = f"history indices must be non-decreasing: {index} after {history[0].index}"
-        raise ValueError(message)
+def push(history, cb, index, past_tense) -> tuple:
+    """The history with `cb` at the front as the Cb of utterance `index`;
+    an older entry for it is dropped, and its past-tense flag is sticky."""
     flag = past_tense or any(e.past_tense for e in history if e.entity_id == cb)
     return (CbHistoryEntry(cb, index, flag), *(e for e in history if e.entity_id != cb))
 

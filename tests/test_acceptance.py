@@ -16,18 +16,17 @@ import pytest
 from centering import (
     EngineConfig,
     GrammaticalRole,
+    Tense,
     chi_square_2x2,
-    classify_transition,
-    compute_cb,
-    expand_hypotheses,
-    global_retrieve,
     load_fixture,
     parse_corpus,
-    rank_cf,
     run_discourse,
     validate_discourse,
 )
 import centering.engine as engine
+from centering.core import classify_transition, compute_cb, rank_cf
+from centering.engine import global_retrieve
+from centering.hypotheses import expand_hypotheses
 from centering.corpus import fixture_text
 from centering.model import (
     ARGUMENT_ROLES,
@@ -294,7 +293,7 @@ class TestCriterion5Properties:
         for hi, lo in [(9, 4), (17, 16), (3, 1)]:
             h = (CbHistoryEntry("recent", hi), CbHistoryEntry("older", lo))
             u = utterance(hi + 1, zero(GrammaticalRole.SUBJECT, 0, types=("organization",)))
-            got = global_retrieve(h, u.expressions[0], u, pool)
+            got = global_retrieve(h, u.expressions[0], u, pool, [], Tense.NONPAST)
             assert got.value == "recent"
 
     def test_d_parse_serialize_round_trip_on_all_fixtures(self, fixture_discourses):
@@ -326,7 +325,7 @@ class TestCriterion5Properties:
         fired = hosted_but_silent = 0
         for parent, u, outcome in expanded:
             res = dict(outcome.assignments)
-            children = real_expand([parent], u, [outcome])
+            children = real_expand([parent], u, [outcome], True)
             (plain,) = [c for c in children if not c.zta_applied]
             promoted = [c for c in children if c.zta_applied]
             assert bool(promoted) == zta_rule_fires(parent, u, res)
@@ -342,16 +341,16 @@ class TestCriterion5Properties:
 
         # op-level: promotion requires a promotable zero of the previous cb
         # and no plain continue
-        children = expand_hypotheses([PREV], ASK_GA, outcomes({1: "hanako"}))
+        children = expand_hypotheses([PREV], ASK_GA, outcomes({1: "hanako"}), True)
         assert any(c.zta_applied for c in children)
-        children = expand_hypotheses([PREV], ASK_GA, outcomes({1: "mitiko"}))
+        children = expand_hypotheses([PREV], ASK_GA, outcomes({1: "mitiko"}), True)
         assert not any(c.zta_applied for c in children)
         u_continue = utterance(
             2,
             zero(GrammaticalRole.SUBJECT, 0, types=("person",)),
             ASK_GA.expressions[2],
         )
-        children = expand_hypotheses([PREV], u_continue, outcomes({0: "hanako"}))
+        children = expand_hypotheses([PREV], u_continue, outcomes({0: "hanako"}), True)
         assert not any(c.zta_applied for c in children)
 
     def test_generator_discourses_stay_well_formed(self):
@@ -363,7 +362,7 @@ class TestCriterion5Properties:
 class TestCriterion6Dampening:
     def test_topicized_branch_carries_equal_preference(self, fixture_reports):
         rep = fixture_reports["classroom_exam_topic"]
-        children = expand_hypotheses([PREV], ASK_WA, outcomes({1: "hanako"}))
+        children = expand_hypotheses([PREV], ASK_WA, outcomes({1: "hanako"}), True)
         assert children[0].eff_pref == children[1].eff_pref
         assert all(h.dampened for h in rep.utterances[2].hypotheses)
 
@@ -377,7 +376,7 @@ class TestCriterion6Dampening:
         assert not rep.unresolved_ambiguity
         assert not any(u.ambiguous for u in rep.utterances)
         # argmax-set difference: strict preference with ga, tie with wa
-        ga_children = expand_hypotheses([PREV], ASK_GA, outcomes({1: "hanako"}))
-        wa_children = expand_hypotheses([PREV], ASK_WA, outcomes({1: "hanako"}))
+        ga_children = expand_hypotheses([PREV], ASK_GA, outcomes({1: "hanako"}), True)
+        wa_children = expand_hypotheses([PREV], ASK_WA, outcomes({1: "hanako"}), True)
         assert ga_children[0].eff_pref < ga_children[1].eff_pref
         assert wa_children[0].eff_pref == wa_children[1].eff_pref

@@ -5,13 +5,9 @@ import itertools
 from hypothesis import given
 from hypothesis import strategies as st
 
-from centering import (
-    GrammaticalRole,
-    classify_transition,
-    compute_cb,
-    expand_hypotheses,
-    rank_cf,
-)
+from centering import GrammaticalRole
+from centering.core import classify_transition, compute_cb, rank_cf
+from centering.hypotheses import expand_hypotheses
 from centering.model import EffectiveRole, TransitionLabel
 
 from conftest import outcomes, overt, utterance, zero
@@ -136,7 +132,7 @@ class TestClassifyTransition:
         # the upgrade is the continue cell under zero topic assignment: the
         # promoted reading's Cf classifies as CONTINUE and is labelled
         # ZTA_CONTINUE, where the plain reading is a RETAIN
-        children = expand_hypotheses([PREV], ASK_GA, outcomes({1: "hanako"}))
+        children = expand_hypotheses([PREV], ASK_GA, outcomes({1: "hanako"}), True)
         (promoted,) = [c for c in children if c.zta_applied]
         (plain,) = [c for c in children if not c.zta_applied]
         assert classify_transition("hanako", promoted.cb, promoted.cf[0][0]) is (

@@ -4,14 +4,8 @@ import pytest
 
 import centering.engine as engine
 import centering.hypotheses as hypotheses
-from centering import (
-    GrammaticalRole,
-    expand_hypotheses,
-    parse_corpus,
-    prune_hypotheses,
-    run_corpus,
-)
-from centering.hypotheses import rank_key
+from centering import GrammaticalRole, parse_corpus, run_corpus
+from centering.hypotheses import expand_hypotheses, prune_hypotheses, rank_key
 from centering.model import CenteringHypothesis, EffectiveRole, TransitionLabel
 
 from conftest import outcomes, overt, utterance, zero
@@ -49,7 +43,7 @@ ASK_WA = utterance(
 def promoted_head(prev, u, res):
     """Cf head of the promoted child `prev` spawns for `u`, or None when the
     zero-topic rule does not fire."""
-    for child in expand_hypotheses([prev], u, outcomes(res)):
+    for child in expand_hypotheses([prev], u, outcomes(res), True):
         if child.zta_applied:
             return child.cf[0][0]
     return None
@@ -111,7 +105,7 @@ class TestZtaCandidate:
 
 class TestExpandHypotheses:
     def test_plain_plus_promoted_with_ga_competitor(self):
-        children = expand_hypotheses([PREV], ASK_GA, outcomes({1: "hanako"}))
+        children = expand_hypotheses([PREV], ASK_GA, outcomes({1: "hanako"}), True)
         assert [c.transition for c in children] == [
             TransitionLabel.ZTA_CONTINUE,
             TransitionLabel.RETAIN,
@@ -124,7 +118,7 @@ class TestExpandHypotheses:
         assert promoted.eff_pref < plain.eff_pref
 
     def test_wa_competitor_dampens_to_equal_preference(self):
-        children = expand_hypotheses([PREV], ASK_WA, outcomes({1: "hanako"}))
+        children = expand_hypotheses([PREV], ASK_WA, outcomes({1: "hanako"}), True)
         assert [c.transition for c in children] == [
             TransitionLabel.ZTA_CONTINUE,
             TransitionLabel.RETAIN,
@@ -136,7 +130,7 @@ class TestExpandHypotheses:
 
     def test_zero_topic_promotion_outranks_topic(self):
         # promoted zero at object2 heads the list ahead of the topicalized subject
-        children = expand_hypotheses([PREV], ASK_WA, outcomes({1: "hanako"}))
+        children = expand_hypotheses([PREV], ASK_WA, outcomes({1: "hanako"}), True)
         (promoted,) = [c for c in children if c.zta_applied]
         assert promoted.cf == (
             ("hanako", EffectiveRole.ZERO_TOP),
@@ -150,7 +144,7 @@ class TestExpandHypotheses:
             overt("mitiko", GrammaticalRole.SUBJECT, 0, ga=True),
             overt("result", GrammaticalRole.OBJECT, 1),
         )
-        children = expand_hypotheses([PREV], u, outcomes({}))
+        children = expand_hypotheses([PREV], u, outcomes({}), True)
         assert len(children) == 1
         assert not children[0].zta_applied
 
@@ -160,12 +154,12 @@ class TestExpandHypotheses:
             best = min(c.eff_pref for c in children)
             return [c for c in children if c.eff_pref == best]
 
-        assert len(argmax(expand_hypotheses([PREV], ASK_GA, outcomes({1: "hanako"})))) == 1
-        assert len(argmax(expand_hypotheses([PREV], ASK_WA, outcomes({1: "hanako"})))) == 2
+        assert len(argmax(expand_hypotheses([PREV], ASK_GA, outcomes({1: "hanako"}), True))) == 1
+        assert len(argmax(expand_hypotheses([PREV], ASK_WA, outcomes({1: "hanako"}), True))) == 2
 
     def test_promoted_head_is_parent_cb_and_zero_realized(self):
         for u in (ASK_GA, ASK_WA):
-            for child in expand_hypotheses([PREV], u, outcomes({1: "hanako"})):
+            for child in expand_hypotheses([PREV], u, outcomes({1: "hanako"}), True):
                 if child.zta_applied:
                     assert child.cf[0][0] == PREV.cb
                     assert child.cf[0][1] is EffectiveRole.ZERO_TOP
@@ -174,7 +168,7 @@ class TestExpandHypotheses:
     def test_duplicate_readings_collapse(self):
         # two identical parents produce one child each, deduped to one
         children = expand_hypotheses(
-            [PREV, PREV], ASK_GA, outcomes({1: "hanako"}, {1: "hanako"})
+            [PREV, PREV], ASK_GA, outcomes({1: "hanako"}, {1: "hanako"}), True
         )
         assert len(children) == 2  # promoted + plain, not four
 
@@ -188,9 +182,9 @@ def test_plain_cf_is_ranked_once_per_distinct_assignment(monkeypatch):
         steps[-1][2] += 1
         return real_rank(*args)
 
-    def expand(prev_set, u, outcomes, **kw):
+    def expand(prev_set, u, outcomes, *args):
         steps.append([len(outcomes), len({o.assignments for o in outcomes}), 0])
-        return real_expand(prev_set, u, outcomes, **kw)
+        return real_expand(prev_set, u, outcomes, *args)
 
     monkeypatch.setattr(hypotheses, "rank_cf", rank)
     monkeypatch.setattr(engine, "expand_hypotheses", expand)
@@ -260,6 +254,7 @@ class TestPruneHypotheses:
             [retain_parent, shift_parent, cont_parent],
             u,
             outcomes({1: "b"}, {1: "c"}, {1: "a"}),
+            True,
         )
         by_parent = {id(c.parent): c for c in expanded}
         children = [
@@ -276,16 +271,12 @@ class TestPruneHypotheses:
         assert kept == [children[0], children[1]]
 
     def test_infinite_beam_no_evidence_loses_nothing(self):
-        children = expand_hypotheses([PREV], ASK_WA, outcomes({1: "hanako"}))
+        children = expand_hypotheses([PREV], ASK_WA, outcomes({1: "hanako"}), True)
         kept = prune_hypotheses(children, beam=10**6)
         assert sorted(kept, key=rank_key) == sorted(children, key=rank_key)
 
     def test_no_hypotheses_prune_to_none(self):
-        assert prune_hypotheses([]) == []
-
-    def test_beam_must_be_positive(self):
-        with pytest.raises(ValueError):
-            prune_hypotheses([hyp(TransitionLabel.CONTINUE)], beam=0)
+        assert prune_hypotheses([], 4) == []
 
     @pytest.mark.parametrize("beam", [1, 2, 3, 4])
     @pytest.mark.parametrize("anomalous", [False, True])
@@ -310,7 +301,7 @@ class TestCollapseBeforeBuilding:
             1, "hanako", PREV.cf, TransitionLabel.CONTINUE, 1, ambiguity_keys=frozenset({"u1"})
         )
         outs = outcomes({1: "hanako"}, {1: "hanako"})
-        got = expand_hypotheses([first, second], ASK_WA, outs)
+        got = expand_hypotheses([first, second], ASK_WA, outs, True)
         assert [c.transition for c in got] == [
             TransitionLabel.ZTA_CONTINUE,
             TransitionLabel.RETAIN,
@@ -323,7 +314,7 @@ class TestCollapseBeforeBuilding:
         plain = CenteringHypothesis(0, "hanako", PREV.cf, TransitionLabel.CONTINUE, 1)
         parents = [replace_parent(PREV, promoted), replace_parent(PREV, plain)]
         outs = outcomes({1: "hanako"}, {1: "hanako"})
-        got = expand_hypotheses(parents, ASK_GA, outs)
+        got = expand_hypotheses(parents, ASK_GA, outs, True)
         assert [c.transition for c in got] == [
             TransitionLabel.ZTA_CONTINUE,
             TransitionLabel.RETAIN,

@@ -64,9 +64,9 @@ def instances():
             local.append(calls[0](*args))
             return local[-1]
 
-        def expand(prev_set, u, outcomes, **kw):
+        def expand(prev_set, u, outcomes, *args):
             local.append(tuple(outcomes))
-            return calls[1](prev_set, u, outcomes, **kw)
+            return calls[1](prev_set, u, outcomes, *args)
 
         patch.setattr(engine, "local_resolution", resolve)
         patch.setattr(engine, "expand_hypotheses", expand)

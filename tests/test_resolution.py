@@ -7,14 +7,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import centering.resolution as resolution
-from centering import (
-    GrammaticalRole,
+from centering import GrammaticalRole
+from centering.model import CbHistoryEntry, Form, ReferringExpression, ResolutionConstraints
+from centering.resolution import (
+    CUE_AGREEMENT,
+    CUE_LEXICAL,
     check_compatibility,
     form_set_candidates,
     local_resolution,
 )
-from centering.model import CbHistoryEntry, Form, ReferringExpression, ResolutionConstraints
-from centering.resolution import CUE_AGREEMENT, CUE_LEXICAL
 
 from conftest import entity, overt, utterance, zero
 
@@ -32,9 +33,6 @@ class TestCheckCompatibility:
         z = zero(GrammaticalRole.SUBJECT, 0, types=("device",), cardinality=2)
         assert check_compatibility(z, [entity("s-metal", "organization")]) == CUE_AGREEMENT
         assert check_compatibility(z, [entity("one-device", "device")]) == CUE_AGREEMENT
-
-    def test_no_member_is_agreement(self):
-        assert check_compatibility(zero(GrammaticalRole.SUBJECT, 0), []) == CUE_AGREEMENT
 
     def test_unconstrained_slot_accepts_anything(self):
         z = zero(GrammaticalRole.SUBJECT, 0)
