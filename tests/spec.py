@@ -1,8 +1,7 @@
 """An executable spec of the whole run: one plain, slow implementation of
 what `run_discourse` computes, written from the README's rules and the
 engine's documented behaviour. `tests/test_spec.py` holds the engine to it,
-run by run, and its expansion part to `expand` on live sets that no run
-builds.
+run by run and, for inputs that no run builds, part by part.
 
 It shares no code with the engine: it imports only value and report types
 from `centering` and calls no function of `core`, `resolution`,
@@ -288,8 +287,12 @@ def accepted(live) -> Reading:
 
 
 def push(history, cb, index, past_tense) -> tuple:
-    """The history with `cb` at the front as the Cb of utterance `index`;
-    an older entry for it is dropped, and its past-tense flag is sticky."""
+    """The history with `cb` at the front as the Cb of utterance `index`,
+    which may not go back; an older entry for it is dropped, and its
+    past-tense flag is sticky."""
+    if history and index < history[0].index:
+        message = f"history indices must be non-decreasing: {index} after {history[0].index}"
+        raise ValueError(message)
     flag = past_tense or any(e.past_tense for e in history if e.entity_id == cb)
     return (CbHistoryEntry(cb, index, flag), *(e for e in history if e.entity_id != cb))
 

@@ -51,6 +51,20 @@ class TestPushCb:
         h = push_cb(h, "hanako", 3, False)
         assert [(e.entity_id, e.index) for e in h] == [("hanako", 3), ("mitiko", 2)]
 
+    def test_collapse_against_list_simulation_oracle(self):
+        # oracle: maintain a plain list, remove-then-prepend
+        rng = random.Random(7)
+        names = ["a", "b", "c", "d"]
+        h = ()
+        oracle: list[str] = []
+        for idx in range(50):
+            name = rng.choice(names)
+            h = push_cb(h, name, idx, False)
+            if name in oracle:
+                oracle.remove(name)
+            oracle.insert(0, name)
+            assert [e.entity_id for e in h] == oracle
+
     def test_sticky_past_flag(self):
         h = push_cb((), "te", 0, past_tense=True)
         h = push_cb(h, "te", 3, past_tense=False)

@@ -12,16 +12,18 @@ properties use the spec's unbounded search: no vetoed reading outranks a
 compatible one, and a beam as wide as the widest unbounded live set loses
 nothing.
 
-One part is also held to the spec on inputs that no run builds: expansion,
-over live sets whose readings collapse in ties. The other parts of a step
-are not promised, so the runs alone judge them.
+What no run reaches is held to the spec part by part, each part imported
+from its own module: Cf ranking of set values, which only retrieval gives
+and then re-heads; the history's error on an index that goes back;
+retrieval over histories that name undeclared entities; and expansion over
+live sets whose readings collapse in ties.
 """
 
 import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spec
@@ -37,11 +39,13 @@ from centering import (
     run_discourse,
 )
 from centering.corpus import FIXTURE_NAMES
+from centering.core import rank_cf
+from centering.engine import global_retrieve, push_cb
 from centering.hypotheses import ResolutionOutcome, expand_hypotheses
-from centering.model import CenteringHypothesis, EffectiveRole, TransitionLabel
+from centering.model import CbHistoryEntry, CenteringHypothesis, EffectiveRole, TransitionLabel
 from synth import random_discourse
 
-from conftest import discourse, overt, utterance, zero
+from conftest import discourse, entity, overt, utterance, zero
 from test_stream import BEAMS, check_stream, reference_states, topic_cue_discourse
 
 #: The default configuration and the two ablations, `--no-zta` and `--no-global`.
@@ -179,6 +183,93 @@ def test_a_beam_as_wide_as_the_unbounded_live_sets_is_exact(d, switches, spare):
     widest = max((len(step.live) for step in steps), default=1)
     config = EngineConfig(beam=widest + spare, **switches)
     assert run_discourse(d, config) == spec.report(d, steps)
+
+
+# -- parts, on inputs that no run builds -------------------------------------
+
+
+#: (zero, role, entity or resolution) of one expression.
+SLOTS = st.tuples(
+    st.booleans(),
+    st.sampled_from(GrammaticalRole),
+    st.sampled_from(["a", "b", "c", None, frozenset({"a", "b"}), frozenset({"c"})]),
+)
+
+
+@given(st.lists(SLOTS, max_size=4))
+def test_rank_cf_as_the_spec(slots):
+    exprs, resolutions = [], {}
+    for pos, (is_zero, role, value) in enumerate(slots):
+        if is_zero:
+            exprs.append(zero(role, pos))
+            resolutions[pos] = value
+        elif isinstance(value, str):
+            exprs.append(overt(value, role, pos))
+    u = utterance(0, *exprs)
+    assert rank_cf(u, resolutions) == spec.rank_cf(u, resolutions)
+
+
+#: (Cb, index step, past tense) of one push; a negative step goes back.
+PUSHES = st.tuples(st.sampled_from("abcd"), st.integers(-1, 3), st.booleans())
+
+
+@given(st.lists(PUSHES, max_size=25))
+# the Cb at the front again, its past flag sticky; one further back; a new
+# one; and an index that goes back
+@example([("a", 0, True), ("a", 1, False)])
+@example([("a", 0, True), ("b", 1, False), ("a", 0, False)])
+@example([("a", 0, False), ("c", 2, True)])
+@example([("a", 2, False), ("a", -1, True)])
+def test_push_cb_as_the_spec(pushes):
+    history, index = (), 0
+    for cb, step, past in pushes:
+        index += step
+        try:
+            want = spec.push(history, cb, index, past)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                push_cb(history, cb, index, past)
+            assert str(got.value) == str(exc)
+            index -= step
+            continue
+        history = push_cb(history, cb, index, past)
+        assert history == want
+        assert all(type(e.past_tense) is bool for e in history)
+
+
+@st.composite
+def retrieval_inputs(draw):
+    """A history of former Cbs, one of which may be undeclared, and a zero
+    that needs one entity, or a set of two or three, or says nothing."""
+    names = "abcdef"
+    missing = draw(st.sets(st.sampled_from(names), max_size=1))
+    types = st.sets(st.sampled_from("pqr"), max_size=2)
+    entity_types = st.sets(st.sampled_from("pqr"), min_size=1, max_size=2)
+    entities = {
+        eid: entity(eid, *draw(entity_types), cardinality=draw(st.integers(1, 3)))
+        for eid in names
+        if eid not in missing
+    }
+    # most recent first, one entry per entity, as push_cb builds it
+    cbs = draw(st.permutations(names))[: draw(st.integers(1, len(names)))]
+    history = tuple(
+        CbHistoryEntry(eid, len(cbs) - k, draw(st.booleans())) for k, eid in enumerate(cbs)
+    )
+    cf_prev = draw(st.lists(st.sampled_from(names), unique=True, max_size=3))
+    cardinality = draw(st.sampled_from([None, 1, 2, 3]))
+    tenses = st.sampled_from(Tense)
+    u = utterance(
+        len(cbs) + 1,
+        zero(GrammaticalRole.SUBJECT, 0, types=draw(types), cardinality=cardinality),
+        tense=draw(tenses),
+    )
+    return history, u.expressions[0], u, entities, cf_prev, draw(tenses)
+
+
+@settings(max_examples=400, deadline=None)
+@given(retrieval_inputs())
+def test_global_retrieve_as_the_spec(args):
+    assert global_retrieve(*args) == spec.retrieve(*args)
 
 
 # -- expansion, on live sets that no run builds --------------------------------
